@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The baseline TraceBackend: runs a dispatched trace by block-stepping
-/// it through BlockStepper / Machine::execOne, exactly as the pre-seam
-/// dispatch loop did. Every other backend is measured against this tier
+/// it through the block executor (BlockStepper::step), exactly as the
+/// plain dispatch loop runs non-trace blocks. Every other backend is measured against this tier
 /// -- it is the differential-fuzzing oracle and the transparent fallback
 /// for anything the JIT cannot (or should not yet) compile.
 ///

@@ -134,7 +134,7 @@ static uint64_t jtcJitPutField(Machine *M, int64_t Ref, int64_t Slot,
 // check (Trace::MemElisions). NoNull keeps the bounds check but skips the
 // liveness/class check; Fast skips everything and so cannot trap at all
 // (the template emits no trap exit for it). Pop order, trap kinds and
-// Heap calls mirror Machine::execOneElided exactly.
+// Heap calls mirror the block executor's elided accesses exactly.
 
 static JitHelperResult jtcJitIaloadNoNull(Machine *M, int64_t Ref,
                                           int64_t Idx) {
@@ -232,48 +232,51 @@ static void jtcJitIprint(Machine *M, int64_t Value) {
 // Frame helpers
 //
 // Calls and returns inside a trace run the Machine's real frame machinery.
-// Protocol: shrink the over-extended operand arena to the live top (the
-// frame ops work on the vector's end), run the frame op, re-extend by the
-// trace's stack slack, and publish the -- possibly reallocated -- top and
-// locals pointers back through the JitContext; the template reloads its
-// pinned registers afterwards. Return code: 0 = continue on trace,
+// Protocol: publish the template's live top into the Machine, run the
+// frame op, reserve the trace's stack slack in the (possibly different)
+// frame, and publish the -- possibly reallocated -- top and locals
+// pointers back through the JitContext; the template reloads its pinned
+// registers afterwards. Frames record their continuation block exactly as
+// the block executor's do. Return code: 0 = continue on trace,
 // 1 = trapped, 2 = diverged (JC->ExitPayload holds where execution
 // actually went), 3 = program finished (bottom-frame return).
 //===----------------------------------------------------------------------===//
 
-static uint64_t jtcJitCallStatic(JitContext *JC, uint64_t Callee,
-                                 uint64_t ReturnPc, uint64_t Slack) {
+/// Reserves \p Slack pushes in the current frame and republishes the
+/// pinned pointers.
+static void jtcJitEnterFrame(JitContext *JC, uint64_t Slack) {
   Machine *M = JC->Mach;
-  size_t Top = static_cast<size_t>(JC->StackTop - M->operandStackData());
-  M->resizeOperandStack(Top);
+  M->reserveOperands(static_cast<size_t>(Slack));
+  JC->StackTop = M->stackTop();
+  JC->Locals = M->localsBase();
+}
+
+static uint64_t jtcJitCallStatic(JitContext *JC, uint64_t Callee,
+                                 uint64_t ReturnPc, uint64_t ReturnBlock,
+                                 uint64_t Slack) {
+  Machine *M = JC->Mach;
+  M->setStackTop(JC->StackTop);
   if (!M->pushFrame(static_cast<uint32_t>(Callee),
-                    static_cast<uint32_t>(ReturnPc))) {
-    // StackOverflow trap, args left on the stack (pushFrame's contract).
-    JC->StackTop = M->operandStackData() + M->operandStackSize();
-    return 1;
-  }
-  size_t NewTop = M->operandStackSize();
-  M->resizeOperandStack(NewTop + Slack);
-  JC->StackTop = M->operandStackData() + NewTop;
-  JC->Locals = M->currentLocalsData();
+                    static_cast<uint32_t>(ReturnPc),
+                    static_cast<BlockId>(ReturnBlock)))
+    return 1; // StackOverflow trap, args left on the stack.
+  jtcJitEnterFrame(JC, Slack);
   return 0;
 }
 
 static uint64_t jtcJitCallVirtual(JitContext *JC, uint64_t SlotId,
-                                  uint64_t ReturnPc, uint64_t Expect,
-                                  uint64_t Slack) {
+                                  uint64_t ReturnPc, uint64_t ReturnBlock,
+                                  uint64_t Expect, uint64_t Slack) {
   Machine *M = JC->Mach;
-  size_t Top = static_cast<size_t>(JC->StackTop - M->operandStackData());
-  M->resizeOperandStack(Top);
+  M->setStackTop(JC->StackTop);
   // Resolution replicates execOne's InvokeVirtual: receiver liveness, then
   // vtable dispatch, trapping *before* the args are consumed.
   const Module &Mod = M->module();
   const SlotInfo &Slot = Mod.Slots[static_cast<size_t>(SlotId)];
-  int64_t Receiver = M->operandStackData()[Top - Slot.ArgCount];
+  int64_t Receiver = JC->StackTop[-static_cast<int64_t>(Slot.ArgCount)];
   Heap &H = M->heap();
   if (!H.isLive(Receiver)) {
     M->setTrap(TrapKind::NullReference);
-    JC->StackTop = M->operandStackData() + Top;
     return 1;
   }
   uint32_t ClassId = H.classOf(Receiver);
@@ -283,42 +286,29 @@ static uint64_t jtcJitCallVirtual(JitContext *JC, uint64_t SlotId,
                               SlotId)];
   if (Callee == InvalidMethod) {
     M->setTrap(TrapKind::BadVirtualDispatch);
-    JC->StackTop = M->operandStackData() + Top;
     return 1;
   }
-  if (!M->pushFrame(Callee, static_cast<uint32_t>(ReturnPc))) {
-    JC->StackTop = M->operandStackData() + M->operandStackSize();
+  if (!M->pushFrame(Callee, static_cast<uint32_t>(ReturnPc),
+                    static_cast<BlockId>(ReturnBlock)))
     return 1;
-  }
-  size_t NewTop = M->operandStackSize();
-  M->resizeOperandStack(NewTop + Slack);
-  JC->StackTop = M->operandStackData() + NewTop;
-  JC->Locals = M->currentLocalsData();
+  jtcJitEnterFrame(JC, Slack);
   JC->ExitPayload = Callee;
   return Expect != InvalidMethod && Callee != Expect ? 2 : 0;
 }
 
 static uint64_t jtcJitRet(JitContext *JC, uint64_t HasValue,
-                          uint64_t ExpectMethod, uint64_t ExpectPc,
-                          uint64_t Slack) {
+                          uint64_t ExpectBlock, uint64_t Slack) {
   Machine *M = JC->Mach;
-  size_t Top = static_cast<size_t>(JC->StackTop - M->operandStackData());
-  M->resizeOperandStack(Top);
+  M->setStackTop(JC->StackTop);
   Machine::PopInfo Info = M->popFrame(HasValue != 0);
   if (Info.BottomFrame) {
-    JC->StackTop = M->operandStackData() + M->operandStackSize();
+    JC->StackTop = M->stackTop();
     return 3;
   }
-  size_t NewTop = M->operandStackSize();
-  M->resizeOperandStack(NewTop + Slack);
-  JC->StackTop = M->operandStackData() + NewTop;
-  JC->Locals = M->currentLocalsData();
-  JC->ExitPayload = Info.ReturnPc;
-  return ExpectMethod != InvalidMethod &&
-                 (M->currentMethodId() != ExpectMethod ||
-                  Info.ReturnPc != ExpectPc)
-             ? 2
-             : 0;
+  jtcJitEnterFrame(JC, Slack);
+  JC->ExitPayload = Info.ReturnBlock;
+  return ExpectBlock != InvalidBlockId && Info.ReturnBlock != ExpectBlock ? 2
+                                                                          : 0;
 }
 
 } // extern "C"
@@ -542,22 +532,23 @@ void TraceCompiler::emitFrameOp(const IrOp &Op) {
   case IrOp::Kind::CallStatic:
     E.movRI(Reg::Rsi, Op.Callee);
     E.movRI(Reg::Rdx, Op.ReturnPc);
-    E.movRI(Reg::Rcx, IR.MaxPush);
+    E.movRI(Reg::Rcx, Op.ReturnBlock);
+    E.movRI(Reg::R8, IR.MaxPush);
     helperCall(reinterpret_cast<const void *>(&jtcJitCallStatic));
     break;
   case IrOp::Kind::CallVirtual:
     E.movRI(Reg::Rsi, Op.I.A); // vtable slot
     E.movRI(Reg::Rdx, Op.ReturnPc);
-    E.movRI(Reg::Rcx, Op.Callee); // expected callee (InvalidMethod: none)
-    E.movRI(Reg::R8, IR.MaxPush);
+    E.movRI(Reg::Rcx, Op.ReturnBlock);
+    E.movRI(Reg::R8, Op.Callee); // expected callee (InvalidMethod: none)
+    E.movRI(Reg::R9, IR.MaxPush);
     helperCall(reinterpret_cast<const void *>(&jtcJitCallVirtual));
     break;
   default:
     assert(Op.K == IrOp::Kind::Ret && "not a frame op");
     E.movRI(Reg::Rsi, Op.HasValue ? 1 : 0);
-    E.movRI(Reg::Rdx, Op.ExpectMethod);
-    E.movRI(Reg::Rcx, Op.ExpectPc);
-    E.movRI(Reg::R8, IR.MaxPush);
+    E.movRI(Reg::Rdx, Op.ExpectBlock);
+    E.movRI(Reg::Rcx, IR.MaxPush);
     helperCall(reinterpret_cast<const void *>(&jtcJitRet));
     break;
   }
@@ -569,7 +560,7 @@ void TraceCompiler::emitFrameOp(const IrOp &Op) {
   if (Op.K == IrOp::Kind::Ret) {
     E.cmpRI(Reg::Rax, 3);
     jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::Finished));
-    if (Op.ExpectMethod != InvalidMethod) {
+    if (Op.ExpectBlock != InvalidBlockId) {
       E.cmpRI(Reg::Rax, 2);
       jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::DivergeRet));
     }
@@ -623,7 +614,9 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   }
 
   const Instruction &I = Op.I;
-  const int32_t LocalOff = I.A * 8; // for the local-slot ops
+  // Byte offset of a local slot; only meaningful for the local-slot ops
+  // (A is an arbitrary constant elsewhere, e.g. iconst's).
+  auto LocalOff = [&I] { return static_cast<int32_t>(int64_t{I.A} * 8); };
   switch (I.Op) {
   case Opcode::Nop:
     break;
@@ -632,17 +625,17 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.addRI(TopReg, 8);
     break;
   case Opcode::Iload:
-    E.movRM(Reg::Rax, LocalsReg, LocalOff);
+    E.movRM(Reg::Rax, LocalsReg, LocalOff());
     pushRax();
     break;
   case Opcode::Istore:
     popRax();
-    E.movMR(LocalsReg, LocalOff, Reg::Rax);
+    E.movMR(LocalsReg, LocalOff(), Reg::Rax);
     break;
   case Opcode::Iinc:
-    E.movRM(Reg::Rax, LocalsReg, LocalOff);
+    E.movRM(Reg::Rax, LocalsReg, LocalOff());
     E.addRI(Reg::Rax, I.B);
-    E.movMR(LocalsReg, LocalOff, Reg::Rax);
+    E.movMR(LocalsReg, LocalOff(), Reg::Rax);
     break;
   case Opcode::Pop:
     E.subRI(TopReg, 8);
@@ -922,8 +915,9 @@ bool TraceCompiler::emit() {
 // JitBackend
 //===----------------------------------------------------------------------===//
 
-JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config)
-    : PM(PM), Config(Config) {}
+JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config,
+                       ModuleFactsFn Facts)
+    : PM(PM), Config(Config), Facts(std::move(Facts)) {}
 
 JitBackend::~JitBackend() = default;
 
@@ -931,11 +925,7 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
   if (Config.SimulateUnsupportedHost || !jitSupportedHost())
     return CompileFallback::HostUnsupported;
 
-  if (!Facts)
-    Facts = std::make_unique<analysis::ModuleAnalysis>(
-        analysis::ModuleAnalysis::compute(PM.module()));
-
-  LowerResult L = lowerTrace(PM, T, Facts.get());
+  LowerResult L = lowerTrace(PM, T, &Facts());
   if (!L.ok())
     return L.Why;
 
@@ -958,23 +948,15 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
 }
 
 const CompiledTrace *JitBackend::compiled(const Trace &T) {
-  auto It = Cache.find(T.Id);
-  if (It != Cache.end() && It->second.Blocks != T.Blocks) {
-    // The cache reused this trace id for a different block sequence; the
-    // old code is dead.
-    Cache.erase(It);
-    It = Cache.end();
-  }
-  if (It != Cache.end())
-    return &It->second;
+  if (T.Id < Compiled.size() && Compiled[T.Id])
+    return Compiled[T.Id].get();
   if (T.Completed < Config.JitPromoteAfter)
     return nullptr; // not hot yet; keep interpreting
 
-  CompiledTrace C;
-  C.Blocks = T.Blocks;
-  CompileFallback Why = tryCompile(T, C);
+  auto C = std::make_unique<CompiledTrace>();
+  CompileFallback Why = tryCompile(T, *C);
   if (Why != CompileFallback::None) {
-    C.Fn = nullptr;
+    C->Fn = nullptr;
     ++Stats.CompileFallbacks;
     ++Stats.FallbacksByReason[static_cast<unsigned>(Why)];
     JTC_RECORD_EVENT(Telem, EventKind::TraceCompileFallback, T.Id,
@@ -982,7 +964,10 @@ const CompiledTrace *JitBackend::compiled(const Trace &T) {
   } else {
     ++Stats.TracesCompiled;
   }
-  return &Cache.emplace(T.Id, std::move(C)).first->second;
+  if (T.Id >= Compiled.size())
+    Compiled.resize(T.Id + 1);
+  Compiled[T.Id] = std::move(C);
+  return Compiled[T.Id].get();
 }
 
 TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {
@@ -1001,27 +986,22 @@ TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {
 
   ++Stats.CompiledDispatches;
   Machine &M = Ctx.Mach;
-  const size_t Top = M.operandStackSize();
-  // Pre-extend the operand arena by the trace's maximum stack growth so
-  // template code pushes with raw stores; the base pointer is taken
-  // *after* the resize (only the frame helpers move the arena, and they
-  // republish the pointers through the context).
-  M.resizeOperandStack(Top + C->MaxPush);
-  int64_t *Base = M.operandStackData();
+  // Reserve the trace's maximum stack growth so template code pushes with
+  // raw stores; the pointers are taken *after* the reservation (only the
+  // frame helpers move the arenas, and they republish the pointers
+  // through the context).
+  M.reserveOperands(C->MaxPush);
 
   JitContext JC;
   JC.Mach = &M;
-  JC.Locals = M.currentLocalsData();
-  JC.StackTop = Base + Top;
+  JC.Locals = M.localsBase();
+  JC.StackTop = M.stackTop();
   JC.ExitIndex = 0;
   C->Fn(&JC);
 
   // JC.StackTop points into the *current* allocation (frame helpers may
   // have reallocated the arena mid-run).
-  int64_t *Cur = M.operandStackData();
-  assert(JC.StackTop >= Cur && JC.StackTop <= Cur + M.operandStackSize() &&
-         "native code corrupted the operand stack top");
-  M.resizeOperandStack(static_cast<size_t>(JC.StackTop - Cur));
+  M.setStackTop(JC.StackTop);
 
   assert(JC.ExitIndex < C->Exits.size() && "bad exit index");
   const ExitRecord &X = C->Exits[JC.ExitIndex];
@@ -1054,11 +1034,10 @@ TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {
   case ExitRecord::Kind::CompleteRet:
   case ExitRecord::Kind::DivergeRet:
     // The run ended right after a return; the machine is back in the
-    // caller and the successor is the block at the recorded return pc.
+    // caller and the successor is the frame's recorded return block.
     R.End = X.K == ExitRecord::Kind::CompleteRet ? TraceRunEnd::Completed
                                                  : TraceRunEnd::Diverged;
-    R.NextBlock = Ctx.PM.blockStartingAt(
-        M.currentMethodId(), static_cast<uint32_t>(JC.ExitPayload));
+    R.NextBlock = static_cast<BlockId>(JC.ExitPayload);
     break;
   case ExitRecord::Kind::Finished:
     R.End = TraceRunEnd::Finished;

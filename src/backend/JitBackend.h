@@ -19,11 +19,12 @@
 ///   rbx  JitContext*            r14  operand-stack top (one past top)
 ///   r13  frame locals base      r15  Machine*
 ///
-/// The operand stack is the Machine's own arena: before a native run the
-/// backend extends it by the trace's MaxPush so template code pushes with
-/// raw stores, and shrinks it to the native top afterwards. Frame helpers
-/// shrink the arena to the true top, run the frame op, re-extend by
-/// MaxPush, and publish the (possibly reallocated) pointers back through
+/// The operand stack is the Machine's own arena, the same one the block
+/// executor keeps in registers: before a native run the backend reserves
+/// the trace's MaxPush so template code pushes with raw stores, and
+/// publishes the native top back afterwards (Machine::setStackTop). Frame
+/// helpers publish the live top, run the frame op, reserve MaxPush in the
+/// new frame, and publish the (possibly reallocated) pointers back through
 /// the JitContext; the template reloads its pinned registers after each
 /// one. Every exit -- completion, fired guard, trap, finish -- leaves an
 /// exit-record index in the JitContext; the record carries the
@@ -42,15 +43,9 @@
 #include "runtime/Trap.h"
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace jtc {
-
-namespace analysis {
-class ModuleAnalysis;
-}
-
 namespace backend {
 
 /// The in/out block native trace code works against. Layout is ABI: the
@@ -61,7 +56,7 @@ struct JitContext {
   int64_t *StackTop = nullptr; ///< One past the operand top; in/out.
   uint64_t ExitIndex = 0;      ///< Out: index into CompiledTrace::Exits.
   /// Out: the dynamic half of a frame-op exit -- the resolved callee
-  /// method (CompleteCallee / DivergeCallee) or the actual return pc
+  /// method (CompleteCallee / DivergeCallee) or the actual return block
   /// (CompleteRet / DivergeRet). Written by the frame helpers, read by
   /// JitBackend::run() to compute the successor block.
   uint64_t ExitPayload = 0;
@@ -76,12 +71,12 @@ struct ExitRecord {
                     ///< successor is the entry block of the resolved
                     ///< callee (JitContext::ExitPayload).
     CompleteRet,    ///< All blocks ran, last op a return; the successor
-                    ///< is the return-site block (ExitPayload = pc).
+                    ///< is the return-site block (ExitPayload).
     Guard,          ///< A guard fired (divergence); Next is the resume block.
     DivergeCallee,  ///< A virtual call resolved off-trace; execution is in
                     ///< the resolved callee (ExitPayload) at its entry.
     DivergeRet,     ///< A return landed off-trace; execution is at the
-                    ///< actual return site (ExitPayload = pc).
+                    ///< actual return-site block (ExitPayload).
     Finished,       ///< A return popped the bottom frame: program over.
     Trap,           ///< A runtime trap; TrapToSet names it (None when the
                     ///< helper that detected it already set Machine::trap()).
@@ -103,7 +98,6 @@ using TraceFn = void (*)(JitContext *);
 /// One promotion outcome, cached per trace id. A null Fn records a failed
 /// promotion: the trace stays on the interpreter tier without retrying.
 struct CompiledTrace {
-  std::vector<BlockId> Blocks; ///< Identity check against id reuse.
   TraceFn Fn = nullptr;
   std::vector<ExitRecord> Exits;
   uint32_t MaxPush = 0;
@@ -136,7 +130,8 @@ private:
 
 class JitBackend : public TraceBackend {
 public:
-  JitBackend(const PreparedModule &PM, const BackendConfig &Config);
+  JitBackend(const PreparedModule &PM, const BackendConfig &Config,
+             ModuleFactsFn Facts);
   ~JitBackend() override;
 
   const char *name() const override { return "jit"; }
@@ -152,10 +147,12 @@ private:
   const PreparedModule &PM;
   BackendConfig Config;
   EventRing *Telem = nullptr;
-  /// Liveness/value facts for side-exit annotation; computed on the first
-  /// promotion, reused for every trace.
-  std::unique_ptr<analysis::ModuleAnalysis> Facts;
-  std::unordered_map<TraceId, CompiledTrace> Cache;
+  /// Liveness/value facts for side-exit annotation (the session's shared
+  /// analysis).
+  ModuleFactsFn Facts;
+  /// Promotion outcome per trace id (a cache's ids are dense and never
+  /// reused); null until the trace is first seen hot.
+  std::vector<std::unique_ptr<CompiledTrace>> Compiled;
   CodeArena Arena;
 };
 

@@ -48,13 +48,14 @@ bool jitSupportedHost() {
 
 std::unique_ptr<TraceBackend> makeBackend(BackendKind Kind,
                                           const PreparedModule &PM,
-                                          const BackendConfig &Config) {
+                                          const BackendConfig &Config,
+                                          ModuleFactsFn Facts) {
   if (Kind == BackendKind::Auto)
     Kind = jitSupportedHost() && !Config.SimulateUnsupportedHost
                ? BackendKind::Jit
                : BackendKind::Interp;
   if (Kind == BackendKind::Jit)
-    return std::make_unique<JitBackend>(PM, Config);
+    return std::make_unique<JitBackend>(PM, Config, std::move(Facts));
   (void)PM;
   return std::make_unique<InterpreterBackend>();
 }

@@ -15,9 +15,9 @@
 /// VmStats digest, same btrace stream) is what the fuzz oracle enforces.
 ///
 /// Two backends ship:
-///  - InterpreterBackend: block-steps the trace through BlockStepper /
-///    Machine::execOne, exactly the pre-seam dispatch loop. This is the
-///    oracle tier.
+///  - InterpreterBackend: block-steps the trace through the block
+///    executor (BlockStepper::step), exactly the plain dispatch loop. This
+///    is the oracle tier.
 ///  - JitBackend (x86-64 only): promotes hot completed traces to template
 ///    machine code (see X64Emitter.h) and runs them natively; anything it
 ///    cannot compile -- and every pre-promotion dispatch -- is delegated
@@ -34,9 +34,14 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 namespace jtc {
+
+namespace analysis {
+class ModuleAnalysis;
+}
 
 class PreparedModule;
 class Machine;
@@ -161,14 +166,21 @@ protected:
 /// POSIX executable mappings).
 bool jitSupportedHost();
 
+/// The session's per-module analysis, computed on first call and shared
+/// by everything in the session that needs it (validation, annotation,
+/// JIT side-exit liveness), so a session computes it at most once.
+using ModuleFactsFn = std::function<const analysis::ModuleAnalysis &()>;
+
 /// Creates the backend for \p Kind over \p PM. Auto resolves to Jit when
 /// jitSupportedHost() (and not Config.SimulateUnsupportedHost), Interp
 /// otherwise. Jit on an unsupported host still constructs a JitBackend;
 /// every promotion attempt then records a HostUnsupported fallback and
-/// runs through its embedded interpreter tier.
+/// runs through its embedded interpreter tier. \p Facts supplies the
+/// module analysis a compiling backend needs.
 std::unique_ptr<TraceBackend> makeBackend(BackendKind Kind,
                                           const PreparedModule &PM,
-                                          const BackendConfig &Config);
+                                          const BackendConfig &Config,
+                                          ModuleFactsFn Facts);
 
 } // namespace backend
 } // namespace jtc

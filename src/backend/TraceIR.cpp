@@ -129,7 +129,7 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       Depth += opPushes(Term.Op);
       MaxDepth = std::max(MaxDepth, Depth);
       IR.Ops.push_back(std::move(Op));
-      BlockId Succ = PM.blockStartingAt(BB.MethodId, BB.EndPc);
+      BlockId Succ = BB.Fall;
       if (FinalB) {
         IR.Complete = TraceIR::CompleteKind::Static;
         IR.NextFall = Succ;
@@ -142,8 +142,7 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
     case OpKind::Jump: {
       // The jump drops out of the op stream (the block sequence encodes
       // it); it is still in the instruction counts via InstrPrefix.
-      BlockId Succ =
-          PM.blockStartingAt(BB.MethodId, static_cast<uint32_t>(Term.A));
+      BlockId Succ = BB.Taken;
       if (FinalB) {
         IR.Complete = TraceIR::CompleteKind::Static;
         IR.NextFall = Succ;
@@ -154,9 +153,8 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
     }
 
     case OpKind::Branch: {
-      BlockId TakenB =
-          PM.blockStartingAt(BB.MethodId, static_cast<uint32_t>(Term.A));
-      BlockId FallB = PM.blockStartingAt(BB.MethodId, BB.EndPc);
+      BlockId TakenB = BB.Taken;
+      BlockId FallB = BB.Fall;
       Depth -= opPops(Term.Op); // asserts a direction: pops, pushes nothing
       if (FinalB) {
         IR.Complete = TraceIR::CompleteKind::Branch;
@@ -197,10 +195,11 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
 
     case OpKind::Call: {
       Op.ReturnPc = TermPc + 1;
+      Op.ReturnBlock = BB.Fall;
       if (Term.Op == Opcode::InvokeStatic) {
         Op.K = IrOp::Kind::CallStatic;
         Op.Callee = static_cast<uint32_t>(Term.A);
-        BlockId Entry = PM.methodEntryBlock(Op.Callee);
+        BlockId Entry = BB.Taken;
         if (FinalB) {
           IR.Complete = TraceIR::CompleteKind::Static;
           IR.NextFall = Entry;
@@ -228,12 +227,10 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       Op.K = IrOp::Kind::Ret;
       Op.HasValue = Term.Op == Opcode::Ireturn;
       if (FinalB) {
-        Op.ExpectMethod = InvalidMethod; // any return site completes
+        Op.ExpectBlock = InvalidBlockId; // any return site completes
         IR.Complete = TraceIR::CompleteKind::Return;
       } else {
-        const BasicBlock &NB = PM.block(Next);
-        Op.ExpectMethod = NB.MethodId;
-        Op.ExpectPc = NB.StartPc;
+        Op.ExpectBlock = Next;
       }
       IR.Ops.push_back(std::move(Op));
       Depth = 0; // caller frame run restarts

@@ -80,13 +80,13 @@ struct IrOp {
   /// final block, where any resolution completes the trace.
   uint32_t Callee = InvalidMethod;
   uint32_t ReturnPc = 0; ///< Caller pc the new frame returns to.
+  BlockId ReturnBlock = InvalidBlockId; ///< The same continuation's block.
 
   // Ret fields.
   bool HasValue = false; ///< Ireturn (transfer a value to the caller).
-  /// The recorded return site (method, pc); ExpectMethod is InvalidMethod
-  /// on the final block, where any return site completes the trace.
-  uint32_t ExpectMethod = InvalidMethod;
-  uint32_t ExpectPc = 0;
+  /// The recorded return-site block; InvalidBlockId on the final block,
+  /// where any return site completes the trace.
+  BlockId ExpectBlock = InvalidBlockId;
 
   /// Source position: the trace block (index into Blocks) and method pc
   /// this op lowers, the basis for interpreter-exact accounting at every

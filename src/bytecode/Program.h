@@ -41,6 +41,11 @@ struct SwitchTable {
 /// `ref` is spelled explicitly.
 enum class TypeTag : uint8_t { Int, Ref };
 
+/// Most locals a method may declare (the verifier enforces it). As with
+/// the JVM's u2 max_locals, a local index always fits in 16 bits, which
+/// keeps the block executor's decoded slots at 8 bytes.
+constexpr uint32_t MaxMethodLocals = 65535;
+
 /// One method: a name, a signature, and pre-decoded code.
 ///
 /// For virtual methods the receiver reference is argument 0, so NumArgs

@@ -175,6 +175,10 @@ void MethodVerifier::run() {
     error(0, "method declares fewer locals than arguments");
     return;
   }
+  if (Mth.NumLocals > MaxMethodLocals) {
+    error(0, "method declares more than 65535 locals");
+    return;
+  }
   if (Mth.Code.empty()) {
     error(0, "method has no code");
     return;
@@ -321,6 +325,13 @@ std::vector<VerifyError> jtc::verifyModule(const Module &M) {
         Errors.push_back({Id, E.Pc, E.Message});
     }
   }
+
+  // A slot's argument count is bounded like the locals its implementors
+  // declare, whether or not any class implements it.
+  for (const SlotInfo &Slot : M.Slots)
+    if (Slot.ArgCount > MaxMethodLocals)
+      Errors.push_back(
+          {0, 0, "slot '" + Slot.Name + "' takes more than 65535 arguments"});
 
   for (uint32_t C = 0; C < M.Classes.size(); ++C) {
     const Class &Cls = M.Classes[C];

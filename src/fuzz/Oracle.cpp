@@ -153,7 +153,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
     ThreadedProgram TP(PM);
     ThreadedResult TR = TP.run(Config.MaxInstructions);
     C.outcome(TR.Status, TR.Trap);
-    // The threaded engine checks its budget at block granularity, so a
+    // The block executor checks its budget at block granularity, so a
     // trapped run's count can legitimately differ by the trap position
     // inside a block; compare counts only for clean completion.
     if (Result.RefStatus == RunStatus::Finished)

@@ -3,7 +3,7 @@
 /// \file
 /// The differential oracle at the core of the fuzzing subsystem. One
 /// module is executed by every engine the repository implements -- the
-/// per-instruction reference interpreter, the direct-threaded engine, the
+/// per-instruction reference interpreter, a plain block-executor run, the
 /// TraceVM across a grid of (threshold, start-state delay, decay
 /// interval) configurations, and the Dynamo-NET baseline -- and all
 /// observable outcomes are cross-checked against the reference: run

@@ -57,10 +57,11 @@ OverheadSample jtc::measureProfilerOverhead(const WorkloadInfo &W,
   S.PlainSeconds = 1e100;
   S.ProfiledSeconds = 1e100;
 
-  // The timed interpreter is the direct-threaded engine -- the same
-  // substrate class the paper measures against (a fast threaded
-  // SableVM); timing the slow reference interpreter instead would
-  // understate the relative profiling cost.
+  // The timed interpreter is the block executor -- the same substrate
+  // class the paper measures against (a fast direct-threaded-inlining
+  // SableVM) and the code TraceVM dispatches through; timing the slow
+  // reference interpreter instead would understate the relative
+  // profiling cost.
   ThreadedProgram TP(PM);
   for (int Rep = 0; Rep < Repeats; ++Rep) {
     // Plain direct-threaded-inlining interpreter: no per-dispatch hook.

@@ -1,8 +1,22 @@
-//===- interp/BlockStepper.cpp --------------------------------------------===//
+//===- interp/BlockStepper.cpp - The block executor -----------------------===//
+//
+// The one fast execution core: step() runs a whole block of the module's
+// pre-decoded code (PreparedModule::code) as a single loop. The operand
+// stack top and the locals base live in registers for the whole block;
+// the Machine's arenas are the only execution state, published back at
+// every block exit. Opcode semantics here mirror Machine::execOne, the
+// reference definition the differential tests compare against.
+//
+//===----------------------------------------------------------------------===//
 
 #include "interp/BlockStepper.h"
 
+#include <limits>
+
 using namespace jtc;
+
+static_assert(static_cast<unsigned>(SlotOp::FallThrough) == numOpcodes(),
+              "SlotOp must extend Opcode value for value");
 
 BlockStepper::BlockStepper(const PreparedModule &PM, Machine &Mach)
     : PM(&PM), Mach(&Mach) {}
@@ -13,74 +27,355 @@ void BlockStepper::start() {
   Instructions = 0;
 }
 
-/// Dynamic checks one elided heap access skips: the liveness/class check
+/// Dynamic checks an elided heap access skips: the liveness/class check
 /// always, plus the bounds check when Kind is Full (ArrayLength has no
 /// bounds check to begin with).
-static uint64_t elisionWeight(Opcode Op, uint8_t Kind) {
-  if (Kind != MemElision::Full || Op == Opcode::ArrayLength)
-    return 1;
-  return 2;
+static uint64_t elisionWeight(SlotOp Op, uint8_t Kind) {
+  return Kind == MemElision::Full && Op != SlotOp::ArrayLength ? 2 : 1;
+}
+
+/// The elision armed for heap access \p Op at \p Pc -- the next fact of
+/// the span [\p EF, \p EEnd) when it names \p Pc -- or null. Consumes the
+/// fact and counts the checks it skips, before the access can trap on a
+/// kept bounds check.
+static const MemElision *takeElision(const MemElision *&EF,
+                                     const MemElision *EEnd, uint32_t Pc,
+                                     SlotOp Op, uint64_t &ChecksElided) {
+  if (EF == EEnd || EF->Pc != Pc)
+    return nullptr;
+  ChecksElided += elisionWeight(Op, EF->Kind);
+  return EF++;
 }
 
 BlockStepper::StepStatus BlockStepper::step() {
   assert(Cur != InvalidBlockId && "step() before start() or after finish");
   const BasicBlock &BB = PM->block(Cur);
-  const Method &M = PM->module().Methods[BB.MethodId];
+  Machine &Mc = *Mach;
+  Heap &H = Mc.heap();
 
-  // Consume the one-shot elision span armed for this block (null on the
-  // vast majority of steps: one predictable branch per instruction).
+  // Every instruction pushes at most one value net, so a block can never
+  // outgrow this reservation: the pointers below stay valid to the end of
+  // the block (calls and returns only ever end one).
+  Mc.reserveOperands(BB.numInstructions());
+  int64_t *Sp = Mc.stackTop();
+  int64_t *const Lp = Mc.localsBase();
+  const CodeSlot *const First = PM->code() + BB.FirstSlot;
+  const CodeSlot *S = First;
+  // Counted up front; a trap gives back the instructions it skipped.
+  Instructions += BB.numInstructions();
+
+  // Consume the one-shot elision span armed for this block. EF == EEnd on
+  // the vast majority of steps: one compare per heap access.
   const MemElision *EF = Elide;
-  const size_t EN = ElideCount;
-  size_t EI = 0;
-  Elide = nullptr;
-  ElideCount = 0;
+  const MemElision *const EEnd = ElideEnd;
+  Elide = ElideEnd = nullptr;
+  auto Armed = [&] {
+    return takeElision(EF, EEnd, BB.StartPc + static_cast<uint32_t>(S - First),
+                       S->Op, ChecksElided);
+  };
 
-  for (uint32_t Pc = BB.StartPc; Pc < BB.EndPc; ++Pc) {
-    Effect E;
-    if (EF && EI < EN && EF[EI].Pc == Pc) {
-      E = Mach->execOneElided(M.Code[Pc], EF[EI].Kind == MemElision::Full);
-      ChecksElided += elisionWeight(M.Code[Pc].Op, EF[EI].Kind);
-      ++EI;
-    } else {
-      E = Mach->execOne(M.Code[Pc]);
-    }
-    ++Instructions;
+  // Block exits set one of these and jump to the matching label below, so
+  // each exit sequence is written once, outside the loop.
+  BlockId Next;
+  TrapKind Trap;
+  uint32_t Callee;
+  bool HasValue;
+  auto Wrap = [](uint64_t V) { return static_cast<int64_t>(V); };
 
-    switch (E.Kind) {
-    case EffectKind::Next:
-      break;
-    case EffectKind::Jump:
-      assert(Pc + 1 == BB.EndPc && "control transfer not at block end");
-      Cur = PM->blockStartingAt(BB.MethodId, E.Target);
-      return StepStatus::Continue;
-    case EffectKind::Call:
-      assert(Pc + 1 == BB.EndPc && "call not at block end");
-      if (!Mach->pushFrame(E.Target, Pc + 1))
-        return StepStatus::Trapped;
-      Cur = PM->methodEntryBlock(E.Target);
-      return StepStatus::Continue;
-    case EffectKind::Ret: {
-      assert(Pc + 1 == BB.EndPc && "return not at block end");
-      Machine::PopInfo Info = Mach->popFrame(E.HasValue);
-      if (Info.BottomFrame) {
-        Cur = InvalidBlockId;
-        return StepStatus::Finished;
+  for (;; ++S) {
+    switch (S->Op) {
+    case SlotOp::Nop:
+      continue;
+    case SlotOp::Iconst:
+      *Sp++ = S->A;
+      continue;
+    case SlotOp::Iload:
+      *Sp++ = Lp[S->A];
+      continue;
+    case SlotOp::Istore:
+      Lp[S->A] = *--Sp;
+      continue;
+    case SlotOp::Iinc:
+      Lp[S->X] = Wrap(static_cast<uint64_t>(Lp[S->X]) +
+                      static_cast<uint64_t>(int64_t{S->A}));
+      continue;
+    case SlotOp::Pop:
+      --Sp;
+      continue;
+    case SlotOp::Dup:
+      *Sp = Sp[-1];
+      ++Sp;
+      continue;
+    case SlotOp::Swap:
+      std::swap(Sp[-1], Sp[-2]);
+      continue;
+
+    case SlotOp::Iadd:
+      --Sp;
+      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) + static_cast<uint64_t>(*Sp));
+      continue;
+    case SlotOp::Isub:
+      --Sp;
+      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) - static_cast<uint64_t>(*Sp));
+      continue;
+    case SlotOp::Imul:
+      --Sp;
+      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) * static_cast<uint64_t>(*Sp));
+      continue;
+    case SlotOp::Idiv:
+    case SlotOp::Irem: {
+      int64_t B = *--Sp;
+      int64_t A = Sp[-1];
+      if (B == 0) {
+        --Sp;
+        Trap = TrapKind::DivideByZero;
+        goto trapped;
       }
-      Cur = PM->blockStartingAt(Mach->currentMethodId(), Info.ReturnPc);
-      return StepStatus::Continue;
+      // INT64_MIN / -1 is defined as (INT64_MIN, 0) instead of hardware UB.
+      bool Div = S->Op == SlotOp::Idiv;
+      if (A == std::numeric_limits<int64_t>::min() && B == -1)
+        Sp[-1] = Div ? A : 0;
+      else
+        Sp[-1] = Div ? A / B : A % B;
+      continue;
     }
-    case EffectKind::Halt:
+    case SlotOp::Ineg:
+      Sp[-1] = Wrap(0 - static_cast<uint64_t>(Sp[-1]));
+      continue;
+    case SlotOp::Ishl:
+      --Sp;
+      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) << (*Sp & 63));
+      continue;
+    case SlotOp::Ishr:
+      --Sp;
+      Sp[-1] >>= (*Sp & 63);
+      continue;
+    case SlotOp::Iushr:
+      --Sp;
+      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) >> (*Sp & 63));
+      continue;
+    case SlotOp::Iand:
+      --Sp;
+      Sp[-1] &= *Sp;
+      continue;
+    case SlotOp::Ior:
+      --Sp;
+      Sp[-1] |= *Sp;
+      continue;
+    case SlotOp::Ixor:
+      --Sp;
+      Sp[-1] ^= *Sp;
+      continue;
+
+    case SlotOp::Goto:
+      Next = BB.Taken;
+      goto leave;
+#define JTC_IF1(Name, Cond)                                                    \
+  case SlotOp::Name:                                                           \
+    --Sp;                                                                      \
+    Next = (Cond) ? BB.Taken : BB.Fall;                                        \
+    goto leave;
+      JTC_IF1(IfEq, *Sp == 0)
+      JTC_IF1(IfNe, *Sp != 0)
+      JTC_IF1(IfLt, *Sp < 0)
+      JTC_IF1(IfGe, *Sp >= 0)
+      JTC_IF1(IfGt, *Sp > 0)
+      JTC_IF1(IfLe, *Sp <= 0)
+#undef JTC_IF1
+#define JTC_IF2(Name, Cond)                                                    \
+  case SlotOp::Name:                                                           \
+    Sp -= 2;                                                                   \
+    Next = (Cond) ? BB.Taken : BB.Fall;                                        \
+    goto leave;
+      JTC_IF2(IfIcmpEq, Sp[0] == Sp[1])
+      JTC_IF2(IfIcmpNe, Sp[0] != Sp[1])
+      JTC_IF2(IfIcmpLt, Sp[0] < Sp[1])
+      JTC_IF2(IfIcmpGe, Sp[0] >= Sp[1])
+      JTC_IF2(IfIcmpGt, Sp[0] > Sp[1])
+      JTC_IF2(IfIcmpLe, Sp[0] <= Sp[1])
+#undef JTC_IF2
+    case SlotOp::Tableswitch: {
+      const SwitchCode &T = PM->switchCode(static_cast<uint32_t>(S->A));
+      // Unsigned distance: a selector below Low wraps past NumTargets.
+      uint64_t Off =
+          static_cast<uint64_t>(*--Sp) - static_cast<uint64_t>(T.Low);
+      Next = Off < T.NumTargets ? PM->switchTargets()[T.FirstTarget + Off]
+                                : T.Default;
+      goto leave;
+    }
+
+    case SlotOp::InvokeStatic:
+      Callee = static_cast<uint32_t>(S->A);
+      Next = BB.Taken;
+      goto call;
+    case SlotOp::InvokeVirtual: {
+      int64_t Receiver = Sp[-S->X];
+      if (!H.isLive(Receiver)) {
+        Trap = TrapKind::NullReference;
+        goto trapped;
+      }
+      uint32_t ClassId = H.classOf(Receiver);
+      Callee = ClassId == Heap::ArrayClass
+                   ? InvalidMethod
+                   : PM->module().Classes[ClassId].Vtable[S->A];
+      if (Callee == InvalidMethod) {
+        Trap = TrapKind::BadVirtualDispatch;
+        goto trapped;
+      }
+      Next = PM->methodEntryBlock(Callee);
+      goto call;
+    }
+    case SlotOp::Return:
+    case SlotOp::Ireturn:
+      HasValue = S->Op == SlotOp::Ireturn;
+      goto ret;
+
+    case SlotOp::New: {
+      const Class &C = PM->module().Classes[S->A];
+      int64_t Ref = H.allocObject(static_cast<uint32_t>(S->A), C.NumFields);
+      if (Ref == Heap::Null) {
+        Trap = TrapKind::OutOfMemory;
+        goto trapped;
+      }
+      *Sp++ = Ref;
+      continue;
+    }
+    case SlotOp::GetField: {
+      const MemElision *F = Armed();
+      int64_t Ref = *--Sp;
+      auto Idx = static_cast<size_t>(S->A);
+      if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
+        Trap = TrapKind::NullReference;
+        goto trapped;
+      }
+      if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
+        Trap = TrapKind::FieldBounds;
+        goto trapped;
+      }
+      *Sp++ = H.load(Ref, Idx);
+      continue;
+    }
+    case SlotOp::PutField: {
+      const MemElision *F = Armed();
+      Sp -= 2;
+      int64_t Ref = Sp[0];
+      auto Idx = static_cast<size_t>(S->A);
+      if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
+        Trap = TrapKind::NullReference;
+        goto trapped;
+      }
+      if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
+        Trap = TrapKind::FieldBounds;
+        goto trapped;
+      }
+      H.store(Ref, Idx, Sp[1]);
+      continue;
+    }
+    case SlotOp::NewArray: {
+      int64_t Len = *--Sp;
+      if (Len < 0) {
+        Trap = TrapKind::NegativeArraySize;
+        goto trapped;
+      }
+      int64_t Ref = H.allocArray(Len);
+      if (Ref == Heap::Null) {
+        Trap = TrapKind::OutOfMemory;
+        goto trapped;
+      }
+      *Sp++ = Ref;
+      continue;
+    }
+    case SlotOp::Iaload: {
+      const MemElision *F = Armed();
+      Sp -= 2;
+      int64_t Ref = Sp[0];
+      int64_t Idx = Sp[1];
+      if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
+        Trap = TrapKind::NullReference;
+        goto trapped;
+      }
+      if ((!F || F->Kind != MemElision::Full) &&
+          (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
+        Trap = TrapKind::ArrayBounds;
+        goto trapped;
+      }
+      *Sp++ = H.load(Ref, static_cast<size_t>(Idx));
+      continue;
+    }
+    case SlotOp::Iastore: {
+      const MemElision *F = Armed();
+      Sp -= 3;
+      int64_t Ref = Sp[0];
+      int64_t Idx = Sp[1];
+      if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
+        Trap = TrapKind::NullReference;
+        goto trapped;
+      }
+      if ((!F || F->Kind != MemElision::Full) &&
+          (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
+        Trap = TrapKind::ArrayBounds;
+        goto trapped;
+      }
+      H.store(Ref, static_cast<size_t>(Idx), Sp[2]);
+      continue;
+    }
+    case SlotOp::ArrayLength: {
+      // The liveness/class check is the only one, so either elision kind
+      // skips everything.
+      const MemElision *F = Armed();
+      int64_t Ref = *--Sp;
+      if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
+        Trap = TrapKind::NullReference;
+        goto trapped;
+      }
+      *Sp++ = static_cast<int64_t>(H.slotCount(Ref));
+      continue;
+    }
+    case SlotOp::Iprint:
+      Mc.appendOutput(*--Sp);
+      continue;
+    case SlotOp::Halt:
+      Mc.setStackTop(Sp);
       Cur = InvalidBlockId;
       return StepStatus::Finished;
-    case EffectKind::Trap:
-      Cur = InvalidBlockId;
-      return StepStatus::Trapped;
+    case SlotOp::FallThrough:
+      Next = BB.Fall;
+      goto leave;
     }
   }
 
-  // The block fell through into the leader at EndPc.
-  Cur = PM->blockStartingAt(BB.MethodId, BB.EndPc);
+leave:
+  Mc.setStackTop(Sp);
+  Cur = Next;
   return StepStatus::Continue;
+
+call: // The call is the block's last instruction.
+  Mc.setStackTop(Sp);
+  if (!Mc.pushFrame(Callee, BB.EndPc, BB.Fall)) {
+    Cur = InvalidBlockId;
+    return StepStatus::Trapped;
+  }
+  Cur = Next;
+  return StepStatus::Continue;
+
+ret: {
+  Mc.setStackTop(Sp);
+  Machine::PopInfo Info = Mc.popFrame(HasValue);
+  if (Info.BottomFrame) {
+    Cur = InvalidBlockId;
+    return StepStatus::Finished;
+  }
+  assert(Info.ReturnBlock != InvalidBlockId && "frame without a return block");
+  Cur = Info.ReturnBlock;
+  return StepStatus::Continue;
+}
+
+trapped:
+  Instructions -= BB.numInstructions() - static_cast<uint32_t>(S - First) - 1;
+  Mc.setStackTop(Sp);
+  Mc.setTrap(Trap);
+  Cur = InvalidBlockId;
+  return StepStatus::Trapped;
 }
 
 RunResult jtc::runBlocks(BlockStepper &Stepper, uint64_t MaxInstructions) {

@@ -2,10 +2,13 @@
 ///
 /// \file
 /// The direct-threaded-inlining dispatch model of the paper's Figure 2:
-/// one dispatch per basic block. The stepper executes exactly one block
-/// per step() and exposes the resulting block transition, which is the
-/// event stream the profiler and trace cache consume. TraceVM drives a
-/// BlockStepper directly; plain runs use runBlocks().
+/// one dispatch per basic block. The stepper is the VM's one fast
+/// execution core: step() runs exactly one block of the module's
+/// pre-decoded code (PreparedModule::code) as a tight loop, with the
+/// operand-stack top and locals base held in registers, and exposes the
+/// resulting block transition -- the event stream the profiler and trace
+/// cache consume. TraceVM drives a BlockStepper directly; plain and
+/// profiled runs use runBlocks() / runBlocksWithHook().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +40,8 @@ public:
   };
 
   /// Executes currentBlock() to its end and computes the successor block.
+  /// A trap mid-block counts the trapping instruction (not the ones after
+  /// it) and leaves currentBlock() invalid, as does finishing.
   StepStatus step();
 
   /// The block about to be executed by the next step().
@@ -57,14 +62,15 @@ public:
 
   /// Arms check elision for the *next* step() only: \p Facts (\p Count
   /// entries, pc-ordered, all for the block about to execute) name the
-  /// heap accesses to run through Machine::execOneElided. The trace
+  /// heap accesses to run with their proven-redundant checks skipped
+  /// (MemElision::NullOnly keeps the bounds check). The trace
   /// backends arm this per trace block; the one-shot contract means an
   /// ordinary (non-trace) step can never execute reduced-check code. The
   /// caller guarantees the facts' proof obligations -- execution reached
   /// this block along the trace path the alias analysis assumed.
   void setElisions(const MemElision *Facts, size_t Count) {
     Elide = Facts;
-    ElideCount = Count;
+    ElideEnd = Facts + Count;
   }
 
   /// Dynamic checks skipped via elision so far (whole-run total, the
@@ -85,7 +91,7 @@ private:
   uint64_t Instructions = 0;
   // One-shot elision span for the next step() (see setElisions).
   const MemElision *Elide = nullptr;
-  size_t ElideCount = 0;
+  const MemElision *ElideEnd = nullptr;
   uint64_t ChecksElided = 0;
 };
 

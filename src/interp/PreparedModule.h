@@ -9,6 +9,16 @@
 /// where the next instruction is a branch target (fallthrough into a
 /// leader). Block ids are globally unique across the module.
 ///
+/// Preparation also pre-decodes the whole module into one flat slot array
+/// -- the code the block executor (BlockStepper::step) runs. Each block
+/// owns a contiguous run of slots, ended by a synthetic FallThrough slot
+/// when its last instruction does not transfer control, and records the
+/// block ids of its taken and fallthrough successors. Every branch,
+/// switch, call target and call continuation is thereby resolved to a
+/// block once per module; nothing is decoded or looked up per
+/// instruction. The decoded code is immutable after construction and
+/// shared by every session over the module.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_INTERP_PREPAREDMODULE_H
@@ -30,12 +40,51 @@ struct BasicBlock {
   uint32_t MethodId = 0;
   uint32_t StartPc = 0;
   uint32_t EndPc = 0;
+  /// Index of the block's first slot in PreparedModule::code().
+  uint32_t FirstSlot = 0;
+  /// Branch / goto target; for invokestatic, the callee's entry block.
+  BlockId Taken = InvalidBlockId;
+  /// Block at EndPc: the fallthrough, not-taken or call-continuation
+  /// successor (InvalidBlockId when EndPc is the end of the method).
+  BlockId Fall = InvalidBlockId;
 
   uint32_t numInstructions() const { return EndPc - StartPc; }
 };
 
-/// A verified Module plus its discovered basic blocks and the leader maps
-/// needed to turn (method, pc) control transfers into block transitions.
+/// Operation of one decoded slot: every Opcode, plus FallThrough, the
+/// synthetic dispatch ending a block whose last instruction falls into
+/// the next leader (the dispatch code a direct-threaded-inlining system
+/// appends to such a block).
+enum class SlotOp : uint8_t {
+#define JTC_OPCODE(Name, Mnemonic, Pops, Pushes, Kind) Name,
+#include "bytecode/Opcodes.def"
+  FallThrough,
+};
+
+/// One pre-decoded instruction, 8 bytes.
+struct CodeSlot {
+  SlotOp Op = SlotOp::Nop;
+  /// iinc: the local index (the delta is in A); invokevirtual: the
+  /// slot's argument count, receiver included. Both are bounded by
+  /// MaxMethodLocals.
+  uint16_t X = 0;
+  /// The instruction's A operand, except: iinc -- the delta; tableswitch
+  /// -- index into PreparedModule::switchCode(); branches and goto --
+  /// unused (the block's Taken successor is the target).
+  int32_t A = 0;
+};
+static_assert(sizeof(CodeSlot) == 8, "decoded slots are two words");
+
+/// A tableswitch with its targets resolved to blocks.
+struct SwitchCode {
+  int64_t Low = 0;
+  uint32_t FirstTarget = 0; ///< Index into PreparedModule::switchTargets().
+  uint32_t NumTargets = 0;
+  BlockId Default = InvalidBlockId;
+};
+
+/// A verified Module plus its discovered basic blocks and their decoded
+/// code.
 class PreparedModule {
 public:
   /// Prepares \p M. The module must outlive the PreparedModule and should
@@ -54,18 +103,16 @@ public:
 
   /// The block whose first instruction is (\p MethodId, \p Pc). \p Pc must
   /// be a leader: every pc that can be reached by a control transfer
-  /// (branch target, call continuation, method entry) is one.
-  BlockId blockStartingAt(uint32_t MethodId, uint32_t Pc) const {
-    assert(MethodId < LeaderToBlock.size() && "invalid method");
-    assert(Pc < LeaderToBlock[MethodId].size() && "pc out of range");
-    BlockId B = LeaderToBlock[MethodId][Pc];
-    assert(B != InvalidBlockId && "pc is not a block leader");
-    return B;
-  }
+  /// (branch target, call continuation, method entry) is one. A binary
+  /// search over the method's blocks -- the executor never needs it, since
+  /// every block records its successors.
+  BlockId blockStartingAt(uint32_t MethodId, uint32_t Pc) const;
 
-  /// Entry block of \p MethodId (its pc 0 block).
+  /// Entry block of \p MethodId (its pc 0 block). A method's blocks are
+  /// numbered consecutively in pc order, starting with its entry block.
   BlockId methodEntryBlock(uint32_t MethodId) const {
-    return blockStartingAt(MethodId, 0);
+    assert(MethodId + 1 < MethodBlocks.size() && "invalid method");
+    return MethodBlocks[MethodId];
   }
 
   /// Entry block of the module's entry method.
@@ -75,14 +122,32 @@ public:
   /// instructions to traces.
   uint32_t blockSize(BlockId B) const { return block(B).numInstructions(); }
 
+  /// The decoded code: every block's slots, in block-id order.
+  const CodeSlot *code() const { return Code.data(); }
+
+  /// Decoded slots, including the synthetic FallThrough slots.
+  size_t codeSize() const { return Code.size(); }
+
+  const SwitchCode &switchCode(uint32_t Idx) const {
+    assert(Idx < Switches.size() && "invalid switch index");
+    return Switches[Idx];
+  }
+  const BlockId *switchTargets() const { return SwitchTargets.data(); }
+
   /// Dumps the block structure, one line per block.
   void dump(std::ostream &OS) const;
 
 private:
+  void decode(const std::vector<BlockId> &LeaderToBlock,
+              const std::vector<uint32_t> &PcBase, size_t NumSlots);
+
   const Module *M;
   std::vector<BasicBlock> Blocks;
-  /// Per method, per pc: block id if pc is a leader, else InvalidBlockId.
-  std::vector<std::vector<BlockId>> LeaderToBlock;
+  /// Per method: its first block id; one extra entry holds numBlocks().
+  std::vector<BlockId> MethodBlocks;
+  std::vector<CodeSlot> Code;
+  std::vector<SwitchCode> Switches;
+  std::vector<BlockId> SwitchTargets;
 };
 
 } // namespace jtc

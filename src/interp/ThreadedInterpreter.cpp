@@ -2,710 +2,31 @@
 
 #include "interp/ThreadedInterpreter.h"
 
-#include "runtime/Heap.h"
-
-#include <cassert>
-#include <limits>
+#include "interp/BlockStepper.h"
 
 using namespace jtc;
 
-namespace {
-
-/// Flat-code operation indices: the Opcode values plus one synthetic.
-enum : uint8_t {
-  // 0 .. numOpcodes()-1 are the Opcode values themselves.
-  OpFall = 0xff, ///< Synthetic dispatch at a fallthrough block boundary.
-};
-
-/// One flattened instruction slot.
-struct Slot {
-  uint8_t Op = 0;
-  int32_t A = 0;
-  int32_t B = 0;
-};
-
-struct FlatSwitch {
-  int32_t Low = 0;
-  std::vector<uint32_t> Targets; ///< Flat indices.
-  uint32_t DefaultTarget = 0;    ///< Flat index.
-};
-
-struct FlatMethod {
-  uint32_t Entry = 0; ///< Flat index of the first instruction.
-  uint32_t NumArgs = 0;
-  uint32_t NumLocals = 0;
-  uint32_t MaxStack = 0; ///< Safe overbound: the method's code length.
-};
-
-struct Frame {
-  uint32_t ReturnFlat = 0;
-  uint32_t LocalsBase = 0;
-  uint32_t StackBase = 0;
-};
-
-} // namespace
-
-struct ThreadedProgram::Impl {
-  const PreparedModule *PM = nullptr;
-  std::vector<Slot> Code;
-  std::vector<BlockId> BlockAtSlot; ///< Block led by this slot, or Invalid.
-  std::vector<FlatSwitch> Switches;
-  std::vector<FlatMethod> Methods;
-  uint32_t EntryFlat = 0;
-  BlockId EntryBlock = InvalidBlockId;
-
-  template <bool Profiled>
-  ThreadedResult runImpl(BranchCorrelationGraph *Graph,
-                         uint64_t MaxInstructions) const;
-};
-
-ThreadedProgram::~ThreadedProgram() = default;
-
-size_t ThreadedProgram::codeSize() const { return P->Code.size(); }
-
-ThreadedProgram::ThreadedProgram(const PreparedModule &PM)
-    : P(std::make_unique<Impl>()) {
-  P->PM = &PM;
-  const Module &M = PM.module();
-
-  // Leader map reconstruction: a pc leads a block iff blockStartingAt
-  // would succeed; recover it from the prepared blocks directly.
-  std::vector<std::vector<BlockId>> LeaderBlock(M.Methods.size());
-  for (uint32_t Mi = 0; Mi < M.Methods.size(); ++Mi)
-    LeaderBlock[Mi].assign(M.Methods[Mi].Code.size(), InvalidBlockId);
-  for (BlockId B = 0; B < PM.numBlocks(); ++B) {
-    const BasicBlock &BB = PM.block(B);
-    LeaderBlock[BB.MethodId][BB.StartPc] = B;
-  }
-
-  // Pass 1: emit slots, recording the flat index of every (method, pc)
-  // and inserting a synthetic dispatch before fallthrough leaders.
-  std::vector<std::vector<uint32_t>> FlatOf(M.Methods.size());
-  P->Methods.resize(M.Methods.size());
-  for (uint32_t Mi = 0; Mi < M.Methods.size(); ++Mi) {
-    const Method &Mth = M.Methods[Mi];
-    FlatOf[Mi].assign(Mth.Code.size(), 0);
-    FlatMethod &FM = P->Methods[Mi];
-    FM.NumArgs = Mth.NumArgs;
-    FM.NumLocals = Mth.NumLocals;
-    FM.MaxStack = static_cast<uint32_t>(Mth.Code.size()) + 4;
-
-    for (uint32_t Pc = 0; Pc < Mth.Code.size(); ++Pc) {
-      const Instruction &I = Mth.Code[Pc];
-      // A leader reached by fallthrough (the previous instruction does
-      // not end a block) costs one synthetic dispatch slot.
-      if (Pc > 0 && LeaderBlock[Mi][Pc] != InvalidBlockId &&
-          !endsBlock(Mth.Code[Pc - 1].Op)) {
-        Slot Fall;
-        Fall.Op = OpFall;
-        P->Code.push_back(Fall);
-        P->BlockAtSlot.push_back(InvalidBlockId);
-      }
-      FlatOf[Mi][Pc] = static_cast<uint32_t>(P->Code.size());
-      Slot S;
-      S.Op = static_cast<uint8_t>(I.Op);
-      S.A = I.A;
-      S.B = I.B;
-      // Virtual call slots carry the argument count inline.
-      if (I.Op == Opcode::InvokeVirtual)
-        S.B = static_cast<int32_t>(M.Slots[I.A].ArgCount);
-      P->Code.push_back(S);
-      P->BlockAtSlot.push_back(LeaderBlock[Mi][Pc]);
-    }
-    FM.Entry = FlatOf[Mi][0];
-  }
-
-  // Pass 2: resolve branch targets and switch tables to flat indices.
-  for (uint32_t Mi = 0; Mi < M.Methods.size(); ++Mi) {
-    const Method &Mth = M.Methods[Mi];
-    for (uint32_t Pc = 0; Pc < Mth.Code.size(); ++Pc) {
-      Slot &S = P->Code[FlatOf[Mi][Pc]];
-      const Instruction &I = Mth.Code[Pc];
-      switch (opKind(I.Op)) {
-      case OpKind::Branch:
-      case OpKind::Jump:
-        S.A = static_cast<int32_t>(FlatOf[Mi][static_cast<uint32_t>(I.A)]);
-        break;
-      case OpKind::Switch: {
-        const SwitchTable &T = Mth.SwitchTables[I.A];
-        FlatSwitch FS;
-        FS.Low = T.Low;
-        FS.DefaultTarget = FlatOf[Mi][T.DefaultTarget];
-        for (uint32_t Tgt : T.Targets)
-          FS.Targets.push_back(FlatOf[Mi][Tgt]);
-        S.A = static_cast<int32_t>(P->Switches.size());
-        P->Switches.push_back(std::move(FS));
-        break;
-      }
-      default:
-        break;
-      }
-    }
-  }
-
-  P->EntryFlat = P->Methods[M.EntryMethod].Entry;
-  P->EntryBlock = PM.entryBlock();
+template <typename HookT>
+static ThreadedResult drive(const PreparedModule &PM, HookT &&Hook,
+                            uint64_t MaxInstructions) {
+  Machine Mach(PM.module());
+  BlockStepper Stepper(PM, Mach);
+  RunResult R = runBlocksWithHook(Stepper, Hook, MaxInstructions);
+  ThreadedResult T;
+  T.Status = R.Status;
+  T.Trap = R.Trap;
+  T.Instructions = R.Instructions;
+  T.BlockDispatches = R.Dispatches;
+  T.Output = Mach.output();
+  return T;
 }
 
 ThreadedResult ThreadedProgram::run(uint64_t MaxInstructions) const {
-  return P->runImpl<false>(nullptr, MaxInstructions);
+  return drive(*PM, [](BlockId) {}, MaxInstructions);
 }
 
 ThreadedResult ThreadedProgram::runProfiled(BranchCorrelationGraph &Graph,
                                             uint64_t MaxInstructions) const {
-  return P->runImpl<true>(&Graph, MaxInstructions);
-}
-
-// The engine proper. Token-threaded dispatch: each handler ends with an
-// indirect goto through the handler table, so there is no central loop.
-template <bool Profiled>
-ThreadedResult
-ThreadedProgram::Impl::runImpl(BranchCorrelationGraph *Graph,
-                               uint64_t MaxInstructions) const {
-  ThreadedResult R;
-  const Module &M = PM->module();
-  Heap TheHeap;
-
-  std::vector<int64_t> Stack(1u << 16);
-  std::vector<int64_t> Locals(1u << 16);
-  std::vector<Frame> Frames;
-  Frames.reserve(256);
-  const size_t MaxFrames = 2048;
-
-  uint64_t Instr = 0;
-  uint64_t Dispatches = 0;
-
-  // Stack/locals tops as indices; kept in locals for speed and because
-  // the arenas may grow at call sites.
-  size_t SP = 0;
-  size_t LP = 0;
-
-  const Slot *CodeBase = Code.data();
-  uint32_t Pc = EntryFlat;
-
-  // Entry frame.
-  Frames.push_back({0, 0, 0});
-  LP = Methods[M.EntryMethod].NumLocals;
-  if (Locals.size() < LP + 64)
-    Locals.resize(LP + 64);
-  for (size_t I = 0; I < LP; ++I)
-    Locals[I] = 0;
-
-  auto Push = [&](int64_t V) { Stack[SP++] = V; };
-  auto Pop = [&]() { return Stack[--SP]; };
-
-  TrapKind Trap = TrapKind::None;
-
-  // Per-block-dispatch bookkeeping; also the budget checkpoint.
-  auto EnterBlock = [&](uint32_t Dest) -> bool {
-    ++Dispatches;
-    if constexpr (Profiled)
-      Graph->onBlockDispatch(BlockAtSlot[Dest]);
-    return Instr < MaxInstructions;
-  };
-
-  if (!EnterBlock(EntryFlat)) {
-    R.Status = RunStatus::BudgetExhausted;
-    return R;
-  }
-
-#if defined(__GNUC__) || defined(__clang__)
-#define JTC_THREADED 1
-#else
-#define JTC_THREADED 0
-#endif
-
-#if JTC_THREADED
-  // Handler table indexed by Slot::Op; OpFall aliases index
-  // numOpcodes()..255 via a filled table.
-  static const void *Handlers[256] = {nullptr};
-  if (!Handlers[0]) {
-#define JTC_OPCODE(Name, Mnemonic, Pops, Pushes, Kind)                         \
-  Handlers[static_cast<unsigned>(Opcode::Name)] = &&H_##Name;
-#include "bytecode/Opcodes.def"
-    for (unsigned I = numOpcodes(); I < 256; ++I)
-      Handlers[I] = &&H_Fall;
-  }
-  const Slot *I;
-#define DISPATCH()                                                             \
-  do {                                                                         \
-    I = &CodeBase[Pc];                                                         \
-    goto *Handlers[I->Op];                                                     \
-  } while (0)
-#define NEXT()                                                                 \
-  do {                                                                         \
-    ++Pc;                                                                      \
-    DISPATCH();                                                                \
-  } while (0)
-#define CASE(Name) H_##Name:
-#else
-  const Slot *I;
-  // Portable fallback: a tight switch loop with the same handler bodies.
-#define DISPATCH() goto dispatch_loop
-#define NEXT()                                                                 \
-  do {                                                                         \
-    ++Pc;                                                                      \
-    goto dispatch_loop;                                                        \
-  } while (0)
-#define CASE(Name) case static_cast<unsigned>(Opcode::Name):
-dispatch_loop:
-  I = &CodeBase[Pc];
-  switch (I->Op == OpFall ? 256u : static_cast<unsigned>(I->Op)) {
-#endif
-
-  // NOLINTBEGIN -- label-per-opcode engine.
-#if JTC_THREADED
-  DISPATCH();
-#endif
-
-  CASE(Nop) { ++Instr; NEXT(); }
-  CASE(Iconst) { ++Instr; Push(I->A); NEXT(); }
-  CASE(Iload) {
-    ++Instr;
-    Push(Locals[Frames.back().LocalsBase + static_cast<uint32_t>(I->A)]);
-    NEXT();
-  }
-  CASE(Istore) {
-    ++Instr;
-    Locals[Frames.back().LocalsBase + static_cast<uint32_t>(I->A)] = Pop();
-    NEXT();
-  }
-  CASE(Iinc) {
-    ++Instr;
-    Locals[Frames.back().LocalsBase + static_cast<uint32_t>(I->A)] += I->B;
-    NEXT();
-  }
-  CASE(Pop) { ++Instr; --SP; NEXT(); }
-  CASE(Dup) { ++Instr; Stack[SP] = Stack[SP - 1]; ++SP; NEXT(); }
-  CASE(Swap) {
-    ++Instr;
-    std::swap(Stack[SP - 1], Stack[SP - 2]);
-    NEXT();
-  }
-  CASE(Iadd) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] = static_cast<int64_t>(
-        static_cast<uint64_t>(Stack[SP - 1]) + static_cast<uint64_t>(B));
-    NEXT();
-  }
-  CASE(Isub) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] = static_cast<int64_t>(
-        static_cast<uint64_t>(Stack[SP - 1]) - static_cast<uint64_t>(B));
-    NEXT();
-  }
-  CASE(Imul) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] = static_cast<int64_t>(
-        static_cast<uint64_t>(Stack[SP - 1]) * static_cast<uint64_t>(B));
-    NEXT();
-  }
-  CASE(Idiv) {
-    ++Instr;
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      Trap = TrapKind::DivideByZero;
-      goto trapped;
-    }
-    if (A == std::numeric_limits<int64_t>::min() && B == -1)
-      Push(A);
-    else
-      Push(A / B);
-    NEXT();
-  }
-  CASE(Irem) {
-    ++Instr;
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      Trap = TrapKind::DivideByZero;
-      goto trapped;
-    }
-    if (A == std::numeric_limits<int64_t>::min() && B == -1)
-      Push(0);
-    else
-      Push(A % B);
-    NEXT();
-  }
-  CASE(Ineg) {
-    ++Instr;
-    Stack[SP - 1] =
-        static_cast<int64_t>(0 - static_cast<uint64_t>(Stack[SP - 1]));
-    NEXT();
-  }
-  CASE(Ishl) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] = static_cast<int64_t>(
-        static_cast<uint64_t>(Stack[SP - 1]) << (B & 63));
-    NEXT();
-  }
-  CASE(Ishr) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] = Stack[SP - 1] >> (B & 63);
-    NEXT();
-  }
-  CASE(Iushr) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] = static_cast<int64_t>(
-        static_cast<uint64_t>(Stack[SP - 1]) >> (B & 63));
-    NEXT();
-  }
-  CASE(Iand) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] &= B;
-    NEXT();
-  }
-  CASE(Ior) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] |= B;
-    NEXT();
-  }
-  CASE(Ixor) {
-    ++Instr;
-    int64_t B = Pop();
-    Stack[SP - 1] ^= B;
-    NEXT();
-  }
-
-  CASE(Goto) {
-    ++Instr;
-    Pc = static_cast<uint32_t>(I->A);
-    if (!EnterBlock(Pc))
-      goto budget;
-    DISPATCH();
-  }
-
-#define JTC_IF1(Name, Cond)                                                    \
-  CASE(Name) {                                                                 \
-    ++Instr;                                                                   \
-    int64_t V = Pop();                                                         \
-    Pc = (Cond) ? static_cast<uint32_t>(I->A) : Pc + 1;                        \
-    if (!EnterBlock(Pc))                                                       \
-      goto budget;                                                             \
-    DISPATCH();                                                                \
-  }
-  JTC_IF1(IfEq, V == 0)
-  JTC_IF1(IfNe, V != 0)
-  JTC_IF1(IfLt, V < 0)
-  JTC_IF1(IfGe, V >= 0)
-  JTC_IF1(IfGt, V > 0)
-  JTC_IF1(IfLe, V <= 0)
-#undef JTC_IF1
-
-#define JTC_IF2(Name, Cond)                                                    \
-  CASE(Name) {                                                                 \
-    ++Instr;                                                                   \
-    int64_t B = Pop(), A = Pop();                                              \
-    Pc = (Cond) ? static_cast<uint32_t>(I->A) : Pc + 1;                        \
-    if (!EnterBlock(Pc))                                                       \
-      goto budget;                                                             \
-    DISPATCH();                                                                \
-  }
-  JTC_IF2(IfIcmpEq, A == B)
-  JTC_IF2(IfIcmpNe, A != B)
-  JTC_IF2(IfIcmpLt, A < B)
-  JTC_IF2(IfIcmpGe, A >= B)
-  JTC_IF2(IfIcmpGt, A > B)
-  JTC_IF2(IfIcmpLe, A <= B)
-#undef JTC_IF2
-
-  CASE(Tableswitch) {
-    ++Instr;
-    const FlatSwitch &T = Switches[static_cast<uint32_t>(I->A)];
-    int64_t Sel = Pop();
-    int64_t Off = Sel - T.Low;
-    Pc = (Off >= 0 && Off < static_cast<int64_t>(T.Targets.size()))
-             ? T.Targets[static_cast<size_t>(Off)]
-             : T.DefaultTarget;
-    if (!EnterBlock(Pc))
-      goto budget;
-    DISPATCH();
-  }
-
-  CASE(InvokeStatic) {
-    ++Instr;
-    {
-      uint32_t Callee = static_cast<uint32_t>(I->A);
-      const FlatMethod &FM = Methods[Callee];
-      if (Frames.size() >= MaxFrames) {
-        Trap = TrapKind::StackOverflow;
-        goto trapped;
-      }
-      // Move arguments into fresh locals.
-      size_t ArgBase = SP - FM.NumArgs;
-      if (LP + FM.NumLocals + 64 > Locals.size())
-        Locals.resize((LP + FM.NumLocals + 64) * 2);
-      for (uint32_t K = 0; K < FM.NumArgs; ++K)
-        Locals[LP + K] = Stack[ArgBase + K];
-      for (uint32_t K = FM.NumArgs; K < FM.NumLocals; ++K)
-        Locals[LP + K] = 0;
-      SP = ArgBase;
-      if (SP + FM.MaxStack + 64 > Stack.size())
-        Stack.resize((SP + FM.MaxStack + 64) * 2);
-      Frames.push_back({Pc + 1, static_cast<uint32_t>(LP),
-                        static_cast<uint32_t>(SP)});
-      LP += FM.NumLocals;
-      Pc = FM.Entry;
-      if (!EnterBlock(Pc))
-        goto budget;
-      DISPATCH();
-    }
-  }
-
-  CASE(InvokeVirtual) {
-    ++Instr;
-    {
-      int64_t Receiver = Stack[SP - static_cast<uint32_t>(I->B)];
-      if (!TheHeap.isLive(Receiver)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      uint32_t ClassId = TheHeap.classOf(Receiver);
-      if (ClassId == Heap::ArrayClass) {
-        Trap = TrapKind::BadVirtualDispatch;
-        goto trapped;
-      }
-      uint32_t Target =
-          M.Classes[ClassId].Vtable[static_cast<uint32_t>(I->A)];
-      if (Target == InvalidMethod) {
-        Trap = TrapKind::BadVirtualDispatch;
-        goto trapped;
-      }
-      uint32_t Callee = Target;
-      // Reuse the static-call path.
-      {
-        const FlatMethod &FM = Methods[Callee];
-        if (Frames.size() >= MaxFrames) {
-          Trap = TrapKind::StackOverflow;
-          goto trapped;
-        }
-        size_t ArgBase = SP - FM.NumArgs;
-        if (LP + FM.NumLocals + 64 > Locals.size())
-          Locals.resize((LP + FM.NumLocals + 64) * 2);
-        for (uint32_t K = 0; K < FM.NumArgs; ++K)
-          Locals[LP + K] = Stack[ArgBase + K];
-        for (uint32_t K = FM.NumArgs; K < FM.NumLocals; ++K)
-          Locals[LP + K] = 0;
-        SP = ArgBase;
-        if (SP + FM.MaxStack + 64 > Stack.size())
-          Stack.resize((SP + FM.MaxStack + 64) * 2);
-        Frames.push_back({Pc + 1, static_cast<uint32_t>(LP),
-                          static_cast<uint32_t>(SP)});
-        LP += FM.NumLocals;
-        Pc = FM.Entry;
-        if (!EnterBlock(Pc))
-          goto budget;
-        DISPATCH();
-      }
-    }
-  }
-
-  CASE(Return) {
-    ++Instr;
-    {
-      Frame F = Frames.back();
-      Frames.pop_back();
-      SP = F.StackBase;
-      LP = F.LocalsBase;
-      if (Frames.empty())
-        goto finished;
-      Pc = F.ReturnFlat;
-      if (!EnterBlock(Pc))
-        goto budget;
-      DISPATCH();
-    }
-  }
-  CASE(Ireturn) {
-    ++Instr;
-    {
-      int64_t V = Pop();
-      Frame F = Frames.back();
-      Frames.pop_back();
-      SP = F.StackBase;
-      LP = F.LocalsBase;
-      if (Frames.empty())
-        goto finished;
-      Push(V);
-      Pc = F.ReturnFlat;
-      if (!EnterBlock(Pc))
-        goto budget;
-      DISPATCH();
-    }
-  }
-
-  CASE(New) {
-    ++Instr;
-    {
-      const Class &C = M.Classes[static_cast<uint32_t>(I->A)];
-      int64_t Ref =
-          TheHeap.allocObject(static_cast<uint32_t>(I->A), C.NumFields);
-      if (Ref == Heap::Null) {
-        Trap = TrapKind::OutOfMemory;
-        goto trapped;
-      }
-      Push(Ref);
-    }
-    NEXT();
-  }
-  CASE(GetField) {
-    ++Instr;
-    {
-      int64_t Ref = Pop();
-      if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) == Heap::ArrayClass) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      auto Idx = static_cast<size_t>(I->A);
-      if (Idx >= TheHeap.slotCount(Ref)) {
-        Trap = TrapKind::FieldBounds;
-        goto trapped;
-      }
-      Push(TheHeap.load(Ref, Idx));
-    }
-    NEXT();
-  }
-  CASE(PutField) {
-    ++Instr;
-    {
-      int64_t Value = Pop();
-      int64_t Ref = Pop();
-      if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) == Heap::ArrayClass) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      auto Idx = static_cast<size_t>(I->A);
-      if (Idx >= TheHeap.slotCount(Ref)) {
-        Trap = TrapKind::FieldBounds;
-        goto trapped;
-      }
-      TheHeap.store(Ref, Idx, Value);
-    }
-    NEXT();
-  }
-  CASE(NewArray) {
-    ++Instr;
-    {
-      int64_t Len = Pop();
-      if (Len < 0) {
-        Trap = TrapKind::NegativeArraySize;
-        goto trapped;
-      }
-      int64_t Ref = TheHeap.allocArray(Len);
-      if (Ref == Heap::Null) {
-        Trap = TrapKind::OutOfMemory;
-        goto trapped;
-      }
-      Push(Ref);
-    }
-    NEXT();
-  }
-  CASE(Iaload) {
-    ++Instr;
-    {
-      int64_t Idx = Pop();
-      int64_t Ref = Pop();
-      if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) != Heap::ArrayClass) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      if (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref)) {
-        Trap = TrapKind::ArrayBounds;
-        goto trapped;
-      }
-      Push(TheHeap.load(Ref, static_cast<size_t>(Idx)));
-    }
-    NEXT();
-  }
-  CASE(Iastore) {
-    ++Instr;
-    {
-      int64_t Value = Pop();
-      int64_t Idx = Pop();
-      int64_t Ref = Pop();
-      if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) != Heap::ArrayClass) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      if (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref)) {
-        Trap = TrapKind::ArrayBounds;
-        goto trapped;
-      }
-      TheHeap.store(Ref, static_cast<size_t>(Idx), Value);
-    }
-    NEXT();
-  }
-  CASE(ArrayLength) {
-    ++Instr;
-    {
-      int64_t Ref = Pop();
-      if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) != Heap::ArrayClass) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      Push(static_cast<int64_t>(TheHeap.slotCount(Ref)));
-    }
-    NEXT();
-  }
-  CASE(Iprint) {
-    ++Instr;
-    R.Output.push_back(Pop());
-    NEXT();
-  }
-  CASE(Halt) {
-    ++Instr;
-    goto finished;
-  }
-
-#if JTC_THREADED
-H_Fall : {
-  // Synthetic dispatch at a fallthrough block boundary: the next slot
-  // leads a block.
-  ++Pc;
-  if (!EnterBlock(Pc))
-    goto budget;
-  DISPATCH();
-}
-#else
-  case 256u: {
-    ++Pc;
-    if (!EnterBlock(Pc))
-      goto budget;
-    DISPATCH();
-  }
-  }
-  // Unreachable: every handler transfers control.
-  goto finished;
-#endif
-  // NOLINTEND
-
-finished:
-  R.Status = RunStatus::Finished;
-  R.Instructions = Instr;
-  R.BlockDispatches = Dispatches;
-  return R;
-
-trapped:
-  R.Status = RunStatus::Trapped;
-  R.Trap = Trap;
-  R.Instructions = Instr;
-  R.BlockDispatches = Dispatches;
-  return R;
-
-budget:
-  R.Status = RunStatus::BudgetExhausted;
-  R.Instructions = Instr;
-  R.BlockDispatches = Dispatches;
-  return R;
-
-#undef DISPATCH
-#undef NEXT
-#undef CASE
-#undef JTC_THREADED
+  return drive(
+      *PM, [&Graph](BlockId B) { Graph.onBlockDispatch(B); }, MaxInstructions);
 }

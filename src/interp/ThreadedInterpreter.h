@@ -1,23 +1,14 @@
-//===- interp/ThreadedInterpreter.h - Direct-threaded engine ----*- C++ -*-===//
+//===- interp/ThreadedInterpreter.h - Plain and profiled runs ---*- C++ -*-===//
 ///
 /// \file
-/// A direct-threaded execution engine in the style the paper's substrate
-/// (SableVM) actually uses: the whole module is flattened into one code
-/// array whose instructions carry the *address of their handler* (GNU
-/// labels-as-values; a tight switch loop on other compilers), so dispatch
-/// is a single indirect goto. Operand stack, locals and frames live in
-/// raw arrays.
-///
-/// This engine exists for the wall-clock experiments (paper Tables VI and
-/// VII): the relative cost of the per-block profiler hook is only
-/// meaningful against a fast interpreter. Semantics are identical to the
-/// Machine-based interpreters (enforced by differential tests).
-///
-/// Block-dispatch modelling: a "dispatch" happens whenever control enters
-/// a basic block, exactly as in BlockStepper. Fallthrough into a block
-/// leader costs a synthetic zero-operand dispatch instruction, mirroring
-/// the dispatch code a direct-threaded-inlining system appends to each
-/// block.
+/// The wall-clock engine of the paper's Tables VI and VII: the
+/// direct-threaded-inlining interpreter run to completion, either plain or
+/// with the branch-correlation-graph hook executed at every block
+/// dispatch. Both are thin loops over the VM's one block executor
+/// (BlockStepper over the module's pre-decoded code) through
+/// runBlocksWithHook -- a no-op hook for the plain run, the BCG hook for
+/// the profiled one -- so the two differ in exactly the hook, and time
+/// the same code TraceVM dispatches through.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +21,6 @@
 #include "runtime/Trap.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace jtc {
@@ -39,22 +29,16 @@ namespace jtc {
 struct ThreadedResult {
   RunStatus Status = RunStatus::Finished;
   TrapKind Trap = TrapKind::None;
-  uint64_t Instructions = 0;    ///< Real instructions (synthetics excluded).
+  uint64_t Instructions = 0;    ///< Instructions executed.
   uint64_t BlockDispatches = 0; ///< Block entries, as in the Fig. 2 model.
   std::vector<int64_t> Output;  ///< Iprint values, in order.
 };
 
-/// A module flattened for threaded execution. Construction resolves every
-/// branch target, call site and block boundary to flat indices; run() and
-/// runProfiled() then execute with no per-instruction decoding.
+/// Runs a prepared module on a fresh machine per call.
 class ThreadedProgram {
 public:
-  /// Flattens \p PM. The PreparedModule must outlive this object.
-  explicit ThreadedProgram(const PreparedModule &PM);
-  ~ThreadedProgram();
-
-  ThreadedProgram(const ThreadedProgram &) = delete;
-  ThreadedProgram &operator=(const ThreadedProgram &) = delete;
+  /// The PreparedModule must outlive this object.
+  explicit ThreadedProgram(const PreparedModule &PM) : PM(&PM) {}
 
   /// Runs to completion with no profiling.
   ThreadedResult run(uint64_t MaxInstructions = ~0ull) const;
@@ -64,12 +48,11 @@ public:
   ThreadedResult runProfiled(BranchCorrelationGraph &Graph,
                              uint64_t MaxInstructions = ~0ull) const;
 
-  /// Flattened code size in slots (includes synthetic dispatch slots).
-  size_t codeSize() const;
+  /// Decoded code size in slots (includes synthetic dispatch slots).
+  size_t codeSize() const { return PM->codeSize(); }
 
 private:
-  struct Impl;
-  std::unique_ptr<Impl> P;
+  const PreparedModule *PM;
 };
 
 } // namespace jtc

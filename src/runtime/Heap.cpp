@@ -29,36 +29,6 @@ int64_t Heap::allocArray(int64_t Len) {
   return static_cast<int64_t>(Cells.size());
 }
 
-bool Heap::isLive(int64_t Ref) const {
-  return Ref > 0 && static_cast<size_t>(Ref) <= Cells.size();
-}
-
-const Heap::Cell &Heap::cell(int64_t Ref) const {
-  assert(isLive(Ref) && "dereference of dead or null reference");
-  return Cells[static_cast<size_t>(Ref) - 1];
-}
-
-Heap::Cell &Heap::cell(int64_t Ref) {
-  assert(isLive(Ref) && "dereference of dead or null reference");
-  return Cells[static_cast<size_t>(Ref) - 1];
-}
-
-uint32_t Heap::classOf(int64_t Ref) const { return cell(Ref).ClassId; }
-
-size_t Heap::slotCount(int64_t Ref) const { return cell(Ref).Slots.size(); }
-
-int64_t Heap::load(int64_t Ref, size_t Idx) const {
-  const Cell &C = cell(Ref);
-  assert(Idx < C.Slots.size() && "slot index out of range");
-  return C.Slots[Idx];
-}
-
-void Heap::store(int64_t Ref, size_t Idx, int64_t Value) {
-  Cell &C = cell(Ref);
-  assert(Idx < C.Slots.size() && "slot index out of range");
-  C.Slots[Idx] = Value;
-}
-
 uint64_t jtc::heapDigest(const Heap &H) {
   uint64_t D = 14695981039346656037ull;
   auto Mix = [&D](uint64_t V) { D = (D ^ V) * 1099511628211ull; };

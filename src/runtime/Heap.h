@@ -11,6 +11,7 @@
 #ifndef JTC_RUNTIME_HEAP_H
 #define JTC_RUNTIME_HEAP_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -37,18 +38,28 @@ public:
   int64_t allocArray(int64_t Len);
 
   /// True iff \p Ref is a live non-null reference.
-  bool isLive(int64_t Ref) const;
+  bool isLive(int64_t Ref) const {
+    return Ref > 0 && static_cast<size_t>(Ref) <= Cells.size();
+  }
 
   /// Class id of the cell behind \p Ref (ArrayClass for arrays). \p Ref
   /// must be live.
-  uint32_t classOf(int64_t Ref) const;
+  uint32_t classOf(int64_t Ref) const { return cell(Ref).ClassId; }
 
   /// Number of fields / array length. \p Ref must be live.
-  size_t slotCount(int64_t Ref) const;
+  size_t slotCount(int64_t Ref) const { return cell(Ref).Slots.size(); }
 
   /// Raw slot access. \p Ref must be live, \p Idx in range.
-  int64_t load(int64_t Ref, size_t Idx) const;
-  void store(int64_t Ref, size_t Idx, int64_t Value);
+  int64_t load(int64_t Ref, size_t Idx) const {
+    const Cell &C = cell(Ref);
+    assert(Idx < C.Slots.size() && "slot index out of range");
+    return C.Slots[Idx];
+  }
+  void store(int64_t Ref, size_t Idx, int64_t Value) {
+    Cell &C = cell(Ref);
+    assert(Idx < C.Slots.size() && "slot index out of range");
+    C.Slots[Idx] = Value;
+  }
 
   /// Cells allocated so far.
   size_t size() const { return Cells.size(); }
@@ -62,8 +73,14 @@ private:
     std::vector<int64_t> Slots;
   };
 
-  const Cell &cell(int64_t Ref) const;
-  Cell &cell(int64_t Ref);
+  const Cell &cell(int64_t Ref) const {
+    assert(isLive(Ref) && "dereference of dead or null reference");
+    return Cells[static_cast<size_t>(Ref) - 1];
+  }
+  Cell &cell(int64_t Ref) {
+    assert(isLive(Ref) && "dereference of dead or null reference");
+    return Cells[static_cast<size_t>(Ref) - 1];
+  }
 
   std::vector<Cell> Cells;
   size_t MaxCells;

@@ -2,21 +2,27 @@
 
 #include "runtime/Machine.h"
 
+#include <algorithm>
 #include <limits>
 
 using namespace jtc;
 
 Machine::Machine(const Module &M, size_t MaxFrames, size_t MaxHeapCells)
     : TheModule(M), TheHeap(MaxHeapCells), MaxFrames(MaxFrames) {
-  Operands.reserve(256);
-  Locals.reserve(1024);
+  Operands.resize(256);
+  Locals.resize(1024);
   Frames.reserve(64);
+  Top = Operands.data();
+  OperandsEnd = Operands.data() + Operands.size();
 }
 
 void Machine::reset() {
-  Operands.clear();
-  Locals.clear();
+  Top = Operands.data();
+  LocalsTop = 0;
   Frames.clear();
+  CurMethod = 0;
+  CurLocals = nullptr;
+  CurOperandBase = 0;
   Output.clear();
   TheHeap.clear();
   TrapValue = TrapKind::None;
@@ -31,28 +37,40 @@ void Machine::start(uint32_t MethodIdx) {
   (void)Ok;
 }
 
-bool Machine::pushFrame(uint32_t Callee, uint32_t ReturnPc) {
+void Machine::growOperands(size_t N) {
+  size_t Sp = static_cast<size_t>(Top - Operands.data());
+  Operands.resize(std::max(Operands.size() * 2, Sp + N));
+  Top = Operands.data() + Sp;
+  OperandsEnd = Operands.data() + Operands.size();
+}
+
+bool Machine::pushFrame(uint32_t Callee, uint32_t ReturnPc,
+                        BlockId ReturnBlock) {
   if (Frames.size() >= MaxFrames) {
     TrapValue = TrapKind::StackOverflow;
     return false;
   }
   const Method &M = TheModule.Methods[Callee];
-  assert(Operands.size() - frameOperandBase() >= M.NumArgs &&
+  assert(operandDepth() >= M.NumArgs &&
          "caller did not push enough arguments");
 
+  if (Locals.size() - LocalsTop < M.NumLocals)
+    Locals.resize(std::max(Locals.size() * 2, LocalsTop + M.NumLocals));
   Frame F;
   F.MethodId = Callee;
   F.ReturnPc = ReturnPc;
-  F.LocalsBase = static_cast<uint32_t>(Locals.size());
-  Locals.resize(Locals.size() + M.NumLocals, 0);
+  F.ReturnBlock = ReturnBlock;
+  F.LocalsBase = static_cast<uint32_t>(LocalsTop);
   // Move the arguments (deepest first) from the caller's operand stack
-  // into locals [0, NumArgs).
-  size_t ArgBase = Operands.size() - M.NumArgs;
-  for (uint32_t I = 0; I < M.NumArgs; ++I)
-    Locals[F.LocalsBase + I] = Operands[ArgBase + I];
-  Operands.resize(ArgBase);
-  F.OperandBase = static_cast<uint32_t>(Operands.size());
+  // into locals [0, NumArgs); the rest start zeroed.
+  int64_t *L = Locals.data() + LocalsTop;
+  Top -= M.NumArgs;
+  std::copy_n(Top, M.NumArgs, L);
+  std::fill(L + M.NumArgs, L + M.NumLocals, 0);
+  LocalsTop += M.NumLocals;
+  F.OperandBase = static_cast<uint32_t>(Top - Operands.data());
   Frames.push_back(F);
+  cacheTopFrame();
   return true;
 }
 
@@ -61,16 +79,20 @@ Machine::PopInfo Machine::popFrame(bool HasValue) {
   int64_t RetVal = 0;
   if (HasValue)
     RetVal = pop();
-  Frame F = Frames.back();
+  const Frame F = Frames.back();
   Frames.pop_back();
-  Operands.resize(F.OperandBase);
-  Locals.resize(F.LocalsBase);
+  Top = Operands.data() + F.OperandBase;
+  LocalsTop = F.LocalsBase;
 
   PopInfo Info;
   Info.ReturnPc = F.ReturnPc;
+  Info.ReturnBlock = F.ReturnBlock;
   Info.BottomFrame = Frames.empty();
-  if (!Info.BottomFrame && HasValue)
-    push(RetVal);
+  if (!Info.BottomFrame) {
+    cacheTopFrame();
+    if (HasValue)
+      push(RetVal);
+  }
   return Info;
 }
 
@@ -258,7 +280,7 @@ Effect Machine::execOne(const Instruction &I) {
   case Opcode::InvokeVirtual: {
     const SlotInfo &Slot = TheModule.Slots[I.A];
     assert(operandDepth() >= Slot.ArgCount && "missing call arguments");
-    int64_t Receiver = Operands[Operands.size() - Slot.ArgCount];
+    int64_t Receiver = Top[-static_cast<ptrdiff_t>(Slot.ArgCount)];
     if (!TheHeap.isLive(Receiver))
       return trapOut(TrapKind::NullReference);
     uint32_t ClassId = TheHeap.classOf(Receiver);
@@ -353,55 +375,4 @@ Effect Machine::execOne(const Instruction &I) {
   }
   assert(false && "unhandled opcode");
   return {EffectKind::Halt, 0, false};
-}
-
-Effect Machine::execOneElided(const Instruction &I, bool Full) {
-  // Pop order and trap kinds mirror execOne exactly; only the elided
-  // checks are gone. The liveness/class check is always elided (that is
-  // what licenses calling this at all); Full additionally drops the
-  // bounds check. Heap's own asserts still police the proof in checked
-  // builds.
-  switch (I.Op) {
-  case Opcode::GetField: {
-    int64_t Ref = pop();
-    auto Idx = static_cast<size_t>(I.A);
-    if (!Full && Idx >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::FieldBounds);
-    push(TheHeap.load(Ref, Idx));
-    return {};
-  }
-  case Opcode::PutField: {
-    int64_t Value = pop();
-    int64_t Ref = pop();
-    auto Idx = static_cast<size_t>(I.A);
-    if (!Full && Idx >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::FieldBounds);
-    TheHeap.store(Ref, Idx, Value);
-    return {};
-  }
-  case Opcode::Iaload: {
-    int64_t Idx = pop();
-    int64_t Ref = pop();
-    if (!Full && (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref)))
-      return trapOut(TrapKind::ArrayBounds);
-    push(TheHeap.load(Ref, static_cast<size_t>(Idx)));
-    return {};
-  }
-  case Opcode::Iastore: {
-    int64_t Value = pop();
-    int64_t Idx = pop();
-    int64_t Ref = pop();
-    if (!Full && (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref)))
-      return trapOut(TrapKind::ArrayBounds);
-    TheHeap.store(Ref, static_cast<size_t>(Idx), Value);
-    return {};
-  }
-  case Opcode::ArrayLength: {
-    int64_t Ref = pop();
-    push(static_cast<int64_t>(TheHeap.slotCount(Ref)));
-    return {};
-  }
-  default:
-    return execOne(I);
-  }
 }

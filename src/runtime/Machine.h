@@ -2,11 +2,11 @@
 ///
 /// \file
 /// The Machine owns all mutable execution state (operand stack, locals,
-/// call frames, heap, output) and implements the semantics of every
-/// opcode. Both the per-instruction interpreter (Fig. 1 dispatch model)
-/// and the per-block direct-threaded interpreter (Fig. 2 model) drive the
-/// same Machine, so the two dispatch models agree on program behaviour by
-/// construction and differ only in dispatch granularity.
+/// call frames, heap, output) and implements the reference semantics of
+/// every opcode (execOne). The per-instruction interpreter (Fig. 1
+/// dispatch model) steps execOne; the block executor (Fig. 2 model) and
+/// the JIT tier run their own definitions over the same state, so every
+/// engine leaves identical, directly comparable machine state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 #include "bytecode/Program.h"
 #include "runtime/Heap.h"
 #include "runtime/Trap.h"
+#include "support/Ids.h"
 
 #include <cassert>
 #include <cstdint>
@@ -41,12 +42,21 @@ struct Effect {
 
 /// Execution state plus opcode semantics for one program run.
 ///
-/// The operand stack and locals of all frames live in two shared arenas;
-/// each frame records its base offsets, so calls do not allocate.
+/// The operand stack and locals of all frames live in two shared arenas
+/// with explicit tops: the vectors are capacity, never push_back'd per
+/// instruction, and only grow (by doubling) at a frame push or an
+/// explicit reserveOperands(). The current frame's locals base is cached
+/// as a pointer so no access goes through the frame stack. Calls do not
+/// allocate once the arenas have reached the program's depth.
 class Machine {
 public:
   explicit Machine(const Module &M, size_t MaxFrames = 2048,
                    size_t MaxHeapCells = 1u << 22);
+  // The arena pointers point into the Machine's own vectors: a copy would
+  // alias the original's arenas, while a move carries the buffers along.
+  Machine(const Machine &) = delete;
+  Machine &operator=(const Machine &) = delete;
+  Machine(Machine &&) = default;
 
   /// Clears all state (stacks, frames, heap, output, trap).
   void reset();
@@ -58,27 +68,28 @@ public:
   /// Executes one instruction of the current frame's method and reports
   /// its control effect. Call/Ret effects only *resolve* the transfer; the
   /// interpreter applies them with pushFrame()/popFrame() so it can track
-  /// dispatch boundaries.
+  /// dispatch boundaries. This is the reference (Fig. 1) definition of
+  /// every opcode; the block executor (interp/BlockStepper.cpp) and the
+  /// JIT helpers (backend/JitBackend.cpp) are differentially tested
+  /// against it.
   Effect execOne(const Instruction &I);
 
-  /// Executes one *heap-access* instruction with its dynamic checks
-  /// reduced, for accesses the trace-path alias analysis proved cannot
-  /// fail them (trace/Trace.h's MemElision). \p Full skips every check;
-  /// otherwise only the liveness/class check is skipped and the
-  /// field/array bounds check remains. The caller asserts the proof: an
-  /// unjustified call is undefined behaviour (the same type-verified-
-  /// input assumption the validator's reference reasoning documents).
-  /// Non-heap opcodes fall back to execOne.
-  Effect execOneElided(const Instruction &I, bool Full);
-
   /// Pushes a frame for \p Callee, moving its arguments from the operand
-  /// stack into the new locals. Returns false (and sets a StackOverflow
-  /// trap) when the frame budget is exhausted.
-  bool pushFrame(uint32_t Callee, uint32_t ReturnPc);
+  /// stack into the new locals. \p ReturnPc is the caller pc to resume at
+  /// (the per-instruction interpreter's continuation); \p ReturnBlock is
+  /// the same continuation as a block id, recorded by the block executor
+  /// and the JIT so a return never has to look its block up. Returns
+  /// false (and sets a StackOverflow trap) when the frame budget is
+  /// exhausted; the arguments are then left on the operand stack.
+  bool pushFrame(uint32_t Callee, uint32_t ReturnPc,
+                 BlockId ReturnBlock = InvalidBlockId);
 
   struct PopInfo {
     bool BottomFrame = false; ///< The popped frame was the entry frame.
     uint32_t ReturnPc = 0;    ///< Caller pc to resume at (if !BottomFrame).
+    /// Caller block to resume at (if !BottomFrame and the frame was pushed
+    /// with one).
+    BlockId ReturnBlock = InvalidBlockId;
   };
 
   /// Pops the current frame; when \p HasValue, transfers the return value
@@ -88,7 +99,7 @@ public:
   /// Module method id of the frame on top of the call stack.
   uint32_t currentMethodId() const {
     assert(!Frames.empty() && "no active frame");
-    return Frames.back().MethodId;
+    return CurMethod;
   }
 
   const Method &currentMethod() const {
@@ -106,39 +117,52 @@ public:
   Heap &heap() { return TheHeap; }
   const Module &module() const { return TheModule; }
 
-  // Raw operand-stack and local access, used by tests and by the machine
-  // itself. The verifier guarantees stack discipline, so these assert
+  // Operand-stack and local access for the reference interpreter and
+  // tests. The verifier guarantees stack discipline, so these assert
   // rather than trap.
-  void push(int64_t V) { Operands.push_back(V); }
-  int64_t pop() {
-    assert(Operands.size() > frameOperandBase() && "operand stack underflow");
-    int64_t V = Operands.back();
-    Operands.pop_back();
-    return V;
+  void push(int64_t V) {
+    if (Top == OperandsEnd)
+      growOperands(1);
+    *Top++ = V;
   }
-  size_t operandDepth() const { return Operands.size() - frameOperandBase(); }
+  int64_t pop() {
+    assert(operandDepth() > 0 && "operand stack underflow");
+    return *--Top;
+  }
+  size_t operandDepth() const {
+    return static_cast<size_t>(Top - Operands.data()) - CurOperandBase;
+  }
 
   int64_t local(uint32_t Idx) const {
     assert(!Frames.empty() && Idx < currentMethod().NumLocals);
-    return Locals[Frames.back().LocalsBase + Idx];
+    return CurLocals[Idx];
   }
   void setLocal(uint32_t Idx, int64_t V) {
     assert(!Frames.empty() && Idx < currentMethod().NumLocals);
-    Locals[Frames.back().LocalsBase + Idx] = V;
+    CurLocals[Idx] = V;
   }
 
-  // Arena access for the template JIT (src/backend): generated code works
-  // on the raw operand and locals arrays through base pointers, and its
-  // runtime helpers replicate execOne's heap/trap/output semantics.
-  // Pointers are invalidated by push/pop/resizeOperandStack and by frame
-  // operations; the JIT re-derives them per trace run and never executes
-  // native code across such an operation.
-  size_t operandStackSize() const { return Operands.size(); }
-  int64_t *operandStackData() { return Operands.data(); }
-  void resizeOperandStack(size_t N) { Operands.resize(N); }
-  int64_t *currentLocalsData() {
+  // Register-resident access for the block executor and the template JIT:
+  // they load the stack top and locals base into registers, work on the
+  // raw arenas, and publish the top back with setStackTop(). Both pointers
+  // stay valid until the next pushFrame/popFrame/reserveOperands/push,
+  // which may reallocate an arena -- callers re-derive them after any of
+  // those.
+
+  /// Guarantees room for \p N more operand pushes without reallocation.
+  void reserveOperands(size_t N) {
+    if (static_cast<size_t>(OperandsEnd - Top) < N)
+      growOperands(N);
+  }
+  int64_t *stackTop() { return Top; }
+  void setStackTop(int64_t *NewTop) {
+    assert(NewTop >= Operands.data() && NewTop <= OperandsEnd &&
+           "stack top outside the operand arena");
+    Top = NewTop;
+  }
+  int64_t *localsBase() {
     assert(!Frames.empty() && "no active frame");
-    return Locals.data() + Frames.back().LocalsBase;
+    return CurLocals;
   }
   void setTrap(TrapKind Kind) { TrapValue = Kind; }
   void appendOutput(int64_t V) { Output.push_back(V); }
@@ -149,10 +173,16 @@ private:
     uint32_t LocalsBase = 0;
     uint32_t OperandBase = 0;
     uint32_t ReturnPc = 0;
+    BlockId ReturnBlock = InvalidBlockId;
   };
 
-  size_t frameOperandBase() const {
-    return Frames.empty() ? 0 : Frames.back().OperandBase;
+  void growOperands(size_t N);
+  /// Reloads the cached current-frame fields from Frames.back().
+  void cacheTopFrame() {
+    const Frame &F = Frames.back();
+    CurMethod = F.MethodId;
+    CurLocals = Locals.data() + F.LocalsBase;
+    CurOperandBase = F.OperandBase;
   }
 
   Effect trapOut(TrapKind Kind) {
@@ -162,9 +192,17 @@ private:
 
   const Module &TheModule;
   Heap TheHeap;
-  std::vector<int64_t> Operands;
-  std::vector<int64_t> Locals;
+  std::vector<int64_t> Operands; ///< Arena; live part is [data, Top).
+  std::vector<int64_t> Locals;   ///< Arena; live part is [0, LocalsTop).
+  int64_t *Top = nullptr;         ///< One past the operand-stack top.
+  int64_t *OperandsEnd = nullptr; ///< End of the operand arena.
+  size_t LocalsTop = 0;
   std::vector<Frame> Frames;
+  // The top frame's fields, cached so per-instruction accesses never
+  // touch the frame stack.
+  uint32_t CurMethod = 0;
+  int64_t *CurLocals = nullptr;
+  size_t CurOperandBase = 0;
   std::vector<int64_t> Output;
   TrapKind TrapValue = TrapKind::None;
   size_t MaxFrames;

@@ -65,10 +65,11 @@ struct Trace {
   /// Check-elision facts, ordered by (BlockIndex, Pc), installed by the
   /// trace cache's annotate hook (AdaptiveEngine runs the alias analysis
   /// over the block sequence at construction time). Both execution tiers
-  /// honor them: the interpreter tier via Machine::execOneElided, the JIT
-  /// via unchecked helper templates. Empty when annotation is off or
-  /// nothing was provable. Purely an execution shortcut -- the elided
-  /// checks are proven to pass, so behaviour and digests are unchanged.
+  /// honor them: the interpreter tier via the block executor's armed
+  /// elision span (BlockStepper::setElisions), the JIT via unchecked
+  /// helper templates. Empty when annotation is off or nothing was
+  /// provable. Purely an execution shortcut -- the elided checks are
+  /// proven to pass, so behaviour and digests are unchanged.
   std::vector<MemElision> MemElisions;
 
   /// Runtime behaviour, maintained by the trace cache: how often the

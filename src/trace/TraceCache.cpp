@@ -28,6 +28,7 @@ uint64_t TraceCache::contentHash(BlockId EntryFrom,
 }
 
 void TraceCache::onStateChange(NodeId Id) {
+  bumpGeneration();
   ++Stats.SignalsHandled;
   TraceBuilder::BuildResult R = Builder.build(Id);
   FreshEntryKeys.clear();
@@ -157,6 +158,7 @@ void TraceCache::applyValidation(Trace &T) {
 }
 
 void TraceCache::recordExecution(TraceId Id, bool CompletedRun) {
+  bumpGeneration();
   assert(Id < Traces.size() && "unknown trace");
   {
     Trace &T = Traces[Id];
@@ -208,6 +210,7 @@ std::vector<TraceCache::TraceSeed> TraceCache::exportLiveTraces() const {
 }
 
 void TraceCache::seedTraces(const std::vector<TraceSeed> &Seeds) {
+  bumpGeneration();
   assert(Traces.empty() && "seedTraces requires a fresh cache");
   for (const TraceSeed &S : Seeds) {
     assert(S.Blocks.size() >= 2 && "degenerate seeded trace");

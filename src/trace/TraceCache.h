@@ -130,6 +130,19 @@ public:
 
   const CacheStats &stats() const { return Stats; }
 
+  /// Mutation generation: advances on every call that may change or
+  /// reallocate the trace table (signal handling, execution bookkeeping,
+  /// seeding). Callers holding a Trace pointer across other work assert it
+  /// unchanged to prove the pointer still valid. Counted in checked builds
+  /// only; always 0 under NDEBUG.
+  uint64_t generation() const {
+#ifndef NDEBUG
+    return Generation;
+#else
+    return 0;
+#endif
+  }
+
   /// Live (dispatchable) traces.
   size_t numLiveTraces() const;
 
@@ -148,6 +161,11 @@ private:
   void applyValidation(Trace &T);
   static uint64_t contentHash(BlockId EntryFrom,
                               const std::vector<BlockId> &Blocks);
+  void bumpGeneration() {
+#ifndef NDEBUG
+    ++Generation;
+#endif
+  }
 
   BranchCorrelationGraph *Graph;
   TraceConfig Config;
@@ -167,6 +185,9 @@ private:
   std::unordered_set<uint64_t> FreshEntryKeys;
   std::vector<TraceId> FreshIds;
   CacheStats Stats;
+#ifndef NDEBUG
+  uint64_t Generation = 0;
+#endif
 };
 
 } // namespace jtc

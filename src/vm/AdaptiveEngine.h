@@ -106,6 +106,10 @@ public:
   const BranchCorrelationGraph &graph() const { return Graph; }
   const TraceCache &traceCache() const { return Cache; }
 
+  /// The lazily computed per-module analysis shared by validation,
+  /// annotation and the session's trace backend.
+  const analysis::ModuleAnalysis &moduleFacts();
+
 private:
   /// Handles the transition (\p Cur -> \p Next) when not inside a trace:
   /// profiler hook, then trace-entry lookup.
@@ -129,10 +133,6 @@ private:
   /// and records the heap accesses whose dynamic checks are provably
   /// redundant on the trace path, for both execution tiers to skip.
   void annotateCandidate(Trace &T);
-
-  /// The lazily computed per-module analysis shared by validation and
-  /// annotation.
-  const analysis::ModuleAnalysis &moduleFacts();
 
   const PreparedModule *PM;
   const VmOptions *Options;

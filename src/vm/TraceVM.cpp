@@ -9,8 +9,11 @@ using namespace jtc;
 TraceVM::TraceVM(const PreparedModule &PM, VmOptions Options)
     : PM(&PM), Options(Options), Mach(PM.module()), Stepper(PM, Mach),
       Engine(PM, this->Options),
-      Backend(backend::makeBackend(this->Options.backend(), PM,
-                                   this->Options.backendConfig())) {
+      Backend(backend::makeBackend(
+          this->Options.backend(), PM, this->Options.backendConfig(),
+          [this]() -> const analysis::ModuleAnalysis & {
+            return Engine.moduleFacts();
+          })) {
 #ifdef JTC_TELEMETRY
   if (this->Options.telemetry()) {
     Ring = EventRing(this->Options.telemetryCapacity(),
@@ -112,9 +115,12 @@ bool TraceVM::runActiveTrace(const Trace &T, RunResult &R) {
   // throughout: the cache mutates only inside the *final* engine call of
   // this replay (completeActiveTrace inside the last executed(), or
   // exitActiveTraceEarly inside the last transition()/endRun()), and every
-  // read of T happens before it.
+  // read of T happens before it. Checked builds prove it with the cache's
+  // mutation generation.
   VmStats &Stats = Engine.stats();
   (void)Stats;
+  const uint64_t Generation = Engine.traceCache().generation();
+  (void)Generation;
   for (uint32_t I = 0; I + 1 < TR.BlocksRun; ++I) {
     BlockId B = T.Blocks[I];
     BlockId Next = T.Blocks[I + 1];
@@ -126,6 +132,8 @@ bool TraceVM::runActiveTrace(const Trace &T, RunResult &R) {
     if (Sink)
       Sink->onTransition(B, Next);
     Engine.transition(B, Next);
+    assert(Engine.traceCache().generation() == Generation &&
+           "trace cache mutated before the final replay step");
   }
 
   BlockId Last = T.Blocks[TR.BlocksRun - 1];

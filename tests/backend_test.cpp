@@ -12,6 +12,7 @@
 #include "backend/TraceBackend.h"
 
 #include "TestPrograms.h"
+#include "analysis/Analysis.h"
 #include "interp/InstructionInterpreter.h"
 #include "runtime/Heap.h"
 #include "vm/TraceVM.h"
@@ -174,6 +175,13 @@ VmOptions jitOptions() {
 
 bool hostHasJit() { return backend::jitSupportedHost(); }
 
+/// A module-facts provider for backends built outside a TraceVM.
+backend::ModuleFactsFn factsFor(const Module &M) {
+  auto Facts = std::make_shared<analysis::ModuleAnalysis>(
+      analysis::ModuleAnalysis::compute(M));
+  return [Facts]() -> const analysis::ModuleAnalysis & { return *Facts; };
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -248,6 +256,50 @@ TEST(BackendTest, CallAndReturnDivergenceExitsAreExact) {
   EXPECT_GT(VM.currentStats().TraceDispatchesJit, 0u);
 }
 
+TEST(BackendTest, LargeConstantsLowerOnTheJitTier) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  // A hot loop whose trace carries iconst 0x7fffffff: the constant must
+  // lower as an immediate without being mistaken for a local-slot offset
+  // (signed overflow under UBSan), and the wrapped sum must match.
+  Assembler Asm;
+  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  Label Loop = B.newLabel(), Done = B.newLabel();
+  B.iconst(20000);
+  B.istore(0);
+  B.bind(Loop);
+  B.iload(0);
+  B.branch(Opcode::IfLe, Done);
+  B.iload(1);
+  B.iconst(0x7fffffff);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  B.iinc(0, -1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
+  B.iload(1);
+  B.emit(Opcode::Iprint);
+  B.halt();
+  B.finish();
+  Asm.setEntry(Main);
+  Module M = Asm.build();
+
+  Machine Plain(M);
+  RunResult RP = runInstructions(Plain);
+  PreparedModule PM(M);
+  TraceVM VM(PM, jitOptions());
+  RunResult R = VM.run();
+  EXPECT_EQ(RP.Status, R.Status);
+  EXPECT_EQ(RP.Instructions, R.Instructions);
+  EXPECT_EQ(Plain.output(), VM.machine().output());
+  EXPECT_EQ(VM.machine().output(),
+            (std::vector<int64_t>{int64_t{0x7fffffff} * 20000}));
+  const VmStats S = VM.currentStats();
+  EXPECT_GT(S.TracesJitCompiled, 0u);
+  EXPECT_GT(S.TraceDispatchesJit, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Fallback and tiering accounting
 //===----------------------------------------------------------------------===//
@@ -279,11 +331,11 @@ TEST(BackendTest, AutoResolvesPerHostSupport) {
   backend::BackendConfig Unsupported;
   Unsupported.SimulateUnsupportedHost = true;
   std::unique_ptr<backend::TraceBackend> B = backend::makeBackend(
-      backend::BackendKind::Auto, PM, Unsupported);
+      backend::BackendKind::Auto, PM, Unsupported, factsFor(M));
   EXPECT_STREQ("interp", B->name());
   if (hostHasJit()) {
     std::unique_ptr<backend::TraceBackend> J = backend::makeBackend(
-        backend::BackendKind::Auto, PM, backend::BackendConfig());
+        backend::BackendKind::Auto, PM, backend::BackendConfig(), factsFor(M));
     EXPECT_STREQ("jit", J->name());
   }
 }

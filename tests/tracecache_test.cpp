@@ -51,6 +51,23 @@ TEST_F(TraceCacheTest, HotLoopProducesALiveTrace) {
   EXPECT_GT(Cache.stats().TracesConstructed, 0u);
 }
 
+TEST_F(TraceCacheTest, GenerationAdvancesOnEveryMutation) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the mutation generation is counted in checked builds only";
+#endif
+  EXPECT_EQ(Cache.generation(), 0u);
+  feed({1, 2, 3, 4}, 200); // signals rebuild the trace table
+  const uint64_t AfterSignals = Cache.generation();
+  EXPECT_GE(AfterSignals, Cache.stats().SignalsHandled);
+  const Trace &T = Cache.traces().front();
+  // Lookups and reads leave it alone; execution bookkeeping advances it.
+  (void)Cache.findTrace(T.EntryFrom, T.Blocks[0]);
+  (void)Cache.numLiveTraces();
+  EXPECT_EQ(Cache.generation(), AfterSignals);
+  Cache.recordExecution(T.Id, /*CompletedRun=*/true);
+  EXPECT_EQ(Cache.generation(), AfterSignals + 1);
+}
+
 TEST_F(TraceCacheTest, FindTraceMatchesEntryPair) {
   feed({1, 2, 3, 4}, 200);
   // Some rotation of the cycle is installed; find it via its entry pair.

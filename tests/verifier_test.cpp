@@ -201,6 +201,22 @@ TEST(VerifierTest, RejectsVtableSignatureMismatch) {
   EXPECT_TRUE(hasErrorContaining(M, "does not match slot"));
 }
 
+TEST(VerifierTest, RejectsMoreLocalsThanTheBound) {
+  Module M = rawModule({Instruction(Opcode::Halt)}, MaxMethodLocals);
+  EXPECT_TRUE(isValid(M));
+  M.Methods[0].NumLocals = MaxMethodLocals + 1;
+  EXPECT_TRUE(hasErrorContaining(M, "more than 65535 locals"));
+}
+
+TEST(VerifierTest, RejectsUnimplementedSlotWithTooManyArguments) {
+  // No class implements the slot, so no vtable signature check sees it.
+  Module M = rawModule({Instruction(Opcode::Halt)});
+  M.Slots.push_back({"s", /*ArgCount=*/MaxMethodLocals, false});
+  EXPECT_TRUE(isValid(M));
+  M.Slots[0].ArgCount = MaxMethodLocals + 1;
+  EXPECT_TRUE(hasErrorContaining(M, "more than 65535 arguments"));
+}
+
 TEST(VerifierTest, RejectsMisSizedVtable) {
   Module M = rawModule({Instruction(Opcode::Halt)});
   M.Slots.push_back({"s", 1, false});
