@@ -1,9 +1,9 @@
 //===- backend/BackendKind.h - Trace-execution tier selection ---*- C++ -*-===//
 ///
 /// \file
-/// The backend knob: which tier executes dispatched traces. Kept in its
-/// own header (enum + names only) so VmOptions can carry the knob without
-/// depending on the execution machinery in TraceBackend.h.
+/// The backend knobs: which tier executes dispatched traces, and how the
+/// native tier promotes them. Kept in their own header so VmOptions can
+/// carry them without depending on the JIT in JitBackend.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,15 +16,24 @@
 namespace jtc {
 namespace backend {
 
-/// Which TraceBackend executes dispatched traces (the CLI spelling of
+/// Which tier executes dispatched traces (the CLI spelling of
 /// --backend=).
 enum class BackendKind : uint8_t {
-  Interp, ///< Block-step every trace through the interpreter (the
-          ///< pre-seam behaviour; the differential-fuzzing oracle).
+  Interp, ///< TraceVM's dispatch loop block-steps every trace (the
+          ///< differential-fuzzing oracle).
   Jit,    ///< Compile hot completed traces to x86-64 template code; a
-          ///< trace that cannot compile (or a non-x86-64 host) falls
-          ///< back to the interpreter backend transparently.
+          ///< trace without native code (not yet hot, not compilable, or
+          ///< a non-x86-64 host) is block-stepped as on Interp.
   Auto,   ///< Jit when the host supports it, Interp otherwise.
+};
+
+/// Native-tier construction knobs (a slice of VmOptions).
+struct BackendConfig {
+  /// Completed executions before a trace is promoted to native code.
+  uint32_t JitPromoteAfter = 2;
+  /// Test hook: pretend the host cannot run template code, forcing the
+  /// HostUnsupported fallback path on any host.
+  bool SimulateUnsupportedHost = false;
 };
 
 inline const char *backendKindName(BackendKind K) {

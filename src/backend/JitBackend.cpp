@@ -3,7 +3,6 @@
 #include "backend/JitBackend.h"
 
 #include "analysis/Analysis.h"
-#include "backend/InterpreterBackend.h"
 #include "backend/TraceIR.h"
 #include "backend/X64Emitter.h"
 #include "interp/BlockStepper.h"
@@ -915,6 +914,42 @@ bool TraceCompiler::emit() {
 // JitBackend
 //===----------------------------------------------------------------------===//
 
+const char *compileFallbackName(CompileFallback F) {
+  switch (F) {
+  case CompileFallback::None:
+    return "none";
+  case CompileFallback::HostUnsupported:
+    return "host-unsupported";
+  case CompileFallback::HaltInTrace:
+    return "halt-in-trace";
+  case CompileFallback::SwitchGuard:
+    return "switch-guard";
+  case CompileFallback::TraceShape:
+    return "trace-shape";
+  case CompileFallback::NoTemplate:
+    return "no-template";
+  case CompileFallback::CodeSpace:
+    return "code-space";
+  }
+  return "unknown";
+}
+
+const ErrorDomain &compileFallbackDomain() {
+  static const ErrorDomain Dom = {"backend", [](uint32_t Code) {
+                                    return compileFallbackName(
+                                        static_cast<CompileFallback>(Code));
+                                  }};
+  return Dom;
+}
+
+bool jitSupportedHost() {
+#if defined(__x86_64__) && (defined(__unix__) || defined(__APPLE__))
+  return true;
+#else
+  return false;
+#endif
+}
+
 JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config,
                        ModuleFactsFn Facts)
     : PM(PM), Config(Config), Facts(std::move(Facts)) {}
@@ -958,7 +993,6 @@ const CompiledTrace *JitBackend::compiled(const Trace &T) {
   if (Why != CompileFallback::None) {
     C->Fn = nullptr;
     ++Stats.CompileFallbacks;
-    ++Stats.FallbacksByReason[static_cast<unsigned>(Why)];
     JTC_RECORD_EVENT(Telem, EventKind::TraceCompileFallback, T.Id,
                      static_cast<uint32_t>(Why));
   } else {
@@ -970,22 +1004,20 @@ const CompiledTrace *JitBackend::compiled(const Trace &T) {
   return Compiled[T.Id].get();
 }
 
-TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {
+std::optional<TraceRunResult> JitBackend::run(const Trace &T,
+                                              BlockStepper &Stepper,
+                                              uint64_t RemainingBudget) {
   const CompiledTrace *C = compiled(T);
-  // Delegate to block-stepping when the trace has no native code (yet),
-  // or when the session budget could cut the run mid-trace -- the budget
-  // check is block-granular, which native code does not replicate. A
-  // budget the whole trace exactly fits is safe: TraceVM applies the
-  // live loop's post-block checks during replay.
-  if (!C || !C->Fn || T.InstrCount > Ctx.RemainingBudget) {
-    ++Stats.InterpDispatches;
-    TraceRunResult R = stepTrace(T, Ctx);
-    Stats.MemChecksElided += R.ChecksElided;
-    return R;
-  }
+  // Decline when the trace has no native code (yet), or when the session
+  // budget could cut the run mid-trace -- the budget check is
+  // block-granular, which native code does not replicate. A budget the
+  // whole trace exactly fits is safe: TraceVM applies the live loop's
+  // post-block checks during replay.
+  if (!C || !C->Fn || T.InstrCount > RemainingBudget)
+    return std::nullopt;
 
   ++Stats.CompiledDispatches;
-  Machine &M = Ctx.Mach;
+  Machine &M = Stepper.machine();
   // Reserve the trace's maximum stack growth so template code pushes with
   // raw stores; the pointers are taken *after* the reservation (only the
   // frame helpers move the arenas, and they republish the pointers
@@ -1005,14 +1037,11 @@ TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {
 
   assert(JC.ExitIndex < C->Exits.size() && "bad exit index");
   const ExitRecord &X = C->Exits[JC.ExitIndex];
-  Ctx.Stepper.creditInstructions(X.Instructions);
-  Ctx.Stepper.creditChecksElided(X.ChecksElided);
-  Stats.MemChecksElided += X.ChecksElided;
+  Stepper.creditInstructions(X.Instructions);
+  Stepper.creditChecksElided(X.ChecksElided);
 
   TraceRunResult R;
   R.BlocksRun = X.BlocksRun;
-  R.Instructions = X.Instructions;
-  R.ChecksElided = X.ChecksElided;
   switch (X.K) {
   case ExitRecord::Kind::Complete:
     R.End = TraceRunEnd::Completed;
@@ -1029,7 +1058,7 @@ TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {
     R.End = X.K == ExitRecord::Kind::CompleteCallee ? TraceRunEnd::Completed
                                                     : TraceRunEnd::Diverged;
     R.NextBlock =
-        Ctx.PM.methodEntryBlock(static_cast<uint32_t>(JC.ExitPayload));
+        PM.methodEntryBlock(static_cast<uint32_t>(JC.ExitPayload));
     break;
   case ExitRecord::Kind::CompleteRet:
   case ExitRecord::Kind::DivergeRet:

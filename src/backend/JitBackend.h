@@ -1,17 +1,29 @@
 //===- backend/JitBackend.h - x86-64 template JIT trace tier ----*- C++ -*-===//
 ///
 /// \file
-/// The compiled trace tier: a copy-and-patch template JIT. Each trace IR
-/// op has a fixed x86-64 machine-code template (see TraceCompiler in the
-/// .cpp) whose immediates -- local slot offsets, constants, helper
-/// addresses -- are patched at compile time; guards become a compare and
-/// a conditional branch to a side-exit stub. Heap-touching ops (arrays,
-/// fields, allocation, print) call extern "C" helpers that replicate
-/// Machine::execOne exactly, so the heap/trap/output semantics have one
-/// definition. Calls and returns inside the trace call frame helpers that
-/// run the Machine's real pushFrame/popFrame, then guard the dynamic
-/// continuation (resolved callee / return site) against what the trace
-/// recorded.
+/// The optional native trace tier: a copy-and-patch template JIT. Trace
+/// selection (src/trace, src/opt, src/validate) decides *what* a trace
+/// is; TraceVM's dispatch loop runs it. On every trace entry the loop
+/// asks the JIT, when the session has one, to run the whole trace
+/// natively; when it declines, the loop block-steps the trace exactly as
+/// it steps any other block. Native code executes instructions only --
+/// it never touches the profiler, the trace cache or the statistics.
+/// TraceVM replays the run's summary through the AdaptiveEngine
+/// afterwards, block by block, so the adaptive state, telemetry clocks
+/// and btrace stream are bit-identical whichever tier ran: the
+/// interp/JIT equivalence contract (same VmStats digest, same btrace
+/// stream) that the fuzz oracle enforces.
+///
+/// Each trace IR op has a fixed x86-64 machine-code template (see
+/// TraceCompiler in the .cpp) whose immediates -- local slot offsets,
+/// constants, helper addresses -- are patched at compile time; guards
+/// become a compare and a conditional branch to a side-exit stub.
+/// Heap-touching ops (arrays, fields, allocation, print) call extern "C"
+/// helpers that replicate Machine::execOne exactly, so the
+/// heap/trap/output semantics have one definition. Calls and returns
+/// inside the trace call frame helpers that run the Machine's real
+/// pushFrame/popFrame, then guard the dynamic continuation (resolved
+/// callee / return site) against what the trace recorded.
 ///
 /// Register convention inside a compiled trace (all callee-saved, so
 /// helper calls preserve them):
@@ -30,23 +42,98 @@
 /// exit-record index in the JitContext; the record carries the
 /// interpreter-exact blocks-run / instruction counts and resume block
 /// that TraceVM replays through the AdaptiveEngine. Traces are promoted
-/// after BackendConfig::JitPromoteAfter completed runs; anything that
-/// cannot compile (see CompileFallback) and every pre-promotion dispatch
-/// runs on the embedded interpreter tier.
+/// after BackendConfig::JitPromoteAfter completed runs; a trace that
+/// cannot compile (see CompileFallback) stays block-stepped.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_BACKEND_JITBACKEND_H
 #define JTC_BACKEND_JITBACKEND_H
 
-#include "backend/TraceBackend.h"
+#include "backend/BackendKind.h"
 #include "runtime/Trap.h"
+#include "support/TypedError.h"
+#include "trace/Trace.h"
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace jtc {
+
+namespace analysis {
+class ModuleAnalysis;
+}
+
+class PreparedModule;
+class Machine;
+class BlockStepper;
+class EventRing;
+
 namespace backend {
+
+/// Why a trace could not be promoted to native code. Codes are stable
+/// (they surface in telemetry events and --json counters); new reasons go
+/// at the end.
+enum class CompileFallback : uint8_t {
+  None = 0,        ///< Compiled.
+  HostUnsupported, ///< Not an x86-64 build (or simulated unsupported).
+  HaltInTrace,     ///< A trace block ends in halt.
+  SwitchGuard,     ///< A tableswitch anywhere in the trace (records no
+                   ///< direction a two-way guard could assert).
+  TraceShape,      ///< A recorded successor is unreachable from its
+                   ///< block's terminator -- a corrupted trace (fault
+                   ///< injection); block-stepping reproduces its
+                   ///< divergence behaviour exactly.
+  NoTemplate,      ///< An op without a machine-code template survived
+                   ///< lowering (compiler safety net; never expected).
+  CodeSpace,       ///< Executable code buffer could not be allocated.
+};
+
+/// Stable kebab-case reason name ("host-unsupported", "switch-guard", ...).
+const char *compileFallbackName(CompileFallback F);
+
+/// The TypedError domain for compile-fallback reasons ("backend").
+const ErrorDomain &compileFallbackDomain();
+
+/// True when this build can emit and execute template code (x86-64 with
+/// POSIX executable mappings).
+bool jitSupportedHost();
+
+/// Native-tier accounting, folded into VmStats (digest-excluded: which
+/// tier ran is a backend configuration, not an execution semantic).
+struct BackendStats {
+  uint64_t TracesCompiled = 0;     ///< Traces promoted to native code.
+  uint64_t CompileFallbacks = 0;   ///< Traces that failed promotion.
+  uint64_t CompiledDispatches = 0; ///< Trace runs executed natively.
+  uint64_t CodeBytes = 0;          ///< Native code emitted.
+};
+
+/// How one native trace run ended.
+enum class TraceRunEnd : uint8_t {
+  Completed, ///< Every trace block executed; NextBlock is the successor of
+             ///< the final block.
+  Diverged,  ///< A successor mismatched the trace; NextBlock is where
+             ///< execution actually went.
+  Trapped,   ///< A runtime trap fired; Machine::trap() is set.
+  Finished,  ///< The program ended inside the trace (halt / bottom return).
+};
+
+/// The summary TraceVM replays through the AdaptiveEngine. BlocksRun
+/// follows the interpreter's accounting exactly: the block a trap fired
+/// in counts as run.
+struct TraceRunResult {
+  TraceRunEnd End = TraceRunEnd::Completed;
+  uint32_t BlocksRun = 0;             ///< Trace blocks executed (>= 1).
+  BlockId NextBlock = InvalidBlockId; ///< Successor (Completed / Diverged).
+};
+
+/// The session's per-module analysis, computed on first call and shared
+/// by everything in the session that needs it (validation, annotation,
+/// JIT side-exit liveness), so a session computes it at most once.
+using ModuleFactsFn = std::function<const analysis::ModuleAnalysis &()>;
 
 /// The in/out block native trace code works against. Layout is ABI: the
 /// templates address fields by constant offsets (asserted in the .cpp).
@@ -96,7 +183,7 @@ struct ExitRecord {
 using TraceFn = void (*)(JitContext *);
 
 /// One promotion outcome, cached per trace id. A null Fn records a failed
-/// promotion: the trace stays on the interpreter tier without retrying.
+/// promotion: the trace stays block-stepped without retrying.
 struct CompiledTrace {
   TraceFn Fn = nullptr;
   std::vector<ExitRecord> Exits;
@@ -128,15 +215,32 @@ private:
   std::vector<Chunk> Chunks;
 };
 
-class JitBackend : public TraceBackend {
+/// The native tier of one VM session; never shared across threads. On a
+/// host without template support (or under SimulateUnsupportedHost) every
+/// promotion records a HostUnsupported fallback and run() always
+/// declines.
+class JitBackend {
 public:
+  /// \p Facts supplies the module analysis side-exit liveness needs.
   JitBackend(const PreparedModule &PM, const BackendConfig &Config,
              ModuleFactsFn Facts);
-  ~JitBackend() override;
+  ~JitBackend();
 
-  const char *name() const override { return "jit"; }
-  TraceRunResult run(const Trace &T, TraceRunContext &Ctx) override;
-  void setTelemetry(EventRing *R) override { Telem = R; }
+  /// Runs all of \p T natively, from the entry state of its first block
+  /// (\p Stepper's current block), when T has been promoted and its
+  /// whole run fits \p RemainingBudget instructions. The stepper is
+  /// credited with the instructions and elided checks; the caller
+  /// repositions it at TraceRunResult::NextBlock. Otherwise returns
+  /// nullopt, having executed nothing: the caller then block-steps the
+  /// trace, so its block-granular budget check is the only one.
+  std::optional<TraceRunResult> run(const Trace &T, BlockStepper &Stepper,
+                                    uint64_t RemainingBudget);
+
+  /// Attaches the session telemetry ring (TraceCompiled /
+  /// TraceCompileFallback events); null detaches.
+  void setTelemetry(EventRing *R) { Telem = R; }
+
+  const BackendStats &stats() const { return Stats; }
 
 private:
   /// The cached promotion outcome for \p T, compiling on first sight of a
@@ -146,6 +250,7 @@ private:
 
   const PreparedModule &PM;
   BackendConfig Config;
+  BackendStats Stats;
   EventRing *Telem = nullptr;
   /// Liveness/value facts for side-exit annotation (the session's shared
   /// analysis).

@@ -29,7 +29,7 @@
 #define JTC_BACKEND_TRACEIR_H
 
 #include "analysis/Liveness.h"
-#include "backend/TraceBackend.h"
+#include "backend/JitBackend.h"
 #include "bytecode/Program.h"
 
 #include <cstdint>

@@ -99,7 +99,7 @@ struct OracleConfig {
   /// instruction count, output, heap, the folded VmStats digest and,
   /// when the btrace audit is on, the byte-identical compressed stream.
   /// This is the interp/JIT equivalence contract of
-  /// backend/TraceBackend.h, enforced program-by-program. Skipped on
+  /// backend/JitBackend.h, enforced program-by-program. Skipped on
   /// hosts without template-JIT support and under an injected fault.
   bool CheckBackends = true;
 

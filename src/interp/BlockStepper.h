@@ -47,9 +47,9 @@ public:
   /// The block about to be executed by the next step().
   BlockId currentBlock() const { return Cur; }
 
-  /// Repositions the stepper at \p B without executing anything. Used by
-  /// the trace backends: after native code runs a trace, the stepper must
-  /// resume at the successor (or side-exit) block the native code reached.
+  /// Repositions the stepper at \p B without executing anything: after
+  /// native code runs a trace, the stepper must resume at the successor
+  /// (or side-exit) block the native code reached.
   void resumeAt(BlockId B) { Cur = B; }
 
   /// Credits \p N instructions executed outside step() (by JIT-compiled
@@ -63,8 +63,8 @@ public:
   /// Arms check elision for the *next* step() only: \p Facts (\p Count
   /// entries, pc-ordered, all for the block about to execute) name the
   /// heap accesses to run with their proven-redundant checks skipped
-  /// (MemElision::NullOnly keeps the bounds check). The trace
-  /// backends arm this per trace block; the one-shot contract means an
+  /// (MemElision::NullOnly keeps the bounds check). TraceVM's dispatch
+  /// loop arms this per trace block; the one-shot contract means an
   /// ordinary (non-trace) step can never execute reduced-check code. The
   /// caller guarantees the facts' proof obligations -- execution reached
   /// this block along the trace path the alias analysis assumed.

@@ -95,14 +95,19 @@ public:
   VmStats &stats() { return Stats; }
   const VmStats &stats() const { return Stats; }
 
-  /// The trace the engine just entered (set by transition() on a trace-
-  /// cache hit, cleared on completion/divergence). TraceVM consults this
-  /// at the top of its loop to hand the whole trace to the TraceBackend
-  /// instead of stepping block by block. The pointer is owned by the
-  /// trace cache and is invalidated by the cache mutation at the end of
-  /// the trace's execution -- callers must not hold it across
-  /// completeActiveTrace / exitActiveTraceEarly.
+  /// The trace being executed (set by transition() on a trace-cache hit,
+  /// cleared on completion/divergence). TraceVM consults this at the top
+  /// of its loop: on entry to offer the whole trace to the native tier,
+  /// and before each trace block to arm its check elisions. The pointer
+  /// is owned by the trace cache and is invalidated by the cache mutation
+  /// at the end of the trace's execution -- callers must not hold it
+  /// across completeActiveTrace / exitActiveTraceEarly.
   const Trace *activeTrace() const { return Active; }
+
+  /// Index in activeTrace()->Blocks of the block about to execute; 0 on
+  /// trace entry.
+  uint32_t tracePos() const { return TracePos; }
+
   const BranchCorrelationGraph &graph() const { return Graph; }
   const TraceCache &traceCache() const { return Cache; }
 

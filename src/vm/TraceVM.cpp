@@ -8,19 +8,29 @@ using namespace jtc;
 
 TraceVM::TraceVM(const PreparedModule &PM, VmOptions Options)
     : PM(&PM), Options(Options), Mach(PM.module()), Stepper(PM, Mach),
-      Engine(PM, this->Options),
-      Backend(backend::makeBackend(
-          this->Options.backend(), PM, this->Options.backendConfig(),
-          [this]() -> const analysis::ModuleAnalysis & {
-            return Engine.moduleFacts();
-          })) {
+      Engine(PM, this->Options) {
+  // Auto resolves here: Jit when the host can run template code. Jit on
+  // an unsupported host still gets a native tier, which records a
+  // HostUnsupported fallback per promotion and never runs a trace.
+  backend::BackendKind Kind = this->Options.backend();
+  backend::BackendConfig Config = this->Options.backendConfig();
+  if (Kind == backend::BackendKind::Auto)
+    Kind = backend::jitSupportedHost() && !Config.SimulateUnsupportedHost
+               ? backend::BackendKind::Jit
+               : backend::BackendKind::Interp;
+  if (Kind == backend::BackendKind::Jit)
+    Jit = std::make_unique<backend::JitBackend>(
+        PM, Config, [this]() -> const analysis::ModuleAnalysis & {
+          return Engine.moduleFacts();
+        });
 #ifdef JTC_TELEMETRY
   if (this->Options.telemetry()) {
     Ring = EventRing(this->Options.telemetryCapacity(),
                      &Engine.stats().BlocksExecuted);
     Telem = &Ring;
     Engine.setTelemetry(&Ring);
-    Backend->setTelemetry(&Ring);
+    if (Jit)
+      Jit->setTelemetry(&Ring);
     Sampler = PhaseSampler<VmStats>(this->Options.sampleInterval());
   }
 #endif
@@ -53,15 +63,39 @@ RunResult TraceVM::run() {
     Sink->onRunStart(Cur);
 
   VmStats &Stats = Engine.stats();
+  // Cursor over the active trace's check-elision facts (pc-ordered within
+  // ascending block index), reset on every trace entry.
+  size_t ElideCursor = 0;
   while (true) {
-    // A trace-cache hit hands the whole trace to the backend; this is the
-    // only place a dispatched trace executes. Everything below the check
-    // is the plain single-block path.
     if (const Trace *T = Engine.activeTrace()) {
-      if (!runActiveTrace(*T, R))
-        break;
-      Cur = Stepper.currentBlock();
-      continue;
+      const uint32_t Pos = Engine.tracePos();
+      if (Pos == 0) {
+        // A trace entry: the native tier, if any, may run the whole trace.
+        // Otherwise the trace's blocks step below like any other block.
+        // The loop only gets here with budget left, so the subtraction
+        // cannot underflow.
+        if (Jit) {
+          const uint64_t Left =
+              Options.maxInstructions() - Stepper.instructions();
+          if (std::optional<backend::TraceRunResult> TR =
+                  Jit->run(*T, Stepper, Left)) {
+            if (!replayNativeRun(*T, *TR, R))
+              break;
+            Cur = Stepper.currentBlock();
+            continue;
+          }
+        }
+        ElideCursor = 0;
+      }
+      // Arm this block's slice of the elision facts. Their path assumption
+      // holds by construction: trace block Pos only executes after blocks
+      // 0..Pos-1 matched the recorded sequence.
+      const std::vector<MemElision> &EF = T->MemElisions;
+      const size_t Begin = ElideCursor;
+      while (ElideCursor < EF.size() && EF[ElideCursor].BlockIndex == Pos)
+        ++ElideCursor;
+      if (ElideCursor != Begin)
+        Stepper.setElisions(EF.data() + Begin, ElideCursor - Begin);
     }
 
     BlockStepper::StepStatus S = Stepper.step(); // executes Cur
@@ -99,13 +133,9 @@ RunResult TraceVM::run() {
   return R;
 }
 
-bool TraceVM::runActiveTrace(const Trace &T, RunResult &R) {
-  // The main loop only reaches here with budget remaining, so the
-  // subtraction cannot underflow.
-  backend::TraceRunContext Ctx{*PM, Mach, Stepper,
-                               Options.maxInstructions() -
-                                   Stepper.instructions()};
-  backend::TraceRunResult TR = Backend->run(T, Ctx);
+bool TraceVM::replayNativeRun(const Trace &T,
+                              const backend::TraceRunResult &TR,
+                              RunResult &R) {
   assert(TR.BlocksRun >= 1 && "a dispatched trace executes at least a block");
 
   // Replay the summary through the engine in exactly the live loop's
@@ -151,10 +181,6 @@ bool TraceVM::runActiveTrace(const Trace &T, RunResult &R) {
                                                         : RunStatus::Trapped;
     R.Trap = Mach.trap();
     return false;
-  case backend::TraceRunEnd::Budget:
-    Engine.endRun();
-    R.Status = RunStatus::BudgetExhausted;
-    return false;
   case backend::TraceRunEnd::Completed:
   case backend::TraceRunEnd::Diverged:
     // The live loop checks the budget after executing a block and before
@@ -177,12 +203,15 @@ bool TraceVM::runActiveTrace(const Trace &T, RunResult &R) {
 VmStats TraceVM::currentStats() const {
   VmStats S = Engine.snapshotStats(Stepper.instructions());
   S.EventsDropped = Ring.dropped();
-  const backend::BackendStats &BS = Backend->stats();
-  S.TracesJitCompiled = BS.TracesCompiled;
-  S.TraceCompileFallbacks = BS.CompileFallbacks;
-  S.TraceDispatchesJit = BS.CompiledDispatches;
-  S.TraceDispatchesInterp = BS.InterpDispatches;
-  S.JitCodeBytes = BS.CodeBytes;
-  S.MemChecksElided = BS.MemChecksElided;
+  if (Jit) {
+    const backend::BackendStats &BS = Jit->stats();
+    S.TracesJitCompiled = BS.TracesCompiled;
+    S.TraceCompileFallbacks = BS.CompileFallbacks;
+    S.TraceDispatchesJit = BS.CompiledDispatches;
+    S.JitCodeBytes = BS.CodeBytes;
+  }
+  // Every trace entry runs exactly once, natively or block-stepped.
+  S.TraceDispatchesInterp = S.TraceDispatches - S.TraceDispatchesJit;
+  S.MemChecksElided = Stepper.checksElided();
   return S;
 }

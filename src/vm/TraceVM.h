@@ -14,6 +14,12 @@
 /// the last block completes it. On any exit the profiler context is
 /// resynchronized from the last executed block pair.
 ///
+/// A dispatched trace is its blocks run back to back: run()'s one loop
+/// steps trace and non-trace blocks alike. The only other way a trace
+/// runs is the optional native tier (backend/JitBackend.h), which the
+/// loop offers each trace entry to; a native run is replayed through the
+/// engine block by block so nothing downstream can tell the tiers apart.
+///
 /// The adaptive half of this machinery (profiler, trace cache, active-
 /// trace matching, statistics) lives in AdaptiveEngine so it can also be
 /// driven by a decoded btrace stream; TraceVM contributes the execution
@@ -31,7 +37,7 @@
 #ifndef JTC_VM_TRACEVM_H
 #define JTC_VM_TRACEVM_H
 
-#include "backend/TraceBackend.h"
+#include "backend/JitBackend.h"
 #include "interp/BlockStepper.h"
 #include "telemetry/EventRing.h"
 #include "telemetry/PhaseSampler.h"
@@ -96,9 +102,11 @@ public:
   /// The phase-sample time series (empty unless Options.sampleInterval()).
   const PhaseSampler<VmStats> &sampler() const { return Sampler; }
 
-  /// The trace-execution backend this session dispatches through (after
-  /// Auto resolution). Tests assert on its name() and tier accounting.
-  const backend::TraceBackend &traceBackend() const { return *Backend; }
+  /// The tier that executes dispatched traces, after Auto resolution:
+  /// Jit when the session has a native tier, Interp otherwise.
+  backend::BackendKind backendTier() const {
+    return Jit ? backend::BackendKind::Jit : backend::BackendKind::Interp;
+  }
 
   const VmOptions &options() const { return Options; }
   const PreparedModule &prepared() const { return *PM; }
@@ -108,20 +116,22 @@ public:
   const Machine &machine() const { return Mach; }
 
 private:
-  /// Runs the trace AdaptiveEngine just entered through the backend, then
-  /// replays the summary through the engine (executed/transition per
-  /// block, in the live loop's exact order) so adaptive state, telemetry
-  /// clocks and the btrace stream are bit-identical across backends.
-  /// Returns false when the run ended inside the trace (finish / trap /
-  /// budget), with \p R filled in; true to continue the dispatch loop.
-  bool runActiveTrace(const Trace &T, RunResult &R);
+  /// Replays a native run \p TR of the trace AdaptiveEngine just entered
+  /// through the engine (executed/transition per block, in the live
+  /// loop's exact order) so adaptive state, telemetry clocks and the
+  /// btrace stream are bit-identical to a block-stepped run. Returns
+  /// false when the run ended inside the trace (finish / trap / budget),
+  /// with \p R filled in; true to continue the dispatch loop.
+  bool replayNativeRun(const Trace &T, const backend::TraceRunResult &TR,
+                       RunResult &R);
 
   const PreparedModule *PM;
   VmOptions Options;
   Machine Mach;
   BlockStepper Stepper;
   AdaptiveEngine Engine;
-  std::unique_ptr<backend::TraceBackend> Backend;
+  /// The native trace tier; null on the interp tier.
+  std::unique_ptr<backend::JitBackend> Jit;
 
   // Telemetry. Telem is &Ring when enabled, null otherwise -- the null
   // check is the instrumentation sites' only cost when telemetry is off.

@@ -22,7 +22,6 @@
 #define JTC_VM_VMOPTIONS_H
 
 #include "backend/BackendKind.h"
-#include "backend/TraceBackend.h"
 #include "opt/OptConfig.h"
 #include "profile/ProfilerConfig.h"
 #include "trace/TraceConfig.h"
@@ -200,9 +199,9 @@ public:
   }
 
   /// Trace execution backend: interp (portable reference tier), jit
-  /// (x86-64 template JIT, errors where unsupported builds would lie
-  /// about what ran -- makeBackend still falls back per-trace on compile
-  /// bails), or auto (jit when the host supports it, else interp).
+  /// (x86-64 template JIT; a trace without native code is block-stepped
+  /// as on interp), or auto (jit when the host supports it, else
+  /// interp; resolved when the TraceVM is constructed).
   // (jtc::backend is spelled in full below: the member function named
   // `backend` hides the namespace inside this class's scope.)
   VmOptions &backend(jtc::backend::BackendKind K) {

@@ -65,7 +65,7 @@ struct VmStats {
   uint64_t TracesJitCompiled = 0;     ///< Traces compiled to native code.
   uint64_t TraceCompileFallbacks = 0; ///< Compiles that bailed to interp.
   uint64_t TraceDispatchesJit = 0;    ///< Trace entries run natively.
-  uint64_t TraceDispatchesInterp = 0; ///< Trace entries run by stepTrace.
+  uint64_t TraceDispatchesInterp = 0; ///< Trace entries block-stepped.
   uint64_t JitCodeBytes = 0;          ///< Native code bytes installed.
 
   //===--- Memory-check elision (src/analysis) --------------------------===//

@@ -1,18 +1,18 @@
-//===- tests/backend_test.cpp - TraceBackend tiers and equivalence --------===//
+//===- tests/backend_test.cpp - Trace tiers and equivalence ---------------===//
 ///
 /// \file
-/// The trace-execution seam: interp/JIT bit-equivalence, guard side-exit
-/// state materialization, compile-failure fallback, and tier-promotion
-/// accounting. Everything here runs against the contract in
-/// backend/TraceBackend.h -- which backend executes a dispatched trace
-/// must be unobservable except through the digest-excluded tier counters.
+/// The two trace tiers: interp/JIT bit-equivalence, guard side-exit state
+/// materialization, budget cuts inside traces, compile-failure fallback,
+/// and tier-promotion accounting. Everything here runs against the
+/// contract in backend/JitBackend.h -- which tier executes a dispatched
+/// trace must be unobservable except through the digest-excluded tier
+/// counters.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "backend/TraceBackend.h"
+#include "backend/JitBackend.h"
 
 #include "TestPrograms.h"
-#include "analysis/Analysis.h"
 #include "interp/InstructionInterpreter.h"
 #include "runtime/Heap.h"
 #include "vm/TraceVM.h"
@@ -175,12 +175,61 @@ VmOptions jitOptions() {
 
 bool hostHasJit() { return backend::jitSupportedHost(); }
 
-/// A module-facts provider for backends built outside a TraceVM.
-backend::ModuleFactsFn factsFor(const Module &M) {
-  auto Facts = std::make_shared<analysis::ModuleAnalysis>(
-      analysis::ModuleAnalysis::compute(M));
-  return [Facts]() -> const analysis::ModuleAnalysis & { return *Facts; };
+/// main: a hot loop over a tableswitch on i & 31 -- case 0 (one iteration
+/// in 32) takes the rare arm, the default the common one -- so the hot
+/// trace runs through the switch, which the JIT cannot compile
+/// (SwitchGuard) and both tiers block-step.
+Module switchLoop(int32_t N) {
+  Assembler Asm;
+  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  Label Loop = B.newLabel(), Rare = B.newLabel(), Common = B.newLabel(),
+        Join = B.newLabel(), Done = B.newLabel();
+  B.iconst(0);
+  B.istore(0); // i
+  B.iconst(0);
+  B.istore(1); // sum
+  B.bind(Loop);
+  B.iload(0);
+  B.iconst(N);
+  B.branch(Opcode::IfIcmpGe, Done);
+  B.iload(0);
+  B.iconst(31);
+  B.emit(Opcode::Iand);
+  B.tableswitch(0, {Rare}, Common);
+  B.bind(Rare);
+  B.iload(1);
+  B.iconst(7);
+  B.emit(Opcode::Imul);
+  B.istore(1);
+  B.branch(Opcode::Goto, Join);
+  B.bind(Common);
+  B.iload(1);
+  B.iload(0);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  B.bind(Join);
+  B.iinc(0, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
+  B.iload(1);
+  B.emit(Opcode::Iprint);
+  B.halt();
+  B.finish();
+  Asm.setEntry(Main);
+  return Asm.build();
 }
+
+/// Records a session's full block-transition stream (the btrace
+/// encoder's input).
+class SequenceSink : public BlockTransitionSink {
+public:
+  std::vector<BlockId> Blocks;
+
+  void onRunStart(BlockId Entry) override { Blocks.push_back(Entry); }
+  void onTransition(BlockId, BlockId To) override { Blocks.push_back(To); }
+  void onRunEnd(const RunResult &, const VmStats &) override {}
+};
 
 } // namespace
 
@@ -300,14 +349,70 @@ TEST(BackendTest, LargeConstantsLowerOnTheJitTier) {
   EXPECT_GT(S.TraceDispatchesJit, 0u);
 }
 
+TEST(BackendTest, BudgetCutInsideATraceMatchesAcrossTiers) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  // The instruction budget is checked after every block, by TraceVM's
+  // dispatch loop alone. The JIT declines any trace entry the remaining
+  // budget could cut, so a cut that lands inside a hot trace must end
+  // both tiers on the same block with the same state. The sweep's stride
+  // is coprime with both loop bodies, so the cuts walk every position of
+  // the hot traces (the tableswitch trace is block-stepped on both tiers).
+  const Module Programs[] = {testprog::hotLoop(20000), switchLoop(20000)};
+  for (const Module &M : Programs) {
+    PreparedModule PM(M);
+#ifdef JTC_TELEMETRY
+    unsigned CutsInTraces = 0;
+#endif
+    uint64_t NativeRuns = 0;
+    for (uint64_t Budget = 1; Budget < 200000; Budget += 1999) {
+      SequenceSink SI, SJ;
+      TraceVM VI(PM, interpOptions().maxInstructions(Budget).telemetry(true));
+      VI.setTransitionSink(&SI);
+      RunResult RI = VI.run();
+      TraceVM VJ(PM, jitOptions().maxInstructions(Budget).telemetry(true));
+      VJ.setTransitionSink(&SJ);
+      RunResult RJ = VJ.run();
+      SCOPED_TRACE("budget " + std::to_string(Budget));
+      ASSERT_EQ(RunStatus::BudgetExhausted, RI.Status);
+      EXPECT_EQ(RI.Status, RJ.Status);
+      EXPECT_EQ(RI.Instructions, RJ.Instructions);
+      EXPECT_EQ(VI.machine().output(), VJ.machine().output());
+      EXPECT_EQ(heapDigest(VI.machine().heap()),
+                heapDigest(VJ.machine().heap()));
+      EXPECT_EQ(VI.currentStats().digest(), VJ.currentStats().digest());
+      EXPECT_EQ(SI.Blocks, SJ.Blocks);
+      NativeRuns += VJ.currentStats().TraceDispatchesJit;
+#ifdef JTC_TELEMETRY
+      // endRun() exits a trace the cut landed in, stamped with the final
+      // block clock; a divergence exit always precedes another block.
+      const EventRing &Ring = VI.events();
+      if (Ring.size() > 0) {
+        const Event &Last = Ring.event(Ring.size() - 1);
+        if (Last.Kind == EventKind::TraceEarlyExit &&
+            Last.Clock == VI.stats().BlocksExecuted)
+          ++CutsInTraces;
+      }
+#endif
+    }
+#ifdef JTC_TELEMETRY
+    EXPECT_GT(CutsInTraces, 10u);
+#endif
+    // Between the cuts, hotLoop's trace runs natively.
+    if (&M == &Programs[0]) {
+      EXPECT_GT(NativeRuns, 0u);
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fallback and tiering accounting
 //===----------------------------------------------------------------------===//
 
 TEST(BackendTest, CompileFailureFallsBackToInterpreter) {
   // Simulated unsupported host: every promotion attempt records a
-  // HostUnsupported fallback and the run is served entirely by the
-  // embedded interpreter tier, with unchanged semantics.
+  // HostUnsupported fallback, the native tier declines every trace, and
+  // the dispatch loop block-steps the whole run with unchanged semantics.
   Module M = testprog::hotLoop(20000);
   Machine Plain(M);
   runInstructions(Plain);
@@ -328,15 +433,13 @@ TEST(BackendTest, CompileFailureFallsBackToInterpreter) {
 TEST(BackendTest, AutoResolvesPerHostSupport) {
   Module M = testprog::hotLoop(100);
   PreparedModule PM(M);
-  backend::BackendConfig Unsupported;
-  Unsupported.SimulateUnsupportedHost = true;
-  std::unique_ptr<backend::TraceBackend> B = backend::makeBackend(
-      backend::BackendKind::Auto, PM, Unsupported, factsFor(M));
-  EXPECT_STREQ("interp", B->name());
+  TraceVM B(PM, baseOptions()
+                    .backend(backend::BackendKind::Auto)
+                    .simulateUnsupportedHost(true));
+  EXPECT_STREQ("interp", backend::backendKindName(B.backendTier()));
   if (hostHasJit()) {
-    std::unique_ptr<backend::TraceBackend> J = backend::makeBackend(
-        backend::BackendKind::Auto, PM, backend::BackendConfig(), factsFor(M));
-    EXPECT_STREQ("jit", J->name());
+    TraceVM J(PM, baseOptions().backend(backend::BackendKind::Auto));
+    EXPECT_STREQ("jit", backend::backendKindName(J.backendTier()));
   }
 }
 

@@ -278,7 +278,7 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
       .fieldBool("profiling", !Opts.NoProfile)
       // Requested knob and the tier actually executing (Auto resolved).
       .field("backend", backend::backendKindName(VM.options().backend()))
-      .field("backend_tier", VM.traceBackend().name())
+      .field("backend_tier", backend::backendKindName(VM.backendTier()))
       .endObject();
   if (!Opts.LoadProfile.empty()) {
     W.key("profile")
