@@ -1,8 +1,8 @@
 //===- analysis/Analysis.h - Umbrella + per-module bundle -------*- C++ -*-===//
 ///
 /// \file
-/// Convenience entry point: ModuleAnalysis computes and owns the CFG,
-/// value facts and liveness for every method of a module plus the
+/// Convenience entry point: ModuleAnalysis owns the CFG, value facts and
+/// liveness of a module's methods, each computed on first use, plus the
 /// call-graph effect summaries. Requires a module that already passed
 /// the structural + height verifier pass (see bytecode/Verifier.h);
 /// building analyses over malformed code is undefined.
@@ -22,52 +22,79 @@
 #include "analysis/Value.h"
 #include "analysis/ValueAnalysis.h"
 
+#include <atomic>
 #include <memory>
-#include <vector>
+#include <memory_resource>
+#include <mutex>
 
 namespace jtc {
 namespace analysis {
 
 /// All facts for one method. Owns the CFG the fact objects point into.
 struct MethodAnalysis {
-  explicit MethodAnalysis(const Module &M, uint32_t MethodId)
-      : Cfg(M, MethodId), Values(MethodValueFacts::compute(Cfg)),
-        Liveness(LivenessFacts::compute(Cfg)) {}
+  /// Every table is allocated from \p Mem.
+  MethodAnalysis(const Module &M, uint32_t MethodId,
+                 std::pmr::memory_resource *Mem)
+      : Cfg(M, MethodId, Mem), Values(MethodValueFacts::compute(Cfg, Mem)),
+        Liveness(LivenessFacts::compute(Cfg, Mem)) {}
 
   MethodCfg Cfg;
   MethodValueFacts Values;
   LivenessFacts Liveness;
 };
 
-/// Facts for every method of a module.
+/// Facts for the methods of one module, each computed on first use and
+/// immutable afterwards, so one instance can serve every session over the
+/// module (PreparedModule owns it) and sessions that touch a few methods
+/// pay for those alone. Safe to query from any number of threads.
 class ModuleAnalysis {
 public:
-  /// \p M must outlive the result and must be structurally verified.
+  /// Computes nothing yet. \p M must outlive the analysis and must be
+  /// structurally verified.
+  explicit ModuleAnalysis(const Module &M) : ModuleAnalysis(M, false) {}
+  ~ModuleAnalysis();
+  ModuleAnalysis(const ModuleAnalysis &) = delete;
+  ModuleAnalysis &operator=(const ModuleAnalysis &) = delete;
+
+  /// Facts for every method of \p M and the effect summaries, computed
+  /// now.
   static ModuleAnalysis compute(const Module &M) {
-    ModuleAnalysis A;
-    A.PerMethod.reserve(M.Methods.size());
-    for (uint32_t F = 0; F < M.Methods.size(); ++F)
-      A.PerMethod.push_back(M.Methods[F].Code.empty()
-                                ? nullptr
-                                : std::make_unique<MethodAnalysis>(M, F));
-    A.Effects = ModuleSummaries::compute(M);
-    return A;
+    return ModuleAnalysis(M, true);
   }
 
-  /// Null for (malformed) empty methods.
+  /// The facts of method \p Id, computed on the first call. Null for
+  /// (malformed) empty methods.
   const MethodAnalysis *method(uint32_t Id) const {
-    return PerMethod[Id].get();
+    const MethodAnalysis *MA = PerMethod[Id].load(std::memory_order_acquire);
+    return MA ? MA : computeMethod(Id);
   }
   uint32_t numMethods() const {
-    return static_cast<uint32_t>(PerMethod.size());
+    return static_cast<uint32_t>(Mod->Methods.size());
   }
-  const ModuleSummaries &summaries() const { return Effects; }
+  /// How many methods' facts have been computed so far.
+  uint32_t methodsComputed() const;
+
+  /// The call-graph effect summaries, computed on the first call.
+  const ModuleSummaries &summaries() const;
 
 private:
-  // unique_ptr keeps each MethodAnalysis at a stable address; the fact
-  // objects hold pointers into their sibling Cfg.
-  std::vector<std::unique_ptr<MethodAnalysis>> PerMethod;
-  ModuleSummaries Effects;
+  /// \p Eager touches every method and the summaries.
+  ModuleAnalysis(const Module &M, bool Eager);
+
+  const MethodAnalysis *computeMethod(uint32_t Id) const;
+
+  const Module *Mod;
+  /// Published once per method, under Lock, with release order.
+  std::unique_ptr<std::atomic<const MethodAnalysis *>[]> PerMethod;
+  /// Serializes computation; guards Arena and Computed.
+  mutable std::mutex Lock;
+  /// Holds every computed method's facts, so the retained tables sit in
+  /// chunks the module owns instead of between short-lived allocations
+  /// on the process heap.
+  mutable std::pmr::monotonic_buffer_resource Arena;
+  mutable uint32_t Computed = 0;
+  mutable std::once_flag SummariesOnce;
+  mutable ModuleSummaries Effects;
 };
 
 } // namespace analysis

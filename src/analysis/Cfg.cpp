@@ -51,8 +51,10 @@ bool fallsThrough(const Instruction &I) {
 
 } // namespace
 
-MethodCfg::MethodCfg(const Module &M, uint32_t MethodId)
-    : Mod(&M), MethodIdx(MethodId) {
+MethodCfg::MethodCfg(const Module &M, uint32_t MethodId,
+                     std::pmr::memory_resource *Mem)
+    : Mod(&M), MethodIdx(MethodId), Blocks(Mem), Edges(Mem), BlockOfPc(Mem),
+      Rpo(Mem), RpoIndex(Mem) {
   const Method &Fn = M.Methods[MethodId];
   uint32_t N = static_cast<uint32_t>(Fn.Code.size());
   assert(N > 0 && "cannot build a CFG for an empty method");
@@ -73,7 +75,9 @@ MethodCfg::MethodCfg(const Module &M, uint32_t MethodId)
       Leader[Pc + 1] = true;
   }
 
-  // Materialize blocks and the pc -> block map.
+  // Materialize blocks and the pc -> block map. Tables are sized before
+  // they are filled: in an arena a regrown table strands its old copy.
+  Blocks.reserve(std::count(Leader.begin(), Leader.end(), true));
   BlockOfPc.assign(N, 0);
   for (uint32_t Pc = 0; Pc < N; ++Pc) {
     if (Leader[Pc]) {
@@ -85,9 +89,15 @@ MethodCfg::MethodCfg(const Module &M, uint32_t MethodId)
   }
 
   // Edges. A block's last instruction decides its successors; blocks that
-  // end merely because the next pc is a leader fall through.
-  for (uint32_t B = 0; B < Blocks.size(); ++B) {
-    CfgBlock &Blk = Blocks[B];
+  // end merely because the next pc is a leader fall through. Successor
+  // lists are gathered first, then laid out in Edges with the predecessor
+  // lists after them.
+  const auto NumBlocks = static_cast<uint32_t>(Blocks.size());
+  std::vector<uint32_t> Succs;
+  std::vector<uint32_t> SuccBegin(NumBlocks + 1, 0);
+  std::vector<uint32_t> NumPreds(NumBlocks, 0);
+  for (uint32_t B = 0; B < NumBlocks; ++B) {
+    const CfgBlock &Blk = Blocks[B];
     uint32_t LastPc = Blk.End - 1;
     Targets.clear();
     appendTargets(Fn, LastPc, Targets);
@@ -95,14 +105,33 @@ MethodCfg::MethodCfg(const Module &M, uint32_t MethodId)
       Targets.push_back(Blk.End);
     // Dedup (a switch may list the same target many times) while keeping
     // first-occurrence order so the fallthrough/default stay predictable.
+    SuccBegin[B] = static_cast<uint32_t>(Succs.size());
     for (uint32_t T : Targets) {
       uint32_t S = BlockOfPc[T];
       assert(Blocks[S].Start == T && "edge into the middle of a block");
-      if (std::find(Blk.Succs.begin(), Blk.Succs.end(), S) == Blk.Succs.end())
-        Blk.Succs.push_back(S);
+      if (std::find(Succs.begin() + SuccBegin[B], Succs.end(), S) ==
+          Succs.end()) {
+        Succs.push_back(S);
+        ++NumPreds[S];
+      }
     }
-    for (uint32_t S : Blk.Succs)
-      Blocks[S].Preds.push_back(B);
+  }
+  const auto NumEdges = static_cast<uint32_t>(Succs.size());
+  SuccBegin[NumBlocks] = NumEdges;
+  Edges.resize(2 * size_t{NumEdges});
+  std::copy(Succs.begin(), Succs.end(), Edges.begin());
+  // Predecessor lists follow, each in ascending block order.
+  std::vector<uint32_t> PredBegin(NumBlocks + 1, NumEdges);
+  for (uint32_t B = 0; B < NumBlocks; ++B)
+    PredBegin[B + 1] = PredBegin[B] + NumPreds[B];
+  std::vector<uint32_t> Cursor(PredBegin.begin(), PredBegin.end() - 1);
+  for (uint32_t B = 0; B < NumBlocks; ++B)
+    for (uint32_t I = SuccBegin[B]; I < SuccBegin[B + 1]; ++I)
+      Edges[Cursor[Succs[I]]++] = B;
+  const uint32_t *E = Edges.data();
+  for (uint32_t B = 0; B < NumBlocks; ++B) {
+    Blocks[B].Succs = {E + SuccBegin[B], E + SuccBegin[B + 1]};
+    Blocks[B].Preds = {E + PredBegin[B], E + PredBegin[B + 1]};
   }
 
   // Reverse post-order via iterative DFS from the entry block.

@@ -19,6 +19,8 @@
 #include "bytecode/Program.h"
 
 #include <cstdint>
+#include <memory_resource>
+#include <span>
 #include <vector>
 
 namespace jtc {
@@ -27,13 +29,18 @@ namespace analysis {
 struct CfgBlock {
   uint32_t Start = 0; ///< First instruction index.
   uint32_t End = 0;   ///< One past the last instruction index.
-  std::vector<uint32_t> Succs;
-  std::vector<uint32_t> Preds;
+  std::span<const uint32_t> Succs; ///< Into the owning MethodCfg.
+  std::span<const uint32_t> Preds; ///< Into the owning MethodCfg.
 };
 
 class MethodCfg {
 public:
-  MethodCfg(const Module &M, uint32_t MethodId);
+  /// The graph's tables are allocated from \p Mem.
+  MethodCfg(const Module &M, uint32_t MethodId,
+            std::pmr::memory_resource *Mem = std::pmr::get_default_resource());
+  // Pinned: the blocks' edge lists point into Edges.
+  MethodCfg(const MethodCfg &) = delete;
+  MethodCfg &operator=(const MethodCfg &) = delete;
 
   uint32_t methodId() const { return MethodIdx; }
   const Method &method() const { return Mod->Methods[MethodIdx]; }
@@ -51,7 +58,7 @@ public:
   /// Reverse post-order over blocks reachable from the entry by raw edges
   /// (before any constant-based pruning). Blocks not listed here are
   /// structurally unreachable.
-  const std::vector<uint32_t> &rpo() const { return Rpo; }
+  std::span<const uint32_t> rpo() const { return Rpo; }
 
   /// Position of each block in rpo(), or UINT32_MAX for structurally
   /// unreachable blocks. Used as the solver's worklist priority.
@@ -60,10 +67,12 @@ public:
 private:
   const Module *Mod;
   uint32_t MethodIdx;
-  std::vector<CfgBlock> Blocks;
-  std::vector<uint32_t> BlockOfPc;
-  std::vector<uint32_t> Rpo;
-  std::vector<uint32_t> RpoIndex;
+  std::pmr::vector<CfgBlock> Blocks;
+  /// Every block's successor list, then every block's predecessor list.
+  std::pmr::vector<uint32_t> Edges;
+  std::pmr::vector<uint32_t> BlockOfPc;
+  std::pmr::vector<uint32_t> Rpo;
+  std::pmr::vector<uint32_t> RpoIndex;
 };
 
 } // namespace analysis

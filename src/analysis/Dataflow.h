@@ -100,7 +100,7 @@ std::vector<typename Analysis::State> solve(const MethodCfg &Cfg,
     typename Analysis::State S = In[B];
     A.transfer(B, S);
 
-    const std::vector<uint32_t> &Next =
+    std::span<const uint32_t> Next =
         Analysis::Forward ? Cfg.block(B).Succs : Cfg.block(B).Preds;
     for (uint32_t T : Next) {
       bool Widen = ++JoinCount[T] > WidenAfterJoins * (1 + Next.size());

@@ -47,7 +47,7 @@ std::vector<uint32_t> sccOf(const MethodCfg &Cfg, uint32_t &NumSccs) {
         Stack.push_back(B);
         OnStack[B] = true;
       }
-      const std::vector<uint32_t> &Succs = Cfg.block(B).Succs;
+      std::span<const uint32_t> Succs = Cfg.block(B).Succs;
       if (Next < Succs.size()) {
         uint32_t S = Succs[Next++];
         if (Index[S] == UINT32_MAX) {

@@ -3,6 +3,9 @@
 #include "analysis/Liveness.h"
 #include "analysis/Dataflow.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace jtc {
 namespace analysis {
 
@@ -53,25 +56,39 @@ private:
 
 } // namespace
 
-LivenessFacts LivenessFacts::compute(const MethodCfg &Cfg) {
+LivenessFacts LivenessFacts::compute(const MethodCfg &Cfg,
+                                     std::pmr::memory_resource *Mem) {
   LivenessProblem P(Cfg);
   // For a backward problem the solver returns the live-out set of every
   // block; replay each block backward to recover per-pc live-in sets.
   std::vector<LocalSet> Out = solve(Cfg, P);
 
-  LivenessFacts Facts;
   const Method &Fn = Cfg.method();
-  Facts.Empty = LocalSet(Fn.NumLocals);
-  Facts.PerPc.assign(Fn.Code.size(), LocalSet(Fn.NumLocals));
+  LivenessFacts Facts(static_cast<uint32_t>(Fn.Code.size()), Fn.NumLocals,
+                      Mem);
   for (uint32_t B = 0; B < Cfg.numBlocks(); ++B) {
     const CfgBlock &Blk = Cfg.block(B);
     LocalSet Live = Out[B];
+    assert(Live.High.size() + 1 == Facts.WordsPerPc);
     for (uint32_t Pc = Blk.End; Pc > Blk.Start; --Pc) {
       stepBackward(Fn.Code[Pc - 1], Live);
-      Facts.PerPc[Pc - 1] = Live;
+      uint64_t *W = Facts.Words.data() + size_t{Pc - 1} * Facts.WordsPerPc;
+      W[0] = Live.Low;
+      std::copy(Live.High.begin(), Live.High.end(), W + 1);
     }
   }
   return Facts;
+}
+
+LocalSet LivenessFacts::liveIn(uint32_t Pc) const {
+  LocalSet S(NumLocals);
+  size_t First = size_t{Pc} * WordsPerPc;
+  if (First >= Words.size())
+    return S;
+  S.Low = Words[First];
+  std::copy(Words.begin() + First + 1, Words.begin() + First + WordsPerPc,
+            S.High.begin());
+  return S;
 }
 
 } // namespace analysis

@@ -85,13 +85,14 @@ struct AbstractValue {
   static constexpr int64_t MaxInt = std::numeric_limits<int64_t>::max();
 
   Kind K = Kind::Bot;
+  /// Kind::Ref (beside K, so a value packs into 40 bytes).
+  bool MayBeArray = false;
+  bool MayBeNull = false;
   /// Kind::Int: inclusive range of possible values.
   int64_t Lo = 0;
   int64_t Hi = 0;
   /// Kind::Ref: which allocations may flow here.
   ClassSet Classes;
-  bool MayBeArray = false;
-  bool MayBeNull = false;
 
   static AbstractValue bot() { return {}; }
   static AbstractValue top() {

@@ -585,11 +585,27 @@ private:
 
 } // namespace
 
-MethodValueFacts MethodValueFacts::compute(const MethodCfg &Cfg) {
-  MethodValueFacts Facts;
-  Facts.Cfg = &Cfg;
+MethodValueFacts MethodValueFacts::compute(const MethodCfg &Cfg,
+                                           std::pmr::memory_resource *Mem) {
+  MethodValueFacts Facts(Cfg, Mem);
   ValueProblem P(Cfg);
-  Facts.Entry = solve(Cfg, P);
+  std::vector<FrameState> In = solve(Cfg, P);
+  size_t NumValues = 0;
+  for (const FrameState &S : In)
+    NumValues += S.Locals.size() + S.Stack.size();
+  Facts.Entry.reserve(In.size());
+  Facts.EntryValues.reserve(NumValues);
+  for (const FrameState &S : In) {
+    assert((!S.Reachable && S.Locals.empty() && S.Stack.empty()) ||
+           S.Locals.size() == Cfg.method().NumLocals);
+    Facts.Entry.push_back({static_cast<uint32_t>(Facts.EntryValues.size()),
+                           static_cast<uint32_t>(S.Stack.size()),
+                           S.Reachable});
+    Facts.EntryValues.insert(Facts.EntryValues.end(), S.Locals.begin(),
+                             S.Locals.end());
+    Facts.EntryValues.insert(Facts.EntryValues.end(), S.Stack.begin(),
+                             S.Stack.end());
+  }
   Facts.Decisions.assign(Cfg.method().Code.size(), BranchDecision::Unknown);
 
   // Record per-branch decisions from the fixpoint states.
@@ -610,9 +626,22 @@ MethodValueFacts MethodValueFacts::compute(const MethodCfg &Cfg) {
   return Facts;
 }
 
+FrameState MethodValueFacts::blockEntry(uint32_t Block) const {
+  const PackedState &P = Entry[Block];
+  FrameState S;
+  S.Reachable = P.Reachable;
+  if (!P.Reachable)
+    return S;
+  const AbstractValue *Locals = EntryValues.data() + P.First;
+  const AbstractValue *Stack = Locals + Cfg->method().NumLocals;
+  S.Locals.assign(Locals, Stack);
+  S.Stack.assign(Stack, Stack + P.StackHeight);
+  return S;
+}
+
 FrameState MethodValueFacts::stateBefore(uint32_t Pc) const {
   uint32_t B = Cfg->blockAt(Pc);
-  FrameState S = Entry[B];
+  FrameState S = blockEntry(B);
   if (!S.Reachable)
     return S;
   for (uint32_t P = Cfg->block(B).Start; P < Pc && S.Reachable; ++P)

@@ -21,6 +21,7 @@
 #include "analysis/Value.h"
 
 #include <cstdint>
+#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -46,18 +47,22 @@ enum class BranchDecision : uint8_t {
 };
 
 /// Fixpoint result for one method. Stores the frame state at every block
-/// entry; per-instruction facts are recomputed on demand by replaying the
-/// transfer function through the block (blocks are short).
+/// entry, packed into one value array; per-instruction facts are
+/// recomputed on demand by replaying the transfer function through the
+/// block (blocks are short).
 class MethodValueFacts {
 public:
-  /// Runs the analysis to fixpoint. \p Cfg must outlive the result.
-  static MethodValueFacts compute(const MethodCfg &Cfg);
+  /// Runs the analysis to fixpoint. \p Cfg must outlive the result,
+  /// whose tables are allocated from \p Mem.
+  static MethodValueFacts
+  compute(const MethodCfg &Cfg,
+          std::pmr::memory_resource *Mem = std::pmr::get_default_resource());
 
   const MethodCfg &cfg() const { return *Cfg; }
 
   /// Frame state at the entry of \p Block (Reachable=false when constant
   /// propagation proved the block dead, even if raw edges reach it).
-  const FrameState &blockEntry(uint32_t Block) const { return Entry[Block]; }
+  FrameState blockEntry(uint32_t Block) const;
 
   bool blockReachable(uint32_t Block) const {
     return Entry[Block].Reachable;
@@ -71,9 +76,9 @@ public:
   /// `F(pc, const FrameState &before)` for each instruction in order.
   /// No-op when the block is unreachable.
   template <typename Fn> void forEachInstruction(uint32_t Block, Fn &&F) const {
-    FrameState S = Entry[Block];
-    if (!S.Reachable)
+    if (!blockReachable(Block))
       return;
+    FrameState S = blockEntry(Block);
     const CfgBlock &B = Cfg->block(Block);
     // Stops early if a provable trap (e.g. constant division by zero)
     // abandons the frame mid-block: the instructions after it never run.
@@ -107,9 +112,21 @@ public:
                         const FrameState &Before);
 
 private:
-  const MethodCfg *Cfg = nullptr;
-  std::vector<FrameState> Entry;     ///< Per block.
-  std::vector<BranchDecision> Decisions; ///< Per pc.
+  /// Where a block's entry state sits in EntryValues: the method's
+  /// locals, then StackHeight stack slots. Unreachable states are empty.
+  struct PackedState {
+    uint32_t First = 0;
+    uint32_t StackHeight = 0;
+    bool Reachable = false;
+  };
+
+  MethodValueFacts(const MethodCfg &Cfg, std::pmr::memory_resource *Mem)
+      : Cfg(&Cfg), Entry(Mem), EntryValues(Mem), Decisions(Mem) {}
+
+  const MethodCfg *Cfg;
+  std::pmr::vector<PackedState> Entry;         ///< Per block.
+  std::pmr::vector<AbstractValue> EntryValues;
+  std::pmr::vector<BranchDecision> Decisions; ///< Per pc.
 };
 
 } // namespace analysis

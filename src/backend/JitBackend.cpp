@@ -2,7 +2,6 @@
 
 #include "backend/JitBackend.h"
 
-#include "analysis/Analysis.h"
 #include "backend/TraceIR.h"
 #include "backend/X64Emitter.h"
 #include "interp/BlockStepper.h"
@@ -950,9 +949,8 @@ bool jitSupportedHost() {
 #endif
 }
 
-JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config,
-                       ModuleFactsFn Facts)
-    : PM(PM), Config(Config), Facts(std::move(Facts)) {}
+JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config)
+    : PM(PM), Config(Config) {}
 
 JitBackend::~JitBackend() = default;
 
@@ -960,7 +958,7 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
   if (Config.SimulateUnsupportedHost || !jitSupportedHost())
     return CompileFallback::HostUnsupported;
 
-  LowerResult L = lowerTrace(PM, T, &Facts());
+  LowerResult L = lowerTrace(PM, T, &PM.facts());
   if (!L.ok())
     return L.Why;
 

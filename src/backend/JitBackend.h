@@ -56,16 +56,11 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 namespace jtc {
-
-namespace analysis {
-class ModuleAnalysis;
-}
 
 class PreparedModule;
 class Machine;
@@ -129,11 +124,6 @@ struct TraceRunResult {
   uint32_t BlocksRun = 0;             ///< Trace blocks executed (>= 1).
   BlockId NextBlock = InvalidBlockId; ///< Successor (Completed / Diverged).
 };
-
-/// The session's per-module analysis, computed on first call and shared
-/// by everything in the session that needs it (validation, annotation,
-/// JIT side-exit liveness), so a session computes it at most once.
-using ModuleFactsFn = std::function<const analysis::ModuleAnalysis &()>;
 
 /// The in/out block native trace code works against. Layout is ABI: the
 /// templates address fields by constant offsets (asserted in the .cpp).
@@ -221,9 +211,8 @@ private:
 /// declines.
 class JitBackend {
 public:
-  /// \p Facts supplies the module analysis side-exit liveness needs.
-  JitBackend(const PreparedModule &PM, const BackendConfig &Config,
-             ModuleFactsFn Facts);
+  /// Side-exit liveness comes from \p PM's shared analysis (facts()).
+  JitBackend(const PreparedModule &PM, const BackendConfig &Config);
   ~JitBackend();
 
   /// Runs all of \p T natively, from the entry state of its first block
@@ -252,9 +241,6 @@ private:
   BackendConfig Config;
   BackendStats Stats;
   EventRing *Telem = nullptr;
-  /// Liveness/value facts for side-exit annotation (the session's shared
-  /// analysis).
-  ModuleFactsFn Facts;
   /// Promotion outcome per trace id (a cache's ids are dense and never
   /// reused); null until the trace is first seen hot.
   std::vector<std::unique_ptr<CompiledTrace>> Compiled;

@@ -31,7 +31,7 @@ public:
     if (!MA)
       return; // Empty method: nothing was analyzed (and nothing runs).
     uint32_t B = MA->Cfg.blockAt(Pc);
-    const analysis::FrameState &S = MA->Values.blockEntry(B);
+    analysis::FrameState S = MA->Values.blockEntry(B);
     if (!S.Reachable) {
       violation("refinement-reachability", MethodId, Pc,
                 "executed a block the analysis proved unreachable");

@@ -2,7 +2,6 @@
 
 #include "fuzz/ValidateAudit.h"
 
-#include "analysis/Analysis.h"
 #include "validate/Validator.h"
 #include "vm/TraceVM.h"
 
@@ -24,8 +23,6 @@ std::vector<Violation> fuzz::checkValidateAudit(const PreparedModule &PM,
   if (Traces.empty())
     return Violations;
 
-  analysis::ModuleAnalysis Facts =
-      analysis::ModuleAnalysis::compute(PM.module());
   for (const Trace &T : Traces) {
     if (T.Validation == TraceValidation::Rejected) {
       std::ostringstream OS;
@@ -34,7 +31,7 @@ std::vector<Violation> fuzz::checkValidateAudit(const PreparedModule &PM,
             "run the execution oracle accepted";
       Violations.push_back({"validate-hook-reject", OS.str()});
     }
-    validate::Result R = validate::validateTrace(PM, T, Cfg, &Facts);
+    validate::Result R = validate::validateTrace(PM, T, Cfg, &PM.facts());
     if (!R.Ok) {
       std::ostringstream OS;
       OS << "trace " << T.Id << " (" << T.Blocks.size()

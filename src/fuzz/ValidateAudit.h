@@ -13,10 +13,11 @@
 /// oracle wants to know about even more).
 ///
 /// The audit re-validates every constructed trace offline, with the
-/// session's own optimizer configuration and a freshly computed
-/// ModuleAnalysis, and also flags any trace the in-VM hook already
-/// rejected. It is meaningful only for stock optimizer configurations;
-/// under an UnsoundPass mutation rejections are the desired outcome.
+/// session's own optimizer configuration and the module's shared
+/// analysis (PreparedModule::facts()), and also flags any trace the
+/// in-VM hook already rejected. It is meaningful only for stock
+/// optimizer configurations; under an UnsoundPass mutation rejections
+/// are the desired outcome.
 ///
 //===----------------------------------------------------------------------===//
 

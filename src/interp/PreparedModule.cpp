@@ -6,7 +6,7 @@
 
 using namespace jtc;
 
-PreparedModule::PreparedModule(const Module &Mod) : M(&Mod) {
+PreparedModule::PreparedModule(const Module &Mod) : M(&Mod), Facts(Mod) {
   // Flat (method, pc) -> block map, indexed from each method's PcBase:
   // the id of the block a leader pc starts, else InvalidBlockId. Only
   // needed while decoding.

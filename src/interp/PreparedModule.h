@@ -19,11 +19,16 @@
 /// instruction. The decoded code is immutable after construction and
 /// shared by every session over the module.
 ///
+/// The module's static analysis (facts()) is shared the same way: each
+/// method's facts are computed the first time any session's validation,
+/// annotation or JIT lowering asks for them, and never again.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_INTERP_PREPAREDMODULE_H
 #define JTC_INTERP_PREPAREDMODULE_H
 
+#include "analysis/Analysis.h"
 #include "bytecode/Program.h"
 #include "support/Ids.h"
 
@@ -94,6 +99,10 @@ public:
 
   const Module &module() const { return *M; }
 
+  /// The module's per-method static analysis, computed on demand and
+  /// shared by every session over this PreparedModule.
+  const analysis::ModuleAnalysis &facts() const { return Facts; }
+
   size_t numBlocks() const { return Blocks.size(); }
 
   const BasicBlock &block(BlockId B) const {
@@ -148,6 +157,7 @@ private:
   std::vector<CodeSlot> Code;
   std::vector<SwitchCode> Switches;
   std::vector<BlockId> SwitchTargets;
+  analysis::ModuleAnalysis Facts;
 };
 
 } // namespace jtc

@@ -71,6 +71,12 @@ bool VmService::hasModule(const std::string &Name) const {
   return Modules.count(Name) != 0;
 }
 
+const PreparedModule *VmService::preparedModule(const std::string &Name) const {
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  auto It = Modules.find(Name);
+  return It == Modules.end() ? nullptr : &It->second->PM;
+}
+
 std::future<SessionResult> VmService::submit(RunRequest R) {
   auto Promise = std::make_shared<std::promise<SessionResult>>();
   std::future<SessionResult> F = Promise->get_future();

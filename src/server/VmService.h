@@ -218,6 +218,11 @@ public:
   /// True when \p Name is registered.
   bool hasModule(const std::string &Name) const;
 
+  /// The prepared form of \p Name that its sessions share, including its
+  /// static analysis (PreparedModule::facts()); null when not registered.
+  /// Valid for the service's lifetime, even after re-registration.
+  const PreparedModule *preparedModule(const std::string &Name) const;
+
   /// Enqueues \p R; the future resolves when a worker retires the
   /// session. An unknown module name resolves to a Rejected result rather
   /// than throwing (the queue is asynchronous; there is nowhere to throw

@@ -28,20 +28,9 @@ AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
   }
 }
 
-AdaptiveEngine::~AdaptiveEngine() = default;
-AdaptiveEngine::AdaptiveEngine(AdaptiveEngine &&) noexcept = default;
-AdaptiveEngine &AdaptiveEngine::operator=(AdaptiveEngine &&) noexcept = default;
-
-const analysis::ModuleAnalysis &AdaptiveEngine::moduleFacts() {
-  if (!Facts)
-    Facts = std::make_unique<analysis::ModuleAnalysis>(
-        analysis::ModuleAnalysis::compute(PM->module()));
-  return *Facts;
-}
-
 TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) {
   validate::Result R =
-      validate::validateTrace(*PM, T, Options->optConfig(), &moduleFacts());
+      validate::validateTrace(*PM, T, Options->optConfig(), &PM->facts());
   if (!R.Ok && Options->validate() == ValidateMode::Strict) {
     std::fprintf(stderr,
                  "jtc: --validate=strict: trace %u rejected by translation "
@@ -53,7 +42,7 @@ TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) 
 }
 
 void AdaptiveEngine::annotateCandidate(Trace &T) {
-  const analysis::ModuleAnalysis &A = moduleFacts();
+  const analysis::ModuleAnalysis &A = PM->facts();
   std::vector<analysis::TraceBlockSpan> Spans;
   Spans.reserve(T.Blocks.size());
   for (BlockId B : T.Blocks) {

@@ -27,13 +27,7 @@
 #include "vm/VmOptions.h"
 #include "vm/VmStats.h"
 
-#include <memory>
-
 namespace jtc {
-
-namespace analysis {
-class ModuleAnalysis;
-} // namespace analysis
 
 /// Portable profiler + trace-cache state captured from a mature session
 /// (the donor) and imported into a fresh session over the same
@@ -54,13 +48,11 @@ class AdaptiveEngine {
 public:
   /// \p PM and \p Options must outlive the engine.
   AdaptiveEngine(const PreparedModule &PM, const VmOptions &Options);
-  ~AdaptiveEngine(); // out of line: ModuleAnalysis is incomplete here
 
-  // Movable so TraceVM factories can return by value (the move is elided
-  // in practice; like the Graph/Cache cross-references, the validation
-  // hook's self-pointer does not survive a genuine move).
-  AdaptiveEngine(AdaptiveEngine &&) noexcept;
-  AdaptiveEngine &operator=(AdaptiveEngine &&) noexcept;
+  // Pinned: the trace cache's hooks capture `this`, and the graph and
+  // cache point at each other.
+  AdaptiveEngine(const AdaptiveEngine &) = delete;
+  AdaptiveEngine &operator=(const AdaptiveEngine &) = delete;
 
   /// Attaches the telemetry ring (propagated to the profiler and cache);
   /// null detaches.
@@ -111,10 +103,6 @@ public:
   const BranchCorrelationGraph &graph() const { return Graph; }
   const TraceCache &traceCache() const { return Cache; }
 
-  /// The lazily computed per-module analysis shared by validation,
-  /// annotation and the session's trace backend.
-  const analysis::ModuleAnalysis &moduleFacts();
-
 private:
   /// Handles the transition (\p Cur -> \p Next) when not inside a trace:
   /// profiler hook, then trace-entry lookup.
@@ -145,9 +133,6 @@ private:
   TraceCache Cache;
   VmStats Stats;
   EventRing *Telem = nullptr;
-  /// Dataflow facts for guard-justified validation, computed lazily on
-  /// the first trace validated (never on the dispatch path).
-  std::unique_ptr<analysis::ModuleAnalysis> Facts;
 
   // Active-trace state.
   const Trace *Active = nullptr;

@@ -19,10 +19,7 @@ TraceVM::TraceVM(const PreparedModule &PM, VmOptions Options)
                ? backend::BackendKind::Jit
                : backend::BackendKind::Interp;
   if (Kind == backend::BackendKind::Jit)
-    Jit = std::make_unique<backend::JitBackend>(
-        PM, Config, [this]() -> const analysis::ModuleAnalysis & {
-          return Engine.moduleFacts();
-        });
+    Jit = std::make_unique<backend::JitBackend>(PM, Config);
 #ifdef JTC_TELEMETRY
   if (this->Options.telemetry()) {
     Ring = EventRing(this->Options.telemetryCapacity(),

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace jtc;
 using analysis::AbstractValue;
 using analysis::MethodAnalysis;
@@ -279,6 +281,56 @@ TEST(LivenessTest, PastEndOfCodeIsEmpty) {
                                        ->Liveness.liveIn(static_cast<uint32_t>(
                                            M.Methods[M.EntryMethod].Code.size()));
   EXPECT_EQ(Live.count(), 0u);
+}
+
+TEST(LivenessTest, MoreThan64LocalsUseOverflowWords) {
+  // Locals 0-63 live inline in a LocalSet; 100 and 129 need the overflow
+  // words. Locals: 3 and 100 are read, 129 is stored and never read.
+  Assembler Asm;
+  uint32_t Main = Asm.declareMethod("main", 0, 130, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  B.iconst(1);
+  B.istore(100);
+  B.iconst(2);
+  B.istore(3);
+  B.iload(100); // pc 4
+  B.iload(3);
+  B.emit(Opcode::Iadd);
+  B.istore(129);
+  B.halt();
+  B.finish();
+  Asm.setEntry(Main);
+  Module M = Asm.build();
+  ASSERT_TRUE(isValid(M));
+
+  ModuleAnalysis A = ModuleAnalysis::compute(M);
+  const analysis::LivenessFacts &L = A.method(Main)->Liveness;
+  EXPECT_EQ(L.liveIn(0).count(), 0u);
+  EXPECT_TRUE(L.isLiveIn(2, 100));
+  EXPECT_FALSE(L.isLiveIn(2, 3));
+  EXPECT_TRUE(L.isLiveIn(4, 100));
+  EXPECT_TRUE(L.isLiveIn(4, 3));
+  EXPECT_EQ(L.liveIn(4).count(), 2u);
+  EXPECT_FALSE(L.isLiveIn(7, 129));
+
+  analysis::LocalSet S(130), T(130);
+  S.set(5);
+  S.set(129);
+  EXPECT_TRUE(S.test(129));
+  EXPECT_FALSE(S.test(128));
+  EXPECT_FALSE(S.test(64));
+  EXPECT_FALSE(S.test(1000)); // beyond the words is simply absent
+  T.set(64);
+  T.set(5);
+  EXPECT_TRUE(S.unionWith(T));
+  EXPECT_FALSE(S.unionWith(T));
+  EXPECT_EQ(S.count(), 3u);
+  EXPECT_TRUE(S.test(64));
+  S.clear(129);
+  S.clear(5);
+  analysis::LocalSet Only64(130);
+  Only64.set(64);
+  EXPECT_EQ(S, Only64);
 }
 
 //===----------------------------------------------------------------------===//
@@ -791,6 +843,54 @@ TEST(TypedVerifierTest, AcceptsAllWorkloadsWithZeroLintFindings) {
       if (const MethodAnalysis *MA = A.method(F))
         Findings += analysis::lintMethod(MA->Values, MA->Liveness).size();
     EXPECT_EQ(Findings, 0u) << W.Name;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Demand-driven module facts
+//===----------------------------------------------------------------------===//
+
+TEST(AnalysisTest, DemandDrivenFactsMatchEagerCompute) {
+  std::vector<std::pair<std::string, Module>> Modules;
+  for (const WorkloadInfo &W : allWorkloads())
+    Modules.emplace_back(W.Name, W.Build(W.DefaultScale));
+  Modules.emplace_back("countingLoop", testprog::countingLoop(10));
+  Modules.emplace_back("recursiveFactorial", testprog::recursiveFactorial(5));
+  Modules.emplace_back("virtualDispatch", testprog::virtualDispatch());
+  Modules.emplace_back("switchProgram", testprog::switchProgram());
+  Modules.emplace_back("arraySquares", testprog::arraySquares(8));
+  Modules.emplace_back("hotLoop", testprog::hotLoop(100));
+  Modules.emplace_back("divideByZero", testprog::divideByZero());
+
+  for (const auto &[Name, M] : Modules) {
+    SCOPED_TRACE(Name);
+    ModuleAnalysis Eager = ModuleAnalysis::compute(M);
+    ModuleAnalysis Lazy(M);
+    ASSERT_EQ(Lazy.numMethods(), Eager.numMethods());
+    EXPECT_EQ(Lazy.methodsComputed(), 0u);
+    EXPECT_EQ(Eager.methodsComputed(), Eager.numMethods());
+    // Back to front, so no method is computed in the eager order.
+    for (uint32_t F = Lazy.numMethods(); F-- > 0;) {
+      const MethodAnalysis *L = Lazy.method(F);
+      const MethodAnalysis *E = Eager.method(F);
+      ASSERT_TRUE(L && E) << "method " << F;
+      EXPECT_EQ(Lazy.method(F), L) << "facts are published once";
+      ASSERT_EQ(L->Cfg.numBlocks(), E->Cfg.numBlocks()) << "method " << F;
+      for (uint32_t B = 0; B < L->Cfg.numBlocks(); ++B) {
+        EXPECT_TRUE(std::ranges::equal(L->Cfg.block(B).Succs,
+                                       E->Cfg.block(B).Succs));
+        EXPECT_EQ(L->Values.blockEntry(B), E->Values.blockEntry(B))
+            << "method " << F << " block " << B;
+      }
+      for (uint32_t Pc = 0; Pc <= M.Methods[F].Code.size(); ++Pc) {
+        if (Pc < M.Methods[F].Code.size())
+          EXPECT_EQ(L->Values.decisionAt(Pc), E->Values.decisionAt(Pc))
+              << "method " << F << " pc " << Pc;
+        EXPECT_EQ(L->Liveness.liveIn(Pc), E->Liveness.liveIn(Pc))
+            << "method " << F << " pc " << Pc;
+      }
+    }
+    EXPECT_EQ(Lazy.methodsComputed(), Lazy.numMethods());
   }
 }
 

@@ -260,17 +260,15 @@ Module retirementProbe(int32_t Calls, int32_t Trip) {
   return Asm.build();
 }
 
-/// Runs \p M under an aggressive trace config with \p Fault injected.
-TraceVM runProbe(const PreparedModule &PM, CacheFault Fault, RunStatus *S) {
-  TraceVM VM(PM, VmOptions()
-                     .completionThreshold(1.0)
-                     .startStateDelay(1)
-                     .decayInterval(32)
-                     .telemetry(true)
-                     .telemetryCapacity(1u << 18)
-                     .cacheFault(Fault));
-  *S = VM.run().Status;
-  return VM;
+/// An aggressive trace config with \p Fault injected.
+VmOptions probeOptions(CacheFault Fault) {
+  return VmOptions()
+      .completionThreshold(1.0)
+      .startStateDelay(1)
+      .decayInterval(32)
+      .telemetry(true)
+      .telemetryCapacity(1u << 18)
+      .cacheFault(Fault);
 }
 
 } // namespace
@@ -301,8 +299,8 @@ Module *RetirementProbeTest::M = nullptr;
 PreparedModule *RetirementProbeTest::PM = nullptr;
 
 TEST_F(RetirementProbeTest, RetirementFiresOnBehaviourShift) {
-  RunStatus S;
-  TraceVM Good = runProbe(*PM, CacheFault::None, &S);
+  TraceVM Good(*PM, probeOptions(CacheFault::None));
+  RunStatus S = Good.run().Status;
   EXPECT_GT(Good.stats().TracesRetired, 0u)
       << "the healthy cache must retire the warmup trace once its "
          "observed completion collapses";
@@ -311,8 +309,8 @@ TEST_F(RetirementProbeTest, RetirementFiresOnBehaviourShift) {
 }
 
 TEST_F(RetirementProbeTest, SkipRetirementFaultSuppressesItAndIsFlagged) {
-  RunStatus S;
-  TraceVM Bad = runProbe(*PM, CacheFault::SkipRetirement, &S);
+  TraceVM Bad(*PM, probeOptions(CacheFault::SkipRetirement));
+  RunStatus S = Bad.run().Status;
   EXPECT_EQ(Bad.stats().TracesRetired, 0u);
   std::vector<Violation> Vs = checkTraceVm(Bad, S);
   bool SawRetirementLaw = false;
@@ -328,9 +326,10 @@ TEST_F(RetirementProbeTest, ProbeRunsAreDeterministic) {
   // A PreparedModule carries no mutable run state, so back-to-back runs
   // must agree bit-for-bit -- the invariant that lets this fixture share
   // one instance across cases and test binaries under `ctest -j`.
-  RunStatus S1, S2;
-  TraceVM A = runProbe(*PM, CacheFault::None, &S1);
-  TraceVM B = runProbe(*PM, CacheFault::None, &S2);
+  TraceVM A(*PM, probeOptions(CacheFault::None));
+  TraceVM B(*PM, probeOptions(CacheFault::None));
+  RunStatus S1 = A.run().Status;
+  RunStatus S2 = B.run().Status;
   EXPECT_EQ(S1, S2);
   EXPECT_EQ(A.machine().output(), B.machine().output());
   EXPECT_EQ(A.stats().digest(), B.stats().digest());

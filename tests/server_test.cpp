@@ -11,6 +11,7 @@
 
 #include "TestPrograms.h"
 #include "runtime/Heap.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -74,6 +75,44 @@ TEST(VmServiceTest, ConcurrentSessionsMatchSingleThreadedReference) {
     EXPECT_EQ(R.Stats.TracesConstructed, Ref.Stats.TracesConstructed);
     EXPECT_FALSE(R.WarmStart);
   }
+}
+
+TEST(VmServiceTest, ConcurrentFirstUseOfModuleFacts) {
+  // Eight workers start together on a module whose static analysis is
+  // still cold, so their validations race to compute the same methods'
+  // facts. Each method must be computed exactly once -- as many as one
+  // single-threaded session computes -- and every session must still
+  // match that session bit for bit.
+  const WorkloadInfo *W = findWorkload("raytrace");
+  ASSERT_NE(W, nullptr);
+  uint32_t Scale = std::max(1u, W->DefaultScale / 20);
+  Module M = W->Build(Scale);
+  PreparedModule RefPM(M);
+  TraceVM RefVM(RefPM, VmOptions());
+  RefVM.run();
+  uint32_t RefComputed = RefPM.facts().methodsComputed();
+  ASSERT_GT(RefVM.stats().TracesValidated, 0u);
+  ASSERT_GT(RefComputed, 1u);
+
+  VmService Svc(ServiceOptions().workers(8).warmHandoff(false));
+  Svc.registerWorkload(*W, Scale);
+  const PreparedModule *PM = Svc.preparedModule(W->Name);
+  ASSERT_NE(PM, nullptr);
+  ASSERT_EQ(PM->facts().methodsComputed(), 0u);
+
+  std::vector<std::future<SessionResult>> Fs;
+  for (int I = 0; I < 8; ++I)
+    Fs.push_back(Svc.submit({W->Name}));
+  for (std::future<SessionResult> &F : Fs) {
+    SessionResult R = F.get();
+    ASSERT_FALSE(R.Rejected);
+    EXPECT_EQ(R.Run.Status, RunStatus::Finished);
+    EXPECT_EQ(R.Output, RefVM.machine().output());
+    EXPECT_EQ(R.Stats.digest(), RefVM.stats().digest());
+    EXPECT_EQ(R.Stats.TracesValidated, RefVM.stats().TracesValidated);
+    EXPECT_EQ(R.Stats.MemElisionSites, RefVM.stats().MemElisionSites);
+  }
+  EXPECT_EQ(PM->facts().methodsComputed(), RefComputed);
 }
 
 TEST(VmServiceTest, WarmSessionsPreserveSemantics) {

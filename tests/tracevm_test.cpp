@@ -3,7 +3,9 @@
 #include "vm/TraceVM.h"
 
 #include "TestPrograms.h"
+#include "analysis/Analysis.h"
 #include "interp/InstructionInterpreter.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -290,4 +292,34 @@ TEST(TraceVmTest, SeedIgnoredWhenComponentsDisabled) {
   EXPECT_EQ(R2.Status, RunStatus::Finished);
   EXPECT_EQ(NoTraces.stats().TracesSeeded, 0u);
   EXPECT_GT(NoTraces.stats().GraphNodes, 0u);
+}
+
+TEST(TraceVmTest, SecondSessionComputesNoFacts) {
+  // The static analysis belongs to the PreparedModule: the first session
+  // computes the facts of the methods its traces pass through, and later
+  // sessions over the module, cold or seeded, find them computed.
+  const WorkloadInfo *W = findWorkload("raytrace");
+  ASSERT_NE(W, nullptr);
+  Module M = W->Build(std::max(1u, W->DefaultScale / 10));
+  PreparedModule PM(M);
+  const analysis::ModuleAnalysis &Facts = PM.facts();
+  EXPECT_EQ(Facts.methodsComputed(), 0u);
+
+  TraceVM First(PM, VmOptions());
+  First.run();
+  uint32_t Computed = Facts.methodsComputed();
+  EXPECT_GT(First.stats().TracesValidated, 0u);
+  EXPECT_GT(Computed, 0u);
+  EXPECT_LT(Computed, Facts.numMethods());
+
+  TraceVM Second(PM, VmOptions());
+  Second.run();
+  EXPECT_EQ(Facts.methodsComputed(), Computed);
+  EXPECT_EQ(Second.stats().digest(), First.stats().digest());
+
+  TraceVM Seeded(PM, VmOptions());
+  Seeded.importSeed(First.exportSeed());
+  Seeded.run();
+  EXPECT_GT(Seeded.stats().TracesValidated, 0u);
+  EXPECT_EQ(Facts.methodsComputed(), Computed);
 }

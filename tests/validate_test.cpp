@@ -558,14 +558,6 @@ TEST(ValidatorMutationTest, AliasConfusedLoadIsTypedMemLoadUnjustified) {
 
 namespace {
 
-/// Runs \p M hot under stock options and hands back its VM (traces
-/// built, validation hook exercised).
-TraceVM runHot(const PreparedModule &PM, VmOptions Options = VmOptions()) {
-  TraceVM VM(PM, Options);
-  VM.run();
-  return VM;
-}
-
 /// Validates every live trace of \p VM under \p Cfg, returning the
 /// rejection reasons observed (empty: everything proved through).
 std::vector<Reason> reasonsUnder(const PreparedModule &PM, const TraceVM &VM,
@@ -757,7 +749,8 @@ TEST(ValidatorTraceTest, EveryMutationClassIsCaughtOnRealTraces) {
     for (const Module &M : Programs) {
       PreparedModule PM(M);
       analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(M);
-      TraceVM VM = runHot(PM);
+      TraceVM VM(PM);
+      VM.run();
       for (Reason R : reasonsUnder(PM, VM, mutated(P), &Facts)) {
         EXPECT_TRUE(Expected(P, R))
             << unsoundPassName(P) << " surfaced as " << reasonName(R);
@@ -774,7 +767,8 @@ TEST(ValidatorTraceTest, StockOptimizerValidatesCleanOnAllWorkloads) {
     Module M = W.Build(std::max(1u, W.DefaultScale / 100));
     PreparedModule PM(M);
     analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(M);
-    TraceVM VM = runHot(PM);
+    TraceVM VM(PM);
+    VM.run();
     unsigned Checked = 0;
     for (const Trace &T : VM.traceCache().traces()) {
       if (!T.Alive)
@@ -796,7 +790,8 @@ TEST(ValidatorTraceTest, StockOptimizerValidatesCleanOnAllWorkloads) {
 TEST(ValidatorHookTest, StockRunValidatesAndAcceptsEveryTrace) {
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM VM = runHot(PM); // validation defaults to On
+  TraceVM VM(PM); // validation defaults to On
+  VM.run();
   const TraceCache::CacheStats &CS = VM.traceCache().stats();
   EXPECT_GT(CS.TracesValidated, 0u);
   EXPECT_EQ(CS.ValidationRejects, 0u);
@@ -811,7 +806,8 @@ TEST(ValidatorHookTest, StockRunValidatesAndAcceptsEveryTrace) {
 TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM VM = runHot(PM, VmOptions().validate(ValidateMode::Off));
+  TraceVM VM(PM, VmOptions().validate(ValidateMode::Off));
+  VM.run();
   EXPECT_EQ(VM.traceCache().stats().TracesValidated, 0u);
   for (const Trace &T : VM.traceCache().traces())
     EXPECT_EQ(T.Validation, TraceValidation::Unchecked);
@@ -820,9 +816,10 @@ TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
 TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM Stock = runHot(PM);
-  TraceVM Mutant =
-      runHot(PM, VmOptions().optConfig(mutated(UnsoundPass::DropGuard)));
+  TraceVM Stock(PM);
+  Stock.run();
+  TraceVM Mutant(PM, VmOptions().optConfig(mutated(UnsoundPass::DropGuard)));
+  Mutant.run();
 
   const TraceCache::CacheStats &CS = Mutant.traceCache().stats();
   EXPECT_GT(CS.ValidationRejects, 0u);
@@ -854,10 +851,11 @@ TEST(ValidatorHookTest, VerdictsAreMirroredAsTelemetryEvents) {
   // would be the first overwritten.
   Module M = testprog::hotLoop(20000);
   PreparedModule PM(M);
-  TraceVM VM = runHot(PM, VmOptions()
-                              .telemetry(true)
-                              .telemetryCapacity(1u << 18)
-                              .optConfig(mutated(UnsoundPass::DropGuard)));
+  TraceVM VM(PM, VmOptions()
+                     .telemetry(true)
+                     .telemetryCapacity(1u << 18)
+                     .optConfig(mutated(UnsoundPass::DropGuard)));
+  VM.run();
   ASSERT_EQ(VM.events().dropped(), 0u)
       << "ring wrapped; the counts below would be meaningless";
   const TraceCache::CacheStats &CS = VM.traceCache().stats();
@@ -962,7 +960,8 @@ TEST(ValidatorCorpusTest, EveryPinnedPairReplaysToItsReasonCode) {
 
     PreparedModule PM(*M);
     analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(*M);
-    TraceVM VM = runHot(PM);
+    TraceVM VM(PM);
+    VM.run();
     ASSERT_GT(VM.traceCache().stats().TracesValidated, 0u)
         << Path << ": fixture builds no traces";
     EXPECT_EQ(VM.traceCache().stats().ValidationRejects, 0u)
