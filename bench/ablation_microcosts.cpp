@@ -91,7 +91,8 @@ void BM_TraceConstruction(benchmark::State &State) {
 }
 BENCHMARK(BM_TraceConstruction);
 
-/// The per-dispatch trace-cache entry lookup (hit and miss).
+/// The per-dispatch trace-cache entry lookup on the node the profiler hook
+/// resolved (hit and miss).
 void BM_TraceEntryLookup(benchmark::State &State) {
   BranchCorrelationGraph G(profConfig());
   TraceCache Cache(G, TraceConfig());
@@ -99,9 +100,17 @@ void BM_TraceEntryLookup(benchmark::State &State) {
   for (unsigned I = 0; I < 2000; ++I)
     for (BlockId B = 1; B <= 8; ++B)
       G.onBlockDispatch(B);
+  // A live trace's entry node, and a node no trace is entered at.
+  NodeId HitNode = InvalidNodeId, MissNode = InvalidNodeId;
+  for (NodeId N = 0; N < G.numNodes(); ++N)
+    (Cache.entryAt(N) ? HitNode : MissNode) = N;
+  if (HitNode == InvalidNodeId) {
+    State.SkipWithError("no trace was built");
+    return;
+  }
   bool Hit = true;
   for (auto _ : State) {
-    const Trace *T = Hit ? Cache.findTrace(8, 1) : Cache.findTrace(77, 78);
+    const Trace *T = Cache.entryAt(Hit ? HitNode : MissNode);
     benchmark::DoNotOptimize(T);
     Hit = !Hit;
   }

@@ -40,7 +40,19 @@ void NetTraceVm::finishRecording(bool Install) {
   Record.clear();
 }
 
-void NetTraceVm::onNonTraceTransition(BlockId Cur, BlockId Next) {
+void NetTraceVm::transition(BlockId Cur, BlockId Next) {
+  if (ActiveTrace >= 0) {
+    NetTrace &T = Traces[static_cast<uint32_t>(ActiveTrace)];
+    if (Next == T.Blocks[TracePos + 1]) {
+      ++TracePos;
+      return;
+    }
+    // Partial exit: the assumed tail was not executed.
+    ActiveTrace = -1;
+    TracePos = 0;
+    PendingBump = true; // side exits are hot-head candidates too
+  }
+
   // Roll the creation-rate window.
   if (Stats.BlocksExecuted - WindowStart >= Config.FlushWindow) {
     WindowStart = Stats.BlocksExecuted;
@@ -135,20 +147,7 @@ RunResult NetTraceVm::run() {
     }
 
     BlockId Next = Stepper.currentBlock();
-    if (ActiveTrace >= 0) {
-      NetTrace &T = Traces[static_cast<uint32_t>(ActiveTrace)];
-      if (Next == T.Blocks[TracePos + 1]) {
-        ++TracePos;
-      } else {
-        // Partial exit: the assumed tail was not executed.
-        ActiveTrace = -1;
-        TracePos = 0;
-        PendingBump = true; // side exits are hot-head candidates too
-        onNonTraceTransition(Cur, Next);
-      }
-    } else {
-      onNonTraceTransition(Cur, Next);
-    }
+    transition(Cur, Next);
     Cur = Next;
   }
 

@@ -92,7 +92,7 @@ private:
   /// method, target at or before the source block's start.
   bool isBackward(BlockId From, BlockId To) const;
 
-  void onNonTraceTransition(BlockId Cur, BlockId Next);
+  void transition(BlockId Cur, BlockId Next);
   void finishRecording(bool Install);
   void flushCache();
 

@@ -62,7 +62,8 @@ struct OracleConfig {
   bool Telemetry = true;
   uint32_t TelemetryCapacity = 1u << 18;
 
-  /// Audit profiler/cache invariants after every profiled run.
+  /// Audit profiler/cache invariants after every profiled run (the
+  /// context law reads the btrace recorder's blocks: needs CheckBtrace).
   bool CheckInvariants = true;
 
   /// Audit the persist layer after every profiled run: capture the VM's

@@ -17,7 +17,8 @@
 ///                                      CRC32, bounds-checked varints
 ///         --fingerprint--> gate        snapshot must match the module
 ///         --validateSeed--> gate       every block id in range, traces
-///                                      well-formed, entries unique
+///                                      well-formed, entries unique, every
+///                                      trace pair a snapshot node
 ///         --completion filter-->       donor traces that had already
 ///                                      failed retirement are dropped
 ///         --importSeed--> installed    through the same VmSeed path the
@@ -71,9 +72,10 @@ bool decodeSnapshot(const uint8_t *Data, size_t Size, SnapshotData &Out,
 
 /// Re-validates a decoded seed against the module it is about to be
 /// installed over: every node and trace block id must name a block of
-/// \p PM, node pairs and trace entry pairs must be unique, and per-trace
-/// bookkeeping must be internally consistent. Returns false with \p Err
-/// (IncompatibleSeed) on the first violation.
+/// \p PM, node pairs and trace entry pairs must be unique, every trace's
+/// entry pair and consecutive block pairs must be nodes of the seed, and
+/// per-trace bookkeeping must be internally consistent. Returns false
+/// with \p Err (IncompatibleSeed) on the first violation.
 bool validateSeed(const VmSeed &Seed, const PreparedModule &PM,
                   PersistError &Err);
 

@@ -373,13 +373,16 @@ bool persist::validateSeed(const VmSeed &Seed, const PreparedModule &PM,
   for (const TraceCache::TraceSeed &T : Seed.Traces) {
     if (T.Blocks.size() < 2)
       return Bad("trace shorter than two blocks");
-    if (T.EntryFrom >= NumBlocks)
-      return Bad("trace entry predecessor outside the module");
-    for (BlockId B : T.Blocks)
-      if (B >= NumBlocks)
-        return Bad("trace block outside the module");
     if (!Entries.insert(pairKey(T.EntryFrom, T.Blocks[0])).second)
       return Bad("duplicate trace entry pair");
+    // A trace hangs off the profiler contexts of its block pairs, so each
+    // pair must be a node the snapshot restores (which also keeps every
+    // trace block inside the module: node blocks were checked above).
+    for (size_t K = 0; K < T.Blocks.size(); ++K)
+      if (!NodePairs.count(
+              pairKey(K ? T.Blocks[K - 1] : T.EntryFrom, T.Blocks[K])))
+        return Bad(K ? "trace block pair has no profiler node"
+                     : "trace entry pair has no profiler node");
     if (T.ExpectedCompletion < 0.0 || T.ExpectedCompletion > 1.0)
       return Bad("trace completion probability outside [0, 1]");
     if (T.Completed > T.Entered)

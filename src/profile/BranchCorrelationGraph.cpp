@@ -56,18 +56,19 @@ NodeId BranchCorrelationGraph::getOrCreateNode(BlockId X, BlockId Y) {
   N.StartDelayLeft = Config.StartStateDelay;
   Nodes.push_back(std::move(N));
   PairToNode.emplace(Key, Id);
-  ++Stats.NodesCreated;
   return Id;
 }
 
-void BranchCorrelationGraph::resetContext() {
-  Ctx = InvalidNodeId;
-  Last = InvalidBlockId;
-}
-
-void BranchCorrelationGraph::forceContext(BlockId X, BlockId Y) {
-  Ctx = getOrCreateNode(X, Y);
-  Last = Y;
+void BranchCorrelationGraph::moveContext(NodeId From, BlockId Next) {
+  const BranchNode &N = node(From);
+  NodeId Target = InvalidNodeId;
+  for (const Correlation &C : N.Corrs)
+    if (C.Succ == Next) {
+      Target = C.Target;
+      break;
+    }
+  Ctx = Target != InvalidNodeId ? Target : getOrCreateNode(N.To, Next);
+  Last = Next;
 }
 
 void BranchCorrelationGraph::onBlockDispatch(BlockId Next) {
@@ -109,7 +110,6 @@ void BranchCorrelationGraph::onBlockDispatch(BlockId Next) {
         Correlation C;
         C.Succ = Next;
         N.Corrs.push_back(C);
-        ++Stats.EdgesCreated;
       } else if (CorrIdx > 0) {
         // Transpose heuristic: nudge the found correlation one slot
         // toward the front so hot successors of wide nodes (polymorphic
@@ -154,10 +154,8 @@ void BranchCorrelationGraph::onBlockDispatch(BlockId Next) {
   // trace cache at the next decay pass (the paper re-checks state "during
   // the decay process" only), so branches executing fewer than a decay
   // interval of times never signal and never enter traces.
-  if (N.StartDelayLeft > 0) {
-    if (--N.StartDelayLeft == 0)
-      ++Stats.HotPromotions;
-  }
+  if (N.StartDelayLeft > 0)
+    --N.StartDelayLeft;
 
   // Periodic decay (section 4.1.1).
   if (++N.SinceDecay >= Config.DecayInterval) {

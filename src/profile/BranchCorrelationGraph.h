@@ -36,10 +36,6 @@ namespace jtc {
 
 class EventRing;
 
-/// Identifies a node (branch context) in the graph.
-using NodeId = uint32_t;
-constexpr NodeId InvalidNodeId = 0xffffffffu;
-
 /// The four correlation states of paper section 4.1.1, in descending
 /// degree of correlation: Unique > StronglyCorrelated > WeaklyCorrelated >
 /// NewlyCreated.
@@ -166,13 +162,19 @@ public:
   /// and runs start-state / decay bookkeeping. May emit signals.
   void onBlockDispatch(BlockId Next);
 
-  /// Forgets the current context (used at program start).
-  void resetContext();
+  /// Sets the context to node \p Id without recording an execution; used
+  /// when a trace completes, whose inlined blocks carry no profiling hooks
+  /// (the trace holds the node of its last block pair).
+  void setContext(NodeId Id) {
+    Ctx = Id;
+    Last = node(Id).to();
+  }
 
-  /// Forces the context to pair (X, Y) without recording an execution;
-  /// used to resynchronize after a trace dispatch, whose inlined blocks
-  /// carry no profiling hooks. Creates the node lazily if needed.
-  void forceContext(BlockId X, BlockId Y);
+  /// Moves the context from \p From = N(X, Y) to N(Y, Next) without
+  /// recording the transition; used when execution diverges from a trace.
+  /// Follows From's cached correlation target when Next is a known
+  /// successor, and otherwise resolves (lazily creating) N(Y, Next).
+  void moveContext(NodeId From, BlockId Next);
 
   //===--- Introspection (trace builder API) -------------------------===//
 
@@ -213,10 +215,7 @@ public:
     uint64_t Hooks = 0;           ///< onBlockDispatch calls.
     uint64_t InlineCacheHits = 0; ///< Predictions that matched.
     uint64_t ListSearches = 0;    ///< Misses resolved by list search.
-    uint64_t NodesCreated = 0;
-    uint64_t EdgesCreated = 0;
     uint64_t DecayPasses = 0;
-    uint64_t HotPromotions = 0; ///< Nodes whose start delay expired.
     uint64_t Signals = 0;
   };
 

@@ -1,10 +1,10 @@
 //===- support/Ids.h - Shared identifier types ------------------*- C++ -*-===//
 ///
 /// \file
-/// Basic-block identifiers and block-pair keys. The profiler and trace
-/// cache operate purely on the dynamic stream of BlockIds, so the type
-/// lives here rather than in the interpreter to keep those libraries
-/// independent of interpreter internals.
+/// Basic-block and branch-context identifiers and block-pair keys. The
+/// profiler and trace cache operate purely on the dynamic stream of
+/// BlockIds, so the types live here rather than in the interpreter to
+/// keep those libraries independent of interpreter internals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,10 @@ using BlockId = uint32_t;
 
 /// Sentinel for "no block".
 constexpr BlockId InvalidBlockId = 0xffffffffu;
+
+/// Identifies a node (branch context N_XY) of the branch correlation graph.
+using NodeId = uint32_t;
+constexpr NodeId InvalidNodeId = 0xffffffffu;
 
 /// Packs an ordered block pair (X, Y) -- the paper's branch (X -> Y) --
 /// into one hashable key.

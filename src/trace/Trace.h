@@ -3,7 +3,8 @@
 /// \file
 /// A trace: a sequence of basic blocks expected to execute to completion
 /// (paper section 3). A trace is entered when the interpreter performs the
-/// block transition (EntryFrom -> Blocks[0]); it then executes Blocks in
+/// block transition (EntryFrom -> Blocks[0]), i.e. when the profiler's
+/// branch context is the entry node Contexts[0]; it then executes Blocks in
 /// order, exiting early if the program diverges. ExpectedCompletion is the
 /// product of the branch-correlation edge probabilities along the trace at
 /// construction time; the builder guarantees it is at least the completion
@@ -57,6 +58,9 @@ struct Trace {
   TraceId Id = InvalidTraceId;
   BlockId EntryFrom = InvalidBlockId;  ///< Predecessor block P of the entry.
   std::vector<BlockId> Blocks;         ///< B0..Bn; always >= 2 blocks.
+  /// The BCG node of each block pair, parallel to Blocks: Contexts[0] is
+  /// N(EntryFrom, B0), Contexts[k] is N(B(k-1), Bk).
+  std::vector<NodeId> Contexts;
   double ExpectedCompletion = 1.0;
   uint32_t InstrCount = 0; ///< Total instructions over Blocks.
   bool Alive = true;       ///< False once replaced by a newer trace.

@@ -111,10 +111,8 @@ TraceBuilder::cut(const std::vector<NodeId> &Nodes) const {
     }
 
     TraceCandidate C;
-    C.EntryFrom = Graph->node(Nodes[I]).from();
-    C.Blocks.reserve(NumBlocks);
-    for (size_t K = I; K <= J; ++K)
-      C.Blocks.push_back(Graph->node(Nodes[K]).to());
+    C.Contexts.assign(Nodes.begin() + static_cast<ptrdiff_t>(I),
+                      Nodes.begin() + static_cast<ptrdiff_t>(J + 1));
     C.Completion = Product;
     Out.push_back(std::move(C));
     I = J + 1;

@@ -30,10 +30,10 @@
 
 namespace jtc {
 
-/// A not-yet-installed trace produced by the builder.
+/// A not-yet-installed trace produced by the builder: the node path it was
+/// cut from, N(P, B0), N(B0, B1), ... (see Trace::Contexts).
 struct TraceCandidate {
-  BlockId EntryFrom = InvalidBlockId;
-  std::vector<BlockId> Blocks;
+  std::vector<NodeId> Contexts;
   double Completion = 1.0;
 };
 
@@ -68,11 +68,11 @@ public:
   /// Step 2: follow the maximum-likelihood path from \p Entry.
   Path walkPath(NodeId Entry) const;
 
-  /// Step 3: cut a node path into candidates meeting the threshold. The
-  /// path node sequence N_{X0 X1}, N_{X1 X2}, ... yields block sequences
-  /// over X0, X1, X2, ...; the probability charged between consecutive
-  /// nodes is the correlation of the later pair's block given the earlier
-  /// pair.
+  /// Step 3: cut a node path into candidates meeting the threshold. A
+  /// slice N_{X0 X1}, N_{X1 X2}, ... of the path is the trace entered at
+  /// (X0 -> X1) over blocks X1, X2, ...; the probability charged between
+  /// consecutive nodes is the correlation of the later pair's block given
+  /// the earlier pair.
   std::vector<TraceCandidate> cut(const std::vector<NodeId> &Nodes) const;
 
 private:

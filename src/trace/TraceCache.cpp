@@ -4,6 +4,8 @@
 
 #include "telemetry/EventRing.h"
 
+#include <algorithm>
+
 using namespace jtc;
 
 TraceCache::TraceCache(BranchCorrelationGraph &Graph, TraceConfig Config,
@@ -11,34 +13,17 @@ TraceCache::TraceCache(BranchCorrelationGraph &Graph, TraceConfig Config,
     : Graph(&Graph), Config(Config), Builder(Graph, Config),
       BlockSize(std::move(BlockSize)) {}
 
-uint64_t TraceCache::contentHash(BlockId EntryFrom,
-                                 const std::vector<BlockId> &Blocks) {
-  // FNV-1a over the entry predecessor and the block sequence.
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint32_t V) {
-    for (int Shift = 0; Shift < 32; Shift += 8) {
-      H ^= (V >> Shift) & 0xff;
-      H *= 1099511628211ull;
-    }
-  };
-  Mix(EntryFrom);
-  for (BlockId B : Blocks)
-    Mix(B);
-  return H;
-}
-
 void TraceCache::onStateChange(NodeId Id) {
   bumpGeneration();
   ++Stats.SignalsHandled;
   TraceBuilder::BuildResult R = Builder.build(Id);
-  FreshEntryKeys.clear();
   FreshIds.clear();
   for (const TraceCandidate &C : R.Candidates)
     install(C);
 
   // Paper step 3: "the new traces are compared to those in the cache and
   // all newly discovered trace cache entries are reconstructed". A live
-  // trace whose entry pair occurs as an *interior* transition of a trace
+  // trace whose entry context occurs as an *interior* context of a trace
   // just installed is a stale fragment of the new structure -- typically
   // a one-iteration loop trace built before the whole loop was warm,
   // whose self-chaining entry would otherwise capture dispatch forever.
@@ -52,19 +37,17 @@ void TraceCache::onStateChange(NodeId Id) {
     const Trace &T = Traces[Fresh];
     if (T.EntryFrom != T.Blocks.back())
       continue;
-    for (size_t I = 0; I + 1 < T.Blocks.size(); ++I) {
-      uint64_t Key = pairKey(T.Blocks[I], T.Blocks[I + 1]);
-      if (FreshEntryKeys.count(Key))
+    for (size_t K = 1; K < T.Contexts.size(); ++K) {
+      const Trace *Stale = entryAt(T.Contexts[K]);
+      if (!Stale || std::find(FreshIds.begin(), FreshIds.end(), Stale->Id) !=
+                        FreshIds.end())
         continue;
-      auto It = EntryMap.find(Key);
-      if (It == EntryMap.end() || It->second == Fresh)
-        continue;
-      JTC_RECORD_EVENT(Telem, EventKind::TraceInvalidated, It->second, Fresh);
-      Traces[It->second].Alive = false;
-      // Injected bug (fuzzer self-test): leave the stale entry key behind,
-      // so findTrace() keeps returning the dead fragment.
+      JTC_RECORD_EVENT(Telem, EventKind::TraceInvalidated, Stale->Id, Fresh);
+      Traces[Stale->Id].Alive = false;
+      // Injected bug (fuzzer self-test): leave the stale entry behind, so
+      // entryAt() keeps returning the dead fragment.
       if (Config.Fault != CacheFault::SkipInvalidation)
-        EntryMap.erase(It);
+        EntryByNode[T.Contexts[K]] = InvalidTraceId;
       ++Stats.TracesInvalidated;
     }
   }
@@ -76,56 +59,46 @@ void TraceCache::onStateChange(NodeId Id) {
   Graph->acknowledge(Id);
 }
 
+void TraceCache::setEntry(NodeId Context, TraceId Id) {
+  if (Context >= EntryByNode.size())
+    EntryByNode.resize(Context + 1, InvalidTraceId);
+  TraceId &Slot = EntryByNode[Context];
+  if (Slot != InvalidTraceId && Slot != Id) {
+    JTC_RECORD_EVENT(Telem, EventKind::TraceReplaced, Slot, Id);
+    Traces[Slot].Alive = false;
+    ++Stats.TracesReplaced;
+  }
+  Slot = Id;
+}
+
 void TraceCache::install(const TraceCandidate &C) {
   ++Stats.CandidatesSeen;
-  assert(C.Blocks.size() >= 2 && "builder produced a degenerate trace");
+  assert(C.Contexts.size() >= 2 && "builder produced a degenerate trace");
 
-  uint64_t EntryKey = pairKey(C.EntryFrom, C.Blocks[0]);
-  uint64_t Hash = contentHash(C.EntryFrom, C.Blocks);
-
-  // Hash-consing: an identical live trace is reused, re-pointing the
-  // entry at it if needed.
-  auto ContentIt = ByContent.find(Hash);
-  if (ContentIt != ByContent.end()) {
-    for (TraceId Id : ContentIt->second) {
-      Trace &T = Traces[Id];
-      if (!T.Alive || T.EntryFrom != C.EntryFrom || T.Blocks != C.Blocks)
-        continue;
-      auto [It, Inserted] = EntryMap.try_emplace(EntryKey, Id);
-      if (!Inserted && It->second != Id) {
-        JTC_RECORD_EVENT(Telem, EventKind::TraceReplaced, It->second, Id);
-        Traces[It->second].Alive = false;
-        ++Stats.TracesReplaced;
-        It->second = Id;
-      }
-      T.Alive = true;
-      ++Stats.TracesReused;
-      JTC_RECORD_EVENT(Telem, EventKind::TraceReused, Id,
-                       static_cast<uint32_t>(T.Blocks.size()));
-      FreshEntryKeys.insert(EntryKey);
-      FreshIds.push_back(Id);
-      return;
-    }
+  // Hash-consing: live traces have unique entry contexts, so an
+  // identical live trace can only be the one entered at this candidate's.
+  const NodeId Entry = C.Contexts[0];
+  if (const Trace *Cur = entryAt(Entry);
+      Cur && Cur->Alive && Cur->Contexts == C.Contexts) {
+    ++Stats.TracesReused;
+    JTC_RECORD_EVENT(Telem, EventKind::TraceReused, Cur->Id,
+                     static_cast<uint32_t>(Cur->Blocks.size()));
+    FreshIds.push_back(Cur->Id);
+    return;
   }
 
   Trace T;
   T.Id = static_cast<TraceId>(Traces.size());
-  T.EntryFrom = C.EntryFrom;
-  T.Blocks = C.Blocks;
+  T.EntryFrom = Graph->node(Entry).from();
+  T.Contexts = C.Contexts;
+  for (NodeId N : T.Contexts)
+    T.Blocks.push_back(Graph->node(N).to());
   T.ExpectedCompletion = C.Completion;
   if (BlockSize)
     for (BlockId B : T.Blocks)
       T.InstrCount += BlockSize(B);
 
-  auto [It, Inserted] = EntryMap.try_emplace(EntryKey, T.Id);
-  if (!Inserted) {
-    JTC_RECORD_EVENT(Telem, EventKind::TraceReplaced, It->second, T.Id);
-    Traces[It->second].Alive = false;
-    ++Stats.TracesReplaced;
-    It->second = T.Id;
-  }
-  ByContent[Hash].push_back(T.Id);
-  FreshEntryKeys.insert(EntryKey);
+  setEntry(Entry, T.Id);
   FreshIds.push_back(T.Id);
   JTC_RECORD_EVENT(Telem, EventKind::TraceConstructed, T.Id,
                    static_cast<uint32_t>(T.Blocks.size()));
@@ -160,37 +133,31 @@ void TraceCache::applyValidation(Trace &T) {
 void TraceCache::recordExecution(TraceId Id, bool CompletedRun) {
   bumpGeneration();
   assert(Id < Traces.size() && "unknown trace");
-  {
-    Trace &T = Traces[Id];
-    ++T.Entered;
-    if (CompletedRun)
-      ++T.Completed;
-    if (!T.Alive || T.Entered % Config.RetirementCheckEntries != 0)
-      return;
-    if (T.observedCompletion() + Config.RetirementMargin >=
-        Config.CompletionThreshold)
-      return;
-    // Injected bug (fuzzer self-test): the under-performer survives the
-    // evaluation pass it should have been retired by.
-    if (Config.Fault == CacheFault::SkipRetirement)
-      return;
-    // The trace persistently under-performs its design threshold: it was
-    // built from counters that had not yet seen the branch's real
-    // behaviour. Retire it and rebuild the region from today's data.
-    JTC_RECORD_EVENT(Telem, EventKind::TraceRetired, Id,
-                     static_cast<uint32_t>(T.observedCompletion() * 10000));
-    T.Alive = false;
-    auto It = EntryMap.find(pairKey(T.EntryFrom, T.Blocks[0]));
-    if (It != EntryMap.end() && It->second == Id)
-      EntryMap.erase(It);
-    ++Stats.TracesRetired;
-  }
-  // Note: T is dead above before rebuilding -- onStateChange may grow the
-  // trace table and invalidate references.
-  NodeId Entry =
-      Graph->findNode(Traces[Id].EntryFrom, Traces[Id].Blocks[0]);
-  if (Entry != InvalidNodeId)
-    onStateChange(Entry);
+  Trace &T = Traces[Id];
+  ++T.Entered;
+  if (CompletedRun)
+    ++T.Completed;
+  if (!T.Alive || T.Entered % Config.RetirementCheckEntries != 0)
+    return;
+  if (T.observedCompletion() + Config.RetirementMargin >=
+      Config.CompletionThreshold)
+    return;
+  // Injected bug (fuzzer self-test): the under-performer survives the
+  // evaluation pass it should have been retired by.
+  if (Config.Fault == CacheFault::SkipRetirement)
+    return;
+  // The trace persistently under-performs its design threshold: it was
+  // built from counters that had not yet seen the branch's real
+  // behaviour. Retire it and rebuild the region from today's data.
+  JTC_RECORD_EVENT(Telem, EventKind::TraceRetired, Id,
+                   static_cast<uint32_t>(T.observedCompletion() * 10000));
+  T.Alive = false;
+  const NodeId Entry = T.Contexts[0];
+  if (EntryByNode[Entry] == Id)
+    EntryByNode[Entry] = InvalidTraceId;
+  ++Stats.TracesRetired;
+  // T dangles from here: the rebuild may grow the trace table.
+  onStateChange(Entry);
 }
 
 std::vector<TraceCache::TraceSeed> TraceCache::exportLiveTraces() const {
@@ -214,22 +181,27 @@ void TraceCache::seedTraces(const std::vector<TraceSeed> &Seeds) {
   assert(Traces.empty() && "seedTraces requires a fresh cache");
   for (const TraceSeed &S : Seeds) {
     assert(S.Blocks.size() >= 2 && "degenerate seeded trace");
-    uint64_t EntryKey = pairKey(S.EntryFrom, S.Blocks[0]);
     Trace T;
     T.Id = static_cast<TraceId>(Traces.size());
     T.EntryFrom = S.EntryFrom;
     T.Blocks = S.Blocks;
     T.ExpectedCompletion = S.ExpectedCompletion;
+    // Resolve the seed's branch contexts once, here, so dispatch never
+    // looks a block pair up.
+    for (size_t K = 0; K < S.Blocks.size(); ++K)
+      T.Contexts.push_back(
+          Graph->findNode(K ? S.Blocks[K - 1] : S.EntryFrom, S.Blocks[K]));
+    bool Resolved = std::find(T.Contexts.begin(), T.Contexts.end(),
+                              InvalidNodeId) == T.Contexts.end();
+    assert(Resolved && "seeded trace names a block pair with no BCG node");
+    // Live traces have unique entry contexts, so a colliding seed means
+    // the donor list itself is malformed; keep the first, drop the rest.
+    if (!Resolved || entryAt(T.Contexts[0]))
+      continue;
     if (BlockSize)
       for (BlockId B : T.Blocks)
         T.InstrCount += BlockSize(B);
-    // Live traces have unique entry pairs, so a colliding seed means the
-    // donor list itself is malformed; keep the first and drop the rest.
-    auto [It, Inserted] = EntryMap.try_emplace(EntryKey, T.Id);
-    (void)It;
-    if (!Inserted)
-      continue;
-    ByContent[contentHash(T.EntryFrom, T.Blocks)].push_back(T.Id);
+    setEntry(T.Contexts[0], T.Id);
     applyValidation(T);
     Traces.push_back(std::move(T));
     ++Stats.TracesSeeded;

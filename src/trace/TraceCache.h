@@ -3,9 +3,12 @@
 /// \file
 /// The trace cache of paper section 4.2. It listens for profiler
 /// state-change signals, runs the TraceBuilder over the affected region,
-/// and installs the resulting traces. Identical block sequences are
-/// hash-consed ("the trace cache hash table"), and installing a different
-/// trace at an occupied entry point replaces (kills) the old trace.
+/// and installs the resulting traces. A trace's entry point is a branch
+/// context, the BCG node of its entry pair, and live traces are indexed by
+/// node id in a flat table (the paper's "trace cache hash table"): the
+/// per-dispatch entry lookup is one load off the node the profiler hook
+/// just resolved. A rebuilt trace identical to the live one at its entry
+/// is reused; a different one replaces (kills) it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +23,6 @@
 #include <functional>
 #include <map>
 #include <ostream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jtc {
@@ -71,11 +72,13 @@ public:
   /// and optimizer disagreed somewhere, so the trace runs fully checked.
   void setAnnotateHook(AnnotateHook H) { Annotate = std::move(H); }
 
-  /// Trace entered by the block transition (\p From -> \p To), or null.
-  /// This is the per-dispatch lookup the interpreter performs.
-  const Trace *findTrace(BlockId From, BlockId To) const {
-    auto It = EntryMap.find(pairKey(From, To));
-    return It == EntryMap.end() ? nullptr : &Traces[It->second];
+  /// Trace entered at branch context \p Context, or null (also for
+  /// InvalidNodeId). This is the per-dispatch lookup the interpreter
+  /// performs on the profiler's current context.
+  const Trace *entryAt(NodeId Context) const {
+    TraceId Id = Context < EntryByNode.size() ? EntryByNode[Context]
+                                              : InvalidTraceId;
+    return Id == InvalidTraceId ? nullptr : &Traces[Id];
   }
 
   /// Records one execution of trace \p Id (\p CompletedRun: it ran to
@@ -121,11 +124,12 @@ public:
   std::vector<TraceSeed> exportLiveTraces() const;
 
   /// Installs donor traces into this cache, which must be fresh (no
-  /// traces). Seeded traces are dispatchable immediately -- no profiler
-  /// signal is consumed or emitted -- and are counted under
-  /// CacheStats::TracesSeeded, not TracesConstructed. Their execution
-  /// history starts at zero, so observed-completion retirement judges
-  /// them against this session's behaviour alone.
+  /// traces) over a graph holding a node for every seed block pair (as
+  /// the donor's own nodes do). Seeded traces are dispatchable
+  /// immediately -- no profiler signal is consumed or emitted -- and are
+  /// counted under CacheStats::TracesSeeded, not TracesConstructed. Their
+  /// execution history starts at zero, so observed-completion retirement
+  /// judges them against this session's behaviour alone.
   void seedTraces(const std::vector<TraceSeed> &Seeds);
 
   const CacheStats &stats() const { return Stats; }
@@ -149,18 +153,17 @@ public:
   /// Every trace ever constructed, including replaced ones.
   const std::vector<Trace> &traces() const { return Traces; }
 
-  const TraceBuilder &builder() const { return Builder; }
-
   /// Dumps live traces with their entries and completion estimates.
   void dump(std::ostream &OS) const;
 
 private:
   void install(const TraceCandidate &C);
+  /// Points entry \p Context at trace \p Id, killing (as replaced) any
+  /// other trace that held it.
+  void setEntry(NodeId Context, TraceId Id);
   /// Runs the validate hook (if any) over a just-built trace, recording
   /// the verdict on the trace, in stats and in telemetry.
   void applyValidation(Trace &T);
-  static uint64_t contentHash(BlockId EntryFrom,
-                              const std::vector<BlockId> &Blocks);
   void bumpGeneration() {
 #ifndef NDEBUG
     ++Generation;
@@ -175,14 +178,12 @@ private:
   AnnotateHook Annotate;
   std::function<uint32_t(BlockId)> BlockSize;
   std::vector<Trace> Traces;
-  /// (EntryFrom, Blocks[0]) pair key -> live trace id.
-  std::unordered_map<uint64_t, TraceId> EntryMap;
-  /// Content hash -> all trace ids ever built with that hash.
-  std::unordered_map<uint64_t, std::vector<TraceId>> ByContent;
-  /// Entry keys and trace ids installed or reused by the in-progress
-  /// rebuild; traces keyed at interior transitions of a fresh trace (and
-  /// not themselves fresh) are retired as stale fragments.
-  std::unordered_set<uint64_t> FreshEntryKeys;
+  /// Entry node id -> live trace id (InvalidTraceId when none); grown on
+  /// demand as traces are installed at newer nodes.
+  std::vector<TraceId> EntryByNode;
+  /// Trace ids installed or reused by the in-progress rebuild; traces
+  /// entered at interior contexts of a fresh trace (and not themselves
+  /// fresh) are retired as stale fragments.
   std::vector<TraceId> FreshIds;
   CacheStats Stats;
 #ifndef NDEBUG

@@ -22,8 +22,8 @@ namespace jtc {
 enum class CacheFault : uint8_t {
   /// Correct behaviour.
   None,
-  /// Rebuilds mark stale fragments dead but "forget" to remove their
-  /// entry-map keys, so findTrace() can hand out a dead trace.
+  /// Rebuilds mark stale fragments dead but "forget" to clear their
+  /// entry-index slots, so entryAt() can hand out a dead trace.
   SkipInvalidation,
   /// Observed-completion retirement never fires: persistently
   /// under-performing traces survive every evaluation pass.

@@ -140,10 +140,9 @@ bool TraceVM::replayNativeRun(const Trace &T,
   // so every BlocksExecuted-stamped clock and the btrace stream are
   // bit-identical to a block-stepped run. The trace pointer stays valid
   // throughout: the cache mutates only inside the *final* engine call of
-  // this replay (completeActiveTrace inside the last executed(), or
-  // exitActiveTraceEarly inside the last transition()/endRun()), and every
-  // read of T happens before it. Checked builds prove it with the cache's
-  // mutation generation.
+  // this replay (leaveTrace inside the last executed(), transition() or
+  // endRun()), and every read of T happens before it. Checked builds prove
+  // it with the cache's mutation generation.
   VmStats &Stats = Engine.stats();
   (void)Stats;
   const uint64_t Generation = Engine.traceCache().generation();

@@ -6,13 +6,13 @@
 /// graph profiler, and the trace cache.
 ///
 /// On every block transition outside a trace the profiler hook runs and
-/// the trace-cache entry table is consulted; a hit dispatches the whole
-/// trace. While a trace executes, per-block profiler hooks are suppressed
-/// (a trace dispatch costs a single profiling statement, paper section
-/// 4.1.2) and the actual successors are matched against the trace. A
-/// mismatch exits the trace early (a partial execution); matching through
-/// the last block completes it. On any exit the profiler context is
-/// resynchronized from the last executed block pair.
+/// the trace cache's entry index is read at the hook's new context node; a
+/// hit dispatches the whole trace. While a trace executes, per-block
+/// profiler hooks are suppressed (a trace dispatch costs a single
+/// profiling statement, paper section 4.1.2) and the actual successors are
+/// matched against the trace. A mismatch exits the trace early (a partial
+/// execution); completing or leaving a trace moves the profiler context to
+/// the last block pair that executed.
 ///
 /// A dispatched trace is its blocks run back to back: run()'s one loop
 /// steps trace and non-trace blocks alike. The only other way a trace

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -308,6 +309,34 @@ TEST(PersistTest, ValidateSeedRejectsForeignBlockIds) {
     EXPECT_FALSE(validateSeed(Bad, D.PM, Err));
     EXPECT_EQ(Err.Kind, PersistErrorKind::IncompatibleSeed);
   }
+}
+
+TEST(PersistTest, ValidateSeedRejectsTracePairsWithoutNodes) {
+  // Traces hang off the profiler nodes of their block pairs, so a seed
+  // whose snapshot lacks one of those nodes cannot be installed.
+  Donor D(testprog::hotLoop(20000));
+  ASSERT_FALSE(D.Snap.Seed.Traces.empty());
+  const TraceCache::TraceSeed &T = D.Snap.Seed.Traces[0];
+  auto WithoutNode = [&](BlockId X, BlockId Y) {
+    VmSeed Bad = D.Snap.Seed;
+    auto It = std::find_if(Bad.Nodes.begin(), Bad.Nodes.end(),
+                           [&](const BcgNodeSnapshot &N) {
+                             return N.From == X && N.To == Y;
+                           });
+    EXPECT_NE(It, Bad.Nodes.end()) << "donor lacks node " << X << "->" << Y;
+    if (It != Bad.Nodes.end())
+      Bad.Nodes.erase(It);
+    return Bad;
+  };
+  PersistError Err;
+  EXPECT_FALSE(validateSeed(WithoutNode(T.EntryFrom, T.Blocks[0]), D.PM, Err));
+  EXPECT_EQ(Err.Kind, PersistErrorKind::IncompatibleSeed);
+  EXPECT_NE(Err.message().find("entry pair"), std::string::npos)
+      << Err.message();
+  EXPECT_FALSE(validateSeed(WithoutNode(T.Blocks[0], T.Blocks[1]), D.PM, Err));
+  EXPECT_EQ(Err.Kind, PersistErrorKind::IncompatibleSeed);
+  EXPECT_NE(Err.message().find("block pair"), std::string::npos)
+      << Err.message();
 }
 
 TEST(PersistTest, CompletionFilterDropsTracesThatFailedRetirement) {

@@ -299,29 +299,44 @@ TEST(BcgTest, AcknowledgeSuppressesResignal) {
 // Context control
 //===----------------------------------------------------------------------===//
 
-TEST(BcgTest, ResetContextForgetsHistory) {
+TEST(BcgTest, SetContextMovesWithoutCounting) {
   BranchCorrelationGraph G(config());
-  feed(G, {1, 2});
-  G.resetContext();
-  EXPECT_EQ(G.currentContext(), InvalidNodeId);
-  // The next two dispatches re-establish a context without linking to the
-  // pre-reset stream.
-  feed(G, {7, 8});
-  EXPECT_EQ(G.currentContext(), G.findNode(7, 8));
-  EXPECT_EQ(G.node(G.findNode(7, 8)).totalWeight(), 0u)
-      << "re-establishing a context records no successor";
-}
-
-TEST(BcgTest, ForceContextCreatesWithoutCounting) {
-  BranchCorrelationGraph G(config());
-  G.forceContext(5, 6);
+  feed(G, {5, 6, 9});
   NodeId N = G.findNode(5, 6);
   ASSERT_NE(N, InvalidNodeId);
-  EXPECT_EQ(G.node(N).executions(), 0u);
+  uint64_t Execs = G.node(N).executions();
+  G.setContext(N);
   EXPECT_EQ(G.currentContext(), N);
-  // The next dispatch is attributed to the forced pair.
+  EXPECT_EQ(G.node(N).executions(), Execs);
+  // The next dispatch is attributed to the set pair.
   G.onBlockDispatch(7);
-  EXPECT_NEAR(G.node(N).probabilityOf(7), 1.0, 1e-9);
+  EXPECT_EQ(G.node(N).executions(), Execs + 1);
+  EXPECT_GT(G.node(N).probabilityOf(7), 0.0);
+}
+
+TEST(BcgTest, MoveContextFollowsASuccessorWithoutCounting) {
+  BranchCorrelationGraph G(config());
+  feed(G, {1, 2, 3});
+  NodeId N12 = G.findNode(1, 2);
+  NodeId N23 = G.findNode(2, 3);
+  uint64_t Execs = G.node(N12).executions();
+  // A known successor follows the correlation's cached target.
+  G.moveContext(N12, 3);
+  EXPECT_EQ(G.currentContext(), N23);
+  EXPECT_EQ(G.node(N12).executions(), Execs);
+  // An unseen successor resolves (creating) N(2, 8), still uncounted.
+  size_t Nodes = G.numNodes();
+  G.moveContext(N12, 8);
+  NodeId N28 = G.findNode(2, 8);
+  ASSERT_NE(N28, InvalidNodeId);
+  EXPECT_EQ(G.currentContext(), N28);
+  EXPECT_EQ(G.numNodes(), Nodes + 1);
+  EXPECT_EQ(G.node(N12).correlations().size(), 1u)
+      << "moving the context records no correlation";
+  EXPECT_EQ(G.node(N28).executions(), 0u);
+  // The next dispatch is attributed to the new pair.
+  G.onBlockDispatch(4);
+  EXPECT_NEAR(G.node(N28).probabilityOf(4), 1.0, 1e-9);
 }
 
 TEST(BcgTest, WideFanoutStillFindsAllSuccessors) {

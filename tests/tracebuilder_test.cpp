@@ -43,6 +43,14 @@ protected:
     return N;
   }
 
+  /// The blocks a candidate runs: the second block of each path node.
+  std::vector<BlockId> blocks(const TraceCandidate &C) {
+    std::vector<BlockId> Out;
+    for (NodeId N : C.Contexts)
+      Out.push_back(Graph.node(N).to());
+    return Out;
+  }
+
   BranchCorrelationGraph Graph;
 };
 
@@ -147,10 +155,10 @@ TEST_F(TraceBuilderTest, CutKeepsHighProbabilityChainWhole) {
   TraceBuilder::Path P = B.walkPath(node(1, 2));
   std::vector<TraceCandidate> Cands = B.cut(P.Nodes);
   ASSERT_EQ(Cands.size(), 1u);
-  EXPECT_GE(Cands[0].Blocks.size(), 2u);
+  EXPECT_GE(Cands[0].Contexts.size(), 2u);
   EXPECT_GE(Cands[0].Completion, 0.97);
-  EXPECT_EQ(Cands[0].EntryFrom, 1u);
-  EXPECT_EQ(Cands[0].Blocks.front(), 2u);
+  EXPECT_EQ(Cands[0].Contexts.front(), node(1, 2)) << "entered at (1 -> 2)";
+  EXPECT_EQ(blocks(Cands[0]).front(), 2u);
 }
 
 TEST_F(TraceBuilderTest, CutSplitsAtLowProbabilityEdge) {
@@ -173,8 +181,8 @@ TEST_F(TraceBuilderTest, CutSplitsAtLowProbabilityEdge) {
                                node(5, 6)};
   std::vector<TraceCandidate> Cands = B.cut(Nodes);
   ASSERT_EQ(Cands.size(), 2u) << "the 80% edge must split the trace";
-  EXPECT_EQ(Cands[0].Blocks.back(), 3u);
-  EXPECT_EQ(Cands[1].Blocks.front(), 4u);
+  EXPECT_EQ(blocks(Cands[0]).back(), 3u);
+  EXPECT_EQ(blocks(Cands[1]).front(), 4u);
   for (const TraceCandidate &C : Cands)
     EXPECT_GE(C.Completion, 0.97 - 1e-9);
 }
@@ -186,7 +194,7 @@ TEST_F(TraceBuilderTest, CutRespectsMaxTraceBlocks) {
   TraceBuilder B(Graph, C);
   TraceBuilder::Path P = B.walkPath(node(1, 2));
   for (const TraceCandidate &Cand : B.cut(P.Nodes))
-    EXPECT_LE(Cand.Blocks.size(), 3u);
+    EXPECT_LE(Cand.Contexts.size(), 3u);
 }
 
 TEST_F(TraceBuilderTest, CutDropsSingleBlockRemnants) {
@@ -218,7 +226,7 @@ TEST_F(TraceBuilderTest, BuildUnrollsLoopOnce) {
   // The loop body has 4 blocks; unrolled once it yields 8.
   size_t Longest = 0;
   for (const TraceCandidate &C : R.Candidates)
-    Longest = std::max(Longest, C.Blocks.size());
+    Longest = std::max(Longest, C.Contexts.size());
   EXPECT_EQ(Longest, 8u) << "loop body must be unrolled exactly once";
 }
 

@@ -61,20 +61,20 @@ TEST_F(TraceCacheTest, GenerationAdvancesOnEveryMutation) {
   EXPECT_GE(AfterSignals, Cache.stats().SignalsHandled);
   const Trace &T = Cache.traces().front();
   // Lookups and reads leave it alone; execution bookkeeping advances it.
-  (void)Cache.findTrace(T.EntryFrom, T.Blocks[0]);
+  (void)Cache.entryAt(T.Contexts[0]);
   (void)Cache.numLiveTraces();
   EXPECT_EQ(Cache.generation(), AfterSignals);
   Cache.recordExecution(T.Id, /*CompletedRun=*/true);
   EXPECT_EQ(Cache.generation(), AfterSignals + 1);
 }
 
-TEST_F(TraceCacheTest, FindTraceMatchesEntryPair) {
+TEST_F(TraceCacheTest, EntryAtFindsTraceByEntryContext) {
   feed({1, 2, 3, 4}, 200);
-  // Some rotation of the cycle is installed; find it via its entry pair.
+  // Some rotation of the cycle is installed; find it via its entry node.
   const Trace *Found = nullptr;
   const BlockId Cycle[] = {1, 2, 3, 4};
   for (unsigned I = 0; I < 4 && !Found; ++I)
-    Found = Cache.findTrace(Cycle[I], Cycle[(I + 1) % 4]);
+    Found = Cache.entryAt(Graph.findNode(Cycle[I], Cycle[(I + 1) % 4]));
   ASSERT_NE(Found, nullptr);
   EXPECT_TRUE(Found->Alive);
   EXPECT_GE(Found->Blocks.size(), 2u);
@@ -82,9 +82,24 @@ TEST_F(TraceCacheTest, FindTraceMatchesEntryPair) {
       << "instruction count uses the supplied block-size callback";
 }
 
-TEST_F(TraceCacheTest, FindTraceMissReturnsNull) {
+TEST_F(TraceCacheTest, EntryAtMissReturnsNull) {
   feed({1, 2, 3, 4}, 200);
-  EXPECT_EQ(Cache.findTrace(77, 78), nullptr);
+  EXPECT_EQ(Cache.entryAt(InvalidNodeId), nullptr);
+  EXPECT_EQ(Cache.entryAt(static_cast<NodeId>(Graph.numNodes())), nullptr);
+}
+
+TEST_F(TraceCacheTest, TracesCarryTheNodesOfTheirBlockPairs) {
+  feed({1, 2, 3, 4, 5}, 300);
+  ASSERT_FALSE(Cache.traces().empty());
+  for (const Trace &T : Cache.traces()) {
+    ASSERT_EQ(T.Contexts.size(), T.Blocks.size());
+    BlockId Prev = T.EntryFrom;
+    for (size_t K = 0; K < T.Blocks.size(); ++K) {
+      EXPECT_EQ(T.Contexts[K], Graph.findNode(Prev, T.Blocks[K]))
+          << "trace " << T.Id << " context " << K;
+      Prev = T.Blocks[K];
+    }
+  }
 }
 
 TEST_F(TraceCacheTest, IdenticalRebuildsAreReused) {
