@@ -85,6 +85,8 @@ struct TraceMemFact {
   uint32_t BlockIndex = 0;
   uint32_t Pc = 0;
   MemElide Elide = MemElide::NullOnly;
+
+  bool operator==(const TraceMemFact &) const = default;
 };
 
 /// Aggregate counters for heap-access classification; the non-elidable

@@ -14,9 +14,7 @@ using namespace jtc::analysis;
 
 namespace {
 
-/// Arena chunks mapped straight from the kernel, so retained facts never
-/// sit between the process heap's short-lived allocations, and the
-/// unused tail of a chunk is never touched and costs no resident memory.
+/// See pageResource().
 class PageResource final : public std::pmr::memory_resource {
   void *do_allocate(size_t Bytes, size_t Align) override {
 #ifdef JTC_HAVE_MMAP
@@ -50,6 +48,8 @@ PageResource Pages;
 constexpr size_t InitialArenaBytes = 256 * 1024;
 
 } // namespace
+
+std::pmr::memory_resource *analysis::pageResource() { return &Pages; }
 
 ModuleAnalysis::ModuleAnalysis(const Module &M, bool Eager)
     : Mod(&M),

@@ -30,6 +30,13 @@
 namespace jtc {
 namespace analysis {
 
+/// Whole pages mapped straight from the kernel (the process heap where
+/// mmap is unavailable): the upstream of the per-module arenas, so what a
+/// module retains never sits between a session's short-lived heap
+/// allocations, and an arena chunk's untouched tail costs no resident
+/// memory.
+std::pmr::memory_resource *pageResource();
+
 /// All facts for one method. Owns the CFG the fact objects point into.
 struct MethodAnalysis {
   /// Every table is allocated from \p Mem.

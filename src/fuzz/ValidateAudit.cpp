@@ -16,14 +16,22 @@ std::vector<Violation> fuzz::checkValidateAudit(const PreparedModule &PM,
   const OptConfig &Cfg = VM.options().optConfig();
   // Under a deliberate miscompile, rejections are the expected outcome;
   // the audit only polices false rejects of sound optimizer output.
-  if (Cfg.Mutate != UnsoundPass::None)
-    return Violations;
+  const bool AuditVerdicts = Cfg.Mutate == UnsoundPass::None;
+  const bool Annotated = VM.options().memElide();
 
-  const std::vector<Trace> &Traces = VM.traceCache().traces();
-  if (Traces.empty())
-    return Violations;
-
-  for (const Trace &T : Traces) {
+  for (const Trace &T : VM.traceCache().traces()) {
+    // The session's elisions may have come from the module's proof memo;
+    // they must be what the analysis derives for this block sequence.
+    if (Annotated && T.Validation != TraceValidation::Rejected &&
+        toMemElisions(traceMemFacts(PM, T.Blocks)) != T.MemElisions) {
+      std::ostringstream OS;
+      OS << "trace " << T.Id << " (" << T.Blocks.size() << " blocks) carries "
+         << T.MemElisions.size()
+         << " check elisions that differ from its recomputed ones";
+      Violations.push_back({"validate-memo-incoherent", OS.str()});
+    }
+    if (!AuditVerdicts)
+      continue;
     if (T.Validation == TraceValidation::Rejected) {
       std::ostringstream OS;
       OS << "trace " << T.Id << " (" << T.Blocks.size()

@@ -19,6 +19,11 @@
 /// optimizer configurations; under an UnsoundPass mutation rejections
 /// are the desired outcome.
 ///
+/// Sessions over one module reuse each other's proofs (the module's
+/// memo, PreparedModule::proofs()), so the audit also recomputes every
+/// annotated trace's check elisions and compares them with the ones the
+/// session installed, under any configuration.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_FUZZ_VALIDATEAUDIT_H
@@ -36,8 +41,10 @@ namespace fuzz {
 /// Re-validates every trace in \p VM's cache (live and dead; a trace
 /// that was later retired still had to be sound while it ran) and
 /// reports each rejection as a "validate-false-reject" violation, plus a
-/// "validate-hook-reject" for any trace the in-session hook rejected.
-/// Returns empty when the session built no traces.
+/// "validate-hook-reject" for any trace the in-session hook rejected,
+/// and a "validate-memo-incoherent" for any trace whose check elisions
+/// differ from recomputed ones. Returns empty when the session built no
+/// traces.
 std::vector<Violation> checkValidateAudit(const PreparedModule &PM,
                                           const TraceVM &VM);
 

@@ -21,7 +21,10 @@
 ///
 /// The module's static analysis (facts()) is shared the same way: each
 /// method's facts are computed the first time any session's validation,
-/// annotation or JIT lowering asks for them, and never again.
+/// annotation or JIT lowering asks for them, and never again. So are the
+/// proofs built on them (proofs()): each trace shape's validation verdict
+/// and check-elision facts are computed by the first session that builds
+/// the shape, and every later session over the module reuses them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,7 @@
 #define JTC_INTERP_PREPAREDMODULE_H
 
 #include "analysis/Analysis.h"
+#include "analysis/TraceProofs.h"
 #include "bytecode/Program.h"
 #include "support/Ids.h"
 
@@ -103,6 +107,10 @@ public:
   /// shared by every session over this PreparedModule.
   const analysis::ModuleAnalysis &facts() const { return Facts; }
 
+  /// The module's memo of trace verdicts and check-elision facts, filled
+  /// on demand and shared by every session over this PreparedModule.
+  const analysis::TraceProofMemo &proofs() const { return Proofs; }
+
   size_t numBlocks() const { return Blocks.size(); }
 
   const BasicBlock &block(BlockId B) const {
@@ -158,6 +166,7 @@ private:
   std::vector<SwitchCode> Switches;
   std::vector<BlockId> SwitchTargets;
   analysis::ModuleAnalysis Facts;
+  analysis::TraceProofMemo Proofs;
 };
 
 } // namespace jtc

@@ -18,6 +18,7 @@
 #define JTC_OPT_OPTCONFIG_H
 
 #include <cstdint>
+#include <initializer_list>
 
 namespace jtc {
 
@@ -100,7 +101,20 @@ struct OptConfig {
            LivenessAtExits && ElimRedundantLoads && ElimDeadStores &&
            SinkStores && Mutate == UnsoundPass::None;
   }
+
+  /// Every field packed into one word: equal fingerprints mean equal
+  /// configurations, which optimize (and so validate) every trace alike.
+  uint64_t fingerprint() const {
+    uint64_t F = 0;
+    for (bool On : {FoldConstants, ForwardLoads, DeferStores, EliminateGuards,
+                    LivenessAtExits, ElimRedundantLoads, ElimDeadStores,
+                    SinkStores})
+      F = F << 1 | On;
+    return F << 8 | static_cast<uint8_t>(Mutate);
+  }
 };
+static_assert(sizeof(OptConfig) == 9,
+              "a new OptConfig field must be packed into fingerprint()");
 
 } // namespace jtc
 

@@ -52,6 +52,8 @@ struct MemElision {
   uint32_t BlockIndex = 0; ///< Index into Trace::Blocks.
   uint32_t Pc = 0;         ///< Instruction pc within that block's method.
   uint8_t Kind = NullOnly;
+
+  bool operator==(const MemElision &) const = default;
 };
 
 struct Trace {

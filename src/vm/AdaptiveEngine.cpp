@@ -13,7 +13,9 @@ using namespace jtc;
 
 AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
                                const VmOptions &Options)
-    : PM(&PM), Options(&Options), Graph(Options.profilerConfig()),
+    : PM(&PM), Options(&Options),
+      ProofConfig(Options.optConfig().fingerprint()),
+      Graph(Options.profilerConfig()),
       Cache(Graph, Options.traceConfig(),
             [P = &PM](BlockId B) { return P->blockSize(B); }) {
   // Trace construction is driven by profiler signals, so trace dispatch
@@ -28,41 +30,67 @@ AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
   }
 }
 
-TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) {
-  validate::Result R =
-      validate::validateTrace(*PM, T, Options->optConfig(), &PM->facts());
-  if (!R.Ok && Options->validate() == ValidateMode::Strict) {
-    std::fprintf(stderr,
-                 "jtc: --validate=strict: trace %u rejected by translation "
-                 "validation: %s (segment %u)\n",
-                 T.Id, R.typed().qualifiedMessage().c_str(), R.SegmentIndex);
-    std::abort();
-  }
-  return {R.Ok, static_cast<uint32_t>(R.Why)};
-}
-
-void AdaptiveEngine::annotateCandidate(Trace &T) {
-  const analysis::ModuleAnalysis &A = PM->facts();
+std::vector<analysis::TraceMemFact>
+jtc::traceMemFacts(const PreparedModule &PM,
+                   const std::vector<BlockId> &Blocks) {
+  const analysis::ModuleAnalysis &A = PM.facts();
   std::vector<analysis::TraceBlockSpan> Spans;
-  Spans.reserve(T.Blocks.size());
-  for (BlockId B : T.Blocks) {
-    const BasicBlock &BB = PM->block(B);
+  Spans.reserve(Blocks.size());
+  for (BlockId B : Blocks) {
+    const BasicBlock &BB = PM.block(B);
     Spans.push_back({BB.MethodId, BB.StartPc, BB.EndPc});
   }
-  std::vector<analysis::TraceMemFact> MemFacts = analysis::analyzeTraceMemory(
-      PM->module(),
+  return analysis::analyzeTraceMemory(
+      PM.module(),
       [&A](uint32_t MethodId) -> const analysis::MethodValueFacts * {
         const analysis::MethodAnalysis *MA = A.method(MethodId);
         return MA ? &MA->Values : nullptr;
       },
       Spans);
-  T.MemElisions.clear();
-  T.MemElisions.reserve(MemFacts.size());
-  for (const analysis::TraceMemFact &F : MemFacts)
-    T.MemElisions.push_back({F.BlockIndex, F.Pc,
-                             F.Elide == analysis::MemElide::Full
-                                 ? MemElision::Full
-                                 : MemElision::NullOnly});
+}
+
+std::vector<MemElision>
+jtc::toMemElisions(const std::vector<analysis::TraceMemFact> &Facts) {
+  std::vector<MemElision> Out;
+  Out.reserve(Facts.size());
+  for (const analysis::TraceMemFact &F : Facts)
+    Out.push_back({F.BlockIndex, F.Pc,
+                   F.Elide == analysis::MemElide::Full ? MemElision::Full
+                                                       : MemElision::NullOnly});
+  return Out;
+}
+
+TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) {
+  bool Reused = false;
+  analysis::TraceVerdict V = PM->proofs().verdict(
+      {T.Blocks, ProofConfig},
+      [&] {
+        validate::Result R = validate::validateTrace(
+            *PM, T, Options->optConfig(), &PM->facts());
+        return analysis::TraceVerdict{R.Ok, static_cast<uint32_t>(R.Why),
+                                      R.SegmentIndex, std::move(R.Detail)};
+      },
+      Reused);
+  Stats.TraceProofsReused += Reused;
+  if (!V.Ok && Options->validate() == ValidateMode::Strict) {
+    validate::Result R =
+        validate::Result::fail(static_cast<validate::Reason>(V.ReasonCode),
+                               V.Detail);
+    std::fprintf(stderr,
+                 "jtc: --validate=strict: trace %u rejected by translation "
+                 "validation: %s (segment %u)\n",
+                 T.Id, R.typed().qualifiedMessage().c_str(), V.SegmentIndex);
+    std::abort();
+  }
+  return {V.Ok, V.ReasonCode};
+}
+
+void AdaptiveEngine::annotateCandidate(Trace &T) {
+  bool Reused = false;
+  T.MemElisions = toMemElisions(PM->proofs().memFacts(
+      {T.Blocks, ProofConfig}, [&] { return traceMemFacts(*PM, T.Blocks); },
+      Reused));
+  Stats.TraceProofsReused += Reused;
   Stats.MemElisionSites += T.MemElisions.size();
 }
 

@@ -42,6 +42,16 @@ struct VmSeed {
   bool empty() const { return Nodes.empty() && Traces.empty(); }
 };
 
+/// The alias analysis' check-elision facts for the trace block sequence
+/// \p Blocks (analysis::analyzeTraceMemory over the module's shared
+/// static facts).
+std::vector<analysis::TraceMemFact>
+traceMemFacts(const PreparedModule &PM, const std::vector<BlockId> &Blocks);
+
+/// \p Facts in the trace layer's form, as Trace::MemElisions holds them.
+std::vector<MemElision>
+toMemElisions(const std::vector<analysis::TraceMemFact> &Facts);
+
 /// The adaptive half of one VM session, driven by a block-transition
 /// stream. See the file comment for the driver contract.
 class AdaptiveEngine {
@@ -111,18 +121,22 @@ private:
 
   /// The TraceCache validation hook (--validate != off): re-runs the
   /// optimizer on \p T's linearized form and proves the result a sound
-  /// refinement of the source bytecode (validate::validateTrace). Under
-  /// --validate=strict a rejection aborts the process.
+  /// refinement of the source bytecode (validate::validateTrace), unless
+  /// the module already holds the verdict on \p T's shape. Under
+  /// --validate=strict a rejection aborts the process, proved now or
+  /// earlier.
   TraceCache::ValidationVerdict validateCandidate(const Trace &T);
 
-  /// The TraceCache annotation hook (memElide on): runs the alias
-  /// analysis over \p T's block sequence (analysis::analyzeTraceMemory)
-  /// and records the heap accesses whose dynamic checks are provably
-  /// redundant on the trace path, for both execution tiers to skip.
+  /// The TraceCache annotation hook (memElide on): records the heap
+  /// accesses whose dynamic checks are provably redundant on \p T's path
+  /// (traceMemFacts, or the module's memo of them), for both execution
+  /// tiers to skip.
   void annotateCandidate(Trace &T);
 
   const PreparedModule *PM;
   const VmOptions *Options;
+  /// The optimizer configuration's part of the trace-shape key.
+  uint64_t ProofConfig;
   BranchCorrelationGraph Graph;
   TraceCache Cache;
   VmStats Stats;

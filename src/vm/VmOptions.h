@@ -171,7 +171,8 @@ public:
 
   /// Construction-time translation validation of every optimized trace.
   /// On by default: validation runs off the dispatch path (once per
-  /// constructed trace) and is the safety net under the optimizer.
+  /// trace shape and module, PreparedModule::proofs()) and is the safety
+  /// net under the optimizer.
   VmOptions &validate(ValidateMode M) {
     Validate = M;
     return *this;
@@ -180,9 +181,9 @@ public:
   /// Alias-analysis check elision: annotate every installed trace with
   /// the heap accesses whose null/class/bounds checks are provably
   /// redundant on the trace path, and let both execution tiers skip
-  /// them. On by default; the analysis runs once per constructed trace,
-  /// off the dispatch path, and elision never changes behaviour (the
-  /// skipped checks are proven to pass), so digests are unaffected.
+  /// them. On by default; the analysis runs once per trace shape and
+  /// module, off the dispatch path, and elision never changes behaviour
+  /// (the skipped checks are proven to pass), so digests are unaffected.
   VmOptions &memElide(bool On) {
     MemElide = On;
     return *this;

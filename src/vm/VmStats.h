@@ -54,6 +54,11 @@ struct VmStats {
   /// are digest-excluded like EventsDropped.
   uint64_t TracesValidated = 0;
   uint64_t TraceValidationRejects = 0;
+  /// Validation and annotation hook calls answered from the module's
+  /// proof memo (PreparedModule::proofs()) instead of computed. It counts
+  /// what earlier sessions over the module proved, not anything this one
+  /// executed, so it is digest-excluded too.
+  uint64_t TraceProofsReused = 0;
 
   //===--- Backend tiering (src/backend) -------------------------------===//
   /// Which execution tier served trace dispatches, and what the JIT

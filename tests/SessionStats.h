@@ -1,0 +1,35 @@
+//===- tests/SessionStats.h - Comparing two sessions' VmStats ---*- C++ -*-===//
+///
+/// \file
+/// Tests that run several sessions over one PreparedModule compare their
+/// statistics counter by counter. TraceProofsReused is left out: it
+/// counts the proofs earlier sessions over the module left behind, so a
+/// repeat session differs there by design.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef JTC_TESTS_SESSIONSTATS_H
+#define JTC_TESTS_SESSIONSTATS_H
+
+#include "vm/VmStats.h"
+
+#include <string>
+
+namespace jtc {
+namespace testprog {
+
+/// The keys of the raw counters on which \p A and \p B differ, space-
+/// separated; empty when the sessions agree.
+inline std::string statsDiff(const VmStats &A, const VmStats &B) {
+  std::string Diff;
+  for (const VmStats::FieldInfo &F : VmStats::fields())
+    if (F.Counter && F.Counter != &VmStats::TraceProofsReused &&
+        A.*F.Counter != B.*F.Counter)
+      Diff += std::string(Diff.empty() ? "" : " ") + F.Key;
+  return Diff;
+}
+
+} // namespace testprog
+} // namespace jtc
+
+#endif // JTC_TESTS_SESSIONSTATS_H

@@ -13,6 +13,7 @@
 #include "fuzz/Minimizer.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/ProgramGen.h"
+#include "fuzz/ValidateAudit.h"
 
 #include "TestPrograms.h"
 #include "bytecode/Verifier.h"
@@ -219,6 +220,43 @@ TEST(ContextInvariantTest, EveryWorkloadProfilesOnlyExecutedContexts) {
         checkContextsExecuted(VM.graph(), Rec.blocks());
     EXPECT_TRUE(Vs.empty()) << W.Name << ":\n" << formatViolations(Vs);
   }
+}
+
+TEST(ValidateAuditTest, ReusedElisionsAreCheckedAgainstRecomputedOnes) {
+  // A clean memo passes the audit on the session that filled it and on
+  // the one that reuses it. A memo poisoned with wrong facts for shapes a
+  // session is about to build is caught.
+  const WorkloadInfo *W = findWorkload("javac");
+  ASSERT_NE(W, nullptr);
+  Module M = W->Build(std::max(1u, W->DefaultScale / 20));
+  PreparedModule PM(M);
+  TraceVM First(PM, VmOptions());
+  First.run();
+  TraceVM Second(PM, VmOptions());
+  Second.run();
+  ASSERT_GT(Second.stats().TraceProofsReused, 0u);
+  EXPECT_TRUE(checkValidateAudit(PM, First).empty());
+  EXPECT_TRUE(checkValidateAudit(PM, Second).empty());
+
+  PreparedModule Poisoned(M);
+  const uint64_t Config = VmOptions().optConfig().fingerprint();
+  unsigned Shapes = 0;
+  for (const Trace &T : First.traceCache().traces()) {
+    if (T.MemElisions.empty())
+      continue;
+    bool Reused = false;
+    Poisoned.proofs().memFacts(
+        {T.Blocks, Config},
+        [] { return std::vector<analysis::TraceMemFact>(); }, Reused);
+    ++Shapes;
+  }
+  ASSERT_GT(Shapes, 0u);
+  TraceVM Victim(Poisoned, VmOptions());
+  Victim.run();
+  std::vector<Violation> Vs = checkValidateAudit(Poisoned, Victim);
+  ASSERT_FALSE(Vs.empty());
+  for (const Violation &V : Vs)
+    EXPECT_EQ(V.Rule, "validate-memo-incoherent") << V.Detail;
 }
 
 // Retirement detection audits the telemetry event stream, so these two

@@ -9,6 +9,7 @@
 
 #include "server/VmService.h"
 
+#include "SessionStats.h"
 #include "TestPrograms.h"
 #include "runtime/Heap.h"
 #include "workloads/Workloads.h"
@@ -428,4 +429,38 @@ TEST(VmServiceTest, ReregisteringReplacesModuleAndDropsSnapshot) {
   SessionResult R = Svc.run({"m"});
   EXPECT_FALSE(R.WarmStart);
   EXPECT_EQ(R.Run.Status, RunStatus::Finished);
+}
+
+TEST(VmServiceTest, ConcurrentFirstUseOfTraceProofs) {
+  // Eight workers start together on a module that holds no trace proofs
+  // yet, so they race to prove -- and publish -- the same shapes. Every
+  // session must match a single-threaded one counter for counter, and
+  // the module ends up holding the shapes that session proved.
+  const WorkloadInfo *W = findWorkload("javac");
+  ASSERT_NE(W, nullptr);
+  uint32_t Scale = std::max(1u, W->DefaultScale / 20);
+  Module M = W->Build(Scale);
+  PreparedModule RefPM(M);
+  TraceVM RefVM(RefPM, VmOptions());
+  RefVM.run();
+  ASSERT_GT(RefVM.stats().TracesValidated, 0u);
+
+  VmService Svc(ServiceOptions().workers(8).warmHandoff(false));
+  Svc.registerWorkload(*W, Scale);
+  const PreparedModule *PM = Svc.preparedModule(W->Name);
+  ASSERT_NE(PM, nullptr);
+  ASSERT_EQ(PM->proofs().proofsComputed(), 0u);
+
+  std::vector<std::future<SessionResult>> Fs;
+  for (int I = 0; I < 8; ++I)
+    Fs.push_back(Svc.submit({W->Name}));
+  for (std::future<SessionResult> &F : Fs) {
+    SessionResult R = F.get();
+    ASSERT_FALSE(R.Rejected);
+    EXPECT_EQ(R.Run.Status, RunStatus::Finished);
+    EXPECT_EQ(R.Output, RefVM.machine().output());
+    EXPECT_EQ(testprog::statsDiff(R.Stats, RefVM.stats()), "");
+  }
+  EXPECT_EQ(PM->proofs().shapesHeld(), RefPM.proofs().shapesHeld());
+  EXPECT_GE(PM->proofs().proofsComputed(), RefPM.proofs().proofsComputed());
 }

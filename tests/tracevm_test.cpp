@@ -2,6 +2,7 @@
 
 #include "vm/TraceVM.h"
 
+#include "SessionStats.h"
 #include "TestPrograms.h"
 #include "analysis/Analysis.h"
 #include "fuzz/BtraceAudit.h"
@@ -341,4 +342,61 @@ TEST(TraceVmTest, SecondSessionComputesNoFacts) {
   Seeded.run();
   EXPECT_GT(Seeded.stats().TracesValidated, 0u);
   EXPECT_EQ(Facts.methodsComputed(), Computed);
+}
+
+TEST(TraceVmTest, SecondSessionProvesNothing) {
+  // Each trace shape's validation verdict and check-elision facts belong
+  // to the PreparedModule: a second session over the module finds every
+  // shape it builds already proved, and reports exactly what the first
+  // one did.
+  for (const WorkloadInfo &W : allWorkloads()) {
+    Module M = W.Build(std::max(1u, W.DefaultScale / 20));
+    for (backend::BackendKind Tier :
+         {backend::BackendKind::Interp, backend::BackendKind::Jit}) {
+      SCOPED_TRACE(std::string(W.Name) + "/" + backend::backendKindName(Tier));
+      VmOptions VO = VmOptions().backend(Tier);
+      PreparedModule PM(M);
+      const analysis::TraceProofMemo &Proofs = PM.proofs();
+      EXPECT_EQ(Proofs.proofsComputed(), 0u);
+      TraceVM First(PM, VO);
+      First.run();
+      uint64_t Computed = Proofs.proofsComputed();
+      ASSERT_GT(First.stats().TracesValidated, 0u);
+      EXPECT_GT(Computed, 0u);
+      EXPECT_GT(Proofs.shapesHeld(), 0u);
+
+      TraceVM Second(PM, VO);
+      Second.run();
+      EXPECT_EQ(Proofs.proofsComputed(), Computed);
+      EXPECT_EQ(testprog::statsDiff(First.stats(), Second.stats()), "");
+      // Every validation and annotation hook call was answered.
+      EXPECT_EQ(Second.stats().TraceValidationRejects, 0u);
+      EXPECT_EQ(Second.stats().TraceProofsReused,
+                2 * Second.stats().TracesValidated);
+      const std::vector<Trace> &A = First.traceCache().traces();
+      const std::vector<Trace> &B = Second.traceCache().traces();
+      ASSERT_EQ(A.size(), B.size());
+      for (size_t I = 0; I < A.size(); ++I) {
+        EXPECT_EQ(A[I].Validation, B[I].Validation) << "trace " << I;
+        EXPECT_EQ(A[I].MemElisions, B[I].MemElisions) << "trace " << I;
+      }
+
+      // Traces seeded from the first session are shapes it proved.
+      TraceVM Seeded(PM, VO);
+      Seeded.importSeed(First.exportSeed());
+      Seeded.run();
+      ASSERT_GT(Seeded.stats().TracesSeeded, 0u);
+      EXPECT_GE(Seeded.stats().TraceProofsReused,
+                2 * Seeded.stats().TracesSeeded);
+
+      // The first session is any first session.
+      PreparedModule FreshPM(M);
+      TraceVM Fresh(FreshPM, VO);
+      Fresh.run();
+      EXPECT_EQ(testprog::statsDiff(First.stats(), Fresh.stats()), "");
+      EXPECT_EQ(First.stats().TraceProofsReused,
+                Fresh.stats().TraceProofsReused);
+      EXPECT_EQ(FreshPM.proofs().proofsComputed(), Computed);
+    }
+  }
 }

@@ -27,6 +27,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -694,55 +695,60 @@ Module foldedPrintLoop() {
   return Asm.build();
 }
 
-} // namespace
+/// Whether mutation \p P may surface as rejection reason \p R. The exact
+/// reason depends on where the first exit after the corruption sits, but
+/// each class has a small closed set of ways it can surface. A dropped
+/// guard in a trace spanning two loop iterations surfaces as
+/// guard-operand-mismatch: the cursor lands on the *next* iteration's
+/// identical check over different values.
+bool expectedReason(UnsoundPass P, Reason R) {
+  switch (P) {
+  case UnsoundPass::DropGuard:
+    return R == Reason::GuardDropped || R == Reason::GuardOperandMismatch;
+  case UnsoundPass::ReorderStorePastExit:
+    return R == Reason::SideExitLocalMismatch;
+  case UnsoundPass::KillLiveOnExit:
+    return R == Reason::SideExitLocalMismatch ||
+           R == Reason::FinalLocalMismatch;
+  case UnsoundPass::WrongConstant:
+    return R == Reason::EffectMismatch || R == Reason::FinalLocalMismatch ||
+           R == Reason::SideExitLocalMismatch ||
+           R == Reason::SideExitStackMismatch ||
+           R == Reason::FinalStackMismatch;
+  case UnsoundPass::ResurrectDeadStore:
+    return R == Reason::MemStoreUnjustified;
+  case UnsoundPass::AliasConfusedLoad:
+    // The fabricated value usually surfaces as the missing load itself;
+    // when it feeds a store or effect first, the divergence can be
+    // typed at that consumer instead.
+    return R == Reason::MemLoadUnjustified ||
+           R == Reason::MemStoreUnjustified || R == Reason::EffectMismatch ||
+           R == Reason::FinalLocalMismatch ||
+           R == Reason::SideExitLocalMismatch;
+  case UnsoundPass::None:
+    break;
+  }
+  return false;
+}
 
-TEST(ValidatorTraceTest, EveryMutationClassIsCaughtOnRealTraces) {
-  // Expected reason sets per mutation class. The exact reason depends on
-  // where the first exit after the corruption sits, but each class has a
-  // small closed set of ways it can surface. A dropped guard in a trace
-  // spanning two loop iterations surfaces as guard-operand-mismatch: the
-  // cursor lands on the *next* iteration's identical check over different
-  // values.
-  auto Expected = [](UnsoundPass P, Reason R) {
-    switch (P) {
-    case UnsoundPass::DropGuard:
-      return R == Reason::GuardDropped || R == Reason::GuardOperandMismatch;
-    case UnsoundPass::ReorderStorePastExit:
-      return R == Reason::SideExitLocalMismatch;
-    case UnsoundPass::KillLiveOnExit:
-      return R == Reason::SideExitLocalMismatch ||
-             R == Reason::FinalLocalMismatch;
-    case UnsoundPass::WrongConstant:
-      return R == Reason::EffectMismatch || R == Reason::FinalLocalMismatch ||
-             R == Reason::SideExitLocalMismatch ||
-             R == Reason::SideExitStackMismatch ||
-             R == Reason::FinalStackMismatch;
-    case UnsoundPass::ResurrectDeadStore:
-      return R == Reason::MemStoreUnjustified;
-    case UnsoundPass::AliasConfusedLoad:
-      // The fabricated value usually surfaces as the missing load itself;
-      // when it feeds a store or effect first, the divergence can be
-      // typed at that consumer instead.
-      return R == Reason::MemLoadUnjustified ||
-             R == Reason::MemStoreUnjustified || R == Reason::EffectMismatch ||
-             R == Reason::FinalLocalMismatch ||
-             R == Reason::SideExitLocalMismatch;
-    case UnsoundPass::None:
-      break;
-    }
-    return false;
-  };
-
-  // Programs chosen so every mutation has a site to fire on: the plain
-  // hot loops only exercise guard drops (their stores hold computed
-  // values, which the optimizer never defers); the store-before-exit and
-  // folded-print loops feed the flush and fold corruptions.
+/// Programs chosen so every mutation has a site to fire on: the plain hot
+/// loops only exercise guard drops (their stores hold computed values,
+/// which the optimizer never defers); the store-before-exit and
+/// folded-print loops feed the flush and fold corruptions.
+std::vector<Module> mutationPrograms() {
   std::vector<Module> Programs;
   Programs.push_back(testprog::hotLoop(100000));
   Programs.push_back(testprog::countingLoop(100000));
   Programs.push_back(storeBeforeExitLoop());
   Programs.push_back(foldedPrintLoop());
   Programs.push_back(arrayCellLoop());
+  return Programs;
+}
+
+} // namespace
+
+TEST(ValidatorTraceTest, EveryMutationClassIsCaughtOnRealTraces) {
+  std::vector<Module> Programs = mutationPrograms();
 
   for (UnsoundPass P : AllMutations) {
     unsigned Rejected = 0;
@@ -752,7 +758,7 @@ TEST(ValidatorTraceTest, EveryMutationClassIsCaughtOnRealTraces) {
       TraceVM VM(PM);
       VM.run();
       for (Reason R : reasonsUnder(PM, VM, mutated(P), &Facts)) {
-        EXPECT_TRUE(Expected(P, R))
+        EXPECT_TRUE(expectedReason(P, R))
             << unsoundPassName(P) << " surfaced as " << reasonName(R);
         ++Rejected;
       }
@@ -884,6 +890,80 @@ TEST(ValidatorHookTest, StrictModeAbortsOnRejection) {
         VM.run();
       },
       "rejected by translation validation");
+}
+#endif
+
+TEST(ValidatorHookTest, MutantsAreRejectedAfterASoundSessionFilledTheMemo) {
+  // The module's proof memo is keyed by the optimizer configuration too:
+  // verdicts a sound session left behind never answer for a mutated
+  // optimizer, whose sessions prove the same shapes again and reject them
+  // with a typed reason.
+  std::vector<Module> Programs = mutationPrograms();
+  std::map<UnsoundPass, uint64_t> Rejected;
+  for (const Module &M : Programs) {
+    PreparedModule PM(M);
+    TraceVM Sound(PM);
+    Sound.run();
+    ASSERT_GT(PM.proofs().shapesHeld(), 0u);
+    for (UnsoundPass P : AllMutations) {
+      uint64_t Computed = PM.proofs().proofsComputed();
+      TraceVM Mutant(PM, VmOptions().optConfig(mutated(P)));
+      Mutant.run();
+      const TraceCache::CacheStats &CS = Mutant.traceCache().stats();
+      EXPECT_GT(PM.proofs().proofsComputed(), Computed)
+          << unsoundPassName(P) << " was answered by stock verdicts";
+      for (const auto &[Code, Count] : CS.RejectsByReason)
+        EXPECT_TRUE(expectedReason(P, static_cast<Reason>(Code)))
+            << unsoundPassName(P) << " surfaced as "
+            << reasonName(static_cast<Reason>(Code));
+      Rejected[P] += CS.ValidationRejects;
+    }
+  }
+  for (UnsoundPass P : AllMutations)
+    EXPECT_GT(Rejected[P], 0u)
+        << unsoundPassName(P) << " must reject at least one real trace";
+}
+
+TEST(ValidatorHookTest, OptConfigFingerprintCoversEveryField) {
+  std::set<uint64_t> Seen = {OptConfig().fingerprint()};
+  for (bool OptConfig::*Pass :
+       {&OptConfig::FoldConstants, &OptConfig::ForwardLoads,
+        &OptConfig::DeferStores, &OptConfig::EliminateGuards,
+        &OptConfig::LivenessAtExits, &OptConfig::ElimRedundantLoads,
+        &OptConfig::ElimDeadStores, &OptConfig::SinkStores}) {
+    OptConfig Cfg;
+    Cfg.*Pass = false;
+    EXPECT_TRUE(Seen.insert(Cfg.fingerprint()).second);
+  }
+  for (UnsoundPass P : AllMutations)
+    EXPECT_TRUE(Seen.insert(mutated(P).fingerprint()).second)
+        << unsoundPassName(P);
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST(ValidatorHookTest, StrictModeAbortsOnARejectionTheMemoAnswers) {
+  Module M = testprog::hotLoop(100000);
+  PreparedModule PM(M);
+  VmOptions Mutant = VmOptions().optConfig(mutated(UnsoundPass::DropGuard));
+  TraceVM Lenient(PM, Mutant);
+  Lenient.run();
+  ASSERT_GT(Lenient.traceCache().stats().ValidationRejects, 0u);
+  // Sessions under this configuration now build only proved shapes ...
+  uint64_t Computed = PM.proofs().proofsComputed();
+  TraceVM Again(PM, Mutant);
+  Again.run();
+  ASSERT_EQ(PM.proofs().proofsComputed(), Computed);
+  ASSERT_EQ(Again.traceCache().stats().ValidationRejects,
+            Lenient.traceCache().stats().ValidationRejects);
+  // ... so a strict one meets its first rejection as a memo hit, and
+  // still aborts.
+  EXPECT_DEATH(
+      {
+        TraceVM VM(PM, VmOptions(Mutant).validate(ValidateMode::Strict));
+        VM.run();
+      },
+      "rejected by translation validation: validate/guard-dropped: guard 0 "
+      "has no optimized counterpart");
 }
 #endif
 

@@ -307,8 +307,9 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
         .endObject();
   }
   // The validation verdict breakdown: how many constructed/seeded traces
-  // the translation validator checked, and the rejections by typed
-  // reason. Omitted entirely with --validate=off (nothing ran).
+  // the translation validator checked, the rejections by typed reason,
+  // and how many hook calls the module's proof memo answered. Omitted
+  // entirely with --validate=off (nothing ran).
   if (VM.options().validate() != ValidateMode::Off) {
     const TraceCache::CacheStats &CS = VM.traceCache().stats();
     W.key("validation")
@@ -316,7 +317,8 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
         .field("mode", validateModeName(VM.options().validate()))
         .fieldUInt("checked", CS.TracesValidated)
         .fieldUInt("accepted", CS.TracesValidated - CS.ValidationRejects)
-        .fieldUInt("rejected", CS.ValidationRejects);
+        .fieldUInt("rejected", CS.ValidationRejects)
+        .fieldUInt("reused", VM.stats().TraceProofsReused);
     W.key("rejected_by_reason").beginObject();
     for (const auto &[Code, Count] : CS.RejectsByReason)
       W.fieldUInt(
