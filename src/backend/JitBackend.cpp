@@ -1009,8 +1009,8 @@ std::optional<TraceRunResult> JitBackend::run(const Trace &T,
   // Decline when the trace has no native code (yet), or when the session
   // budget could cut the run mid-trace -- the budget check is
   // block-granular, which native code does not replicate. A budget the
-  // whole trace exactly fits is safe: TraceVM applies the live loop's
-  // post-block checks during replay.
+  // whole trace exactly fits is safe: TraceVM checks the budget after
+  // the run, as after any block.
   if (!C || !C->Fn || T.InstrCount > RemainingBudget)
     return std::nullopt;
 
@@ -1040,6 +1040,7 @@ std::optional<TraceRunResult> JitBackend::run(const Trace &T,
 
   TraceRunResult R;
   R.BlocksRun = X.BlocksRun;
+  R.LastBlock = T.Blocks[X.BlocksRun - 1];
   switch (X.K) {
   case ExitRecord::Kind::Complete:
     R.End = TraceRunEnd::Completed;

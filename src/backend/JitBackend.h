@@ -5,14 +5,14 @@
 /// selection (src/trace, src/opt, src/validate) decides *what* a trace
 /// is; TraceVM's dispatch loop runs it. On every trace entry the loop
 /// asks the JIT, when the session has one, to run the whole trace
-/// natively; when it declines, the loop block-steps the trace exactly as
-/// it steps any other block. Native code executes instructions only --
-/// it never touches the profiler, the trace cache or the statistics.
-/// TraceVM replays the run's summary through the AdaptiveEngine
-/// afterwards, block by block, so the adaptive state, telemetry clocks
-/// and btrace stream are bit-identical whichever tier ran: the
-/// interp/JIT equivalence contract (same VmStats digest, same btrace
-/// stream) that the fuzz oracle enforces.
+/// natively; when it declines, the loop block-steps the trace. Native
+/// code executes instructions only -- it never touches the profiler, the
+/// trace cache or the statistics. Either way the run ends in the same
+/// TraceRunResult (trace/Trace.h), which TraceVM commits to the
+/// AdaptiveEngine in bulk, so the adaptive state, telemetry clocks and
+/// btrace stream are bit-identical whichever tier ran: the interp/JIT
+/// equivalence contract (same VmStats digest, same btrace stream) that
+/// the fuzz oracle enforces.
 ///
 /// Each trace IR op has a fixed x86-64 machine-code template (see
 /// TraceCompiler in the .cpp) whose immediates -- local slot offsets,
@@ -41,7 +41,7 @@
 /// one. Every exit -- completion, fired guard, trap, finish -- leaves an
 /// exit-record index in the JitContext; the record carries the
 /// interpreter-exact blocks-run / instruction counts and resume block
-/// that TraceVM replays through the AdaptiveEngine. Traces are promoted
+/// that TraceVM commits to the AdaptiveEngine. Traces are promoted
 /// after BackendConfig::JitPromoteAfter completed runs; a trace that
 /// cannot compile (see CompileFallback) stays block-stepped.
 ///
@@ -106,25 +106,6 @@ struct BackendStats {
   uint64_t CodeBytes = 0;          ///< Native code emitted.
 };
 
-/// How one native trace run ended.
-enum class TraceRunEnd : uint8_t {
-  Completed, ///< Every trace block executed; NextBlock is the successor of
-             ///< the final block.
-  Diverged,  ///< A successor mismatched the trace; NextBlock is where
-             ///< execution actually went.
-  Trapped,   ///< A runtime trap fired; Machine::trap() is set.
-  Finished,  ///< The program ended inside the trace (halt / bottom return).
-};
-
-/// The summary TraceVM replays through the AdaptiveEngine. BlocksRun
-/// follows the interpreter's accounting exactly: the block a trap fired
-/// in counts as run.
-struct TraceRunResult {
-  TraceRunEnd End = TraceRunEnd::Completed;
-  uint32_t BlocksRun = 0;             ///< Trace blocks executed (>= 1).
-  BlockId NextBlock = InvalidBlockId; ///< Successor (Completed / Diverged).
-};
-
 /// The in/out block native trace code works against. Layout is ABI: the
 /// templates address fields by constant offsets (asserted in the .cpp).
 struct JitContext {
@@ -140,7 +121,7 @@ struct JitContext {
 };
 
 /// One way out of a compiled trace, with the interpreter-exact accounting
-/// TraceVM needs to replay the run.
+/// TraceVM needs to commit the run.
 struct ExitRecord {
   enum class Kind : uint8_t {
     Complete,       ///< All blocks ran; Next is the final block's successor.

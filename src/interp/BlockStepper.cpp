@@ -1,7 +1,8 @@
 //===- interp/BlockStepper.cpp - The block executor -----------------------===//
 //
 // The one fast execution core: step() runs a whole block of the module's
-// pre-decoded code (PreparedModule::code) as a single loop. The operand
+// pre-decoded code (PreparedModule::code) through direct-threaded
+// handlers, one per SlotOp, each ending in its own dispatch. The operand
 // stack top and the locals base live in registers for the whole block;
 // the Machine's arenas are the only execution state, published back at
 // every block exit. Opcode semantics here mirror Machine::execOne, the
@@ -75,274 +76,294 @@ BlockStepper::StepStatus BlockStepper::step() {
   };
 
   // Block exits set one of these and jump to the matching label below, so
-  // each exit sequence is written once, outside the loop.
+  // each exit sequence is written once, outside the handlers.
   BlockId Next;
   TrapKind Trap;
   uint32_t Callee;
   bool HasValue;
   auto Wrap = [](uint64_t V) { return static_cast<int64_t>(V); };
 
-  for (;; ++S) {
-    switch (S->Op) {
-    case SlotOp::Nop:
-      continue;
-    case SlotOp::Iconst:
-      *Sp++ = S->A;
-      continue;
-    case SlotOp::Iload:
-      *Sp++ = Lp[S->A];
-      continue;
-    case SlotOp::Istore:
-      Lp[S->A] = *--Sp;
-      continue;
-    case SlotOp::Iinc:
-      Lp[S->X] = Wrap(static_cast<uint64_t>(Lp[S->X]) +
-                      static_cast<uint64_t>(int64_t{S->A}));
-      continue;
-    case SlotOp::Pop:
-      --Sp;
-      continue;
-    case SlotOp::Dup:
-      *Sp = Sp[-1];
-      ++Sp;
-      continue;
-    case SlotOp::Swap:
-      std::swap(Sp[-1], Sp[-2]);
-      continue;
+  // Direct-threaded dispatch: every handler ends in its own indirect jump
+  // to the next slot's handler, so each one gets its own branch-predictor
+  // entry instead of sharing a switch's single jump. The table is indexed
+  // by SlotOp: every Opcode in Opcodes.def order, then FallThrough.
+  static const void *const Handlers[] = {
+#define JTC_OPCODE(Name, Mnemonic, Pops, Pushes, Kind) &&L_##Name,
+#include "bytecode/Opcodes.def"
+      &&L_FallThrough,
+  };
+  static_assert(sizeof(Handlers) / sizeof(Handlers[0]) ==
+                    static_cast<size_t>(SlotOp::FallThrough) + 1,
+                "one handler per SlotOp");
+#define JTC_DISPATCH() goto *Handlers[static_cast<uint8_t>(S->Op)]
+#define JTC_NEXT()                                                             \
+  do {                                                                         \
+    ++S;                                                                       \
+    JTC_DISPATCH();                                                            \
+  } while (0)
 
-    case SlotOp::Iadd:
-      --Sp;
-      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) + static_cast<uint64_t>(*Sp));
-      continue;
-    case SlotOp::Isub:
-      --Sp;
-      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) - static_cast<uint64_t>(*Sp));
-      continue;
-    case SlotOp::Imul:
-      --Sp;
-      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) * static_cast<uint64_t>(*Sp));
-      continue;
-    case SlotOp::Idiv:
-    case SlotOp::Irem: {
-      int64_t B = *--Sp;
-      int64_t A = Sp[-1];
-      if (B == 0) {
-        --Sp;
-        Trap = TrapKind::DivideByZero;
-        goto trapped;
-      }
-      // INT64_MIN / -1 is defined as (INT64_MIN, 0) instead of hardware UB.
-      bool Div = S->Op == SlotOp::Idiv;
-      if (A == std::numeric_limits<int64_t>::min() && B == -1)
-        Sp[-1] = Div ? A : 0;
-      else
-        Sp[-1] = Div ? A / B : A % B;
-      continue;
-    }
-    case SlotOp::Ineg:
-      Sp[-1] = Wrap(0 - static_cast<uint64_t>(Sp[-1]));
-      continue;
-    case SlotOp::Ishl:
-      --Sp;
-      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) << (*Sp & 63));
-      continue;
-    case SlotOp::Ishr:
-      --Sp;
-      Sp[-1] >>= (*Sp & 63);
-      continue;
-    case SlotOp::Iushr:
-      --Sp;
-      Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) >> (*Sp & 63));
-      continue;
-    case SlotOp::Iand:
-      --Sp;
-      Sp[-1] &= *Sp;
-      continue;
-    case SlotOp::Ior:
-      --Sp;
-      Sp[-1] |= *Sp;
-      continue;
-    case SlotOp::Ixor:
-      --Sp;
-      Sp[-1] ^= *Sp;
-      continue;
+  JTC_DISPATCH();
 
-    case SlotOp::Goto:
-      Next = BB.Taken;
-      goto leave;
+L_Nop:
+  JTC_NEXT();
+L_Iconst:
+  *Sp++ = S->A;
+  JTC_NEXT();
+L_Iload:
+  *Sp++ = Lp[S->A];
+  JTC_NEXT();
+L_Istore:
+  Lp[S->A] = *--Sp;
+  JTC_NEXT();
+L_Iinc:
+  Lp[S->X] = Wrap(static_cast<uint64_t>(Lp[S->X]) +
+                  static_cast<uint64_t>(int64_t{S->A}));
+  JTC_NEXT();
+L_Pop:
+  --Sp;
+  JTC_NEXT();
+L_Dup:
+  *Sp = Sp[-1];
+  ++Sp;
+  JTC_NEXT();
+L_Swap:
+  std::swap(Sp[-1], Sp[-2]);
+  JTC_NEXT();
+
+L_Iadd:
+  --Sp;
+  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) + static_cast<uint64_t>(*Sp));
+  JTC_NEXT();
+L_Isub:
+  --Sp;
+  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) - static_cast<uint64_t>(*Sp));
+  JTC_NEXT();
+L_Imul:
+  --Sp;
+  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) * static_cast<uint64_t>(*Sp));
+  JTC_NEXT();
+L_Idiv:
+L_Irem: {
+  int64_t B = *--Sp;
+  int64_t A = Sp[-1];
+  if (B == 0) {
+    --Sp;
+    Trap = TrapKind::DivideByZero;
+    goto trapped;
+  }
+  // INT64_MIN / -1 is defined as (INT64_MIN, 0) instead of hardware UB.
+  bool Div = S->Op == SlotOp::Idiv;
+  if (A == std::numeric_limits<int64_t>::min() && B == -1)
+    Sp[-1] = Div ? A : 0;
+  else
+    Sp[-1] = Div ? A / B : A % B;
+  JTC_NEXT();
+}
+L_Ineg:
+  Sp[-1] = Wrap(0 - static_cast<uint64_t>(Sp[-1]));
+  JTC_NEXT();
+L_Ishl:
+  --Sp;
+  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) << (*Sp & 63));
+  JTC_NEXT();
+L_Ishr:
+  --Sp;
+  Sp[-1] >>= (*Sp & 63);
+  JTC_NEXT();
+L_Iushr:
+  --Sp;
+  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) >> (*Sp & 63));
+  JTC_NEXT();
+L_Iand:
+  --Sp;
+  Sp[-1] &= *Sp;
+  JTC_NEXT();
+L_Ior:
+  --Sp;
+  Sp[-1] |= *Sp;
+  JTC_NEXT();
+L_Ixor:
+  --Sp;
+  Sp[-1] ^= *Sp;
+  JTC_NEXT();
+
+L_Goto:
+  Next = BB.Taken;
+  goto leave;
 #define JTC_IF1(Name, Cond)                                                    \
-  case SlotOp::Name:                                                           \
-    --Sp;                                                                      \
-    Next = (Cond) ? BB.Taken : BB.Fall;                                        \
-    goto leave;
-      JTC_IF1(IfEq, *Sp == 0)
-      JTC_IF1(IfNe, *Sp != 0)
-      JTC_IF1(IfLt, *Sp < 0)
-      JTC_IF1(IfGe, *Sp >= 0)
-      JTC_IF1(IfGt, *Sp > 0)
-      JTC_IF1(IfLe, *Sp <= 0)
+  L_##Name:                                                                    \
+  --Sp;                                                                        \
+  Next = (Cond) ? BB.Taken : BB.Fall;                                          \
+  goto leave;
+  JTC_IF1(IfEq, *Sp == 0)
+  JTC_IF1(IfNe, *Sp != 0)
+  JTC_IF1(IfLt, *Sp < 0)
+  JTC_IF1(IfGe, *Sp >= 0)
+  JTC_IF1(IfGt, *Sp > 0)
+  JTC_IF1(IfLe, *Sp <= 0)
 #undef JTC_IF1
 #define JTC_IF2(Name, Cond)                                                    \
-  case SlotOp::Name:                                                           \
-    Sp -= 2;                                                                   \
-    Next = (Cond) ? BB.Taken : BB.Fall;                                        \
-    goto leave;
-      JTC_IF2(IfIcmpEq, Sp[0] == Sp[1])
-      JTC_IF2(IfIcmpNe, Sp[0] != Sp[1])
-      JTC_IF2(IfIcmpLt, Sp[0] < Sp[1])
-      JTC_IF2(IfIcmpGe, Sp[0] >= Sp[1])
-      JTC_IF2(IfIcmpGt, Sp[0] > Sp[1])
-      JTC_IF2(IfIcmpLe, Sp[0] <= Sp[1])
+  L_##Name:                                                                    \
+  Sp -= 2;                                                                     \
+  Next = (Cond) ? BB.Taken : BB.Fall;                                          \
+  goto leave;
+  JTC_IF2(IfIcmpEq, Sp[0] == Sp[1])
+  JTC_IF2(IfIcmpNe, Sp[0] != Sp[1])
+  JTC_IF2(IfIcmpLt, Sp[0] < Sp[1])
+  JTC_IF2(IfIcmpGe, Sp[0] >= Sp[1])
+  JTC_IF2(IfIcmpGt, Sp[0] > Sp[1])
+  JTC_IF2(IfIcmpLe, Sp[0] <= Sp[1])
 #undef JTC_IF2
-    case SlotOp::Tableswitch: {
-      const SwitchCode &T = PM->switchCode(static_cast<uint32_t>(S->A));
-      // Unsigned distance: a selector below Low wraps past NumTargets.
-      uint64_t Off =
-          static_cast<uint64_t>(*--Sp) - static_cast<uint64_t>(T.Low);
-      Next = Off < T.NumTargets ? PM->switchTargets()[T.FirstTarget + Off]
-                                : T.Default;
-      goto leave;
-    }
+L_Tableswitch: {
+  const SwitchCode &T = PM->switchCode(static_cast<uint32_t>(S->A));
+  // Unsigned distance: a selector below Low wraps past NumTargets.
+  uint64_t Off = static_cast<uint64_t>(*--Sp) - static_cast<uint64_t>(T.Low);
+  Next = Off < T.NumTargets ? PM->switchTargets()[T.FirstTarget + Off]
+                            : T.Default;
+  goto leave;
+}
 
-    case SlotOp::InvokeStatic:
-      Callee = static_cast<uint32_t>(S->A);
-      Next = BB.Taken;
-      goto call;
-    case SlotOp::InvokeVirtual: {
-      int64_t Receiver = Sp[-S->X];
-      if (!H.isLive(Receiver)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      uint32_t ClassId = H.classOf(Receiver);
-      Callee = ClassId == Heap::ArrayClass
-                   ? InvalidMethod
-                   : PM->module().Classes[ClassId].Vtable[S->A];
-      if (Callee == InvalidMethod) {
-        Trap = TrapKind::BadVirtualDispatch;
-        goto trapped;
-      }
-      Next = PM->methodEntryBlock(Callee);
-      goto call;
-    }
-    case SlotOp::Return:
-    case SlotOp::Ireturn:
-      HasValue = S->Op == SlotOp::Ireturn;
-      goto ret;
-
-    case SlotOp::New: {
-      const Class &C = PM->module().Classes[S->A];
-      int64_t Ref = H.allocObject(static_cast<uint32_t>(S->A), C.NumFields);
-      if (Ref == Heap::Null) {
-        Trap = TrapKind::OutOfMemory;
-        goto trapped;
-      }
-      *Sp++ = Ref;
-      continue;
-    }
-    case SlotOp::GetField: {
-      const MemElision *F = Armed();
-      int64_t Ref = *--Sp;
-      auto Idx = static_cast<size_t>(S->A);
-      if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
-        Trap = TrapKind::FieldBounds;
-        goto trapped;
-      }
-      *Sp++ = H.load(Ref, Idx);
-      continue;
-    }
-    case SlotOp::PutField: {
-      const MemElision *F = Armed();
-      Sp -= 2;
-      int64_t Ref = Sp[0];
-      auto Idx = static_cast<size_t>(S->A);
-      if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
-        Trap = TrapKind::FieldBounds;
-        goto trapped;
-      }
-      H.store(Ref, Idx, Sp[1]);
-      continue;
-    }
-    case SlotOp::NewArray: {
-      int64_t Len = *--Sp;
-      if (Len < 0) {
-        Trap = TrapKind::NegativeArraySize;
-        goto trapped;
-      }
-      int64_t Ref = H.allocArray(Len);
-      if (Ref == Heap::Null) {
-        Trap = TrapKind::OutOfMemory;
-        goto trapped;
-      }
-      *Sp++ = Ref;
-      continue;
-    }
-    case SlotOp::Iaload: {
-      const MemElision *F = Armed();
-      Sp -= 2;
-      int64_t Ref = Sp[0];
-      int64_t Idx = Sp[1];
-      if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      if ((!F || F->Kind != MemElision::Full) &&
-          (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
-        Trap = TrapKind::ArrayBounds;
-        goto trapped;
-      }
-      *Sp++ = H.load(Ref, static_cast<size_t>(Idx));
-      continue;
-    }
-    case SlotOp::Iastore: {
-      const MemElision *F = Armed();
-      Sp -= 3;
-      int64_t Ref = Sp[0];
-      int64_t Idx = Sp[1];
-      if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      if ((!F || F->Kind != MemElision::Full) &&
-          (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
-        Trap = TrapKind::ArrayBounds;
-        goto trapped;
-      }
-      H.store(Ref, static_cast<size_t>(Idx), Sp[2]);
-      continue;
-    }
-    case SlotOp::ArrayLength: {
-      // The liveness/class check is the only one, so either elision kind
-      // skips everything.
-      const MemElision *F = Armed();
-      int64_t Ref = *--Sp;
-      if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
-        Trap = TrapKind::NullReference;
-        goto trapped;
-      }
-      *Sp++ = static_cast<int64_t>(H.slotCount(Ref));
-      continue;
-    }
-    case SlotOp::Iprint:
-      Mc.appendOutput(*--Sp);
-      continue;
-    case SlotOp::Halt:
-      Mc.setStackTop(Sp);
-      Cur = InvalidBlockId;
-      return StepStatus::Finished;
-    case SlotOp::FallThrough:
-      Next = BB.Fall;
-      goto leave;
-    }
+L_InvokeStatic:
+  Callee = static_cast<uint32_t>(S->A);
+  Next = BB.Taken;
+  goto call;
+L_InvokeVirtual: {
+  int64_t Receiver = Sp[-S->X];
+  if (!H.isLive(Receiver)) {
+    Trap = TrapKind::NullReference;
+    goto trapped;
   }
+  uint32_t ClassId = H.classOf(Receiver);
+  Callee = ClassId == Heap::ArrayClass
+               ? InvalidMethod
+               : PM->module().Classes[ClassId].Vtable[S->A];
+  if (Callee == InvalidMethod) {
+    Trap = TrapKind::BadVirtualDispatch;
+    goto trapped;
+  }
+  Next = PM->methodEntryBlock(Callee);
+  goto call;
+}
+L_Return:
+  HasValue = false;
+  goto ret;
+L_Ireturn:
+  HasValue = true;
+  goto ret;
+
+L_New: {
+  const Class &C = PM->module().Classes[S->A];
+  int64_t Ref = H.allocObject(static_cast<uint32_t>(S->A), C.NumFields);
+  if (Ref == Heap::Null) {
+    Trap = TrapKind::OutOfMemory;
+    goto trapped;
+  }
+  *Sp++ = Ref;
+  JTC_NEXT();
+}
+L_GetField: {
+  const MemElision *F = Armed();
+  int64_t Ref = *--Sp;
+  auto Idx = static_cast<size_t>(S->A);
+  if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
+    Trap = TrapKind::NullReference;
+    goto trapped;
+  }
+  if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
+    Trap = TrapKind::FieldBounds;
+    goto trapped;
+  }
+  *Sp++ = H.load(Ref, Idx);
+  JTC_NEXT();
+}
+L_PutField: {
+  const MemElision *F = Armed();
+  Sp -= 2;
+  int64_t Ref = Sp[0];
+  auto Idx = static_cast<size_t>(S->A);
+  if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
+    Trap = TrapKind::NullReference;
+    goto trapped;
+  }
+  if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
+    Trap = TrapKind::FieldBounds;
+    goto trapped;
+  }
+  H.store(Ref, Idx, Sp[1]);
+  JTC_NEXT();
+}
+L_NewArray: {
+  int64_t Len = *--Sp;
+  if (Len < 0) {
+    Trap = TrapKind::NegativeArraySize;
+    goto trapped;
+  }
+  int64_t Ref = H.allocArray(Len);
+  if (Ref == Heap::Null) {
+    Trap = TrapKind::OutOfMemory;
+    goto trapped;
+  }
+  *Sp++ = Ref;
+  JTC_NEXT();
+}
+L_Iaload: {
+  const MemElision *F = Armed();
+  Sp -= 2;
+  int64_t Ref = Sp[0];
+  int64_t Idx = Sp[1];
+  if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
+    Trap = TrapKind::NullReference;
+    goto trapped;
+  }
+  if ((!F || F->Kind != MemElision::Full) &&
+      (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
+    Trap = TrapKind::ArrayBounds;
+    goto trapped;
+  }
+  *Sp++ = H.load(Ref, static_cast<size_t>(Idx));
+  JTC_NEXT();
+}
+L_Iastore: {
+  const MemElision *F = Armed();
+  Sp -= 3;
+  int64_t Ref = Sp[0];
+  int64_t Idx = Sp[1];
+  if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
+    Trap = TrapKind::NullReference;
+    goto trapped;
+  }
+  if ((!F || F->Kind != MemElision::Full) &&
+      (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
+    Trap = TrapKind::ArrayBounds;
+    goto trapped;
+  }
+  H.store(Ref, static_cast<size_t>(Idx), Sp[2]);
+  JTC_NEXT();
+}
+L_ArrayLength: {
+  // The liveness/class check is the only one, so either elision kind
+  // skips everything.
+  const MemElision *F = Armed();
+  int64_t Ref = *--Sp;
+  if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
+    Trap = TrapKind::NullReference;
+    goto trapped;
+  }
+  *Sp++ = static_cast<int64_t>(H.slotCount(Ref));
+  JTC_NEXT();
+}
+L_Iprint:
+  Mc.appendOutput(*--Sp);
+  JTC_NEXT();
+L_Halt:
+  Mc.setStackTop(Sp);
+  Cur = InvalidBlockId;
+  return StepStatus::Finished;
+L_FallThrough:
+  Next = BB.Fall;
+  goto leave;
+#undef JTC_NEXT
+#undef JTC_DISPATCH
 
 leave:
   Mc.setStackTop(Sp);

@@ -4,11 +4,13 @@
 /// The direct-threaded-inlining dispatch model of the paper's Figure 2:
 /// one dispatch per basic block. The stepper is the VM's one fast
 /// execution core: step() runs exactly one block of the module's
-/// pre-decoded code (PreparedModule::code) as a tight loop, with the
-/// operand-stack top and locals base held in registers, and exposes the
-/// resulting block transition -- the event stream the profiler and trace
-/// cache consume. TraceVM drives a BlockStepper directly; plain and
-/// profiled runs use runBlocks() / runBlocksWithHook().
+/// pre-decoded code (PreparedModule::code) through direct-threaded
+/// handlers -- one per SlotOp, each ending in its own indirect jump to
+/// the next slot's handler -- with the operand-stack top and locals base
+/// held in registers, and exposes the resulting block transition -- the
+/// event stream the profiler and trace cache consume. TraceVM drives a
+/// BlockStepper directly (one step() per block, inside traces and out);
+/// plain and profiled runs use runBlocks() / runBlocksWithHook().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +65,7 @@ public:
   /// Arms check elision for the *next* step() only: \p Facts (\p Count
   /// entries, pc-ordered, all for the block about to execute) name the
   /// heap accesses to run with their proven-redundant checks skipped
-  /// (MemElision::NullOnly keeps the bounds check). TraceVM's dispatch
+  /// (MemElision::NullOnly keeps the bounds check). TraceVM's trace-run
   /// loop arms this per trace block; the one-shot contract means an
   /// ordinary (non-trace) step can never execute reduced-check code. The
   /// caller guarantees the facts' proof obligations -- execution reached

@@ -79,14 +79,15 @@ Machine::PopInfo Machine::popFrame(bool HasValue) {
   int64_t RetVal = 0;
   if (HasValue)
     RetVal = pop();
-  const Frame F = Frames.back();
-  Frames.pop_back();
-  Top = Operands.data() + F.OperandBase;
-  LocalsTop = F.LocalsBase;
-
+  // Read the popped frame's fields in place, before pop_back ends it.
+  const Frame &F = Frames.back();
   PopInfo Info;
   Info.ReturnPc = F.ReturnPc;
   Info.ReturnBlock = F.ReturnBlock;
+  Top = Operands.data() + F.OperandBase;
+  LocalsTop = F.LocalsBase;
+  Frames.pop_back();
+
   Info.BottomFrame = Frames.empty();
   if (!Info.BottomFrame) {
     cacheTopFrame();

@@ -84,12 +84,17 @@ public:
   bool pushFrame(uint32_t Callee, uint32_t ReturnPc,
                  BlockId ReturnBlock = InvalidBlockId);
 
+  /// Returned in two registers: the continuation words share the first,
+  /// the flag fills the second. The flag is a full word because a lone
+  /// bool byte is assembled through the stack and reloaded wider, which
+  /// stalls store-to-load forwarding on every return.
   struct PopInfo {
-    bool BottomFrame = false; ///< The popped frame was the entry frame.
-    uint32_t ReturnPc = 0;    ///< Caller pc to resume at (if !BottomFrame).
+    uint32_t ReturnPc = 0; ///< Caller pc to resume at (if !BottomFrame).
     /// Caller block to resume at (if !BottomFrame and the frame was pushed
     /// with one).
     BlockId ReturnBlock = InvalidBlockId;
+    /// 1 when the popped frame was the entry frame, else 0.
+    uint32_t BottomFrame = 0;
   };
 
   /// Pops the current frame; when \p HasValue, transfers the return value

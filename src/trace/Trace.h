@@ -95,6 +95,36 @@ struct Trace {
   size_t length() const { return Blocks.size(); }
 };
 
+/// How one dispatched trace run ended.
+enum class TraceRunEnd : uint8_t {
+  Completed, ///< Every trace block executed; NextBlock is the successor of
+             ///< the final block.
+  Diverged,  ///< A successor mismatched the trace; NextBlock is where
+             ///< execution actually went.
+  Trapped,   ///< A runtime trap fired; Machine::trap() is set.
+  Finished,  ///< The program ended inside the trace (halt / bottom return).
+  BudgetExhausted, ///< The session's instruction budget ran out after the
+                   ///< last block run (the native tier declines any run
+                   ///< the budget could cut short, so it ends this way
+                   ///< only when the run fits the budget exactly).
+};
+
+/// The summary of one trace run, the same from either execution tier:
+/// TraceVM commits it to the AdaptiveEngine in bulk. BlocksRun follows
+/// the interpreter's accounting exactly: the block a trap fired in counts
+/// as run.
+struct TraceRunResult {
+  TraceRunEnd End = TraceRunEnd::Completed;
+  uint32_t BlocksRun = 0;             ///< Trace blocks executed (>= 1).
+  BlockId LastBlock = InvalidBlockId; ///< The last of them.
+  BlockId NextBlock = InvalidBlockId; ///< Successor (Completed / Diverged).
+
+  /// The run ended the session instead of passing control on.
+  bool endsSession() const {
+    return End != TraceRunEnd::Completed && End != TraceRunEnd::Diverged;
+  }
+};
+
 } // namespace jtc
 
 #endif // JTC_TRACE_TRACE_H

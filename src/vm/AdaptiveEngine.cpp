@@ -132,11 +132,45 @@ void AdaptiveEngine::executed(BlockId Cur) {
   }
 }
 
-void AdaptiveEngine::transition([[maybe_unused]] BlockId Cur, BlockId Next) {
+void AdaptiveEngine::executedInTrace(uint32_t From, uint32_t To) {
+  assert(Active && From < To && To <= Active->Blocks.size() &&
+         "a chunk of the active trace's blocks");
+  assert(TracePos == (From ? From - 1 : 0) && "chunks commit in order");
+  // The caller advanced the clock (BlocksExecuted) as the blocks ran.
+  Stats.BlocksInTraces += To - From;
+  if (From == 0 && To == Active->Blocks.size()) {
+    Stats.InstructionsInTraces += Active->InstrCount;
+  } else {
+    for (uint32_t I = From; I < To; ++I)
+      Stats.InstructionsInTraces += PM->blockSize(Active->Blocks[I]);
+  }
+  // The matching transitions in between only advance the position; it
+  // ends on the last block run, as after executed() of that block.
+  TracePos = To - 1;
+  if (To == Active->Blocks.size())
+    leaveTrace(/*Completed=*/true); // the trace's last block just ran
+}
+
+const Trace *AdaptiveEngine::commitRun(const TraceRunResult &Run,
+                                       uint32_t From,
+                                       BlockTransitionSink *Sink) {
+  if (From < Run.BlocksRun)
+    executedInTrace(From, Run.BlocksRun);
+  if (Run.endsSession()) {
+    endRun();
+    return nullptr;
+  }
+  if (Sink)
+    Sink->onTransition(Run.LastBlock, Run.NextBlock);
+  return transition(Run.LastBlock, Run.NextBlock);
+}
+
+const Trace *AdaptiveEngine::transition([[maybe_unused]] BlockId Cur,
+                                        BlockId Next) {
   if (Active) {
     if (Next == Active->Blocks[TracePos + 1]) {
       ++TracePos; // matched; stay inside the trace, no hook, no dispatch
-      return;
+      return nullptr;
     }
     // A divergence. While a trace is stable its interior transitions
     // carry no hooks, so the common outcomes of its branches are
@@ -166,10 +200,11 @@ void AdaptiveEngine::transition([[maybe_unused]] BlockId Cur, BlockId Next) {
       TracePos = 0;
       ++Stats.TraceDispatches;
       JTC_RECORD_EVENT(Telem, EventKind::TraceDispatched, T->Id);
-      return;
+      return T;
     }
   }
   ++Stats.BlockDispatches;
+  return nullptr;
 }
 
 void AdaptiveEngine::endRun() {

@@ -4,12 +4,17 @@
 /// The profiler + trace-cache state machine of TraceVM, factored out of
 /// the execution loop so it can be driven by *any* source of block
 /// transitions: the live BlockStepper (TraceVM::run) or a decoded btrace
-/// stream (btrace replay). Both drivers make the same calls in the same
-/// order -- begin(entry), then executed(block) / transition(from, to) per
-/// step, then endRun() -- so a replayed session recomputes bit-identical
-/// profiler, trace-cache and VmStats state from nothing but the recorded
-/// control flow. That determinism is what makes a captured production
-/// stream a reproducible benchmark.
+/// stream (btrace replay). The two produce the same results, not the
+/// same call sequence. Btrace replay is the per-block reference:
+/// begin(entry), then executed(block) / transition(from, to) for every
+/// block, then endRun(). TraceVM makes those calls for blocks outside
+/// traces, but commits each dispatched trace's whole run at once
+/// (commitRun, split by executedInTrace where a phase sample falls inside
+/// it), which changes exactly the state the per-block calls for the same
+/// blocks would. So a replayed session recomputes bit-identical profiler,
+/// trace-cache and VmStats state from nothing but the recorded control
+/// flow. That determinism is what makes a captured production stream a
+/// reproducible benchmark.
 ///
 /// The engine owns everything adaptive (branch correlation graph, trace
 /// cache, statistics, active-trace tracking); it knows nothing about the
@@ -24,6 +29,7 @@
 #include "profile/BranchCorrelationGraph.h"
 #include "telemetry/EventRing.h"
 #include "trace/TraceCache.h"
+#include "vm/BlockTransitionSink.h"
 #include "vm/VmOptions.h"
 #include "vm/VmStats.h"
 
@@ -76,8 +82,30 @@ public:
 
   /// Control passed from \p Cur to \p Next: match against the active
   /// trace, or run the profiler hook (a divergence from the active trace
-  /// only moves the context) and then the trace-entry lookup.
-  void transition(BlockId Cur, BlockId Next);
+  /// only moves the context) and then the trace-entry lookup. Returns the
+  /// trace this transition entered, or null. The pointer is owned by the
+  /// trace cache and stays valid until the run's commit leaves the trace.
+  const Trace *transition(BlockId Cur, BlockId Next);
+
+  /// Blocks [\p From, \p To) of the active trace ran, each after a
+  /// matching transition: the bulk form of the executed() / transition()
+  /// calls for them, without the last block's outgoing transition, except
+  /// that the caller advances the logical clock (stats().BlocksExecuted)
+  /// itself as each block runs, so telemetry stamped inside the run reads
+  /// the exact clock. Running the trace's last block completes it. A run
+  /// is committed in order, in chunks; \p From is 0 or the previous
+  /// chunk's \p To.
+  void executedInTrace(uint32_t From, uint32_t To);
+
+  /// Commits the run \p Run of the active trace, whose blocks before
+  /// \p From are already committed: the remaining blocks in bulk, then
+  /// the run's end -- endRun() when it ended the session, otherwise the
+  /// transition to Run.NextBlock (completion or divergence, then the
+  /// entry lookup), reported to \p Sink when set between the two as the
+  /// per-block order has it. Returns the trace the transition entered, or
+  /// null.
+  const Trace *commitRun(const TraceRunResult &Run, uint32_t From,
+                         BlockTransitionSink *Sink);
 
   /// The run ended (finish, trap or budget); an active trace is exited
   /// early.
@@ -97,19 +125,6 @@ public:
 
   VmStats &stats() { return Stats; }
   const VmStats &stats() const { return Stats; }
-
-  /// The trace being executed (set by transition() on a trace-cache hit,
-  /// cleared on completion/divergence). TraceVM consults this at the top
-  /// of its loop: on entry to offer the whole trace to the native tier,
-  /// and before each trace block to arm its check elisions. The pointer
-  /// is owned by the trace cache and is invalidated by the cache mutation
-  /// at the end of the trace's execution -- callers must not hold it
-  /// across leaveTrace.
-  const Trace *activeTrace() const { return Active; }
-
-  /// Index in activeTrace()->Blocks of the block about to execute; 0 on
-  /// trace entry.
-  uint32_t tracePos() const { return TracePos; }
 
   const BranchCorrelationGraph &graph() const { return Graph; }
   const TraceCache &traceCache() const { return Cache; }

@@ -60,41 +60,8 @@ RunResult TraceVM::run() {
     Sink->onRunStart(Cur);
 
   VmStats &Stats = Engine.stats();
-  // Cursor over the active trace's check-elision facts (pc-ordered within
-  // ascending block index), reset on every trace entry.
-  size_t ElideCursor = 0;
+  const uint64_t Budget = Options.maxInstructions();
   while (true) {
-    if (const Trace *T = Engine.activeTrace()) {
-      const uint32_t Pos = Engine.tracePos();
-      if (Pos == 0) {
-        // A trace entry: the native tier, if any, may run the whole trace.
-        // Otherwise the trace's blocks step below like any other block.
-        // The loop only gets here with budget left, so the subtraction
-        // cannot underflow.
-        if (Jit) {
-          const uint64_t Left =
-              Options.maxInstructions() - Stepper.instructions();
-          if (std::optional<backend::TraceRunResult> TR =
-                  Jit->run(*T, Stepper, Left)) {
-            if (!replayNativeRun(*T, *TR, R))
-              break;
-            Cur = Stepper.currentBlock();
-            continue;
-          }
-        }
-        ElideCursor = 0;
-      }
-      // Arm this block's slice of the elision facts. Their path assumption
-      // holds by construction: trace block Pos only executes after blocks
-      // 0..Pos-1 matched the recorded sequence.
-      const std::vector<MemElision> &EF = T->MemElisions;
-      const size_t Begin = ElideCursor;
-      while (ElideCursor < EF.size() && EF[ElideCursor].BlockIndex == Pos)
-        ++ElideCursor;
-      if (ElideCursor != Begin)
-        Stepper.setElisions(EF.data() + Begin, ElideCursor - Begin);
-    }
-
     BlockStepper::StepStatus S = Stepper.step(); // executes Cur
     Engine.executed(Cur);
 #ifdef JTC_TELEMETRY
@@ -106,10 +73,9 @@ RunResult TraceVM::run() {
       Engine.endRun();
       R.Status = S == BlockStepper::StepStatus::Finished ? RunStatus::Finished
                                                          : RunStatus::Trapped;
-      R.Trap = Mach.trap();
       break;
     }
-    if (Stepper.instructions() >= Options.maxInstructions()) {
+    if (Stepper.instructions() >= Budget) {
       Engine.endRun();
       R.Status = RunStatus::BudgetExhausted;
       break;
@@ -118,10 +84,28 @@ RunResult TraceVM::run() {
     BlockId Next = Stepper.currentBlock();
     if (Sink)
       Sink->onTransition(Cur, Next);
-    Engine.transition(Cur, Next);
-    Cur = Next;
+    // A transition that enters a trace runs it whole; the transition that
+    // ends one run may enter the next trace.
+    const Trace *T = Engine.transition(Cur, Next);
+    while (T) {
+      uint32_t Committed = 0;
+      TraceRunResult TR = runTrace(*T, Committed);
+      // A native run ends on a block boundary the budget may fall on.
+      if (!TR.endsSession() && Stepper.instructions() >= Budget)
+        TR.End = TraceRunEnd::BudgetExhausted;
+      T = Engine.commitRun(TR, Committed, Sink);
+      if (TR.endsSession()) {
+        R.Status = TR.End == TraceRunEnd::Finished  ? RunStatus::Finished
+                   : TR.End == TraceRunEnd::Trapped ? RunStatus::Trapped
+                                                    : RunStatus::BudgetExhausted;
+        goto done;
+      }
+    }
+    Cur = Stepper.currentBlock();
   }
 
+done:
+  R.Trap = Mach.trap();
   Stats = currentStats();
   R.Instructions = Stats.Instructions;
   R.Dispatches = Stats.totalDispatches();
@@ -130,70 +114,100 @@ RunResult TraceVM::run() {
   return R;
 }
 
-bool TraceVM::replayNativeRun(const Trace &T,
-                              const backend::TraceRunResult &TR,
-                              RunResult &R) {
-  assert(TR.BlocksRun >= 1 && "a dispatched trace executes at least a block");
-
-  // Replay the summary through the engine in exactly the live loop's
-  // per-block order (executed, sampler, status, budget, sink, transition)
-  // so every BlocksExecuted-stamped clock and the btrace stream are
-  // bit-identical to a block-stepped run. The trace pointer stays valid
-  // throughout: the cache mutates only inside the *final* engine call of
-  // this replay (leaveTrace inside the last executed(), transition() or
-  // endRun()), and every read of T happens before it. Checked builds prove
-  // it with the cache's mutation generation.
-  VmStats &Stats = Engine.stats();
-  (void)Stats;
-  const uint64_t Generation = Engine.traceCache().generation();
-  (void)Generation;
-  for (uint32_t I = 0; I + 1 < TR.BlocksRun; ++I) {
-    BlockId B = T.Blocks[I];
-    BlockId Next = T.Blocks[I + 1];
-    Engine.executed(B);
-#ifdef JTC_TELEMETRY
-    if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
-      Sampler.sample(Stats.BlocksExecuted, currentStats());
-#endif
-    if (Sink)
-      Sink->onTransition(B, Next);
-    Engine.transition(B, Next);
-    assert(Engine.traceCache().generation() == Generation &&
-           "trace cache mutated before the final replay step");
+TraceRunResult TraceVM::runTrace(const Trace &T, uint32_t &Committed) {
+  if (Jit) {
+    // The loop only dispatches with budget left, so the subtraction cannot
+    // underflow.
+    if (std::optional<TraceRunResult> TR = Jit->run(
+            T, Stepper, Options.maxInstructions() - Stepper.instructions())) {
+      // Report the run block by block: the clock, due samples and the
+      // sink's inner transitions see it as a block-stepped run. A sample
+      // on the last block may complete the trace and free it, so T is
+      // only read before that.
+      [[maybe_unused]] const uint64_t Generation =
+          Engine.traceCache().generation();
+      for (uint32_t I = 1;; ++I) {
+        ranTraceBlock(I, Committed);
+        if (I == TR->BlocksRun)
+          break;
+        assert(Engine.traceCache().generation() == Generation &&
+               "trace cache mutated inside a run");
+        if (Sink)
+          Sink->onTransition(T.Blocks[I - 1], T.Blocks[I]);
+      }
+      Stepper.resumeAt(TR->NextBlock);
+      return *TR;
+    }
   }
+  return stepTrace(T, Committed);
+}
 
-  BlockId Last = T.Blocks[TR.BlocksRun - 1];
-  Engine.executed(Last); // completes the trace when TR.End == Completed
-#ifdef JTC_TELEMETRY
-  if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
-    Sampler.sample(Stats.BlocksExecuted, currentStats());
-#endif
+TraceRunResult TraceVM::stepTrace(const Trace &T, uint32_t &Committed) {
+  const uint32_t Len = static_cast<uint32_t>(T.Blocks.size());
+  // The elision facts are pc-ordered within ascending block index; EF
+  // walks them block by block.
+  const MemElision *EF = T.MemElisions.data();
+  const MemElision *const EEnd = EF + T.MemElisions.size();
+  const uint64_t Budget = Options.maxInstructions();
+  [[maybe_unused]] const uint64_t Generation = Engine.traceCache().generation();
+  TraceRunResult TR;
+  uint32_t I = 0; // trace blocks run
+  while (true) {
+    assert(Engine.traceCache().generation() == Generation &&
+           "trace cache mutated inside a run");
+    // Arm this block's slice of the elision facts. Their path assumption
+    // holds by construction: trace block I only executes after blocks
+    // 0..I-1 matched the recorded sequence.
+    const MemElision *Begin = EF;
+    while (EF != EEnd && EF->BlockIndex == I)
+      ++EF;
+    if (EF != Begin)
+      Stepper.setElisions(Begin, static_cast<size_t>(EF - Begin));
 
-  switch (TR.End) {
-  case backend::TraceRunEnd::Finished:
-  case backend::TraceRunEnd::Trapped:
-    Engine.endRun();
-    R.Status = TR.End == backend::TraceRunEnd::Finished ? RunStatus::Finished
-                                                        : RunStatus::Trapped;
-    R.Trap = Mach.trap();
-    return false;
-  case backend::TraceRunEnd::Completed:
-  case backend::TraceRunEnd::Diverged:
-    // The live loop checks the budget after executing a block and before
-    // its outgoing transition; a run that ends exactly on the budget at a
-    // completion/divergence boundary must end the same way here.
-    if (Stepper.instructions() >= Options.maxInstructions()) {
-      Engine.endRun();
-      R.Status = RunStatus::BudgetExhausted;
-      return false;
+    BlockStepper::StepStatus S = Stepper.step();
+    TR.LastBlock = T.Blocks[I++];
+    // A sample on the trace's last block completes the trace and may free
+    // it: once I == Len nothing below reads T.
+    ranTraceBlock(I, Committed);
+
+    if (S != BlockStepper::StepStatus::Continue) {
+      TR.End = S == BlockStepper::StepStatus::Finished ? TraceRunEnd::Finished
+                                                       : TraceRunEnd::Trapped;
+      break;
+    }
+    if (Stepper.instructions() >= Budget) {
+      TR.End = TraceRunEnd::BudgetExhausted;
+      break;
+    }
+    TR.NextBlock = Stepper.currentBlock();
+    if (I == Len) {
+      TR.End = TraceRunEnd::Completed;
+      break;
+    }
+    if (TR.NextBlock != T.Blocks[I]) {
+      TR.End = TraceRunEnd::Diverged;
+      break;
     }
     if (Sink)
-      Sink->onTransition(Last, TR.NextBlock);
-    Engine.transition(Last, TR.NextBlock);
-    Stepper.resumeAt(TR.NextBlock);
-    return true;
+      Sink->onTransition(TR.LastBlock, TR.NextBlock);
   }
-  return true; // unreachable
+  TR.BlocksRun = I;
+  return TR;
+}
+
+void TraceVM::ranTraceBlock(uint32_t I, uint32_t &Committed) {
+  VmStats &Stats = Engine.stats();
+  ++Stats.BlocksExecuted;
+#ifdef JTC_TELEMETRY
+  if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt()) {
+    Engine.executedInTrace(Committed, I);
+    Committed = I;
+    Sampler.sample(Stats.BlocksExecuted, currentStats());
+  }
+#else
+  (void)I;
+  (void)Committed;
+#endif
 }
 
 VmStats TraceVM::currentStats() const {

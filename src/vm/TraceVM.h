@@ -14,11 +14,13 @@
 /// execution); completing or leaving a trace moves the profiler context to
 /// the last block pair that executed.
 ///
-/// A dispatched trace is its blocks run back to back: run()'s one loop
-/// steps trace and non-trace blocks alike. The only other way a trace
-/// runs is the optional native tier (backend/JitBackend.h), which the
-/// loop offers each trace entry to; a native run is replayed through the
-/// engine block by block so nothing downstream can tell the tiers apart.
+/// run()'s outer loop steps blocks outside traces, one engine call per
+/// block. A dispatched trace runs to the end of its run in one inner step:
+/// on the optional native tier (backend/JitBackend.h) when it accepts the
+/// trace, otherwise by stepping the trace's blocks back to back while each
+/// successor matches, checking the budget after every block. Both tiers
+/// end in the same TraceRunResult, committed to the engine in bulk, so
+/// nothing downstream can tell the tiers apart.
 ///
 /// The adaptive half of this machinery (profiler, trace cache, active-
 /// trace matching, statistics) lives in AdaptiveEngine so it can also be
@@ -79,8 +81,9 @@ public:
   void importSeed(const VmSeed &Seed);
 
   /// Attaches an observer of the full block-transition stream (null
-  /// detaches). Must be set before run(); the unset case costs one
-  /// null-pointer branch per transition.
+  /// detaches), trace-internal transitions included, in order. Must be
+  /// set before run(); the unset case costs one null-pointer branch per
+  /// transition.
   void setTransitionSink(BlockTransitionSink *S) { Sink = S; }
 
   const VmStats &stats() const { return Engine.stats(); }
@@ -116,14 +119,22 @@ public:
   const Machine &machine() const { return Mach; }
 
 private:
-  /// Replays a native run \p TR of the trace AdaptiveEngine just entered
-  /// through the engine (executed/transition per block, in the live
-  /// loop's exact order) so adaptive state, telemetry clocks and the
-  /// btrace stream are bit-identical to a block-stepped run. Returns
-  /// false when the run ended inside the trace (finish / trap / budget),
-  /// with \p R filled in; true to continue the dispatch loop.
-  bool replayNativeRun(const Trace &T, const backend::TraceRunResult &TR,
-                       RunResult &R);
+  /// Runs \p T, which the last transition entered, to the end of its run
+  /// on the native tier when it accepts, block-stepped otherwise, and
+  /// reports the run's inner transitions to the sink. Blocks up to a phase
+  /// sample inside the run are committed there; \p Committed receives how
+  /// many. The caller commits the rest together with the run's end.
+  TraceRunResult runTrace(const Trace &T, uint32_t &Committed);
+
+  /// The interp tier of runTrace: steps \p T's blocks while each
+  /// successor matches, arming each block's check elisions and checking
+  /// the budget after every block.
+  TraceRunResult stepTrace(const Trace &T, uint32_t &Committed);
+
+  /// Trace block \p I (counting from 1) of the current run has executed:
+  /// advances the logical clock (stats().BlocksExecuted) and, when a phase
+  /// sample falls due, commits the run's blocks so far and takes it.
+  void ranTraceBlock(uint32_t I, uint32_t &Committed);
 
   const PreparedModule *PM;
   VmOptions Options;

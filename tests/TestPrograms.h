@@ -291,6 +291,73 @@ inline Module divideByZero() {
   return Asm.build();
 }
 
+/// main: hotLoop's loop with the common path dividing by (N - i), so the
+/// run traps with a divide by zero at iteration N, inside the loop's trace
+/// once it is hot (N must not be a multiple of 256: iteration N takes the
+/// common path).
+inline Module trapInHotLoop(int32_t N) {
+  Assembler Asm;
+  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  Label Loop = B.newLabel(), Done = B.newLabel(), Rare = B.newLabel(),
+        Join = B.newLabel();
+  B.iconst(0);
+  B.istore(0);
+  B.iconst(0);
+  B.istore(1);
+  B.bind(Loop);
+  B.iload(0);
+  B.iconst(int64_t{N} * 2);
+  B.branch(Opcode::IfIcmpGe, Done);
+  B.iload(0);
+  B.iconst(255);
+  B.emit(Opcode::Iand);
+  B.branch(Opcode::IfEq, Rare); // taken 1/256
+  B.iload(1);
+  B.iconst(1000);
+  B.iconst(N);
+  B.iload(0);
+  B.emit(Opcode::Isub);
+  B.emit(Opcode::Idiv);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  B.branch(Opcode::Goto, Join);
+  B.bind(Rare);
+  B.iinc(1, 1);
+  B.bind(Join);
+  B.iinc(0, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
+  B.iload(1);
+  B.emit(Opcode::Iprint);
+  B.halt();
+  B.finish();
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
+/// main: allocates an object and, while the reference (refs count up from
+/// 1) is below \p Depth, calls itself; then returns. The run unwinds
+/// through the same return block Depth times, so it finishes with the
+/// bottom frame's return inside the return chain's trace once it is hot.
+/// \p Depth must stay below the machine's frame limit.
+inline Module recursiveMain(int32_t Depth) {
+  Assembler Asm;
+  uint32_t Cls = Asm.declareClass("Cell", 0);
+  uint32_t Main = Asm.declareMethod("main", 0, 0, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  Label Ret = B.newLabel();
+  B.newobj(Cls);
+  B.iconst(Depth);
+  B.branch(Opcode::IfIcmpGe, Ret);
+  B.invokestatic(Main);
+  B.bind(Ret);
+  B.ret();
+  B.finish();
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
 /// The random program generator, now owned by the fuzzing subsystem.
 using fuzz::RandomProgramBuilder;
 

@@ -259,7 +259,7 @@ TEST(BackendTest, InterpJitBitEquivalence) {
     EXPECT_EQ(RI.Dispatches, RJ.Dispatches);
     EXPECT_EQ(VI.machine().output(), VJ.machine().output());
     EXPECT_EQ(heapDigest(VI.machine().heap()), heapDigest(VJ.machine().heap()));
-    // The adaptive bookkeeping is replayed identically: the full folded
+    // The adaptive bookkeeping is committed identically: the full folded
     // stats digest (which excludes the tier counters) must match.
     EXPECT_EQ(VI.currentStats().digest(), VJ.currentStats().digest());
   }

@@ -6,7 +6,9 @@
 ///    sequence the VM dispatched, and replay through a fresh adaptive
 ///    engine reproduces the live session's stats digest bit-identically
 ///    (cold, warm-seeded, trapped and budget-cut runs, and all six paper
-///    workloads);
+///    workloads). The live VM commits each trace run in bulk while replay
+///    drives the engine block by block, so the budget, trap and finish
+///    cases run on both execution tiers and end inside traces too;
 ///  - strictness: every truncation of a valid .btc and every single-byte
 ///    corruption is rejected with a typed PersistError -- never a crash,
 ///    never a silently wrong block stream. The checked-in corpus
@@ -34,6 +36,8 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <string>
 
 using namespace jtc;
 using namespace jtc::btrace;
@@ -74,6 +78,60 @@ std::vector<uint8_t> readFileBytes(const std::filesystem::path &P) {
                               std::istreambuf_iterator<char>());
 }
 
+/// Both execution tiers, named explicitly so a JTC_BACKEND setting cannot
+/// collapse them into one.
+constexpr backend::BackendKind BothTiers[] = {backend::BackendKind::Interp,
+                                              backend::BackendKind::Jit};
+
+/// Whether the VM records telemetry events in this build; the checks of
+/// where a run ended read them.
+#ifdef JTC_TELEMETRY
+constexpr bool EventsRecorded = true;
+#else
+constexpr bool EventsRecorded = false;
+#endif
+
+/// True when the run's last block was a trace block: the last trace
+/// completion or early exit is stamped with the final clock (a divergence
+/// is stamped one block before the block it diverged to). Needs telemetry
+/// on; the ring keeps the newest events.
+bool endedInsideTrace(const TraceVM &VM) {
+  std::optional<uint64_t> LastLeave;
+  VM.events().forEach([&](const Event &E) {
+    if (E.Kind == EventKind::TraceCompleted ||
+        E.Kind == EventKind::TraceEarlyExit)
+      LastLeave = E.Clock;
+  });
+  return LastLeave == VM.stats().BlocksExecuted;
+}
+
+/// The run ended on the last block of a completed trace.
+bool endedOnTraceCompletion(const TraceVM &VM) {
+  std::optional<Event> Last;
+  VM.events().forEach([&](const Event &E) {
+    if (E.Kind == EventKind::TraceCompleted ||
+        E.Kind == EventKind::TraceEarlyExit)
+      Last = E;
+  });
+  return Last && Last->Kind == EventKind::TraceCompleted &&
+         Last->Clock == VM.stats().BlocksExecuted;
+}
+
+/// The live digest, the END record's digest and the per-block replay's
+/// digest agree, and the decoded stream is the dispatched one.
+void expectReplayMatches(const Captured &C, const std::string &What) {
+  std::vector<fuzz::Violation> Vs = checkBtraceRoundTrip(C.PM, C.Rec);
+  EXPECT_TRUE(Vs.empty()) << What << ":\n" << fuzz::formatViolations(Vs);
+  ReplayResult RR;
+  PersistError Err;
+  ASSERT_TRUE(replayBtrace(C.Rec.stream().data(), C.Rec.stream().size(),
+                           C.PM, RR, Err))
+      << What << ": " << Err.message();
+  EXPECT_TRUE(RR.DigestMatch) << What;
+  EXPECT_EQ(RR.ReplayDigest, C.VM.stats().digest()) << What;
+  EXPECT_EQ(RR.End.Status, C.R.Status) << What;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -92,6 +150,7 @@ protected:
   struct Session {
     std::string Name;
     std::function<Module()> Build;
+    VmOptions Options;
     uint32_t SyncInterval;
     std::unique_ptr<Captured> C;
   };
@@ -108,17 +167,20 @@ protected:
     };
     for (const auto &[Name, Build] : Specs)
       Programs->push_back(
-          {Name, Build, 64, std::make_unique<Captured>(Build())});
+          {Name, Build, VmOptions(), 64, std::make_unique<Captured>(Build())});
     Workloads = new std::vector<Session>();
     for (const WorkloadInfo &W : allWorkloads()) {
       // Reduced scale keeps the suite fast; the CI smoke and the fuzz
       // audit cover full-scale streams.
       uint32_t Scale = W.DefaultScale / 20 ? W.DefaultScale / 20 : 1;
       auto Build = [&W, Scale] { return W.Build(Scale); };
-      Workloads->push_back(
-          {W.Name, Build, 512,
-           std::make_unique<Captured>(Build(), VmOptions(),
-                                      /*SyncInterval=*/512)});
+      for (backend::BackendKind Tier : BothTiers) {
+        VmOptions VO = VmOptions().backend(Tier);
+        Workloads->push_back(
+            {W.Name + std::string("/") + backend::backendKindName(Tier), Build,
+             VO, 512,
+             std::make_unique<Captured>(Build(), VO, /*SyncInterval=*/512)});
+      }
     }
   }
   static void TearDownTestSuite() {
@@ -147,9 +209,12 @@ TEST_F(SharedCaptureTest, ReproducesExactBlockStream) {
 }
 
 TEST_F(SharedCaptureTest, AllSixWorkloadsReplayBitIdentically) {
+  uint64_t NativeRuns = 0;
   for (const Session &W : *Workloads) {
     const Captured &C = *W.C;
     EXPECT_EQ(C.R.Status, RunStatus::Finished) << W.Name;
+    EXPECT_EQ(C.VM.backendTier(), W.Options.backend()) << W.Name;
+    NativeRuns += C.VM.stats().TraceDispatchesJit;
     std::vector<fuzz::Violation> Vs = checkBtraceRoundTrip(C.PM, C.Rec);
     EXPECT_TRUE(Vs.empty()) << W.Name << ":\n" << fuzz::formatViolations(Vs);
 
@@ -163,6 +228,10 @@ TEST_F(SharedCaptureTest, AllSixWorkloadsReplayBitIdentically) {
     EXPECT_EQ(RR.ReplayDigest, C.VM.stats().digest()) << W.Name;
     EXPECT_EQ(RR.BlocksWalked, C.Rec.blocks().size()) << W.Name;
   }
+  // The jit sessions really committed native runs.
+  if (backend::jitSupportedHost()) {
+    EXPECT_GT(NativeRuns, 0u);
+  }
 }
 
 TEST_F(SharedCaptureTest, RecaptureIsByteIdentical) {
@@ -172,7 +241,7 @@ TEST_F(SharedCaptureTest, RecaptureIsByteIdentical) {
   // fixture's stream byte for byte, digest and all.
   for (const std::vector<Session> *Group : {Programs, Workloads}) {
     for (const Session &S : *Group) {
-      Captured Again(S.Build(), VmOptions(), S.SyncInterval);
+      Captured Again(S.Build(), S.Options, S.SyncInterval);
       EXPECT_EQ(Again.R.Status, S.C->R.Status) << S.Name;
       EXPECT_EQ(Again.Rec.stream(), S.C->Rec.stream())
           << S.Name << ": re-capture diverged from the shared session";
@@ -182,35 +251,82 @@ TEST_F(SharedCaptureTest, RecaptureIsByteIdentical) {
 }
 
 TEST(BtraceRoundTripTest, TrappedRunRoundTrips) {
-  Captured C(testprog::divideByZero());
-  ASSERT_EQ(C.R.Status, RunStatus::Trapped);
-  std::vector<fuzz::Violation> Vs = checkBtraceRoundTrip(C.PM, C.Rec);
-  EXPECT_TRUE(Vs.empty()) << fuzz::formatViolations(Vs);
+  for (backend::BackendKind Tier : BothTiers) {
+    Captured C(testprog::divideByZero(), VmOptions().backend(Tier));
+    ASSERT_EQ(C.R.Status, RunStatus::Trapped);
+    expectReplayMatches(C, backend::backendKindName(Tier));
 
-  ReplayResult RR;
-  PersistError Err;
-  ASSERT_TRUE(replayBtrace(C.Rec.stream().data(), C.Rec.stream().size(),
-                           C.PM, RR, Err))
-      << Err.message();
-  EXPECT_EQ(RR.End.Status, RunStatus::Trapped);
-  EXPECT_EQ(RR.End.Trap, TrapKind::DivideByZero);
-  EXPECT_TRUE(RR.DigestMatch);
+    ReplayResult RR;
+    PersistError Err;
+    ASSERT_TRUE(replayBtrace(C.Rec.stream().data(), C.Rec.stream().size(),
+                             C.PM, RR, Err))
+        << Err.message();
+    EXPECT_EQ(RR.End.Trap, TrapKind::DivideByZero);
+  }
+}
+
+TEST(BtraceRoundTripTest, TrapInsideTraceRoundTripsOnBothTiers) {
+  for (backend::BackendKind Tier : BothTiers) {
+    const char *Name = backend::backendKindName(Tier);
+    Captured C(testprog::trapInHotLoop(6001),
+               VmOptions().backend(Tier).telemetry(true));
+    ASSERT_EQ(C.R.Status, RunStatus::Trapped) << Name;
+    EXPECT_EQ(C.R.Trap, TrapKind::DivideByZero) << Name;
+    EXPECT_TRUE(!EventsRecorded || endedInsideTrace(C.VM)) << Name;
+    if (Tier == backend::BackendKind::Jit && backend::jitSupportedHost()) {
+      EXPECT_GT(C.VM.stats().TraceDispatchesJit, 0u) << Name;
+    }
+    expectReplayMatches(C, Name);
+  }
+}
+
+TEST(BtraceRoundTripTest, FinishInsideTraceRoundTripsOnBothTiers) {
+  for (backend::BackendKind Tier : BothTiers) {
+    const char *Name = backend::backendKindName(Tier);
+    Captured C(testprog::recursiveMain(1500),
+               VmOptions().backend(Tier).telemetry(true));
+    ASSERT_EQ(C.R.Status, RunStatus::Finished) << Name;
+    EXPECT_TRUE(!EventsRecorded || endedInsideTrace(C.VM)) << Name;
+    if (Tier == backend::BackendKind::Jit && backend::jitSupportedHost()) {
+      EXPECT_GT(C.VM.stats().TraceDispatchesJit, 0u) << Name;
+    }
+    expectReplayMatches(C, Name);
+  }
 }
 
 TEST(BtraceRoundTripTest, BudgetCutRunRoundTrips) {
-  Captured C(testprog::countingLoop(1000000),
-             VmOptions().maxInstructions(20000));
-  ASSERT_EQ(C.R.Status, RunStatus::BudgetExhausted);
-  std::vector<fuzz::Violation> Vs = checkBtraceRoundTrip(C.PM, C.Rec);
-  EXPECT_TRUE(Vs.empty()) << fuzz::formatViolations(Vs);
+  for (backend::BackendKind Tier : BothTiers) {
+    Captured C(testprog::countingLoop(1000000),
+               VmOptions().backend(Tier).maxInstructions(20000));
+    ASSERT_EQ(C.R.Status, RunStatus::BudgetExhausted);
+    expectReplayMatches(C, backend::backendKindName(Tier));
+  }
+}
 
-  ReplayResult RR;
-  PersistError Err;
-  ASSERT_TRUE(replayBtrace(C.Rec.stream().data(), C.Rec.stream().size(),
-                           C.PM, RR, Err))
-      << Err.message();
-  EXPECT_EQ(RR.End.Status, RunStatus::BudgetExhausted);
-  EXPECT_TRUE(RR.DigestMatch);
+TEST(BtraceRoundTripTest, BudgetsEndingInsideTracesRoundTrip) {
+  // Consecutive budgets land on every block of the loop's trace runs:
+  // some end a run part-way (the native tier declines those runs and
+  // block-steps them), some on the trace's last block (the native tier
+  // runs those whole when the budget fits exactly).
+  for (backend::BackendKind Tier : BothTiers) {
+    const char *Name = backend::backendKindName(Tier);
+    unsigned Inside = 0, OnCompletion = 0;
+    for (uint64_t Budget = 20000; Budget < 20048; ++Budget) {
+      Captured C(testprog::hotLoop(1000000), VmOptions()
+                                                 .backend(Tier)
+                                                 .telemetry(true)
+                                                 .maxInstructions(Budget));
+      ASSERT_EQ(C.R.Status, RunStatus::BudgetExhausted) << Name;
+      Inside += endedInsideTrace(C.VM);
+      OnCompletion += endedOnTraceCompletion(C.VM);
+      expectReplayMatches(C, std::string(Name) + " budget " +
+                                 std::to_string(Budget));
+    }
+    if (!EventsRecorded)
+      continue;
+    EXPECT_GT(Inside - OnCompletion, 0u) << Name << ": no budget ended mid-run";
+    EXPECT_GT(OnCompletion, 0u) << Name << ": no budget ended a whole run";
+  }
 }
 
 TEST(BtraceRoundTripTest, HeaderRoundTripsConfiguration) {

@@ -556,24 +556,61 @@ TEST(TelemetryVmTest, DisabledByDefaultAndStatsUnchanged) {
 }
 
 TEST(TelemetryVmTest, SamplerProducesTimeline) {
+  // A small prime interval puts sample points inside most trace runs, on
+  // every block position; the VM commits a run in bulk, so it must split
+  // the commit exactly there on both tiers.
+  constexpr uint64_t Interval = 13;
   Module M = testprog::hotLoop(50000);
   PreparedModule PM(M);
-  TraceVM VM(PM, telemetryOptions().sampleInterval(10000));
-  VM.run();
+  std::vector<PhaseSample<VmStats>> Timelines[2];
+  const backend::BackendKind Tiers[] = {backend::BackendKind::Interp,
+                                        backend::BackendKind::Jit};
+  for (int T = 0; T < 2; ++T) {
+    const char *Name = backend::backendKindName(Tiers[T]);
+    TraceVM VM(PM, telemetryOptions().backend(Tiers[T]).sampleInterval(
+                       Interval));
+    VM.run();
+    if (Tiers[T] == backend::BackendKind::Jit && backend::jitSupportedHost()) {
+      EXPECT_GT(VM.stats().TraceDispatchesJit, 0u);
+    }
 
-  const PhaseSampler<VmStats> &S = VM.sampler();
-  ASSERT_FALSE(S.empty());
-  uint64_t TotalBlocks = 0;
-  uint64_t PrevClock = 0;
-  for (const PhaseSample<VmStats> &P : S.samples()) {
-    EXPECT_GT(P.Clock, PrevClock);
-    PrevClock = P.Clock;
-    TotalBlocks += P.Delta.BlocksExecuted;
+    const PhaseSampler<VmStats> &S = VM.sampler();
+    ASSERT_FALSE(S.empty()) << Name;
+    uint64_t TotalBlocks = 0;
+    uint64_t PrevClock = 0;
+    for (const PhaseSample<VmStats> &P : S.samples()) {
+      // Each sample sees exactly the blocks before it, at its own clock.
+      EXPECT_EQ(P.Clock, P.Cumulative.BlocksExecuted) << Name;
+      EXPECT_EQ(P.Clock, PrevClock + Interval) << Name;
+      EXPECT_EQ(P.Clock % Interval, 0u) << Name;
+      EXPECT_EQ(P.Delta.BlocksExecuted, Interval) << Name;
+      // Every block run so far is counted once: dispatched on its own
+      // (the entry, or after a transition outside traces) or in a trace.
+      EXPECT_EQ(P.Cumulative.BlocksExecuted,
+                P.Cumulative.BlockDispatches + P.Cumulative.BlocksInTraces)
+          << Name << " at clock " << P.Clock;
+      PrevClock = P.Clock;
+      TotalBlocks += P.Delta.BlocksExecuted;
+    }
+    // The per-window deltas tile the run exactly, up to a tail shorter
+    // than one interval after the last sample point.
+    EXPECT_EQ(TotalBlocks, PrevClock) << Name;
+    EXPECT_LT(VM.stats().BlocksExecuted - PrevClock, Interval) << Name;
+    Timelines[T] = S.samples();
   }
-  // The per-window deltas tile the run (up to the tail after the last
-  // sample point).
-  EXPECT_LE(TotalBlocks, VM.stats().BlocksExecuted);
-  EXPECT_GE(TotalBlocks, VM.stats().BlocksExecuted - VM.options().sampleInterval());
+
+  // The tiers reach every sample point in the same adaptive state.
+  ASSERT_EQ(Timelines[0].size(), Timelines[1].size());
+  for (size_t I = 0; I < Timelines[0].size(); ++I) {
+    const VmStats &A = Timelines[0][I].Cumulative;
+    const VmStats &B = Timelines[1][I].Cumulative;
+    EXPECT_EQ(A.BlocksInTraces, B.BlocksInTraces) << "sample " << I;
+    EXPECT_EQ(A.InstructionsInTraces, B.InstructionsInTraces) << "sample " << I;
+    EXPECT_EQ(A.TraceDispatches, B.TraceDispatches) << "sample " << I;
+    EXPECT_EQ(A.TracesCompleted, B.TracesCompleted) << "sample " << I;
+    EXPECT_EQ(A.BlockDispatches, B.BlockDispatches) << "sample " << I;
+    EXPECT_EQ(A.Hooks, B.Hooks) << "sample " << I;
+  }
 }
 
 TEST(TelemetryVmTest, BtraceCaptureEventsLandInRingAndExports) {
