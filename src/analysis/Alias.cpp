@@ -372,12 +372,12 @@ analyzeTraceMemory(const Module &M, const ValueFactsFn &Facts,
           ++Stats->MemOps;
         switch (C.K) {
         case AccessClass::Kind::ElideNull:
-          Out.push_back({static_cast<uint32_t>(Bi), Pc, MemElide::NullOnly});
+          Out.push_back({static_cast<uint32_t>(Bi), Pc, ElideLevel::NullOnly});
           if (Stats)
             ++Stats->ElidedNull;
           break;
         case AccessClass::Kind::ElideFull:
-          Out.push_back({static_cast<uint32_t>(Bi), Pc, MemElide::Full});
+          Out.push_back({static_cast<uint32_t>(Bi), Pc, ElideLevel::Full});
           if (Stats)
             ++Stats->ElidedFull;
           break;

@@ -18,8 +18,8 @@
 ///    analysis' per-instruction frame states and decides, per heap
 ///    access, which dynamic checks are provably redundant on the trace
 ///    path: a definitely-non-null receiver of a known shape needs no
-///    liveness/class check (`MemElide::NullOnly` keeps only the bounds
-///    check; `MemElide::Full` drops every check). Virtual-call receivers
+///    liveness/class check (`ElideLevel::NullOnly` keeps only the bounds
+///    check; `ElideLevel::Full` drops every check). Virtual-call receivers
 ///    are non-null by dispatch (the call would have trapped), a
 ///    trace-local fact the static analysis cannot see.
 ///
@@ -34,6 +34,7 @@
 #include "analysis/Cfg.h"
 #include "analysis/Summaries.h"
 #include "analysis/ValueAnalysis.h"
+#include "bytecode/OpSemantics.h"
 
 #include <cstdint>
 #include <functional>
@@ -73,18 +74,12 @@ MethodEscapeFacts analyzeMethodEscapes(const MethodCfg &Cfg,
                                        const MethodValueFacts &Values,
                                        const ModuleSummaries &Summaries);
 
-/// Which dynamic checks of a heap access are provably redundant.
-enum class MemElide : uint8_t {
-  NullOnly, ///< Skip the liveness/class check; keep the bounds check.
-  Full,     ///< Skip every check: the access cannot trap.
-};
-
 /// One elidable heap access inside a trace, addressed by the trace's
 /// block index and the instruction's pc in its method.
 struct TraceMemFact {
   uint32_t BlockIndex = 0;
   uint32_t Pc = 0;
-  MemElide Elide = MemElide::NullOnly;
+  ElideLevel Elide = ElideLevel::NullOnly; ///< NullOnly or Full.
 
   bool operator==(const TraceMemFact &) const = default;
 };

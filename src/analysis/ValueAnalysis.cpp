@@ -2,6 +2,7 @@
 
 #include "analysis/ValueAnalysis.h"
 #include "analysis/Dataflow.h"
+#include "bytecode/OpSemantics.h"
 
 #include <cassert>
 
@@ -12,27 +13,11 @@ namespace {
 
 // --- integer range arithmetic -------------------------------------------
 //
-// Constant folds replicate Machine.cpp exactly (wrapping add/sub/mul via
-// uint64, INT64_MIN/-1 defined, shift counts masked to 6 bits); range
+// Constant operands fold through the opcode semantics table
+// (bytecode/OpSemantics.h), the rules every engine executes; range
 // results fall back to the full range whenever the interval arithmetic
 // could overflow, which keeps the facts sound without an exact wrapped-
 // interval domain.
-
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapNeg(int64_t A) {
-  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
-}
 
 bool bothInt(const AbstractValue &A, const AbstractValue &B) {
   return A.isInt() && B.isInt();
@@ -59,8 +44,6 @@ AbstractValue rangeSub(const AbstractValue &A, const AbstractValue &B) {
 }
 
 AbstractValue rangeMul(const AbstractValue &A, const AbstractValue &B) {
-  if (A.isConst() && B.isConst())
-    return AbstractValue::intConst(wrapMul(A.Lo, B.Lo));
   if (!bothInt(A, B))
     return AbstractValue::intAny();
   // Interval multiply over the four corner products, bailing on overflow.
@@ -79,15 +62,24 @@ AbstractValue rangeMul(const AbstractValue &A, const AbstractValue &B) {
   return AbstractValue::intRange(Lo, Hi);
 }
 
-int64_t machDiv(int64_t A, int64_t B) {
-  if (A == AbstractValue::MinInt && B == -1)
-    return AbstractValue::MinInt;
-  return A / B;
-}
-int64_t machRem(int64_t A, int64_t B) {
-  if (A == AbstractValue::MinInt && B == -1)
-    return 0;
-  return A % B;
+/// Range of A op B for binary opcode \p Op, when the operands are not
+/// both constants (or a constant division would trap).
+AbstractValue rangeBinary(Opcode Op, const AbstractValue &A,
+                          const AbstractValue &B) {
+  switch (Op) {
+  case Opcode::Iadd:
+    return rangeAdd(A, B);
+  case Opcode::Isub:
+    return rangeSub(A, B);
+  case Opcode::Imul:
+    return rangeMul(A, B);
+  case Opcode::Iand:
+    if (A.isInt() && B.isInt() && A.Lo >= 0 && B.Lo >= 0)
+      return AbstractValue::intRange(0, std::min(A.Hi, B.Hi));
+    return AbstractValue::intAny();
+  default:
+    return AbstractValue::intAny();
+  }
 }
 
 /// Condition range of a value used as a branch operand: references are
@@ -247,14 +239,13 @@ void MethodValueFacts::stepInstruction(const Module &M, const Method &Fn,
     break;
   case Opcode::Iinc: {
     AbstractValue &L = S.Locals[static_cast<uint32_t>(I.A)];
-    if (L.isInt()) {
-      if (L.isConst())
-        L = AbstractValue::intConst(wrapAdd(L.Lo, I.B));
-      else
-        L = rangeAdd(L, AbstractValue::intConst(I.B));
-    } else {
+    int64_t V = 0;
+    if (L.isConst() && evalBinary(Opcode::Iadd, L.Lo, I.B, V))
+      L = AbstractValue::intConst(V);
+    else if (L.isInt())
+      L = rangeAdd(L, AbstractValue::intConst(I.B));
+    else
       L = AbstractValue::top();
-    }
     break;
   }
   case Opcode::Pop:
@@ -272,99 +263,35 @@ void MethodValueFacts::stepInstruction(const Module &M, const Method &Fn,
     push(A);
     break;
   }
-  case Opcode::Iadd: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(wrapAdd(A.Lo, B.Lo)));
-    else
-      push(rangeAdd(A, B));
-    break;
-  }
-  case Opcode::Isub: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(wrapSub(A.Lo, B.Lo)));
-    else
-      push(rangeSub(A, B));
-    break;
-  }
-  case Opcode::Imul: {
-    AbstractValue B = pop(), A = pop();
-    push(rangeMul(A, B));
-    break;
-  }
+  case Opcode::Iadd:
+  case Opcode::Isub:
+  case Opcode::Imul:
   case Opcode::Idiv:
-  case Opcode::Irem: {
+  case Opcode::Irem:
+  case Opcode::Ishl:
+  case Opcode::Ishr:
+  case Opcode::Iushr:
+  case Opcode::Iand:
+  case Opcode::Ior:
+  case Opcode::Ixor: {
     AbstractValue B = pop(), A = pop();
-    if (B.isZero()) {
+    if (opClass(I.Op) == OpClass::DivRem && B.isZero()) {
       traps();
       break;
     }
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(I.Op == Opcode::Idiv ? machDiv(A.Lo, B.Lo)
-                                                        : machRem(A.Lo, B.Lo)));
+    int64_t V = 0;
+    if (A.isConst() && B.isConst() && evalBinary(I.Op, A.Lo, B.Lo, V))
+      push(AbstractValue::intConst(V));
     else
-      push(AbstractValue::intAny());
+      push(rangeBinary(I.Op, A, B));
     break;
   }
   case Opcode::Ineg: {
     AbstractValue A = pop();
     if (A.isConst())
-      push(AbstractValue::intConst(wrapNeg(A.Lo)));
+      push(AbstractValue::intConst(evalNeg(A.Lo)));
     else if (A.isInt() && A.Lo != AbstractValue::MinInt)
       push(AbstractValue::intRange(-A.Hi, -A.Lo));
-    else
-      push(AbstractValue::intAny());
-    break;
-  }
-  case Opcode::Ishl: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(static_cast<int64_t>(
-          static_cast<uint64_t>(A.Lo) << (B.Lo & 63))));
-    else
-      push(AbstractValue::intAny());
-    break;
-  }
-  case Opcode::Ishr: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(A.Lo >> (B.Lo & 63)));
-    else
-      push(AbstractValue::intAny());
-    break;
-  }
-  case Opcode::Iushr: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(static_cast<int64_t>(
-          static_cast<uint64_t>(A.Lo) >> (B.Lo & 63))));
-    else
-      push(AbstractValue::intAny());
-    break;
-  }
-  case Opcode::Iand: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(A.Lo & B.Lo));
-    else if (A.isInt() && B.isInt() && A.Lo >= 0 && B.Lo >= 0)
-      push(AbstractValue::intRange(0, std::min(A.Hi, B.Hi)));
-    else
-      push(AbstractValue::intAny());
-    break;
-  }
-  case Opcode::Ior: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(A.Lo | B.Lo));
-    else
-      push(AbstractValue::intAny());
-    break;
-  }
-  case Opcode::Ixor: {
-    AbstractValue B = pop(), A = pop();
-    if (A.isConst() && B.isConst())
-      push(AbstractValue::intConst(A.Lo ^ B.Lo));
     else
       push(AbstractValue::intAny());
     break;

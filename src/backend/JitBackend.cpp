@@ -4,6 +4,7 @@
 
 #include "backend/TraceIR.h"
 #include "backend/X64Emitter.h"
+#include "bytecode/OpSemantics.h"
 #include "interp/BlockStepper.h"
 #include "interp/PreparedModule.h"
 #include "runtime/Machine.h"
@@ -12,7 +13,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstring>
-#include <limits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -46,11 +46,12 @@ static constexpr Reg MachReg = Reg::R15;
 // Runtime helpers
 //
 // Heap-touching ops go through these instead of inline code: heap cells
-// are nested std::vectors, so their semantics stay defined once, in C++,
-// byte-identical to Machine::execOne. Helpers set Machine::trap()
-// themselves and report "trapped" through the second return register;
-// they never touch the Machine's operand stack or locals arenas (the
-// template code owns those via pinned pointers).
+// are nested std::vectors, and the checks are the heap's own
+// (Heap::checkElement and friends), the ones the block executor runs.
+// Helpers set Machine::trap() themselves and report "trapped" through
+// the second return register; they never touch the Machine's operand
+// stack or locals arenas (the template code owns those via pinned
+// pointers).
 //===----------------------------------------------------------------------===//
 
 extern "C" {
@@ -61,142 +62,68 @@ struct JitHelperResult {
   uint64_t Trap;
 };
 
+} // extern "C"
+
+/// The heap accesses, one template each, instantiated per elision level
+/// (IrOp::Elide): the checks a level skips compile away, and at a level
+/// where the access cannot trap the template emits no trap test.
+template <ElideLevel L>
 static JitHelperResult jtcJitIaload(Machine *M, int64_t Ref, int64_t Idx) {
   Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return {0, 1};
-  }
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
+  if (TrapKind T = H.checkElement(Ref, Idx, L); T != TrapKind::None) {
+    M->setTrap(T);
     return {0, 1};
   }
   return {H.load(Ref, static_cast<size_t>(Idx)), 0};
 }
 
+template <ElideLevel L>
 static uint64_t jtcJitIastore(Machine *M, int64_t Ref, int64_t Idx,
                               int64_t Value) {
   Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return 1;
-  }
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
+  if (TrapKind T = H.checkElement(Ref, Idx, L); T != TrapKind::None) {
+    M->setTrap(T);
     return 1;
   }
   H.store(Ref, static_cast<size_t>(Idx), Value);
   return 0;
 }
 
+template <ElideLevel L>
 static JitHelperResult jtcJitArrayLength(Machine *M, int64_t Ref) {
   Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
+  if (TrapKind T = H.checkArrayLength(Ref, L); T != TrapKind::None) {
+    M->setTrap(T);
     return {0, 1};
   }
   return {static_cast<int64_t>(H.slotCount(Ref)), 0};
 }
 
+template <ElideLevel L>
 static JitHelperResult jtcJitGetField(Machine *M, int64_t Ref, int64_t Slot) {
   Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
+  auto Idx = static_cast<size_t>(Slot);
+  if (TrapKind T = H.checkField(Ref, Idx, L); T != TrapKind::None) {
+    M->setTrap(T);
     return {0, 1};
   }
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Slot)), 0};
+  return {H.load(Ref, Idx), 0};
 }
 
+template <ElideLevel L>
 static uint64_t jtcJitPutField(Machine *M, int64_t Ref, int64_t Slot,
                                int64_t Value) {
   Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
+  auto Idx = static_cast<size_t>(Slot);
+  if (TrapKind T = H.checkField(Ref, Idx, L); T != TrapKind::None) {
+    M->setTrap(T);
     return 1;
   }
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Slot), Value);
+  H.store(Ref, Idx, Value);
   return 0;
 }
 
-//===--- Reduced-check variants (IrOp::ElideKind) ----------------------===//
-//
-// For heap accesses the trace-path alias analysis proved cannot fail a
-// check (Trace::MemElisions). NoNull keeps the bounds check but skips the
-// liveness/class check; Fast skips everything and so cannot trap at all
-// (the template emits no trap exit for it). Pop order, trap kinds and
-// Heap calls mirror the block executor's elided accesses exactly.
-
-static JitHelperResult jtcJitIaloadNoNull(Machine *M, int64_t Ref,
-                                          int64_t Idx) {
-  Heap &H = M->heap();
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Idx)), 0};
-}
-
-static int64_t jtcJitIaloadFast(Machine *M, int64_t Ref, int64_t Idx) {
-  return M->heap().load(Ref, static_cast<size_t>(Idx));
-}
-
-static uint64_t jtcJitIastoreNoNull(Machine *M, int64_t Ref, int64_t Idx,
-                                    int64_t Value) {
-  Heap &H = M->heap();
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Idx), Value);
-  return 0;
-}
-
-static void jtcJitIastoreFast(Machine *M, int64_t Ref, int64_t Idx,
-                              int64_t Value) {
-  M->heap().store(Ref, static_cast<size_t>(Idx), Value);
-}
-
-static int64_t jtcJitArrayLengthFast(Machine *M, int64_t Ref) {
-  return static_cast<int64_t>(M->heap().slotCount(Ref));
-}
-
-static JitHelperResult jtcJitGetFieldNoNull(Machine *M, int64_t Ref,
-                                            int64_t Slot) {
-  Heap &H = M->heap();
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Slot)), 0};
-}
-
-static int64_t jtcJitGetFieldFast(Machine *M, int64_t Ref, int64_t Slot) {
-  return M->heap().load(Ref, static_cast<size_t>(Slot));
-}
-
-static uint64_t jtcJitPutFieldNoNull(Machine *M, int64_t Ref, int64_t Slot,
-                                     int64_t Value) {
-  Heap &H = M->heap();
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Slot), Value);
-  return 0;
-}
-
-static void jtcJitPutFieldFast(Machine *M, int64_t Ref, int64_t Slot,
-                               int64_t Value) {
-  M->heap().store(Ref, static_cast<size_t>(Slot), Value);
-}
+extern "C" {
 
 static JitHelperResult jtcJitNew(Machine *M, int64_t ClassId) {
   const Class &C = M->module().Classes[static_cast<size_t>(ClassId)];
@@ -267,23 +194,14 @@ static uint64_t jtcJitCallVirtual(JitContext *JC, uint64_t SlotId,
                                   uint64_t Expect, uint64_t Slack) {
   Machine *M = JC->Mach;
   M->setStackTop(JC->StackTop);
-  // Resolution replicates execOne's InvokeVirtual: receiver liveness, then
-  // vtable dispatch, trapping *before* the args are consumed.
-  const Module &Mod = M->module();
-  const SlotInfo &Slot = Mod.Slots[static_cast<size_t>(SlotId)];
+  // Resolve before the args are consumed, so a trap leaves them in place.
+  const SlotInfo &Slot = M->module().Slots[static_cast<size_t>(SlotId)];
   int64_t Receiver = JC->StackTop[-static_cast<int64_t>(Slot.ArgCount)];
-  Heap &H = M->heap();
-  if (!H.isLive(Receiver)) {
-    M->setTrap(TrapKind::NullReference);
-    return 1;
-  }
-  uint32_t ClassId = H.classOf(Receiver);
-  uint32_t Callee = ClassId == Heap::ArrayClass
-                        ? InvalidMethod
-                        : Mod.Classes[ClassId].Vtable[static_cast<size_t>(
-                              SlotId)];
-  if (Callee == InvalidMethod) {
-    M->setTrap(TrapKind::BadVirtualDispatch);
+  uint32_t Callee = InvalidMethod;
+  if (TrapKind T = M->resolveVirtual(Receiver, static_cast<uint32_t>(SlotId),
+                                     Callee);
+      T != TrapKind::None) {
+    M->setTrap(T);
     return 1;
   }
   if (!M->pushFrame(Callee, static_cast<uint32_t>(ReturnPc),
@@ -360,46 +278,21 @@ const void *CodeArena::install(const std::vector<uint8_t> &Code) {
 
 namespace {
 
-/// Signed-compare condition for a branch opcode.
-static Cond condFor(Opcode Op) {
-  switch (Op) {
-  case Opcode::IfEq:
-  case Opcode::IfIcmpEq:
-    return Cond::Eq;
-  case Opcode::IfNe:
-  case Opcode::IfIcmpNe:
-    return Cond::Ne;
-  case Opcode::IfLt:
-  case Opcode::IfIcmpLt:
-    return Cond::Lt;
-  case Opcode::IfGe:
-  case Opcode::IfIcmpGe:
-    return Cond::Ge;
-  case Opcode::IfGt:
-  case Opcode::IfIcmpGt:
-    return Cond::Gt;
-  case Opcode::IfLe:
-  case Opcode::IfIcmpLe:
-    return Cond::Le;
-  default:
-    assert(false && "not a branch opcode");
-    return Cond::Eq;
-  }
-}
-
-static bool isIcmp(Opcode Op) {
-  return Op >= Opcode::IfIcmpEq && Op <= Opcode::IfIcmpLe;
-}
+/// The x86 condition for each CmpKind, a signed compare of the deeper
+/// operand (or the one operand) against the top (or zero).
+constexpr Cond X86Cond[] = {Cond::Eq, Cond::Ne, Cond::Lt,
+                            Cond::Ge, Cond::Gt, Cond::Le};
+static_assert(static_cast<size_t>(CmpKind::Le) + 1 ==
+                  sizeof(X86Cond) / sizeof(X86Cond[0]),
+              "one condition per CmpKind");
 
 class TraceCompiler {
 public:
   TraceCompiler(const TraceIR &IR, const PreparedModule &PM)
       : IR(IR), PM(PM) {}
 
-  /// Emits the whole trace; false on an op the templates cannot express
-  /// (cannot happen for IR produced by lowerTrace, but kept as a safety
-  /// net rather than an assert in release builds).
-  bool emit();
+  /// Emits the whole trace.
+  void emit();
 
   const std::vector<uint8_t> &code() const { return E.code(); }
   std::vector<ExitRecord> takeExits() { return std::move(Exits); }
@@ -441,9 +334,11 @@ private:
 
   void prologue();
   void emitOp(const IrOp &Op);
+  Cond emitCompare(Opcode Op);
   void emitGuard(const IrOp &Op);
   void emitFrameOp(const IrOp &Op);
-  void emitDivRem(const IrOp &Op, bool Rem);
+  void emitDivRem(const IrOp &Op);
+  template <ElideLevel L> void emitHeapAccess(const IrOp &Op);
   void emitCompletion();
   void emitStubsAndEpilogue();
 
@@ -460,16 +355,10 @@ private:
     E.movRI(Reg::Rax, static_cast<int64_t>(reinterpret_cast<uintptr_t>(Fn)));
     E.callR(Reg::Rax);
   }
-  /// test rdx, rdx; jnz <trap stub> -- for helpers returning
-  /// JitHelperResult.
-  void helperTrapCheckRdx(const IrOp &Op) {
-    E.testRR(Reg::Rdx, Reg::Rdx);
-    jumpToExit(E.jcc(Cond::Ne), trapExit(Op, TrapKind::None));
-  }
-  /// test rax, rax; jnz <trap stub> -- for helpers returning a bare trap
-  /// flag.
-  void helperTrapCheckRax(const IrOp &Op) {
-    E.testRR(Reg::Rax, Reg::Rax);
+  /// test <Flag>, <Flag>; jnz <trap stub> -- Flag is rdx for helpers
+  /// returning JitHelperResult, rax for those returning a bare trap flag.
+  void helperTrapCheck(const IrOp &Op, Reg Flag) {
+    E.testRR(Flag, Flag);
     jumpToExit(E.jcc(Cond::Ne), trapExit(Op, TrapKind::None));
   }
 
@@ -483,7 +372,6 @@ private:
   /// matching the stepper, which counts the elision before the bounds
   /// check can trap).
   uint64_t ElidedSoFar = 0;
-  bool Failed = false;
 };
 
 void TraceCompiler::prologue() {
@@ -500,8 +388,11 @@ void TraceCompiler::prologue() {
   E.movRM(TopReg, CtxReg, CtxTop);
 }
 
-void TraceCompiler::emitGuard(const IrOp &Op) {
-  if (isIcmp(Op.I.Op)) {
+/// Pops conditional branch \p Op's operands and compares them, per the
+/// table's arity and comparison kind; returns the condition under which
+/// the branch jumps.
+Cond TraceCompiler::emitCompare(Opcode Op) {
+  if (branchArity(Op) == 2) {
     E.movRM(Reg::Rcx, TopReg, -8);  // B
     E.movRM(Reg::Rax, TopReg, -16); // A
     E.subRI(TopReg, 16);
@@ -511,9 +402,13 @@ void TraceCompiler::emitGuard(const IrOp &Op) {
     E.movRM(Reg::Rax, TopReg, 0);
     E.cmpRI(Reg::Rax, 0);
   }
+  return X86Cond[static_cast<size_t>(cmpKind(Op))];
+}
+
+void TraceCompiler::emitGuard(const IrOp &Op) {
   // The guard asserts the recorded direction; exit when the branch goes
   // the other way.
-  Cond C = condFor(Op.I.Op);
+  Cond C = emitCompare(Op.I.Op);
   Cond ExitWhen = Op.GuardTaken ? negate(C) : C;
 
   uint32_t Idx = exitAt(Op, ExitRecord::Kind::Guard);
@@ -572,20 +467,24 @@ void TraceCompiler::emitFrameOp(const IrOp &Op) {
   }
 }
 
-void TraceCompiler::emitDivRem(const IrOp &Op, bool Rem) {
+void TraceCompiler::emitDivRem(const IrOp &Op) {
+  const bool Rem = Op.I.Op == Opcode::Irem;
   E.movRM(Reg::Rcx, TopReg, -8);  // B (divisor)
   E.movRM(Reg::Rax, TopReg, -16); // A (dividend)
   E.subRI(TopReg, 8);
   E.testRR(Reg::Rcx, Reg::Rcx);
   jumpToExit(E.jcc(Cond::Eq), trapExit(Op, TrapKind::DivideByZero));
-  // INT64_MIN / -1 is defined as (INT64_MIN, 0) instead of hardware #DE.
-  E.cmpRI(Reg::Rcx, -1);
+  // idiv faults on the table's overflow pair; that pair takes the
+  // table's result instead.
+  E.cmpRI(Reg::Rcx, DivOverflowDivisor);
   size_t NotMinus1 = E.jcc(Cond::Ne);
-  E.movRI(Reg::Rdx, std::numeric_limits<int64_t>::min());
+  E.movRI(Reg::Rdx, DivOverflowDividend);
   E.cmpRR(Reg::Rax, Reg::Rdx);
   size_t NotMin = E.jcc(Cond::Ne);
-  if (Rem)
-    E.movRI(Reg::Rax, 0);
+  int64_t Overflow = 0;
+  evalBinary(Op.I.Op, DivOverflowDividend, DivOverflowDivisor, Overflow);
+  if (Overflow != DivOverflowDividend) // rax already holds the dividend
+    E.movRI(Reg::Rax, Overflow);
   size_t Special = E.jmp();
   E.bind(NotMinus1);
   E.bind(NotMin);
@@ -681,10 +580,8 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     break;
 
   case Opcode::Idiv:
-    emitDivRem(Op, /*Rem=*/false);
-    break;
   case Opcode::Irem:
-    emitDivRem(Op, /*Rem=*/true);
+    emitDivRem(Op);
     break;
 
   case Opcode::Ineg:
@@ -696,8 +593,8 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   case Opcode::Ishl:
   case Opcode::Ishr:
   case Opcode::Iushr:
-    // Hardware masks cl to 63 in 64-bit mode, which is exactly the
-    // interpreter's `B & 63`.
+    // A 64-bit shift by cl uses the count's low six bits, which is the
+    // table's shift rule.
     E.movRM(Reg::Rcx, TopReg, -8);  // count
     E.movRM(Reg::Rax, TopReg, -16); // value
     E.subRI(TopReg, 8);
@@ -711,97 +608,27 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     break;
 
   case Opcode::Iaload:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rdx, TopReg, -8);  // Idx
-    E.movRM(Reg::Rsi, TopReg, -16); // Ref
-    E.subRI(TopReg, 16);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIaloadFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIaloadNoNull));
-      helperTrapCheckRdx(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitIaload));
-      helperTrapCheckRdx(Op);
-    }
-    pushRax();
-    break;
   case Opcode::Iastore:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rcx, TopReg, -8);  // Value
-    E.movRM(Reg::Rdx, TopReg, -16); // Idx
-    E.movRM(Reg::Rsi, TopReg, -24); // Ref
-    E.subRI(TopReg, 24);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIastoreFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIastoreNoNull));
-      helperTrapCheckRax(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitIastore));
-      helperTrapCheckRax(Op);
-    }
-    break;
   case Opcode::ArrayLength:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rsi, TopReg, -8); // Ref
-    E.subRI(TopReg, 8);
-    if (Op.Elide != IrOp::ElideKind::None) {
-      // The liveness/class check is ArrayLength's only check, so both
-      // elision kinds skip everything (weight 1, like the stepper).
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitArrayLengthFast));
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitArrayLength));
-      helperTrapCheckRdx(Op);
-    }
-    pushRax();
-    break;
   case Opcode::GetField:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rsi, TopReg, -8); // Ref
-    E.movRI(Reg::Rdx, I.A);        // Slot
-    E.subRI(TopReg, 8);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitGetFieldFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitGetFieldNoNull));
-      helperTrapCheckRdx(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitGetField));
-      helperTrapCheckRdx(Op);
-    }
-    pushRax();
-    break;
   case Opcode::PutField:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rcx, TopReg, -8);  // Value
-    E.movRM(Reg::Rsi, TopReg, -16); // Ref
-    E.movRI(Reg::Rdx, I.A);         // Slot
-    E.subRI(TopReg, 16);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitPutFieldFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitPutFieldNoNull));
-      helperTrapCheckRax(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitPutField));
-      helperTrapCheckRax(Op);
+    switch (Op.Elide) {
+    case ElideLevel::None:
+      emitHeapAccess<ElideLevel::None>(Op);
+      break;
+    case ElideLevel::NullOnly:
+      emitHeapAccess<ElideLevel::NullOnly>(Op);
+      break;
+    case ElideLevel::Full:
+      emitHeapAccess<ElideLevel::Full>(Op);
+      break;
     }
     break;
   case Opcode::New:
     E.movRR(Reg::Rdi, MachReg);
     E.movRI(Reg::Rsi, I.A); // ClassId
     helperCall(reinterpret_cast<const void *>(&jtcJitNew));
-    helperTrapCheckRdx(Op);
+    helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
   case Opcode::NewArray:
@@ -809,7 +636,7 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.movRM(Reg::Rsi, TopReg, -8); // Len
     E.subRI(TopReg, 8);
     helperCall(reinterpret_cast<const void *>(&jtcJitNewArray));
-    helperTrapCheckRdx(Op);
+    helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
   case Opcode::Iprint:
@@ -819,9 +646,83 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     helperCall(reinterpret_cast<const void *>(&jtcJitIprint));
     break;
 
+  // Control transfers never lower to Instr ops: lowerTrace turns them
+  // into guards, frame ops and the completion rule.
+  case Opcode::Goto:
+  case Opcode::IfEq:
+  case Opcode::IfNe:
+  case Opcode::IfLt:
+  case Opcode::IfGe:
+  case Opcode::IfGt:
+  case Opcode::IfLe:
+  case Opcode::IfIcmpEq:
+  case Opcode::IfIcmpNe:
+  case Opcode::IfIcmpLt:
+  case Opcode::IfIcmpGe:
+  case Opcode::IfIcmpGt:
+  case Opcode::IfIcmpLe:
+  case Opcode::Tableswitch:
+  case Opcode::InvokeStatic:
+  case Opcode::InvokeVirtual:
+  case Opcode::Return:
+  case Opcode::Ireturn:
+  case Opcode::Halt:
+    assert(false && "control transfer lowered as an instruction");
+    break;
+  }
+}
+
+template <ElideLevel L> void TraceCompiler::emitHeapAccess(const IrOp &Op) {
+  // Counted before the op's trap exit, as the block executor counts an
+  // elision before a kept bounds check can trap.
+  ElidedSoFar += elisionWeight(Op.I.Op, L);
+  const bool CanTrap = elisionWeight(Op.I.Op, L) < heapChecks(Op.I.Op);
+  E.movRR(Reg::Rdi, MachReg);
+  switch (Op.I.Op) {
+  case Opcode::Iaload:
+    E.movRM(Reg::Rdx, TopReg, -8);  // Idx
+    E.movRM(Reg::Rsi, TopReg, -16); // Ref
+    E.subRI(TopReg, 16);
+    helperCall(reinterpret_cast<const void *>(&jtcJitIaload<L>));
+    if (CanTrap)
+      helperTrapCheck(Op, Reg::Rdx);
+    pushRax();
+    break;
+  case Opcode::Iastore:
+    E.movRM(Reg::Rcx, TopReg, -8);  // Value
+    E.movRM(Reg::Rdx, TopReg, -16); // Idx
+    E.movRM(Reg::Rsi, TopReg, -24); // Ref
+    E.subRI(TopReg, 24);
+    helperCall(reinterpret_cast<const void *>(&jtcJitIastore<L>));
+    if (CanTrap)
+      helperTrapCheck(Op, Reg::Rax);
+    break;
+  case Opcode::ArrayLength:
+    E.movRM(Reg::Rsi, TopReg, -8); // Ref
+    E.subRI(TopReg, 8);
+    helperCall(reinterpret_cast<const void *>(&jtcJitArrayLength<L>));
+    if (CanTrap)
+      helperTrapCheck(Op, Reg::Rdx);
+    pushRax();
+    break;
+  case Opcode::GetField:
+    E.movRM(Reg::Rsi, TopReg, -8); // Ref
+    E.movRI(Reg::Rdx, Op.I.A);     // Slot
+    E.subRI(TopReg, 8);
+    helperCall(reinterpret_cast<const void *>(&jtcJitGetField<L>));
+    if (CanTrap)
+      helperTrapCheck(Op, Reg::Rdx);
+    pushRax();
+    break;
   default:
-    assert(false && "op survived lowering but has no template");
-    Failed = true;
+    assert(Op.I.Op == Opcode::PutField && "not a heap access");
+    E.movRM(Reg::Rcx, TopReg, -8);  // Value
+    E.movRM(Reg::Rsi, TopReg, -16); // Ref
+    E.movRI(Reg::Rdx, Op.I.A);      // Slot
+    E.subRI(TopReg, 16);
+    helperCall(reinterpret_cast<const void *>(&jtcJitPutField<L>));
+    if (CanTrap)
+      helperTrapCheck(Op, Reg::Rax);
     break;
   }
 }
@@ -853,19 +754,10 @@ void TraceCompiler::emitCompletion() {
     return;
   }
 
-  if (isIcmp(IR.FinalTerm.Op)) {
-    E.movRM(Reg::Rcx, TopReg, -8);
-    E.movRM(Reg::Rax, TopReg, -16);
-    E.subRI(TopReg, 16);
-    E.cmpRR(Reg::Rax, Reg::Rcx);
-  } else {
-    E.subRI(TopReg, 8);
-    E.movRM(Reg::Rax, TopReg, 0);
-    E.cmpRI(Reg::Rax, 0);
-  }
+  Cond C = emitCompare(IR.FinalTerm.Op);
   ExitRecord Taken = Done;
   Taken.Next = IR.NextTaken;
-  jumpToExit(E.jcc(condFor(IR.FinalTerm.Op)), addExit(Taken));
+  jumpToExit(E.jcc(C), addExit(Taken));
   Done.Next = IR.NextFall;
   jumpToExit(E.jmp(), addExit(Done));
 }
@@ -895,16 +787,12 @@ void TraceCompiler::emitStubsAndEpilogue() {
   E.ret();
 }
 
-bool TraceCompiler::emit() {
+void TraceCompiler::emit() {
   prologue();
-  for (const IrOp &Op : IR.Ops) {
+  for (const IrOp &Op : IR.Ops)
     emitOp(Op);
-    if (Failed)
-      return false;
-  }
   emitCompletion();
   emitStubsAndEpilogue();
-  return true;
 }
 
 } // namespace
@@ -925,8 +813,6 @@ const char *compileFallbackName(CompileFallback F) {
     return "switch-guard";
   case CompileFallback::TraceShape:
     return "trace-shape";
-  case CompileFallback::NoTemplate:
-    return "no-template";
   case CompileFallback::CodeSpace:
     return "code-space";
   }
@@ -963,8 +849,7 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
     return L.Why;
 
   TraceCompiler TC(L.IR, PM);
-  if (!TC.emit())
-    return CompileFallback::NoTemplate;
+  TC.emit();
 
   const void *Entry = Arena.install(TC.code());
   if (!Entry)

@@ -18,9 +18,12 @@
 /// TraceCompiler in the .cpp) whose immediates -- local slot offsets,
 /// constants, helper addresses -- are patched at compile time; guards
 /// become a compare and a conditional branch to a side-exit stub.
-/// Heap-touching ops (arrays, fields, allocation, print) call extern "C"
-/// helpers that replicate Machine::execOne exactly, so the
-/// heap/trap/output semantics have one definition. Calls and returns
+/// Heap-touching ops (arrays, fields, allocation, print) call C++
+/// helpers that run the heap's own checks (runtime/Heap.h), and branch
+/// compares come from the opcode semantics table
+/// (bytecode/OpSemantics.h), so the block executor and the JIT share one
+/// definition of each; Machine::execOne is the oracle both are tested
+/// against. Calls and returns
 /// inside the trace call frame helpers that run the Machine's real
 /// pushFrame/popFrame, then guard the dynamic continuation (resolved
 /// callee / return site) against what the trace recorded.
@@ -82,8 +85,6 @@ enum class CompileFallback : uint8_t {
                    ///< block's terminator -- a corrupted trace (fault
                    ///< injection); block-stepping reproduces its
                    ///< divergence behaviour exactly.
-  NoTemplate,      ///< An op without a machine-code template survived
-                   ///< lowering (compiler safety net; never expected).
   CodeSpace,       ///< Executable code buffer could not be allocated.
 };
 

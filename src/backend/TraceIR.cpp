@@ -3,7 +3,7 @@
 #include "backend/TraceIR.h"
 
 #include "analysis/Analysis.h"
-#include "bytecode/Opcode.h"
+#include "bytecode/OpSemantics.h"
 #include "interp/PreparedModule.h"
 
 #include <algorithm>
@@ -63,19 +63,8 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
         Elisions[ElideCursor].BlockIndex != Op.SrcBlockIndex ||
         Elisions[ElideCursor].Pc != Op.SrcPc)
       return;
-    switch (Op.I.Op) {
-    case Opcode::GetField:
-    case Opcode::PutField:
-    case Opcode::Iaload:
-    case Opcode::Iastore:
-    case Opcode::ArrayLength:
-      Op.Elide = Elisions[ElideCursor].Kind == MemElision::Full
-                     ? IrOp::ElideKind::Full
-                     : IrOp::ElideKind::NullOnly;
-      break;
-    default:
-      break;
-    }
+    if (heapChecks(Op.I.Op) != 0)
+      Op.Elide = Elisions[ElideCursor].Kind;
     ++ElideCursor;
   };
 

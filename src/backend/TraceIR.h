@@ -30,6 +30,7 @@
 
 #include "analysis/Liveness.h"
 #include "backend/JitBackend.h"
+#include "bytecode/OpSemantics.h"
 #include "bytecode/Program.h"
 
 #include <cstdint>
@@ -96,14 +97,10 @@ struct IrOp {
 
   /// Check elision for heap-access Instr ops, copied from the trace's
   /// MemElisions (None when the access was not proven, or the trace
-  /// carries no annotation). The compiler selects reduced-check helper
-  /// templates accordingly; a Full op needs no trap exit at all.
-  enum class ElideKind : uint8_t {
-    None = 0, ///< Emit the fully checked helper.
-    NullOnly, ///< Skip the liveness/class check; keep the bounds check.
-    Full,     ///< Skip every check (the access provably cannot trap).
-  };
-  ElideKind Elide = ElideKind::None;
+  /// carries no annotation). The compiler instantiates the access's
+  /// helper at this level; an access that can no longer trap gets no
+  /// trap exit at all.
+  ElideLevel Elide = ElideLevel::None;
 };
 
 /// One trace lowered for backend execution.

@@ -5,14 +5,16 @@
 // handlers, one per SlotOp, each ending in its own dispatch. The operand
 // stack top and the locals base live in registers for the whole block;
 // the Machine's arenas are the only execution state, published back at
-// every block exit. Opcode semantics here mirror Machine::execOne, the
-// reference definition the differential tests compare against.
+// every block exit. Integer and branch handlers are generated from the
+// opcode semantics table (bytecode/OpSemantics.h) and the heap handlers
+// run the heap's own checks (runtime/Heap.h); Machine::execOne is the
+// independent oracle the differential tests compare against.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/BlockStepper.h"
 
-#include <limits>
+#include "bytecode/OpSemantics.h"
 
 using namespace jtc;
 
@@ -28,24 +30,16 @@ void BlockStepper::start() {
   Instructions = 0;
 }
 
-/// Dynamic checks an elided heap access skips: the liveness/class check
-/// always, plus the bounds check when Kind is Full (ArrayLength has no
-/// bounds check to begin with).
-static uint64_t elisionWeight(SlotOp Op, uint8_t Kind) {
-  return Kind == MemElision::Full && Op != SlotOp::ArrayLength ? 2 : 1;
-}
-
-/// The elision armed for heap access \p Op at \p Pc -- the next fact of
-/// the span [\p EF, \p EEnd) when it names \p Pc -- or null. Consumes the
-/// fact and counts the checks it skips, before the access can trap on a
-/// kept bounds check.
-static const MemElision *takeElision(const MemElision *&EF,
-                                     const MemElision *EEnd, uint32_t Pc,
-                                     SlotOp Op, uint64_t &ChecksElided) {
+/// The elision level armed for heap access \p Op at \p Pc -- the next
+/// fact of the span [\p EF, \p EEnd) when it names \p Pc -- or None.
+/// Consumes the fact and counts the checks it skips, before the access
+/// can trap on a kept bounds check.
+static ElideLevel takeElision(const MemElision *&EF, const MemElision *EEnd,
+                              uint32_t Pc, Opcode Op, uint64_t &ChecksElided) {
   if (EF == EEnd || EF->Pc != Pc)
-    return nullptr;
+    return ElideLevel::None;
   ChecksElided += elisionWeight(Op, EF->Kind);
-  return EF++;
+  return (EF++)->Kind;
 }
 
 BlockStepper::StepStatus BlockStepper::step() {
@@ -70,9 +64,9 @@ BlockStepper::StepStatus BlockStepper::step() {
   const MemElision *EF = Elide;
   const MemElision *const EEnd = ElideEnd;
   Elide = ElideEnd = nullptr;
-  auto Armed = [&] {
+  auto Armed = [&](Opcode Op) {
     return takeElision(EF, EEnd, BB.StartPc + static_cast<uint32_t>(S - First),
-                       S->Op, ChecksElided);
+                       Op, ChecksElided);
   };
 
   // Block exits set one of these and jump to the matching label below, so
@@ -81,7 +75,6 @@ BlockStepper::StepStatus BlockStepper::step() {
   TrapKind Trap;
   uint32_t Callee;
   bool HasValue;
-  auto Wrap = [](uint64_t V) { return static_cast<int64_t>(V); };
 
   // Direct-threaded dispatch: every handler ends in its own indirect jump
   // to the next slot's handler, so each one gets its own branch-predictor
@@ -116,8 +109,7 @@ L_Istore:
   Lp[S->A] = *--Sp;
   JTC_NEXT();
 L_Iinc:
-  Lp[S->X] = Wrap(static_cast<uint64_t>(Lp[S->X]) +
-                  static_cast<uint64_t>(int64_t{S->A}));
+  evalBinary(Opcode::Iadd, Lp[S->X], S->A, Lp[S->X]);
   JTC_NEXT();
 L_Pop:
   --Sp;
@@ -130,90 +122,67 @@ L_Swap:
   std::swap(Sp[-1], Sp[-2]);
   JTC_NEXT();
 
-L_Iadd:
-  --Sp;
-  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) + static_cast<uint64_t>(*Sp));
+// One handler per total binary opcode: evalBinary folds to the one
+// operation.
+#define JTC_BINARY(Name)                                                       \
+  static_assert(isBinary(Opcode::Name) &&                                     \
+                opClass(Opcode::Name) != OpClass::DivRem);                     \
+  L_##Name:                                                                    \
+  --Sp;                                                                        \
+  evalBinary(Opcode::Name, Sp[-1], *Sp, Sp[-1]);                               \
   JTC_NEXT();
-L_Isub:
-  --Sp;
-  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) - static_cast<uint64_t>(*Sp));
-  JTC_NEXT();
-L_Imul:
-  --Sp;
-  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) * static_cast<uint64_t>(*Sp));
-  JTC_NEXT();
+  JTC_BINARY(Iadd)
+  JTC_BINARY(Isub)
+  JTC_BINARY(Imul)
+  JTC_BINARY(Ishl)
+  JTC_BINARY(Ishr)
+  JTC_BINARY(Iushr)
+  JTC_BINARY(Iand)
+  JTC_BINARY(Ior)
+  JTC_BINARY(Ixor)
+#undef JTC_BINARY
+// idiv and irem share one handler and its one dispatch jump; evalBinary
+// fails only on their zero divisor.
 L_Idiv:
-L_Irem: {
-  int64_t B = *--Sp;
-  int64_t A = Sp[-1];
-  if (B == 0) {
+L_Irem:
+  --Sp;
+  if (S->Op == SlotOp::Idiv ? !evalBinary(Opcode::Idiv, Sp[-1], *Sp, Sp[-1])
+                            : !evalBinary(Opcode::Irem, Sp[-1], *Sp, Sp[-1])) {
     --Sp;
     Trap = TrapKind::DivideByZero;
     goto trapped;
   }
-  // INT64_MIN / -1 is defined as (INT64_MIN, 0) instead of hardware UB.
-  bool Div = S->Op == SlotOp::Idiv;
-  if (A == std::numeric_limits<int64_t>::min() && B == -1)
-    Sp[-1] = Div ? A : 0;
-  else
-    Sp[-1] = Div ? A / B : A % B;
   JTC_NEXT();
-}
 L_Ineg:
-  Sp[-1] = Wrap(0 - static_cast<uint64_t>(Sp[-1]));
-  JTC_NEXT();
-L_Ishl:
-  --Sp;
-  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) << (*Sp & 63));
-  JTC_NEXT();
-L_Ishr:
-  --Sp;
-  Sp[-1] >>= (*Sp & 63);
-  JTC_NEXT();
-L_Iushr:
-  --Sp;
-  Sp[-1] = Wrap(static_cast<uint64_t>(Sp[-1]) >> (*Sp & 63));
-  JTC_NEXT();
-L_Iand:
-  --Sp;
-  Sp[-1] &= *Sp;
-  JTC_NEXT();
-L_Ior:
-  --Sp;
-  Sp[-1] |= *Sp;
-  JTC_NEXT();
-L_Ixor:
-  --Sp;
-  Sp[-1] ^= *Sp;
+  Sp[-1] = evalNeg(Sp[-1]);
   JTC_NEXT();
 
 L_Goto:
   Next = BB.Taken;
   goto leave;
-#define JTC_IF1(Name, Cond)                                                    \
+// One handler per conditional branch. A one-operand branch reads its
+// operand as both arguments; evalBranch ignores the second.
+#define JTC_BRANCH(Name)                                                       \
+  static_assert(isCondBranch(Opcode::Name));                                  \
   L_##Name:                                                                    \
-  --Sp;                                                                        \
-  Next = (Cond) ? BB.Taken : BB.Fall;                                          \
+  Sp -= branchArity(Opcode::Name);                                             \
+  Next = evalBranch(Opcode::Name, Sp[0], Sp[branchArity(Opcode::Name) - 1])    \
+             ? BB.Taken                                                        \
+             : BB.Fall;                                                        \
   goto leave;
-  JTC_IF1(IfEq, *Sp == 0)
-  JTC_IF1(IfNe, *Sp != 0)
-  JTC_IF1(IfLt, *Sp < 0)
-  JTC_IF1(IfGe, *Sp >= 0)
-  JTC_IF1(IfGt, *Sp > 0)
-  JTC_IF1(IfLe, *Sp <= 0)
-#undef JTC_IF1
-#define JTC_IF2(Name, Cond)                                                    \
-  L_##Name:                                                                    \
-  Sp -= 2;                                                                     \
-  Next = (Cond) ? BB.Taken : BB.Fall;                                          \
-  goto leave;
-  JTC_IF2(IfIcmpEq, Sp[0] == Sp[1])
-  JTC_IF2(IfIcmpNe, Sp[0] != Sp[1])
-  JTC_IF2(IfIcmpLt, Sp[0] < Sp[1])
-  JTC_IF2(IfIcmpGe, Sp[0] >= Sp[1])
-  JTC_IF2(IfIcmpGt, Sp[0] > Sp[1])
-  JTC_IF2(IfIcmpLe, Sp[0] <= Sp[1])
-#undef JTC_IF2
+  JTC_BRANCH(IfEq)
+  JTC_BRANCH(IfNe)
+  JTC_BRANCH(IfLt)
+  JTC_BRANCH(IfGe)
+  JTC_BRANCH(IfGt)
+  JTC_BRANCH(IfLe)
+  JTC_BRANCH(IfIcmpEq)
+  JTC_BRANCH(IfIcmpNe)
+  JTC_BRANCH(IfIcmpLt)
+  JTC_BRANCH(IfIcmpGe)
+  JTC_BRANCH(IfIcmpGt)
+  JTC_BRANCH(IfIcmpLe)
+#undef JTC_BRANCH
 L_Tableswitch: {
   const SwitchCode &T = PM->switchCode(static_cast<uint32_t>(S->A));
   // Unsigned distance: a selector below Low wraps past NumTargets.
@@ -227,23 +196,12 @@ L_InvokeStatic:
   Callee = static_cast<uint32_t>(S->A);
   Next = BB.Taken;
   goto call;
-L_InvokeVirtual: {
-  int64_t Receiver = Sp[-S->X];
-  if (!H.isLive(Receiver)) {
-    Trap = TrapKind::NullReference;
+L_InvokeVirtual:
+  Trap = Mc.resolveVirtual(Sp[-S->X], static_cast<uint32_t>(S->A), Callee);
+  if (Trap != TrapKind::None)
     goto trapped;
-  }
-  uint32_t ClassId = H.classOf(Receiver);
-  Callee = ClassId == Heap::ArrayClass
-               ? InvalidMethod
-               : PM->module().Classes[ClassId].Vtable[S->A];
-  if (Callee == InvalidMethod) {
-    Trap = TrapKind::BadVirtualDispatch;
-    goto trapped;
-  }
   Next = PM->methodEntryBlock(Callee);
   goto call;
-}
 L_Return:
   HasValue = false;
   goto ret;
@@ -262,33 +220,21 @@ L_New: {
   JTC_NEXT();
 }
 L_GetField: {
-  const MemElision *F = Armed();
+  ElideLevel L = Armed(Opcode::GetField);
   int64_t Ref = *--Sp;
   auto Idx = static_cast<size_t>(S->A);
-  if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
-    Trap = TrapKind::NullReference;
+  if ((Trap = H.checkField(Ref, Idx, L)) != TrapKind::None)
     goto trapped;
-  }
-  if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
-    Trap = TrapKind::FieldBounds;
-    goto trapped;
-  }
   *Sp++ = H.load(Ref, Idx);
   JTC_NEXT();
 }
 L_PutField: {
-  const MemElision *F = Armed();
+  ElideLevel L = Armed(Opcode::PutField);
   Sp -= 2;
   int64_t Ref = Sp[0];
   auto Idx = static_cast<size_t>(S->A);
-  if (!F && (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass)) {
-    Trap = TrapKind::NullReference;
+  if ((Trap = H.checkField(Ref, Idx, L)) != TrapKind::None)
     goto trapped;
-  }
-  if ((!F || F->Kind != MemElision::Full) && Idx >= H.slotCount(Ref)) {
-    Trap = TrapKind::FieldBounds;
-    goto trapped;
-  }
   H.store(Ref, Idx, Sp[1]);
   JTC_NEXT();
 }
@@ -307,48 +253,30 @@ L_NewArray: {
   JTC_NEXT();
 }
 L_Iaload: {
-  const MemElision *F = Armed();
+  ElideLevel L = Armed(Opcode::Iaload);
   Sp -= 2;
   int64_t Ref = Sp[0];
   int64_t Idx = Sp[1];
-  if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
-    Trap = TrapKind::NullReference;
+  if ((Trap = H.checkElement(Ref, Idx, L)) != TrapKind::None)
     goto trapped;
-  }
-  if ((!F || F->Kind != MemElision::Full) &&
-      (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
-    Trap = TrapKind::ArrayBounds;
-    goto trapped;
-  }
   *Sp++ = H.load(Ref, static_cast<size_t>(Idx));
   JTC_NEXT();
 }
 L_Iastore: {
-  const MemElision *F = Armed();
+  ElideLevel L = Armed(Opcode::Iastore);
   Sp -= 3;
   int64_t Ref = Sp[0];
   int64_t Idx = Sp[1];
-  if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
-    Trap = TrapKind::NullReference;
+  if ((Trap = H.checkElement(Ref, Idx, L)) != TrapKind::None)
     goto trapped;
-  }
-  if ((!F || F->Kind != MemElision::Full) &&
-      (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref))) {
-    Trap = TrapKind::ArrayBounds;
-    goto trapped;
-  }
   H.store(Ref, static_cast<size_t>(Idx), Sp[2]);
   JTC_NEXT();
 }
 L_ArrayLength: {
-  // The liveness/class check is the only one, so either elision kind
-  // skips everything.
-  const MemElision *F = Armed();
+  ElideLevel L = Armed(Opcode::ArrayLength);
   int64_t Ref = *--Sp;
-  if (!F && (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass)) {
-    Trap = TrapKind::NullReference;
+  if ((Trap = H.checkArrayLength(Ref, L)) != TrapKind::None)
     goto trapped;
-  }
   *Sp++ = static_cast<int64_t>(H.slotCount(Ref));
   JTC_NEXT();
 }

@@ -65,7 +65,7 @@ public:
   /// Arms check elision for the *next* step() only: \p Facts (\p Count
   /// entries, pc-ordered, all for the block about to execute) name the
   /// heap accesses to run with their proven-redundant checks skipped
-  /// (MemElision::NullOnly keeps the bounds check). TraceVM's trace-run
+  /// (ElideLevel::NullOnly keeps the bounds check). TraceVM's trace-run
   /// loop arms this per trace block; the one-shot contract means an
   /// ordinary (non-trace) step can never execute reduced-check code. The
   /// caller guarantees the facts' proof obligations -- execution reached

@@ -3,6 +3,7 @@
 #include "opt/TraceOptimizer.h"
 
 #include "analysis/Analysis.h"
+#include "bytecode/OpSemantics.h"
 
 #include <algorithm>
 #include <cassert>
@@ -212,109 +213,11 @@ jtc::linearizeTrace(const PreparedModule &PM, const Trace &T,
 
 namespace {
 
-/// Folds A op B with the Machine's wrap-around semantics. Returns false
-/// when the operation cannot be folded safely (division that would trap)
-/// or the result cannot be re-emitted as an immediate.
-bool foldBinary(Opcode Op, int64_t A, int64_t B, int64_t &Out) {
-  auto U = [](int64_t V) { return static_cast<uint64_t>(V); };
-  switch (Op) {
-  case Opcode::Iadd:
-    Out = static_cast<int64_t>(U(A) + U(B));
-    return true;
-  case Opcode::Isub:
-    Out = static_cast<int64_t>(U(A) - U(B));
-    return true;
-  case Opcode::Imul:
-    Out = static_cast<int64_t>(U(A) * U(B));
-    return true;
-  case Opcode::Idiv:
-    if (B == 0)
-      return false;
-    Out = (A == std::numeric_limits<int64_t>::min() && B == -1) ? A : A / B;
-    return true;
-  case Opcode::Irem:
-    if (B == 0)
-      return false;
-    Out = (A == std::numeric_limits<int64_t>::min() && B == -1) ? 0 : A % B;
-    return true;
-  case Opcode::Ishl:
-    Out = static_cast<int64_t>(U(A) << (B & 63));
-    return true;
-  case Opcode::Ishr:
-    Out = A >> (B & 63);
-    return true;
-  case Opcode::Iushr:
-    Out = static_cast<int64_t>(U(A) >> (B & 63));
-    return true;
-  case Opcode::Iand:
-    Out = A & B;
-    return true;
-  case Opcode::Ior:
-    Out = A | B;
-    return true;
-  case Opcode::Ixor:
-    Out = A ^ B;
-    return true;
-  default:
-    return false;
-  }
-}
-
+/// Folds A op B with the opcode table's semantics. Returns false when
+/// the operation cannot be folded safely (division that would trap) or
+/// the result cannot be re-emitted as an immediate.
 bool foldBinaryImm(Opcode Op, int64_t A, int64_t B, int64_t &Out) {
-  return foldBinary(Op, A, B, Out) && fitsImm(Out);
-}
-
-bool isBinaryArith(Opcode Op) {
-  switch (Op) {
-  case Opcode::Iadd:
-  case Opcode::Isub:
-  case Opcode::Imul:
-  case Opcode::Idiv:
-  case Opcode::Irem:
-  case Opcode::Ishl:
-  case Opcode::Ishr:
-  case Opcode::Iushr:
-  case Opcode::Iand:
-  case Opcode::Ior:
-  case Opcode::Ixor:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// Evaluates a one- or two-operand conditional branch. For two-operand
-/// compares \p A is the deeper value.
-bool evalBranch(Opcode Op, int64_t A, int64_t B) {
-  switch (Op) {
-  case Opcode::IfEq:
-    return A == 0;
-  case Opcode::IfNe:
-    return A != 0;
-  case Opcode::IfLt:
-    return A < 0;
-  case Opcode::IfGe:
-    return A >= 0;
-  case Opcode::IfGt:
-    return A > 0;
-  case Opcode::IfLe:
-    return A <= 0;
-  case Opcode::IfIcmpEq:
-    return A == B;
-  case Opcode::IfIcmpNe:
-    return A != B;
-  case Opcode::IfIcmpLt:
-    return A < B;
-  case Opcode::IfIcmpGe:
-    return A >= B;
-  case Opcode::IfIcmpGt:
-    return A > B;
-  case Opcode::IfIcmpLe:
-    return A <= B;
-  default:
-    assert(false && "not a conditional branch");
-    return false;
-  }
+  return evalBinary(Op, A, B, Out) && fitsImm(Out);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1128,7 +1031,7 @@ void SegmentOptimizer::handleInstr(const Instruction &I) {
     break;
   }
 
-  if (isBinaryArith(I.Op)) {
+  if (isBinary(I.Op)) {
     Entry B = pop(), A = pop();
     auto CA = constOf(A), CB = constOf(B);
     int64_t Folded = 0;

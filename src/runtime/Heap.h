@@ -11,6 +11,9 @@
 #ifndef JTC_RUNTIME_HEAP_H
 #define JTC_RUNTIME_HEAP_H
 
+#include "bytecode/OpSemantics.h"
+#include "runtime/Trap.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -48,6 +51,39 @@ public:
 
   /// Number of fields / array length. \p Ref must be live.
   size_t slotCount(int64_t Ref) const { return cell(Ref).Slots.size(); }
+
+  // The dynamic checks of the heap accesses, one per access shape. Each
+  // returns the trap the access raises, or TrapKind::None when it may
+  // proceed; \p L skips the checks a trace proved redundant. The block
+  // executor and the JIT helpers run these; Machine::execOne spells the
+  // same checks out as the oracle.
+
+  /// iaload/iastore of element \p Idx of array \p Ref.
+  TrapKind checkElement(int64_t Ref, int64_t Idx, ElideLevel L) const {
+    if (L == ElideLevel::None && (!isLive(Ref) || classOf(Ref) != ArrayClass))
+      return TrapKind::NullReference;
+    if (L != ElideLevel::Full &&
+        (Idx < 0 || static_cast<size_t>(Idx) >= slotCount(Ref)))
+      return TrapKind::ArrayBounds;
+    return TrapKind::None;
+  }
+
+  /// getfield/putfield of field \p Slot of object \p Ref.
+  TrapKind checkField(int64_t Ref, size_t Slot, ElideLevel L) const {
+    if (L == ElideLevel::None && (!isLive(Ref) || classOf(Ref) == ArrayClass))
+      return TrapKind::NullReference;
+    if (L != ElideLevel::Full && Slot >= slotCount(Ref))
+      return TrapKind::FieldBounds;
+    return TrapKind::None;
+  }
+
+  /// arraylength of \p Ref: a liveness/class check only, so any elision
+  /// skips it.
+  TrapKind checkArrayLength(int64_t Ref, ElideLevel L) const {
+    if (L == ElideLevel::None && (!isLive(Ref) || classOf(Ref) != ArrayClass))
+      return TrapKind::NullReference;
+    return TrapKind::None;
+  }
 
   /// Raw slot access. \p Ref must be live, \p Idx in range.
   int64_t load(int64_t Ref, size_t Idx) const {

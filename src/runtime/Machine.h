@@ -5,8 +5,9 @@
 /// call frames, heap, output) and implements the reference semantics of
 /// every opcode (execOne). The per-instruction interpreter (Fig. 1
 /// dispatch model) steps execOne; the block executor (Fig. 2 model) and
-/// the JIT tier run their own definitions over the same state, so every
-/// engine leaves identical, directly comparable machine state.
+/// the JIT tier run the shared opcode table (bytecode/OpSemantics.h) and
+/// heap checks (runtime/Heap.h) over the same state, so every engine
+/// leaves identical, directly comparable machine state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,6 +74,23 @@ public:
   /// JIT helpers (backend/JitBackend.cpp) are differentially tested
   /// against it.
   Effect execOne(const Instruction &I);
+
+  /// Resolves an invokevirtual through vtable slot \p Slot on \p Receiver
+  /// into \p Callee. Returns the trap it raises instead -- NullReference
+  /// for a dead receiver, BadVirtualDispatch for an array receiver or a
+  /// vtable miss -- or TrapKind::None. The block executor and the JIT
+  /// share it; execOne spells it out as the oracle.
+  TrapKind resolveVirtual(int64_t Receiver, uint32_t Slot,
+                          uint32_t &Callee) const {
+    if (!TheHeap.isLive(Receiver))
+      return TrapKind::NullReference;
+    uint32_t ClassId = TheHeap.classOf(Receiver);
+    Callee = ClassId == Heap::ArrayClass
+                 ? InvalidMethod
+                 : TheModule.Classes[ClassId].Vtable[Slot];
+    return Callee == InvalidMethod ? TrapKind::BadVirtualDispatch
+                                   : TrapKind::None;
+  }
 
   /// Pushes a frame for \p Callee, moving its arguments from the operand
   /// stack into the new locals. \p ReturnPc is the caller pc to resume at

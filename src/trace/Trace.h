@@ -15,6 +15,7 @@
 #ifndef JTC_TRACE_TRACE_H
 #define JTC_TRACE_TRACE_H
 
+#include "bytecode/OpSemantics.h" // ElideLevel (header-only)
 #include "support/Ids.h"
 
 #include <cstdint>
@@ -26,32 +27,26 @@ using TraceId = uint32_t;
 constexpr TraceId InvalidTraceId = 0xffffffffu;
 
 /// Outcome of construction-time translation validation (src/validate),
-/// recorded by the trace cache's validate hook. Rejected traces stay
-/// dispatchable -- dispatch always runs the unoptimized block sequence --
-/// but the optimized form proved unsound and must not be used.
+/// recorded by the trace cache's validate hook. No tier runs the
+/// optimized form -- dispatch always runs the unoptimized block sequence
+/// -- so a rejected trace stays dispatchable unchanged.
 enum class TraceValidation : uint8_t {
   Unchecked, ///< No validator installed (validation off).
   Accepted,  ///< Optimized form proved a sound refinement.
-  Rejected,  ///< Proof failed; fall back to the unoptimized form.
+  Rejected,  ///< Proof failed; the trace gets no check-elision
+             ///< annotation (MemElisions stays empty).
 };
 
 /// One heap access on the trace path whose dynamic checks the alias
-/// analysis proved redundant (src/analysis/Alias.h's analyzeTraceMemory;
-/// this POD mirrors its TraceMemFact so the trace layer stays below the
-/// analysis layer in the link order). The facts hold only while execution
-/// is *inside* the trace -- every block before BlockIndex matched the
-/// recorded sequence -- which is exactly when the backends consult them.
+/// analysis proved redundant: src/analysis/Alias.h's TraceMemFact, copied
+/// into the trace so the trace layer stays below the analysis layer in
+/// the link order. The facts hold only while execution is *inside* the
+/// trace -- every block before BlockIndex matched the recorded sequence
+/// -- which is exactly when the backends consult them.
 struct MemElision {
-  /// Values of Kind. An enum class would force the analysis layer to
-  /// depend on this header (or vice versa); two named constants keep the
-  /// mirror one-way.
-  static constexpr uint8_t NullOnly = 0; ///< Skip the liveness/class
-                                         ///< check; keep the bounds check.
-  static constexpr uint8_t Full = 1;     ///< Skip every check: the access
-                                         ///< provably cannot trap.
   uint32_t BlockIndex = 0; ///< Index into Trace::Blocks.
   uint32_t Pc = 0;         ///< Instruction pc within that block's method.
-  uint8_t Kind = NullOnly;
+  ElideLevel Kind = ElideLevel::NullOnly;
 
   bool operator==(const MemElision &) const = default;
 };
@@ -72,8 +67,9 @@ struct Trace {
   /// trace cache's annotate hook (AdaptiveEngine runs the alias analysis
   /// over the block sequence at construction time). Both execution tiers
   /// honor them: the interpreter tier via the block executor's armed
-  /// elision span (BlockStepper::setElisions), the JIT via unchecked
-  /// helper templates. Empty when annotation is off or nothing was
+  /// elision span (BlockStepper::setElisions), the JIT via helper
+  /// templates instantiated at the proven level. Empty when annotation
+  /// is off, the trace was rejected by validation, or nothing was
   /// provable. Purely an execution shortcut -- the elided checks are
   /// proven to pass, so behaviour and digests are unchanged.
   std::vector<MemElision> MemElisions;

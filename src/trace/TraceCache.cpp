@@ -116,9 +116,8 @@ void TraceCache::applyValidation(Trace &T) {
       JTC_RECORD_EVENT(Telem, EventKind::TraceValidated, T.Id,
                        static_cast<uint32_t>(T.Blocks.size()));
     } else {
-      // Sound fallback: the trace stays dispatchable (dispatch interprets
-      // the unoptimized block sequence), but the optimized form is
-      // poisoned.
+      // The trace stays dispatchable -- no tier runs the optimized form
+      // -- but gets no check-elision annotation below.
       T.Validation = TraceValidation::Rejected;
       ++Stats.ValidationRejects;
       ++Stats.RejectsByReason[V.ReasonCode];

@@ -3,11 +3,11 @@
 #include "validate/Validator.h"
 
 #include "analysis/Analysis.h"
+#include "bytecode/OpSemantics.h"
 
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -101,57 +101,6 @@ struct Expr {
   uint32_t A = 0, B = 0;
 };
 
-/// Folds A op B exactly as interp::Machine executes it (wrap-around
-/// arithmetic, masked shifts, the INT64_MIN/-1 special cases). Unlike the
-/// optimizer's folder there is no immediate-range restriction: the
-/// validator tracks real semantics, not re-emittability, and both runs
-/// fold under the same rules so optimized and unoptimized spellings of a
-/// constant computation reach the same node.
-bool foldBinary(Opcode Op, int64_t A, int64_t B, int64_t &Out) {
-  auto U = [](int64_t V) { return static_cast<uint64_t>(V); };
-  switch (Op) {
-  case Opcode::Iadd:
-    Out = static_cast<int64_t>(U(A) + U(B));
-    return true;
-  case Opcode::Isub:
-    Out = static_cast<int64_t>(U(A) - U(B));
-    return true;
-  case Opcode::Imul:
-    Out = static_cast<int64_t>(U(A) * U(B));
-    return true;
-  case Opcode::Idiv:
-    if (B == 0)
-      return false;
-    Out = (A == std::numeric_limits<int64_t>::min() && B == -1) ? A : A / B;
-    return true;
-  case Opcode::Irem:
-    if (B == 0)
-      return false;
-    Out = (A == std::numeric_limits<int64_t>::min() && B == -1) ? 0 : A % B;
-    return true;
-  case Opcode::Ishl:
-    Out = static_cast<int64_t>(U(A) << (B & 63));
-    return true;
-  case Opcode::Ishr:
-    Out = A >> (B & 63);
-    return true;
-  case Opcode::Iushr:
-    Out = static_cast<int64_t>(U(A) >> (B & 63));
-    return true;
-  case Opcode::Iand:
-    Out = A & B;
-    return true;
-  case Opcode::Ior:
-    Out = A | B;
-    return true;
-  case Opcode::Ixor:
-    Out = A ^ B;
-    return true;
-  default:
-    return false;
-  }
-}
-
 class ExprPool {
 public:
   uint32_t init(uint32_t Local) {
@@ -171,13 +120,18 @@ public:
   uint32_t unop(Opcode Op, uint32_t A) {
     assert(Op == Opcode::Ineg);
     if (auto C = constOf(A))
-      return constant(static_cast<int64_t>(0 - static_cast<uint64_t>(*C)));
+      return constant(evalNeg(*C));
     return intern({Expr::Kind::Unop, Op, 0, A, 0});
   }
+  /// Folds constant operands with the opcode table's semantics. Unlike
+  /// the optimizer's folder there is no immediate-range restriction: the
+  /// validator tracks real semantics, not re-emittability, and both runs
+  /// fold under the same rules so optimized and unoptimized spellings of
+  /// a constant computation reach the same node.
   uint32_t binop(Opcode Op, uint32_t A, uint32_t B) {
     auto CA = constOf(A), CB = constOf(B);
     int64_t Folded = 0;
-    if (CA && CB && foldBinary(Op, *CA, *CB, Folded))
+    if (CA && CB && evalBinary(Op, *CA, *CB, Folded))
       return constant(Folded);
     return intern({Expr::Kind::Binop, Op, 0, A, B});
   }
@@ -660,39 +614,6 @@ private:
   uint32_t AllocCount = 0;
   std::string Detail;
 };
-
-/// Evaluates a one- or two-operand conditional branch (A is the deeper
-/// operand), mirroring interp::Machine.
-bool evalBranch(Opcode Op, int64_t A, int64_t B) {
-  switch (Op) {
-  case Opcode::IfEq:
-    return A == 0;
-  case Opcode::IfNe:
-    return A != 0;
-  case Opcode::IfLt:
-    return A < 0;
-  case Opcode::IfGe:
-    return A >= 0;
-  case Opcode::IfGt:
-    return A > 0;
-  case Opcode::IfLe:
-    return A <= 0;
-  case Opcode::IfIcmpEq:
-    return A == B;
-  case Opcode::IfIcmpNe:
-    return A != B;
-  case Opcode::IfIcmpLt:
-    return A < B;
-  case Opcode::IfIcmpGe:
-    return A >= B;
-  case Opcode::IfIcmpGt:
-    return A > B;
-  case Opcode::IfIcmpLe:
-    return A <= B;
-  default:
-    return false;
-  }
-}
 
 std::string describeLocal(uint32_t L) {
   return "local " + std::to_string(L);

@@ -54,9 +54,7 @@ jtc::toMemElisions(const std::vector<analysis::TraceMemFact> &Facts) {
   std::vector<MemElision> Out;
   Out.reserve(Facts.size());
   for (const analysis::TraceMemFact &F : Facts)
-    Out.push_back({F.BlockIndex, F.Pc,
-                   F.Elide == analysis::MemElide::Full ? MemElision::Full
-                                                       : MemElision::NullOnly});
+    Out.push_back({F.BlockIndex, F.Pc, F.Elide});
   return Out;
 }
 

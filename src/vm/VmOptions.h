@@ -37,7 +37,8 @@ namespace jtc {
 enum class ValidateMode : uint8_t {
   Off,    ///< Traces install unchecked.
   On,     ///< Validate every constructed/seeded trace; a rejected trace
-          ///< falls back to its unoptimized form (the default).
+          ///< still dispatches (no tier runs the optimized form) but
+          ///< gets no check-elision annotation (the default).
   Strict, ///< Like On, but a rejection aborts the process -- for CI and
           ///< fuzzing, where any rejection of stock optimizer output is
           ///< a bug in either the optimizer or the validator.

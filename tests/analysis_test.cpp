@@ -636,11 +636,11 @@ TEST(AliasTest, TraceMemoryWalkProvesFreshAllocationAccesses) {
   EXPECT_EQ(Stats.UnknownBase, 0u);
   ASSERT_EQ(Elidable.size(), 5u);
   EXPECT_EQ(Elidable[0].Pc, pcOf(M, Main, Opcode::Iastore));
-  EXPECT_EQ(Elidable[0].Elide, analysis::MemElide::NullOnly);
+  EXPECT_EQ(Elidable[0].Elide, ElideLevel::NullOnly);
   EXPECT_EQ(Elidable[1].Pc, pcOf(M, Main, Opcode::ArrayLength));
-  EXPECT_EQ(Elidable[1].Elide, analysis::MemElide::Full);
+  EXPECT_EQ(Elidable[1].Elide, ElideLevel::Full);
   EXPECT_EQ(Elidable[3].Pc, pcOf(M, Main, Opcode::PutField));
-  EXPECT_EQ(Elidable[3].Elide, analysis::MemElide::Full);
+  EXPECT_EQ(Elidable[3].Elide, ElideLevel::Full);
 }
 
 /// The module-wide report aggregates both passes and names the pattern
@@ -999,7 +999,7 @@ TEST(TraceProofMemoTest, ShapesPastTheCapAreProvedButNotKept) {
 
   // A held shape keeps its check-elision facts beside its verdict.
   const std::vector<analysis::TraceMemFact> Facts = {
-      {1, 4, analysis::MemElide::Full}};
+      {1, 4, ElideLevel::Full}};
   for (int Round = 0; Round < 2; ++Round) {
     EXPECT_EQ(Memo.memFacts({Shapes[1], 7}, [&] { return Facts; }, Reused),
               Facts);

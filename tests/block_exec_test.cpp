@@ -341,7 +341,7 @@ TEST(BlockExecTest, ElisionSpanIsConsumedByExactlyOneStep) {
 
   // Arm a Full elision for the loop body's getfield (pc 5): skipping both
   // of its checks counts 2.
-  const MemElision Fact{0, 5, MemElision::Full};
+  const MemElision Fact{0, 5, ElideLevel::Full};
   Stepper.setElisions(&Fact, 1);
   ASSERT_EQ(Stepper.step(), BlockStepper::StepStatus::Continue);
   EXPECT_EQ(Stepper.checksElided(), 2u);

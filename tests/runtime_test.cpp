@@ -3,6 +3,7 @@
 #include "runtime/Machine.h"
 
 #include "TestPrograms.h"
+#include "bytecode/OpSemantics.h"
 #include "interp/InstructionInterpreter.h"
 
 #include <gtest/gtest.h>
@@ -110,7 +111,15 @@ protected:
     Class C;
     C.Name = "C";
     C.NumFields = 2;
+    C.Vtable = {0};
     M.Classes.push_back(std::move(C));
+    Class D; // implements no slot
+    D.Name = "D";
+    D.Vtable = {InvalidMethod};
+    M.Classes.push_back(std::move(D));
+    SlotInfo S;
+    S.Name = "m";
+    M.Slots.push_back(std::move(S));
     return M;
   }
 
@@ -383,4 +392,158 @@ TEST(MachineFrames, ResetClearsState) {
   EXPECT_TRUE(Mach.output().empty());
   EXPECT_FALSE(Mach.hasFrames());
   EXPECT_EQ(Mach.trap(), TrapKind::None);
+}
+
+//===----------------------------------------------------------------------===//
+// The opcode semantics table and the heap checks against the execOne oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr int64_t MinI = std::numeric_limits<int64_t>::min();
+constexpr int64_t MaxI = std::numeric_limits<int64_t>::max();
+/// Overflow, sign and shift-count edges.
+constexpr int64_t EdgeGrid[] = {MinI, MinI + 1, -65, -64, -1, 0,
+                                1,    63,       64,  65,  MaxI};
+
+} // namespace
+
+TEST_F(MachineSemantics, TableMatchesOracleOnBinaryOps) {
+  unsigned Covered = 0;
+  for (unsigned O = 0; O < numOpcodes(); ++O) {
+    Opcode Op = static_cast<Opcode>(O);
+    if (!isBinary(Op))
+      continue;
+    ++Covered;
+    for (int64_t A : EdgeGrid)
+      for (int64_t B : EdgeGrid) {
+        SCOPED_TRACE(std::string(mnemonic(Op)) + " " + std::to_string(A) +
+                     " " + std::to_string(B));
+        Mach.push(A);
+        Mach.push(B);
+        Effect E = Mach.execOne(Instruction(Op));
+        int64_t Out = 0;
+        bool Ok = evalBinary(Op, A, B, Out);
+        if (E.Kind == EffectKind::Trap) {
+          EXPECT_FALSE(Ok);
+          EXPECT_EQ(Mach.trap(), TrapKind::DivideByZero);
+          Mach.setTrap(TrapKind::None);
+        } else {
+          ASSERT_EQ(E.Kind, EffectKind::Next);
+          EXPECT_TRUE(Ok);
+          EXPECT_EQ(Out, Mach.pop());
+        }
+        ASSERT_EQ(Mach.operandDepth(), 0u);
+      }
+  }
+  EXPECT_EQ(Covered, 11u);
+}
+
+TEST_F(MachineSemantics, TableMatchesOracleOnNegation) {
+  for (int64_t A : EdgeGrid) {
+    Mach.push(A);
+    Mach.execOne(Instruction(Opcode::Ineg));
+    EXPECT_EQ(evalNeg(A), Mach.pop()) << A;
+  }
+}
+
+TEST_F(MachineSemantics, TableMatchesOracleOnBranches) {
+  unsigned Covered = 0;
+  for (unsigned O = 0; O < numOpcodes(); ++O) {
+    Opcode Op = static_cast<Opcode>(O);
+    if (!isCondBranch(Op))
+      continue;
+    ++Covered;
+    for (int64_t A : EdgeGrid)
+      for (int64_t B : EdgeGrid) {
+        SCOPED_TRACE(std::string(mnemonic(Op)) + " " + std::to_string(A) +
+                     " " + std::to_string(B));
+        Mach.push(A);
+        if (branchArity(Op) == 2)
+          Mach.push(B);
+        Effect E = Mach.execOne(Instruction(Op, 7));
+        EXPECT_EQ(evalBranch(Op, A, B), E.Kind == EffectKind::Jump);
+        ASSERT_EQ(Mach.operandDepth(), 0u);
+      }
+  }
+  EXPECT_EQ(Covered, 12u);
+}
+
+namespace {
+
+/// The trap a one-instruction execOne run of \p I over \p Operands
+/// raises (None when it completes), leaving the stack empty.
+TrapKind oracleTrap(Machine &Mach, const Instruction &I,
+                    std::initializer_list<int64_t> Operands) {
+  for (int64_t V : Operands)
+    Mach.push(V);
+  Effect E = Mach.execOne(I);
+  while (Mach.operandDepth() > 0)
+    Mach.pop();
+  if (E.Kind != EffectKind::Trap)
+    return TrapKind::None;
+  TrapKind T = Mach.trap();
+  Mach.setTrap(TrapKind::None);
+  return T;
+}
+
+} // namespace
+
+TEST_F(MachineSemantics, HeapChecksMatchOracle) {
+  Mach.push(3);
+  Mach.execOne(Instruction(Opcode::NewArray));
+  const int64_t Arr = Mach.pop();
+  Mach.execOne(Instruction(Opcode::New, 0)); // class C: 2 fields
+  const int64_t Obj = Mach.pop();
+  const Heap &H = Mach.heap();
+  // Null, array, object, negative and out-of-range references.
+  const int64_t Refs[] = {Heap::Null, Arr, Obj, -3, 1 << 20};
+  const int64_t Indices[] = {MinI, -1, 0, 2, 3, 4, MaxI};
+  const ElideLevel All = ElideLevel::None; // every check runs
+
+  for (int64_t Ref : Refs) {
+    SCOPED_TRACE("ref " + std::to_string(Ref));
+    for (int64_t Idx : Indices) {
+      SCOPED_TRACE("index " + std::to_string(Idx));
+      TrapKind T = H.checkElement(Ref, Idx, All);
+      EXPECT_EQ(T, oracleTrap(Mach, Instruction(Opcode::Iaload), {Ref, Idx}));
+      EXPECT_EQ(T,
+                oracleTrap(Mach, Instruction(Opcode::Iastore), {Ref, Idx, 9}));
+    }
+    for (int32_t Slot : {0, 1, 2, 5}) {
+      SCOPED_TRACE("slot " + std::to_string(Slot));
+      TrapKind T = H.checkField(Ref, static_cast<size_t>(Slot), All);
+      EXPECT_EQ(T,
+                oracleTrap(Mach, Instruction(Opcode::GetField, Slot), {Ref}));
+      EXPECT_EQ(
+          T, oracleTrap(Mach, Instruction(Opcode::PutField, Slot), {Ref, 9}));
+    }
+    EXPECT_EQ(H.checkArrayLength(Ref, All),
+              oracleTrap(Mach, Instruction(Opcode::ArrayLength), {Ref}));
+  }
+}
+
+TEST_F(MachineSemantics, VirtualResolutionMatchesOracle) {
+  Mach.execOne(Instruction(Opcode::New, 0)); // C implements slot 0
+  const int64_t ObjC = Mach.pop();
+  Mach.execOne(Instruction(Opcode::New, 1)); // D implements nothing
+  const int64_t ObjD = Mach.pop();
+  Mach.push(1);
+  Mach.execOne(Instruction(Opcode::NewArray));
+  const int64_t Arr = Mach.pop();
+  for (int64_t Recv : {Heap::Null, ObjC, ObjD, Arr, int64_t{-3}}) {
+    SCOPED_TRACE("receiver " + std::to_string(Recv));
+    uint32_t Callee = InvalidMethod;
+    TrapKind T = Mach.resolveVirtual(Recv, 0, Callee);
+    Mach.push(Recv);
+    Effect E = Mach.execOne(Instruction(Opcode::InvokeVirtual, 0));
+    Mach.pop();
+    if (E.Kind == EffectKind::Trap) {
+      EXPECT_EQ(T, Mach.trap());
+      Mach.setTrap(TrapKind::None);
+    } else {
+      EXPECT_EQ(T, TrapKind::None);
+      EXPECT_EQ(Callee, E.Target);
+    }
+  }
 }
