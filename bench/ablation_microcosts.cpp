@@ -7,6 +7,14 @@
 /// (paper): hook << decay pass << trace construction, with the hook cost
 /// dominating overall because it runs every dispatch.
 ///
+/// Two benchmarks see the graph's memory layout rather than its code:
+/// BM_HookHitWorkingSet hits the inline cache of every context in a ring
+/// of 1k, 8k or 64k contexts, so its cost grows with the bytes a hit
+/// touches per context once the ring outgrows the caches;
+/// BM_NodeCreation creates a fresh context on every hook (the pair
+/// lookup, the node, its first correlation and predecessor link), which
+/// is what short sessions mostly pay for.
+///
 //===----------------------------------------------------------------------===//
 
 #include "profile/BranchCorrelationGraph.h"
@@ -41,6 +49,40 @@ void BM_HookInlineCacheHit(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
 }
 BENCHMARK(BM_HookInlineCacheHit);
+
+/// Inline-cache hits over a ring of State.range(0) contexts: blocks
+/// 0..N-1 run in a cycle, so each hook hits the cache of a different
+/// node and the hot state of all N nodes is the working set.
+void BM_HookHitWorkingSet(benchmark::State &State) {
+  auto N = static_cast<BlockId>(State.range(0));
+  BranchCorrelationGraph G(profConfig(/*DecayInterval=*/1u << 30));
+  // Two laps create every node and resolve every correlation target.
+  for (unsigned Lap = 0; Lap < 2; ++Lap)
+    for (BlockId B = 0; B < N; ++B)
+      G.onBlockDispatch(B);
+  BlockId Next = 0;
+  for (auto _ : State) {
+    G.onBlockDispatch(Next);
+    Next = Next + 1 == N ? 0 : Next + 1;
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
+}
+BENCHMARK(BM_HookHitWorkingSet)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
+
+/// Every hook creates a context: a stream of distinct blocks makes each
+/// pair new. A fresh graph per 4096 hooks bounds the memory; building
+/// and freeing it is part of the measured cost.
+void BM_NodeCreation(benchmark::State &State) {
+  constexpr BlockId Hooks = 4096;
+  for (auto _ : State) {
+    BranchCorrelationGraph G(profConfig());
+    for (BlockId B = 0; B < Hooks; ++B)
+      G.onBlockDispatch(B);
+    benchmark::DoNotOptimize(G.numNodes());
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * Hooks);
+}
+BENCHMARK(BM_NodeCreation);
 
 /// Hook cost when the prediction misses and the correlation list must be
 /// searched (polymorphic sites). The fan-out is the parameter.

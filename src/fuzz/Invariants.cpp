@@ -71,7 +71,7 @@ std::vector<Violation> fuzz::checkGraph(const BranchCorrelationGraph &G) {
           A.check(T.from() == N.to() && T.to() == C.Succ, "bcg-target-pair",
                   "node ", Id, " (", N.from(), "->", N.to(), ") succ ",
                   C.Succ, ": target node is (", T.from(), "->", T.to(), ")");
-          const std::vector<NodeId> &Preds = T.predecessors();
+          std::span<const NodeId> Preds = T.predecessors();
           A.check(std::find(Preds.begin(), Preds.end(), Id) != Preds.end(),
                   "bcg-pred-backlink", "node ", Id, " targets ", C.Target,
                   " but is not in its predecessor list");

@@ -27,6 +27,8 @@ ThreadedResult ThreadedProgram::run(uint64_t MaxInstructions) const {
 
 ThreadedResult ThreadedProgram::runProfiled(BranchCorrelationGraph &Graph,
                                             uint64_t MaxInstructions) const {
-  return drive(
+  ThreadedResult R = drive(
       *PM, [&Graph](BlockId B) { Graph.onBlockDispatch(B); }, MaxInstructions);
+  Graph.foldAll();
+  return R;
 }

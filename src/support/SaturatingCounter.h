@@ -31,6 +31,12 @@ public:
       ++Count;
   }
 
+  /// Adds \p K, saturating at Max: the same as \p K increments.
+  void add(uint32_t K) {
+    const uint32_t Room = Max - Count;
+    Count = static_cast<uint16_t>(K >= Room ? Max : Count + K);
+  }
+
   /// Halves the counter (the decay step: one right shift).
   void decay() { Count = static_cast<uint16_t>(Count >> 1); }
 

@@ -81,6 +81,9 @@ struct Trace {
   /// behaviour was fully visible).
   uint64_t Entered = 0;
   uint64_t Completed = 0;
+  /// Entries left until the next retirement check, which falls on every
+  /// TraceConfig::RetirementCheckEntries-th entry (set at install).
+  uint64_t UntilRetirementCheck = 0;
 
   double observedCompletion() const {
     return Entered == 0 ? 1.0

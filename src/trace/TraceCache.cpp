@@ -94,6 +94,7 @@ void TraceCache::install(const TraceCandidate &C) {
   for (NodeId N : T.Contexts)
     T.Blocks.push_back(Graph->node(N).to());
   T.ExpectedCompletion = C.Completion;
+  T.UntilRetirementCheck = Config.RetirementCheckEntries;
   if (BlockSize)
     for (BlockId B : T.Blocks)
       T.InstrCount += BlockSize(B);
@@ -129,15 +130,8 @@ void TraceCache::applyValidation(Trace &T) {
     Annotate(T);
 }
 
-void TraceCache::recordExecution(TraceId Id, bool CompletedRun) {
-  bumpGeneration();
-  assert(Id < Traces.size() && "unknown trace");
+void TraceCache::checkRetirement(TraceId Id) {
   Trace &T = Traces[Id];
-  ++T.Entered;
-  if (CompletedRun)
-    ++T.Completed;
-  if (!T.Alive || T.Entered % Config.RetirementCheckEntries != 0)
-    return;
   if (T.observedCompletion() + Config.RetirementMargin >=
       Config.CompletionThreshold)
     return;
@@ -185,6 +179,7 @@ void TraceCache::seedTraces(const std::vector<TraceSeed> &Seeds) {
     T.EntryFrom = S.EntryFrom;
     T.Blocks = S.Blocks;
     T.ExpectedCompletion = S.ExpectedCompletion;
+    T.UntilRetirementCheck = Config.RetirementCheckEntries;
     // Resolve the seed's branch contexts once, here, so dispatch never
     // looks a block pair up.
     for (size_t K = 0; K < S.Blocks.size(); ++K)

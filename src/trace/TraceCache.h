@@ -20,6 +20,7 @@
 #include "trace/TraceBuilder.h"
 #include "trace/TraceConfig.h"
 
+#include <cassert>
 #include <functional>
 #include <map>
 #include <ostream>
@@ -86,7 +87,19 @@ public:
   /// against the threshold and retires persistent under-performers,
   /// immediately rebuilding their region from current profile data. May
   /// invalidate Trace pointers (rebuilds can grow the trace table).
-  void recordExecution(TraceId Id, bool CompletedRun);
+  void recordExecution(TraceId Id, bool CompletedRun) {
+    bumpGeneration();
+    assert(Id < Traces.size() && "unknown trace");
+    Trace &T = Traces[Id];
+    ++T.Entered;
+    if (CompletedRun)
+      ++T.Completed;
+    if (--T.UntilRetirementCheck == 0) {
+      T.UntilRetirementCheck = Config.RetirementCheckEntries;
+      if (T.Alive)
+        checkRetirement(Id);
+    }
+  }
 
   struct CacheStats {
     uint64_t SignalsHandled = 0;
@@ -157,6 +170,9 @@ public:
   void dump(std::ostream &OS) const;
 
 private:
+  /// The periodic completion check of recordExecution: retires live
+  /// trace \p Id and rebuilds its region if it under-performs.
+  void checkRetirement(TraceId Id);
   void install(const TraceCandidate &C);
   /// Points entry \p Context at trace \p Id, killing (as replaced) any
   /// other trace that held it.

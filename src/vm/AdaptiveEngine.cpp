@@ -13,14 +13,15 @@ using namespace jtc;
 
 AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
                                const VmOptions &Options)
-    : PM(&PM), Options(&Options),
+    : PM(&PM), Options(&Options), Profiling(Options.profiling()),
+      Tracing(Options.profiling() && Options.traces()),
       ProofConfig(Options.optConfig().fingerprint()),
       Graph(Options.profilerConfig()),
       Cache(Graph, Options.traceConfig(),
             [P = &PM](BlockId B) { return P->blockSize(B); }) {
   // Trace construction is driven by profiler signals, so trace dispatch
   // requires profiling.
-  if (Options.profiling() && Options.traces()) {
+  if (Tracing) {
     Graph.setSink(&Cache);
     if (Options.validate() != ValidateMode::Off)
       Cache.setValidateHook(
@@ -116,18 +117,15 @@ void AdaptiveEngine::importSeed(const VmSeed &Seed) {
 void AdaptiveEngine::begin(BlockId Entry) {
   // The entry block is an ordinary block dispatch.
   ++Stats.BlockDispatches;
-  if (Options->profiling())
+  if (Profiling)
     Graph.onBlockDispatch(Entry);
 }
 
-void AdaptiveEngine::executed(BlockId Cur) {
-  ++Stats.BlocksExecuted;
-  if (Active) {
-    ++Stats.BlocksInTraces;
-    Stats.InstructionsInTraces += PM->blockSize(Cur);
-    if (TracePos + 1 == Active->Blocks.size())
-      leaveTrace(/*Completed=*/true); // the trace's last block just ran
-  }
+void AdaptiveEngine::executedInActive(BlockId Cur) {
+  ++Stats.BlocksInTraces;
+  Stats.InstructionsInTraces += PM->blockSize(Cur);
+  if (TracePos + 1 == Active->Blocks.size())
+    leaveTrace(/*Completed=*/true); // the trace's last block just ran
 }
 
 void AdaptiveEngine::executedInTrace(uint32_t From, uint32_t To) {
@@ -149,9 +147,9 @@ void AdaptiveEngine::executedInTrace(uint32_t From, uint32_t To) {
     leaveTrace(/*Completed=*/true); // the trace's last block just ran
 }
 
-const Trace *AdaptiveEngine::commitRun(const TraceRunResult &Run,
-                                       uint32_t From,
-                                       BlockTransitionSink *Sink) {
+const Trace *AdaptiveEngine::commitPartialRun(const TraceRunResult &Run,
+                                              uint32_t From,
+                                              BlockTransitionSink *Sink) {
   if (From < Run.BlocksRun)
     executedInTrace(From, Run.BlocksRun);
   if (Run.endsSession()) {
@@ -163,73 +161,23 @@ const Trace *AdaptiveEngine::commitRun(const TraceRunResult &Run,
   return transition(Run.LastBlock, Run.NextBlock);
 }
 
-const Trace *AdaptiveEngine::transition([[maybe_unused]] BlockId Cur,
-                                        BlockId Next) {
-  if (Active) {
-    if (Next == Active->Blocks[TracePos + 1]) {
-      ++TracePos; // matched; stay inside the trace, no hook, no dispatch
-      return nullptr;
-    }
-    // A divergence. While a trace is stable its interior transitions
-    // carry no hooks, so the common outcomes of its branches are
-    // invisible to the profiler; counting the rare divergent outcome
-    // would skew interior correlations toward it and make later rebuilds
-    // fragment perfectly good traces. So the transition is not counted,
-    // but the context still follows it to N(Cur, Next): the next hooked
-    // transition records its successor under the pair that really ran.
-    Graph.moveContext(Active->Contexts[TracePos], Next);
-    leaveTrace(/*Completed=*/false);
-  } else if (Options->profiling()) {
-    // The hook runs first: it may emit signals that build (or rebuild) a
-    // trace starting exactly at this transition, which the entry lookup
-    // below will then see.
-    Graph.onBlockDispatch(Next);
-  }
-
-  // The context is now N(Cur, Next): the trace entered by this
-  // transition, if any, hangs off it.
-  assert((!Options->profiling() ||
-          (Graph.node(Graph.currentContext()).from() == Cur &&
-           Graph.node(Graph.currentContext()).to() == Next)) &&
-         "the context must be N(Cur, Next) after a non-trace transition");
-  if (Options->profiling() && Options->traces()) {
-    if (const Trace *T = Cache.entryAt(Graph.currentContext())) {
-      Active = T;
-      TracePos = 0;
-      ++Stats.TraceDispatches;
-      JTC_RECORD_EVENT(Telem, EventKind::TraceDispatched, T->Id);
-      return T;
-    }
-  }
-  ++Stats.BlockDispatches;
-  return nullptr;
+void AdaptiveEngine::diverge(BlockId Next) {
+  // While a trace is stable its interior transitions carry no hooks, so
+  // the common outcomes of its branches are invisible to the profiler;
+  // counting the rare divergent outcome would skew interior correlations
+  // toward it and make later rebuilds fragment perfectly good traces. So
+  // the transition is not counted, but the context still follows it to
+  // N(Cur, Next): the next hooked transition records its successor under
+  // the pair that really ran.
+  Graph.moveContext(Active->Contexts[TracePos], Next);
+  leaveTrace(/*Completed=*/false);
 }
 
 void AdaptiveEngine::endRun() {
   if (Active)
     leaveTrace(/*Completed=*/false);
-}
-
-void AdaptiveEngine::leaveTrace(bool Completed) {
-  if (Completed) {
-    ++Stats.TracesCompleted;
-    Stats.BlocksInCompletedTraces += Active->Blocks.size();
-    Stats.InstructionsInCompletedTraces += Active->InstrCount;
-    JTC_RECORD_EVENT(Telem, EventKind::TraceCompleted, Active->Id,
-                     static_cast<uint32_t>(Active->Blocks.size()));
-    // The inlined blocks carried no profiling hooks; resynchronize the
-    // context to the trace's final block pair.
-    Graph.setContext(Active->Contexts.back());
-  } else {
-    JTC_RECORD_EVENT(Telem, EventKind::TraceEarlyExit, Active->Id,
-                     TracePos + 1);
-  }
-  TraceId Id = Active->Id;
-  Active = nullptr;
-  TracePos = 0;
-  // After Active is cleared: the bookkeeping may retire the trace and
-  // rebuild its region, which can reallocate the trace table.
-  Cache.recordExecution(Id, Completed);
+  // A finished graph holds no deferred hits: reading it mutates nothing.
+  Graph.foldAll();
 }
 
 VmStats AdaptiveEngine::snapshotStats(uint64_t Instructions) const {
@@ -250,5 +198,6 @@ VmStats AdaptiveEngine::snapshotStats(uint64_t Instructions) const {
   S.TraceValidationRejects = CS.ValidationRejects;
   S.LiveTraces = Cache.numLiveTraces();
   S.GraphNodes = Graph.numNodes();
+  S.GraphArenaBytes = Graph.arenaBytes();
   return S;
 }

@@ -78,14 +78,32 @@ public:
   void begin(BlockId Entry);
 
   /// \p Cur was just executed: trace accounting and completion detection.
-  void executed(BlockId Cur);
+  void executed(BlockId Cur) {
+    ++Stats.BlocksExecuted;
+    if (Active)
+      executedInActive(Cur);
+  }
 
   /// Control passed from \p Cur to \p Next: match against the active
   /// trace, or run the profiler hook (a divergence from the active trace
   /// only moves the context) and then the trace-entry lookup. Returns the
   /// trace this transition entered, or null. The pointer is owned by the
   /// trace cache and stays valid until the run's commit leaves the trace.
-  const Trace *transition(BlockId Cur, BlockId Next);
+  const Trace *transition(BlockId Cur, BlockId Next) {
+    if (Active) {
+      if (Next == Active->Blocks[TracePos + 1]) {
+        ++TracePos; // matched; stay inside the trace, no hook, no dispatch
+        return nullptr;
+      }
+      diverge(Next);
+    } else if (Profiling) {
+      // The hook runs first: it may emit signals that build (or rebuild)
+      // a trace starting exactly at this transition, which the entry
+      // lookup below will then see.
+      Graph.onBlockDispatch(Next);
+    }
+    return dispatch(Cur, Next);
+  }
 
   /// Blocks [\p From, \p To) of the active trace ran, each after a
   /// matching transition: the bulk form of the executed() / transition()
@@ -105,7 +123,17 @@ public:
   /// per-block order has it. Returns the trace the transition entered, or
   /// null.
   const Trace *commitRun(const TraceRunResult &Run, uint32_t From,
-                         BlockTransitionSink *Sink);
+                         BlockTransitionSink *Sink) {
+    if (Run.End != TraceRunEnd::Completed || From != 0)
+      return commitPartialRun(Run, From, Sink);
+    // The common case: the whole trace ran, none of it committed yet.
+    Stats.BlocksInTraces += Active->Blocks.size();
+    Stats.InstructionsInTraces += Active->InstrCount;
+    leaveTrace(/*Completed=*/true);
+    if (Sink)
+      Sink->onTransition(Run.LastBlock, Run.NextBlock);
+    return transition(Run.LastBlock, Run.NextBlock);
+  }
 
   /// The run ended (finish, trap or budget); an active trace is exited
   /// early.
@@ -132,7 +160,60 @@ public:
 private:
   /// Leaves trace mode, recording the active trace's run as completed or
   /// as an early exit after blocks 0..TracePos.
-  void leaveTrace(bool Completed);
+  void leaveTrace(bool Completed) {
+    if (Completed) {
+      ++Stats.TracesCompleted;
+      Stats.BlocksInCompletedTraces += Active->Blocks.size();
+      Stats.InstructionsInCompletedTraces += Active->InstrCount;
+      JTC_RECORD_EVENT(Telem, EventKind::TraceCompleted, Active->Id,
+                       static_cast<uint32_t>(Active->Blocks.size()));
+      // The inlined blocks carried no profiling hooks; resynchronize the
+      // context to the trace's final block pair.
+      Graph.setContext(Active->Contexts.back());
+    } else {
+      JTC_RECORD_EVENT(Telem, EventKind::TraceEarlyExit, Active->Id,
+                       TracePos + 1);
+    }
+    TraceId Id = Active->Id;
+    Active = nullptr;
+    TracePos = 0;
+    // After Active is cleared: the bookkeeping may retire the trace and
+    // rebuild its region, which can reallocate the trace table.
+    Cache.recordExecution(Id, Completed);
+  }
+
+  /// The context is now N(Cur, Next) after a transition outside a trace:
+  /// enters the trace hanging off it, if any, or counts a block dispatch.
+  const Trace *dispatch([[maybe_unused]] BlockId Cur,
+                        [[maybe_unused]] BlockId Next) {
+    assert((!Profiling ||
+            (Graph.node(Graph.currentContext()).from() == Cur &&
+             Graph.node(Graph.currentContext()).to() == Next)) &&
+           "the context must be N(Cur, Next) after a non-trace transition");
+    if (Tracing) {
+      if (const Trace *T = Cache.entryAt(Graph.currentContext())) {
+        Active = T;
+        TracePos = 0;
+        ++Stats.TraceDispatches;
+        JTC_RECORD_EVENT(Telem, EventKind::TraceDispatched, T->Id);
+        return T;
+      }
+    }
+    ++Stats.BlockDispatches;
+    return nullptr;
+  }
+
+  /// executed() of a block inside the active trace.
+  void executedInActive(BlockId Cur);
+
+  /// transition() that diverges from the active trace: moves the context
+  /// to N(Cur, Next) without counting it and leaves the trace early.
+  void diverge(BlockId Next);
+
+  /// commitRun() of a run that did not complete its trace, or whose
+  /// first blocks a phase sample already committed.
+  const Trace *commitPartialRun(const TraceRunResult &Run, uint32_t From,
+                                BlockTransitionSink *Sink);
 
   /// The TraceCache validation hook (--validate != off): re-runs the
   /// optimizer on \p T's linearized form and proves the result a sound
@@ -150,6 +231,8 @@ private:
 
   const PreparedModule *PM;
   const VmOptions *Options;
+  const bool Profiling; ///< Options->profiling(): the hook runs.
+  const bool Tracing;   ///< Profiling and traces: entries are looked up.
   /// The optimizer configuration's part of the trace-shape key.
   uint64_t ProofConfig;
   BranchCorrelationGraph Graph;

@@ -38,6 +38,16 @@ void TraceVM::importSeed(const VmSeed &Seed) {
   Engine.importSeed(Seed);
 }
 
+inline void TraceVM::ranTraceBlock([[maybe_unused]] uint32_t I,
+                                   [[maybe_unused]] uint32_t &Committed) {
+  VmStats &Stats = Engine.stats();
+  ++Stats.BlocksExecuted;
+#ifdef JTC_TELEMETRY
+  if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
+    sampleInTrace(I, Committed);
+#endif
+}
+
 RunResult TraceVM::run() {
   // Single-shot contract: executing again over the dirty machine, graph
   // and cache state would silently produce garbage, so a reuse surfaces
@@ -195,19 +205,10 @@ TraceRunResult TraceVM::stepTrace(const Trace &T, uint32_t &Committed) {
   return TR;
 }
 
-void TraceVM::ranTraceBlock(uint32_t I, uint32_t &Committed) {
-  VmStats &Stats = Engine.stats();
-  ++Stats.BlocksExecuted;
-#ifdef JTC_TELEMETRY
-  if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt()) {
-    Engine.executedInTrace(Committed, I);
-    Committed = I;
-    Sampler.sample(Stats.BlocksExecuted, currentStats());
-  }
-#else
-  (void)I;
-  (void)Committed;
-#endif
+void TraceVM::sampleInTrace(uint32_t I, uint32_t &Committed) {
+  Engine.executedInTrace(Committed, I);
+  Committed = I;
+  Sampler.sample(Engine.stats().BlocksExecuted, currentStats());
 }
 
 VmStats TraceVM::currentStats() const {

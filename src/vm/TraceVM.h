@@ -136,6 +136,9 @@ private:
   /// sample falls due, commits the run's blocks so far and takes it.
   void ranTraceBlock(uint32_t I, uint32_t &Committed);
 
+  /// The phase sample due at trace block \p I of the current run.
+  void sampleInTrace(uint32_t I, uint32_t &Committed);
+
   const PreparedModule *PM;
   VmOptions Options;
   Machine Mach;

@@ -82,6 +82,8 @@ const std::vector<VmStats::FieldInfo> &VmStats::fields() {
               &VmStats::MemChecksElided, /*InPrint=*/false),
       Counter("live traces", "live_traces", &VmStats::LiveTraces),
       Counter("branch graph nodes", "graph_nodes", &VmStats::GraphNodes),
+      Counter("graph arena bytes", "graph_arena_bytes",
+              &VmStats::GraphArenaBytes, /*InPrint=*/false),
       Counter("telemetry events dropped", "events_dropped",
               &VmStats::EventsDropped, /*InPrint=*/false),
       Derived("dispatches per signal", "dispatches_per_signal",
@@ -125,7 +127,10 @@ uint64_t VmStats::digest() const {
            // Elision accounting is configuration (--mem-elide) like the
            // tier counters; the elided checks were proved to pass, so the
            // execution semantics are identical either way.
-           M == &VmStats::MemElisionSites || M == &VmStats::MemChecksElided;
+           M == &VmStats::MemElisionSites || M == &VmStats::MemChecksElided ||
+           // Memory layout, not execution: a change of the graph's
+           // storage must not change the digest.
+           M == &VmStats::GraphArenaBytes;
   };
   for (const FieldInfo &F : fields())
     if (F.Counter && !Excluded(F.Counter))

@@ -84,6 +84,12 @@ struct VmStats {
   uint64_t MemElisionSites = 0;  ///< Annotated heap-access sites.
   uint64_t MemChecksElided = 0;  ///< Dynamic checks skipped at run time.
 
+  //===--- Memory -----------------------------------------------------===//
+  /// Bytes the branch correlation graph's list arena reserved (its
+  /// correlation and predecessor lists). A layout figure, not execution:
+  /// digest-excluded, and JSON-only.
+  uint64_t GraphArenaBytes = 0;
+
   //===--- Observability ----------------------------------------------===//
   /// Telemetry events lost to ring overwriting (EventRing::dropped). Not
   /// part of the execution semantics, so digest() excludes it: a replay

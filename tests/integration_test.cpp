@@ -97,8 +97,10 @@ TEST(IntegrationTest, LargerDelayFiltersTraceEvents) {
 
 TEST(IntegrationTest, ProfilerOverheadMeasurementIsSane) {
   const WorkloadInfo &W = *findWorkload("scimark");
+  // Best of five: the hook adds only 10-20% to scimark's few-millisecond
+  // run, so one preempted plain run per side could invert the ratio.
   OverheadSample S =
-      measureProfilerOverhead(W, integrationScale(W), /*Repeats=*/2);
+      measureProfilerOverhead(W, integrationScale(W), /*Repeats=*/5);
   EXPECT_GT(S.Dispatches, 0u);
   EXPECT_GT(S.Instructions, S.Dispatches);
   EXPECT_GT(S.PlainSeconds, 0.0);

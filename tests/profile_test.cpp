@@ -2,9 +2,13 @@
 
 #include "profile/BranchCorrelationGraph.h"
 
+#include "EagerBcg.h"
+#include "support/Prng.h"
+
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 using namespace jtc;
@@ -91,7 +95,7 @@ TEST(BcgTest, PredecessorLinksRecorded) {
   feed(G, {1, 2, 3});
   NodeId N12 = G.findNode(1, 2);
   NodeId N23 = G.findNode(2, 3);
-  const std::vector<NodeId> &Preds = G.node(N23).predecessors();
+  std::span<const NodeId> Preds = G.node(N23).predecessors();
   ASSERT_EQ(Preds.size(), 1u);
   EXPECT_EQ(Preds[0], N12);
 }
@@ -365,4 +369,192 @@ TEST(BcgTest, DumpMentionsNodesAndStates) {
   std::string Out = OS.str();
   EXPECT_NE(Out.find("(1 -> 2)"), std::string::npos);
   EXPECT_NE(Out.find("unique"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Deferred hits against the eager reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What a signal handler sees: the signalled node, the counters, and for
+/// every node what the trace builder reads (hotness, executions, state,
+/// max successor, each successor in list order with its probability).
+using SignalLog = std::vector<std::string>;
+
+std::string statsText(const BranchCorrelationGraph::GraphStats &S) {
+  return std::to_string(S.Hooks) + "/" + std::to_string(S.InlineCacheHits) +
+         "/" + std::to_string(S.ListSearches) + "/" +
+         std::to_string(S.DecayPasses) + "/" + std::to_string(S.Signals);
+}
+
+template <typename NodeT>
+void appendNode(std::string &Out, const NodeT &N,
+                const std::vector<BlockId> &Succs) {
+  Out += " " + std::to_string(N.hot()) + ":" + std::to_string(N.executions()) +
+         ":" + nodeStateName(N.state()) + ":" + std::to_string(N.maxSucc());
+  for (BlockId S : Succs)
+    Out += ":" + std::to_string(S) + "=" + std::to_string(N.probabilityOf(S));
+}
+
+/// Reads every node of the graph under test on each signal, then
+/// acknowledges the signalled node and its predecessors, as a trace
+/// cache's rebuild does.
+class ReadingSink : public SignalSink {
+public:
+  BranchCorrelationGraph *G = nullptr;
+  SignalLog Log;
+  void onStateChange(NodeId Id) override {
+    std::string Line = std::to_string(Id) + " " + statsText(G->stats());
+    for (NodeId I = 0; I < G->numNodes(); ++I) {
+      const BranchNode &N = G->node(I);
+      std::vector<BlockId> Succs;
+      for (const Correlation &C : N.correlations())
+        Succs.push_back(C.Succ);
+      appendNode(Line, N, Succs);
+    }
+    Log.push_back(std::move(Line));
+    std::vector<NodeId> Preds(G->node(Id).predecessors().begin(),
+                              G->node(Id).predecessors().end());
+    G->acknowledge(Id);
+    for (NodeId P : Preds)
+      G->acknowledge(P);
+  }
+};
+
+/// The reference's view, in the same form.
+void readReference(testprog::EagerBcg &R, NodeId Id, SignalLog &Log) {
+  BranchCorrelationGraph::GraphStats S = R.Stats;
+  std::string Line = std::to_string(Id) + " " + statsText(S);
+  for (const testprog::EagerBcg::Node &N : R.Nodes) {
+    std::vector<BlockId> Succs;
+    for (const testprog::EagerBcg::Corr &C : N.Corrs)
+      Succs.push_back(C.Succ);
+    struct View {
+      const testprog::EagerBcg::Node &N;
+      bool hot() const { return N.hot(); }
+      uint64_t executions() const { return N.Execs; }
+      NodeState state() const { return N.State; }
+      BlockId maxSucc() const { return N.maxSucc(); }
+      double probabilityOf(BlockId B) const { return N.probabilityOf(B); }
+    };
+    appendNode(Line, View{N}, Succs);
+  }
+  Log.push_back(std::move(Line));
+  R.acknowledge(Id);
+  for (NodeId P : R.Nodes[Id].Preds)
+    R.acknowledge(P);
+}
+
+bool sameSnapshots(const std::vector<BcgNodeSnapshot> &A,
+                   const std::vector<BcgNodeSnapshot> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (A[I].From != B[I].From || A[I].To != B[I].To ||
+        A[I].StartDelayLeft != B[I].StartDelayLeft ||
+        A[I].SinceDecay != B[I].SinceDecay || A[I].Execs != B[I].Execs ||
+        A[I].Corrs != B[I].Corrs)
+      return false;
+  return true;
+}
+
+/// A random walk over a small control-flow graph: every block has one to
+/// eight successors, mostly with one dominant one, and the successor sets
+/// and weights are redrawn at each phase change.
+std::vector<BlockId> randomStream(uint64_t Seed, size_t Len) {
+  constexpr uint32_t NumBlocks = 24;
+  Prng R(Seed);
+  std::vector<std::vector<BlockId>> Succs(NumBlocks);
+  std::vector<std::vector<uint32_t>> Weights(NumBlocks);
+  auto Rephase = [&] {
+    for (uint32_t B = 0; B < NumBlocks; ++B) {
+      uint32_t Fanout = 1 + static_cast<uint32_t>(R.nextBelow(8));
+      Succs[B].clear();
+      Weights[B].clear();
+      bool Biased = R.nextBelow(4) != 0;
+      for (uint32_t I = 0; I < Fanout; ++I) {
+        Succs[B].push_back(static_cast<BlockId>(R.nextBelow(NumBlocks)));
+        Weights[B].push_back(Biased ? (I == 0 ? 2000 : 1 + R.nextBelow(20))
+                                    : 1 + R.nextBelow(100));
+      }
+    }
+  };
+  Rephase();
+  std::vector<BlockId> Out;
+  BlockId B = 0;
+  for (size_t I = 0; I < Len; ++I) {
+    Out.push_back(B);
+    if ((I + 1) % (Len / 5) == 0)
+      Rephase();
+    uint64_t Sum = 0;
+    for (uint32_t W : Weights[B])
+      Sum += W;
+    uint64_t Pick = R.nextBelow(Sum);
+    size_t K = 0;
+    while (Pick >= Weights[B][K])
+      Pick -= Weights[B][K++];
+    B = Succs[B][K];
+  }
+  return Out;
+}
+
+/// Runs \p Stream through the graph and the reference and requires the
+/// same signals, the same reads at every signal, and the same final
+/// nodes and counters.
+void expectMatchesReference(const ProfilerConfig &PC,
+                            const std::vector<BlockId> &Stream) {
+  ReadingSink Sink;
+  BranchCorrelationGraph G(PC, &Sink);
+  Sink.G = &G;
+  testprog::EagerBcg Ref(PC);
+  SignalLog RefLog;
+  Ref.OnSignal = [&](NodeId Id) { readReference(Ref, Id, RefLog); };
+  for (BlockId B : Stream) {
+    G.onBlockDispatch(B);
+    Ref.onBlockDispatch(B);
+  }
+  ASSERT_EQ(Sink.Log.size(), RefLog.size());
+  for (size_t I = 0; I < RefLog.size(); ++I)
+    ASSERT_EQ(Sink.Log[I], RefLog[I]) << "signal " << I;
+  EXPECT_EQ(statsText(G.stats()), statsText(Ref.Stats));
+  EXPECT_TRUE(sameSnapshots(G.exportNodes(), Ref.exportNodes()));
+}
+
+} // namespace
+
+TEST(BcgTest, MatchesEagerReferenceOnRandomStreams) {
+  uint64_t Seed = 1;
+  for (uint32_t Delay : {1u, 3u, 64u})
+    for (uint32_t Decay : {2u, 4u, 256u})
+      for (double Threshold : {0.97, 1.0}) {
+        SCOPED_TRACE("delay " + std::to_string(Delay) + " decay " +
+                     std::to_string(Decay) + " threshold " +
+                     std::to_string(Threshold));
+        expectMatchesReference(config(Delay, Threshold, Decay),
+                               randomStream(Seed++, 20000));
+      }
+
+  // Saturation: with decay out of reach, (1, 2) takes 75000 hits on
+  // successor 1, more than its 16-bit counter holds, before a miss folds
+  // them in; the weight keeps counting past the saturated counter.
+  SCOPED_TRACE("saturation");
+  std::vector<BlockId> Stream;
+  for (int I = 0; I < 75000; ++I) {
+    Stream.push_back(1);
+    Stream.push_back(2);
+  }
+  for (int I = 0; I < 1000; ++I)
+    for (BlockId B : {1u, 2u, 3u, 1u, 2u})
+      Stream.push_back(B);
+  expectMatchesReference(config(1, 0.97, 1u << 20), Stream);
+  BranchCorrelationGraph G(config(1, 0.97, 1u << 20));
+  feed(G, Stream);
+  const BranchNode &N = G.node(G.findNode(1, 2));
+  for (const Correlation &C : N.correlations()) {
+    if (C.Succ == 1) {
+      EXPECT_EQ(C.Count.value(), SaturatingCounter::Max);
+    }
+  }
+  EXPECT_GT(N.totalWeight(), SaturatingCounter::Max);
 }

@@ -115,6 +115,14 @@ TEST(ThreadedTest, ProfiledRunBuildsTheSameGraphAsTheStepper) {
     EXPECT_EQ(Graph.node(N).to(), RefGraph.node(N).to());
     EXPECT_EQ(Graph.node(N).executions(), RefGraph.node(N).executions());
     EXPECT_EQ(Graph.node(N).state(), RefGraph.node(N).state());
+    std::span<const Correlation> A = Graph.node(N).correlations();
+    std::span<const Correlation> B = RefGraph.node(N).correlations();
+    ASSERT_EQ(A.size(), B.size());
+    for (size_t I = 0; I < A.size(); ++I) {
+      EXPECT_EQ(A[I].Succ, B[I].Succ);
+      EXPECT_EQ(A[I].Count.value(), B[I].Count.value());
+      EXPECT_EQ(A[I].Target, B[I].Target);
+    }
   }
 }
 

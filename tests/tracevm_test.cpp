@@ -116,6 +116,27 @@ TEST(TraceVmTest, TracesDisabledStillProfiles) {
   EXPECT_EQ(S.TracesConstructed, 0u);
 }
 
+TEST(TraceVmTest, GraphArenaWasteIsBounded) {
+  // The graph's list arena hands a block a list outgrew to the next list
+  // of that size, so at exit it holds at most twice the live lists
+  // (capacities round up to powers of two) plus one partly filled chunk.
+  const WorkloadInfo *W = findWorkload("soot");
+  ASSERT_NE(W, nullptr);
+  Module M = W->Build(W->DefaultScale);
+  PreparedModule PM(M);
+  TraceVM VM(PM, defaultOptions());
+  VM.run();
+  const BranchCorrelationGraph &G = VM.graph();
+  size_t Live = 0;
+  for (NodeId N = 0; N < G.numNodes(); ++N)
+    Live += G.node(N).correlations().size_bytes() +
+            G.node(N).predecessors().size_bytes();
+  EXPECT_EQ(VM.stats().GraphArenaBytes, G.arenaBytes());
+  EXPECT_GT(Live, 0u);
+  EXPECT_LE(G.arenaBytes(), 2 * Live + ListArena::ChunkBytes)
+      << "live list bytes " << Live;
+}
+
 TEST(TraceVmTest, HooksOncePerDispatchNotPerBlock) {
   // Paper section 4.1.2: trace dispatch executes a single profiling
   // statement; inlined blocks carry none.
