@@ -42,18 +42,24 @@ size_t TraceProofMemo::KeyHash::operator()(const Key &K) const {
 }
 
 template <typename T, typename Stored>
+std::optional<T>
+TraceProofMemo::find(const Key &K, std::optional<Stored> Entry::*Part) const {
+  std::lock_guard<std::mutex> G(Lock);
+  auto It = Entries.find(K);
+  if (It == Entries.end() || !(It->second.*Part))
+    return std::nullopt;
+  return load(*(It->second.*Part));
+}
+
+template <typename T, typename Stored>
 T TraceProofMemo::lookup(const TraceShape &S,
                          std::optional<Stored> Entry::*Part,
                          const std::function<T()> &Compute,
                          bool &Reused) const {
-  Key K{S.ConfigFingerprint, {S.Blocks.begin(), S.Blocks.end()}};
-  {
-    std::lock_guard<std::mutex> G(Lock);
-    auto It = Entries.find(K);
-    if (It != Entries.end() && It->second.*Part) {
-      Reused = true;
-      return load(*(It->second.*Part));
-    }
+  Key K = keyOf(S);
+  if (std::optional<T> Held = find<T>(K, Part)) {
+    Reused = true;
+    return std::move(*Held);
   }
   // Proved outside the lock, so sessions proving different shapes do not
   // wait on each other. Two that race on one shape compute equal values;
@@ -89,6 +95,16 @@ std::vector<TraceMemFact> TraceProofMemo::memFacts(
     const std::function<std::vector<TraceMemFact>()> &Compute,
     bool &Reused) const {
   return lookup(S, &Entry::MemFacts, Compute, Reused);
+}
+
+std::optional<TraceVerdict>
+TraceProofMemo::findVerdict(const TraceShape &S) const {
+  return find<TraceVerdict>(keyOf(S), &Entry::Verdict);
+}
+
+std::optional<std::vector<TraceMemFact>>
+TraceProofMemo::findMemFacts(const TraceShape &S) const {
+  return find<std::vector<TraceMemFact>>(keyOf(S), &Entry::MemFacts);
 }
 
 uint64_t TraceProofMemo::proofsComputed() const {

@@ -1,7 +1,7 @@
 //===- analysis/TraceProofs.h - Per-module memo of trace proofs -*- C++ -*-===//
 ///
 /// \file
-/// What construction-time checking concludes about a trace depends only
+/// What promotion-time checking concludes about a trace depends only
 /// on the module, the trace's block sequence and the optimizer
 /// configuration: the translation validator's verdict re-runs the
 /// optimizer over the linearized blocks and proves the result, and the
@@ -10,7 +10,7 @@
 /// the module keeps one memo of them (PreparedModule::proofs()), keyed by
 /// the trace's *shape* -- block sequence plus a fingerprint of every
 /// optimizer setting -- and each shape is proved once per module, however
-/// many sessions build it.
+/// many sessions promote it.
 ///
 /// The entries are analysis-layer values (the validator's reason is an
 /// opaque code), so the module layer owning the memo depends on neither
@@ -83,6 +83,12 @@ public:
            const std::function<std::vector<TraceMemFact>()> &Compute,
            bool &Reused) const;
 
+  /// What the memo holds for \p S, computing nothing: for audits that
+  /// must not fill the memo themselves.
+  std::optional<TraceVerdict> findVerdict(const TraceShape &S) const;
+  std::optional<std::vector<TraceMemFact>>
+  findMemFacts(const TraceShape &S) const;
+
   /// Verdicts and fact lists computed through the memo so far, kept or
   /// not.
   uint64_t proofsComputed() const;
@@ -104,7 +110,15 @@ private:
     std::optional<std::pmr::vector<TraceMemFact>> MemFacts;
   };
 
-  /// The shared lookup-or-compute of one entry part, held as Stored.
+  static Key keyOf(const TraceShape &S) {
+    return {S.ConfigFingerprint, {S.Blocks.begin(), S.Blocks.end()}};
+  }
+
+  /// The held value of one entry part, stored as Stored.
+  template <typename T, typename Stored>
+  std::optional<T> find(const Key &K, std::optional<Stored> Entry::*Part) const;
+
+  /// The shared lookup-or-compute of one entry part.
   template <typename T, typename Stored>
   T lookup(const TraceShape &S, std::optional<Stored> Entry::*Part,
            const std::function<T()> &Compute, bool &Reused) const;

@@ -2,18 +2,46 @@
 ///
 /// \file
 /// The backend knobs: which tier executes dispatched traces, and how the
-/// native tier promotes them. Kept in their own header so VmOptions can
-/// carry them without depending on the JIT in JitBackend.h.
+/// native tier promotes them -- including the translation validation and
+/// check elision that run at promotion. Kept in their own header so
+/// VmOptions can carry them without depending on the JIT in JitBackend.h.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_BACKEND_BACKENDKIND_H
 #define JTC_BACKEND_BACKENDKIND_H
 
+#include "opt/OptConfig.h"
+
 #include <cstdint>
 #include <string>
 
 namespace jtc {
+
+/// Translation validation (src/validate) of a trace's optimized form,
+/// run when the native tier promotes the trace.
+enum class ValidateMode : uint8_t {
+  Off,    ///< Promoted traces compile unchecked.
+  On,     ///< Validate every promoted trace; a rejected trace still
+          ///< compiles (no tier runs the optimized form) but without
+          ///< check elision (the default).
+  Strict, ///< Like On, but a rejection aborts the process -- for CI and
+          ///< fuzzing, where any rejection of stock optimizer output is
+          ///< a bug in either the optimizer or the validator.
+};
+
+inline const char *validateModeName(ValidateMode M) {
+  switch (M) {
+  case ValidateMode::Off:
+    return "off";
+  case ValidateMode::On:
+    return "on";
+  case ValidateMode::Strict:
+    return "strict";
+  }
+  return "on";
+}
+
 namespace backend {
 
 /// Which tier executes dispatched traces (the CLI spelling of
@@ -34,6 +62,13 @@ struct BackendConfig {
   /// Test hook: pretend the host cannot run template code, forcing the
   /// HostUnsupported fallback path on any host.
   bool SimulateUnsupportedHost = false;
+  /// Validation of each promoted trace.
+  ValidateMode Validate = ValidateMode::On;
+  /// Compile each promoted trace's provably redundant heap checks away.
+  bool MemElide = true;
+  /// The optimizer configuration validation re-optimizes under; its
+  /// fingerprint keys the module's proofs (PreparedModule::proofs()).
+  OptConfig Opt;
 };
 
 inline const char *backendKindName(BackendKind K) {

@@ -9,9 +9,12 @@
 #include "interp/PreparedModule.h"
 #include "runtime/Machine.h"
 #include "telemetry/EventRing.h"
+#include "validate/Validator.h"
 
 #include <cassert>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -225,6 +228,20 @@ static uint64_t jtcJitRet(JitContext *JC, uint64_t HasValue,
   JC->ExitPayload = Info.ReturnBlock;
   return ExpectBlock != InvalidBlockId && Info.ReturnBlock != ExpectBlock ? 2
                                                                           : 0;
+}
+
+/// Tableswitch on the popped \p Selector, reported like a return: the
+/// selected block goes to JC->ExitPayload, and the result is 2 when it
+/// is not \p ExpectBlock (InvalidBlockId on the final block), else 0.
+static uint64_t jtcJitSwitch(JitContext *JC, const SwitchCode *SC,
+                             const BlockId *Targets, int64_t Selector,
+                             uint64_t ExpectBlock) {
+  // Unsigned distance: a selector below Low wraps past NumTargets.
+  uint64_t Off =
+      static_cast<uint64_t>(Selector) - static_cast<uint64_t>(SC->Low);
+  BlockId Next = Off < SC->NumTargets ? Targets[Off] : SC->Default;
+  JC->ExitPayload = Next;
+  return ExpectBlock != InvalidBlockId && Next != ExpectBlock ? 2 : 0;
 }
 
 } // extern "C"
@@ -455,7 +472,7 @@ void TraceCompiler::emitFrameOp(const IrOp &Op) {
     jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::Finished));
     if (Op.ExpectBlock != InvalidBlockId) {
       E.cmpRI(Reg::Rax, 2);
-      jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::DivergeRet));
+      jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::DivergeAt));
     }
   } else {
     E.cmpRI(Reg::Rax, 1);
@@ -506,6 +523,22 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   case IrOp::Kind::Ret:
     emitFrameOp(Op);
     return;
+  case IrOp::Kind::Switch: {
+    const SwitchCode &SC = PM.switchCode(Op.SwitchIdx);
+    E.subRI(TopReg, 8);
+    E.movRM(Reg::Rcx, TopReg, 0); // Selector
+    E.movRR(Reg::Rdi, CtxReg);
+    E.movRI(Reg::Rsi, static_cast<int64_t>(reinterpret_cast<uintptr_t>(&SC)));
+    E.movRI(Reg::Rdx, static_cast<int64_t>(reinterpret_cast<uintptr_t>(
+                          PM.switchTargets() + SC.FirstTarget)));
+    E.movRI(Reg::R8, Op.ExpectBlock);
+    helperCall(reinterpret_cast<const void *>(&jtcJitSwitch));
+    if (Op.ExpectBlock != InvalidBlockId) {
+      E.testRR(Reg::Rax, Reg::Rax);
+      jumpToExit(E.jcc(Cond::Ne), exitAt(Op, ExitRecord::Kind::DivergeAt));
+    }
+    return;
+  }
   case IrOp::Kind::Instr:
     break;
   }
@@ -748,8 +781,8 @@ void TraceCompiler::emitCompletion() {
     jumpToExit(E.jmp(), addExit(Done));
     return;
   }
-  if (IR.Complete == TraceIR::CompleteKind::Return) {
-    Done.K = ExitRecord::Kind::CompleteRet;
+  if (IR.Complete == TraceIR::CompleteKind::At) {
+    Done.K = ExitRecord::Kind::CompleteAt;
     jumpToExit(E.jmp(), addExit(Done));
     return;
   }
@@ -836,7 +869,7 @@ bool jitSupportedHost() {
 }
 
 JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config)
-    : PM(PM), Config(Config) {}
+    : PM(PM), Config(Config), ProofConfig(Config.Opt.fingerprint()) {}
 
 JitBackend::~JitBackend() = default;
 
@@ -847,6 +880,7 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
   LowerResult L = lowerTrace(PM, T, &PM.facts());
   if (!L.ok())
     return L.Why;
+  proveAndAnnotate(T, L.IR);
 
   TraceCompiler TC(L.IR, PM);
   TC.emit();
@@ -863,6 +897,53 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
   JTC_RECORD_EVENT(Telem, EventKind::TraceCompiled, T.Id,
                    static_cast<uint32_t>(TC.code().size()));
   return CompileFallback::None;
+}
+
+void JitBackend::proveAndAnnotate(const Trace &T, TraceIR &IR) {
+  const analysis::TraceShape Shape{T.Blocks, ProofConfig};
+  bool Reused = false;
+  if (Config.Validate != ValidateMode::Off) {
+    analysis::TraceVerdict V = PM.proofs().verdict(
+        Shape,
+        [&] {
+          validate::Result R =
+              validate::validateTrace(PM, T, Config.Opt, &PM.facts());
+          return analysis::TraceVerdict{R.Ok, static_cast<uint32_t>(R.Why),
+                                        R.SegmentIndex, std::move(R.Detail)};
+        },
+        Reused);
+    Stats.ProofsReused += Reused;
+    ++Stats.TracesValidated;
+    if (!V.Ok) {
+      if (Config.Validate == ValidateMode::Strict) {
+        validate::Result R = validate::Result::fail(
+            static_cast<validate::Reason>(V.ReasonCode), V.Detail);
+        std::fprintf(stderr,
+                     "jtc: --validate=strict: trace %u rejected by "
+                     "translation validation: %s (segment %u)\n",
+                     T.Id, R.typed().qualifiedMessage().c_str(),
+                     V.SegmentIndex);
+        std::abort();
+      }
+      // The trace still compiles -- no tier runs the optimized form --
+      // but fully checked: a failed proof means the analysis and the
+      // optimizer disagree somewhere.
+      ++Stats.ValidationRejects;
+      ++Stats.RejectsByReason[V.ReasonCode];
+      JTC_RECORD_EVENT(Telem, EventKind::TraceValidationRejected, T.Id,
+                       V.ReasonCode);
+      return;
+    }
+    JTC_RECORD_EVENT(Telem, EventKind::TraceValidated, T.Id,
+                     static_cast<uint32_t>(T.Blocks.size()));
+  }
+  if (!Config.MemElide)
+    return;
+  std::vector<analysis::TraceMemFact> Facts = PM.proofs().memFacts(
+      Shape, [&] { return traceMemFacts(PM, T.Blocks); }, Reused);
+  Stats.ProofsReused += Reused;
+  Stats.MemElisionSites += Facts.size();
+  applyMemFacts(IR, Facts);
 }
 
 const CompiledTrace *JitBackend::compiled(const Trace &T) {
@@ -921,7 +1002,7 @@ std::optional<TraceRunResult> JitBackend::run(const Trace &T,
   assert(JC.ExitIndex < C->Exits.size() && "bad exit index");
   const ExitRecord &X = C->Exits[JC.ExitIndex];
   Stepper.creditInstructions(X.Instructions);
-  Stepper.creditChecksElided(X.ChecksElided);
+  Stats.ChecksElided += X.ChecksElided;
 
   TraceRunResult R;
   R.BlocksRun = X.BlocksRun;
@@ -944,12 +1025,13 @@ std::optional<TraceRunResult> JitBackend::run(const Trace &T,
     R.NextBlock =
         PM.methodEntryBlock(static_cast<uint32_t>(JC.ExitPayload));
     break;
-  case ExitRecord::Kind::CompleteRet:
-  case ExitRecord::Kind::DivergeRet:
-    // The run ended right after a return; the machine is back in the
-    // caller and the successor is the frame's recorded return block.
-    R.End = X.K == ExitRecord::Kind::CompleteRet ? TraceRunEnd::Completed
-                                                 : TraceRunEnd::Diverged;
+  case ExitRecord::Kind::CompleteAt:
+  case ExitRecord::Kind::DivergeAt:
+    // The run ended right after a return (the machine is back in the
+    // caller and the successor is the frame's recorded return block) or
+    // a tableswitch (the successor is the block it selected).
+    R.End = X.K == ExitRecord::Kind::CompleteAt ? TraceRunEnd::Completed
+                                                : TraceRunEnd::Diverged;
     R.NextBlock = static_cast<BlockId>(JC.ExitPayload);
     break;
   case ExitRecord::Kind::Finished:

@@ -26,7 +26,9 @@
 /// against. Calls and returns
 /// inside the trace call frame helpers that run the Machine's real
 /// pushFrame/popFrame, then guard the dynamic continuation (resolved
-/// callee / return site) against what the trace recorded.
+/// callee / return site) against what the trace recorded; a tableswitch
+/// calls a helper that selects the block as the block executor does,
+/// guarded the same way.
 ///
 /// Register convention inside a compiled trace (all callee-saved, so
 /// helper calls preserve them):
@@ -48,6 +50,14 @@
 /// after BackendConfig::JitPromoteAfter completed runs; a trace that
 /// cannot compile (see CompileFallback) stays block-stepped.
 ///
+/// Promotion is the one place a trace is proved and annotated: once a
+/// trace lowers, its translation-validation verdict and the alias
+/// analysis' check-elision facts come from the module's proof memo
+/// (PreparedModule::proofs(), computed on first sight of the trace's
+/// shape), and an accepted trace compiles its provably redundant heap
+/// checks away. The interp tier neither proves nor elides: it runs
+/// every check, which costs it nothing a proof could save.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_BACKEND_JITBACKEND_H
@@ -59,6 +69,7 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -72,6 +83,8 @@ class EventRing;
 
 namespace backend {
 
+struct TraceIR;
+
 /// Why a trace could not be promoted to native code. Codes are stable
 /// (they surface in telemetry events and --json counters); new reasons go
 /// at the end.
@@ -79,8 +92,8 @@ enum class CompileFallback : uint8_t {
   None = 0,        ///< Compiled.
   HostUnsupported, ///< Not an x86-64 build (or simulated unsupported).
   HaltInTrace,     ///< A trace block ends in halt.
-  SwitchGuard,     ///< A tableswitch anywhere in the trace (records no
-                   ///< direction a two-way guard could assert).
+  SwitchGuard,     ///< Retired: a tableswitch now lowers to a switch
+                   ///< guard. The code stays reserved.
   TraceShape,      ///< A recorded successor is unreachable from its
                    ///< block's terminator -- a corrupted trace (fault
                    ///< injection); block-stepping reproduces its
@@ -99,12 +112,22 @@ const ErrorDomain &compileFallbackDomain();
 bool jitSupportedHost();
 
 /// Native-tier accounting, folded into VmStats (digest-excluded: which
-/// tier ran is a backend configuration, not an execution semantic).
+/// tier ran, and what promotion proved, is a backend configuration, not
+/// an execution semantic).
 struct BackendStats {
   uint64_t TracesCompiled = 0;     ///< Traces promoted to native code.
   uint64_t CompileFallbacks = 0;   ///< Traces that failed promotion.
   uint64_t CompiledDispatches = 0; ///< Trace runs executed natively.
   uint64_t CodeBytes = 0;          ///< Native code emitted.
+  uint64_t TracesValidated = 0;    ///< Promotions translation-validated.
+  uint64_t ValidationRejects = 0;  ///< Of those, rejected.
+  /// Rejections tallied by validate::Reason code (ordered so JSON
+  /// emission is deterministic).
+  std::map<uint32_t, uint64_t> RejectsByReason;
+  /// Verdicts and elision facts the module's memo answered.
+  uint64_t ProofsReused = 0;
+  uint64_t MemElisionSites = 0; ///< Heap accesses compiled with elision.
+  uint64_t ChecksElided = 0;    ///< Dynamic checks native code skipped.
 };
 
 /// The in/out block native trace code works against. Layout is ABI: the
@@ -114,10 +137,11 @@ struct JitContext {
   int64_t *Locals = nullptr;   ///< Current frame's locals base.
   int64_t *StackTop = nullptr; ///< One past the operand top; in/out.
   uint64_t ExitIndex = 0;      ///< Out: index into CompiledTrace::Exits.
-  /// Out: the dynamic half of a frame-op exit -- the resolved callee
-  /// method (CompleteCallee / DivergeCallee) or the actual return block
-  /// (CompleteRet / DivergeRet). Written by the frame helpers, read by
-  /// JitBackend::run() to compute the successor block.
+  /// Out: the dynamic half of a frame-op or switch exit -- the resolved
+  /// callee method (CompleteCallee / DivergeCallee), or the actual
+  /// return-site or selected switch-target block (CompleteAt /
+  /// DivergeAt). Written by the helpers, read by JitBackend::run() to
+  /// compute the successor block.
   uint64_t ExitPayload = 0;
 };
 
@@ -129,13 +153,13 @@ struct ExitRecord {
     CompleteCallee, ///< All blocks ran, last op a virtual call; the
                     ///< successor is the entry block of the resolved
                     ///< callee (JitContext::ExitPayload).
-    CompleteRet,    ///< All blocks ran, last op a return; the successor
-                    ///< is the return-site block (ExitPayload).
+    CompleteAt,     ///< All blocks ran, last op a return or tableswitch;
+                    ///< the successor is the block in ExitPayload.
     Guard,          ///< A guard fired (divergence); Next is the resume block.
     DivergeCallee,  ///< A virtual call resolved off-trace; execution is in
                     ///< the resolved callee (ExitPayload) at its entry.
-    DivergeRet,     ///< A return landed off-trace; execution is at the
-                    ///< actual return-site block (ExitPayload).
+    DivergeAt,      ///< A return or tableswitch left the trace; execution
+                    ///< is at the block in ExitPayload.
     Finished,       ///< A return popped the bottom frame: program over.
     Trap,           ///< A runtime trap; TrapToSet names it (None when the
                     ///< helper that detected it already set Machine::trap()).
@@ -145,8 +169,7 @@ struct ExitRecord {
   uint64_t Instructions = 0;
   /// Dynamic heap-access checks the elided templates skipped on the path
   /// to this exit (the compile-time prefix count; exact because elided
-  /// ops are straight-line code between exits). Mirrors the stepper's
-  /// checksElided() accounting for the same run.
+  /// ops are straight-line code between exits).
   uint64_t ChecksElided = 0;
   BlockId Next = InvalidBlockId;
   TrapKind TrapToSet = TrapKind::None;
@@ -200,7 +223,7 @@ public:
   /// Runs all of \p T natively, from the entry state of its first block
   /// (\p Stepper's current block), when T has been promoted and its
   /// whole run fits \p RemainingBudget instructions. The stepper is
-  /// credited with the instructions and elided checks; the caller
+  /// credited with the instructions; the caller
   /// repositions it at TraceRunResult::NextBlock. Otherwise returns
   /// nullopt, having executed nothing: the caller then block-steps the
   /// trace, so its block-granular budget check is the only one.
@@ -218,9 +241,17 @@ private:
   /// hot trace; null while the trace is below the promotion threshold.
   const CompiledTrace *compiled(const Trace &T);
   CompileFallback tryCompile(const Trace &T, CompiledTrace &Out);
+  /// The promotion-time proof work on \p T, lowered into \p IR, through
+  /// the module's memo (PreparedModule::proofs()): translation validation
+  /// (aborting on a rejection under ValidateMode::Strict), then, unless
+  /// validation rejected the trace, its check-elision facts applied to
+  /// \p IR.
+  void proveAndAnnotate(const Trace &T, TraceIR &IR);
 
   const PreparedModule &PM;
   BackendConfig Config;
+  /// Config.Opt's part of the trace-shape key of the module's proofs.
+  uint64_t ProofConfig;
   BackendStats Stats;
   EventRing *Telem = nullptr;
   /// Promotion outcome per trace id (a cache's ids are dense and never

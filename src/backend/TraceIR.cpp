@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace jtc {
 namespace backend {
@@ -47,27 +48,6 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
   int32_t Depth = 0;
   int32_t MaxDepth = 0;
 
-  // Cursor over the trace's check-elision facts, ordered by
-  // (BlockIndex, Pc) exactly like the lowering walk. Applied only to the
-  // heap opcodes the facts can describe -- anything else is a stale or
-  // foreign annotation and is ignored.
-  const std::vector<MemElision> &Elisions = T.MemElisions;
-  size_t ElideCursor = 0;
-  auto applyElide = [&](IrOp &Op) {
-    while (ElideCursor < Elisions.size() &&
-           (Elisions[ElideCursor].BlockIndex < Op.SrcBlockIndex ||
-            (Elisions[ElideCursor].BlockIndex == Op.SrcBlockIndex &&
-             Elisions[ElideCursor].Pc < Op.SrcPc)))
-      ++ElideCursor;
-    if (ElideCursor >= Elisions.size() ||
-        Elisions[ElideCursor].BlockIndex != Op.SrcBlockIndex ||
-        Elisions[ElideCursor].Pc != Op.SrcPc)
-      return;
-    if (heapChecks(Op.I.Op) != 0)
-      Op.Elide = Elisions[ElideCursor].Kind;
-    ++ElideCursor;
-  };
-
   // Lower block by block, straight off the recorded stream. Every
   // non-final block's recorded successor is verified against what its
   // terminator can actually produce; a mismatch is a corrupted trace
@@ -94,7 +74,6 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       Op.SrcPc = Pc;
       assert(opPops(I.Op) >= 0 && opPushes(I.Op) >= 0 &&
              "variable-arity opcode classified Normal");
-      applyElide(Op);
       Depth -= opPops(I.Op);
       Depth += opPushes(I.Op);
       MaxDepth = std::max(MaxDepth, Depth);
@@ -113,7 +92,6 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       // Fallthrough into the next leader: the terminator is an ordinary
       // instruction; the successor is static.
       Op.K = IrOp::Kind::Instr;
-      applyElide(Op);
       Depth -= opPops(Term.Op);
       Depth += opPushes(Term.Op);
       MaxDepth = std::max(MaxDepth, Depth);
@@ -217,7 +195,7 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       Op.HasValue = Term.Op == Opcode::Ireturn;
       if (FinalB) {
         Op.ExpectBlock = InvalidBlockId; // any return site completes
-        IR.Complete = TraceIR::CompleteKind::Return;
+        IR.Complete = TraceIR::CompleteKind::At;
       } else {
         Op.ExpectBlock = Next;
       }
@@ -226,10 +204,25 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       break;
     }
 
-    case OpKind::Switch:
-      // A tableswitch records no direction in the block sequence that a
-      // two-way guard could assert; the interpreter tier handles it.
-      return bail(CompileFallback::SwitchGuard);
+    case OpKind::Switch: {
+      // The selector picks a block through the switch's resolved table;
+      // mid-trace, the recorded successor must be one it can pick.
+      Op.K = IrOp::Kind::Switch;
+      Op.SwitchIdx = static_cast<uint32_t>(
+          PM.code()[BB.FirstSlot + (TermPc - BB.StartPc)].A);
+      const SwitchCode &SC = PM.switchCode(Op.SwitchIdx);
+      const BlockId *Targets = PM.switchTargets() + SC.FirstTarget;
+      if (FinalB)
+        IR.Complete = TraceIR::CompleteKind::At;
+      else if (Next == SC.Default ||
+               std::count(Targets, Targets + SC.NumTargets, Next))
+        Op.ExpectBlock = Next;
+      else
+        return bail(CompileFallback::TraceShape);
+      Depth -= opPops(Term.Op);
+      IR.Ops.push_back(std::move(Op));
+      break;
+    }
 
     case OpKind::End:
       return bail(CompileFallback::HaltInTrace);
@@ -238,6 +231,41 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
 
   IR.MaxPush = static_cast<uint32_t>(std::max<int32_t>(MaxDepth, 0));
   return R;
+}
+
+std::vector<analysis::TraceMemFact>
+traceMemFacts(const PreparedModule &PM, const std::vector<BlockId> &Blocks) {
+  const analysis::ModuleAnalysis &A = PM.facts();
+  std::vector<analysis::TraceBlockSpan> Spans;
+  Spans.reserve(Blocks.size());
+  for (BlockId B : Blocks) {
+    const BasicBlock &BB = PM.block(B);
+    Spans.push_back({BB.MethodId, BB.StartPc, BB.EndPc});
+  }
+  return analysis::analyzeTraceMemory(
+      PM.module(),
+      [&A](uint32_t MethodId) -> const analysis::MethodValueFacts * {
+        const analysis::MethodAnalysis *MA = A.method(MethodId);
+        return MA ? &MA->Values : nullptr;
+      },
+      Spans);
+}
+
+void applyMemFacts(TraceIR &IR,
+                   const std::vector<analysis::TraceMemFact> &Facts) {
+  // Facts and ops are both ordered by (block index, pc); a fact at a
+  // position whose op is not a heap access is ignored.
+  auto F = Facts.begin();
+  for (IrOp &Op : IR.Ops) {
+    while (F != Facts.end() && std::pair(F->BlockIndex, F->Pc) <
+                                   std::pair(Op.SrcBlockIndex, Op.SrcPc))
+      ++F;
+    if (F == Facts.end())
+      return;
+    if (F->BlockIndex == Op.SrcBlockIndex && F->Pc == Op.SrcPc &&
+        heapChecks(Op.I.Op) != 0)
+      Op.Elide = F->Elide;
+  }
 }
 
 } // namespace backend

@@ -5,7 +5,8 @@
 /// trace's dynamic instruction stream with every control decision made
 /// explicit. Interior conditional branches become direction *guards*
 /// (compare-and-side-exit, like src/opt's LinearOp guards, and annotated
-/// with the same validator-grade liveness facts); calls and returns
+/// with the same validator-grade liveness facts), and a tableswitch
+/// becomes a switch guard on the recorded case; calls and returns
 /// become frame ops that push/pop Machine frames and guard the recorded
 /// continuation (a virtual call guards the resolved callee, a return
 /// guards the return site -- both are dynamic, exactly the places a
@@ -28,6 +29,7 @@
 #ifndef JTC_BACKEND_TRACEIR_H
 #define JTC_BACKEND_TRACEIR_H
 
+#include "analysis/Alias.h"
 #include "analysis/Liveness.h"
 #include "backend/JitBackend.h"
 #include "bytecode/OpSemantics.h"
@@ -58,6 +60,8 @@ struct IrOp {
     Ret,         ///< Return/Ireturn: pop a frame; finishes the run at the
                  ///< bottom frame, diverges (mid-trace) unless the return
                  ///< site is the recorded one.
+    Switch,      ///< Tableswitch: select the successor block; diverges
+                 ///< (mid-trace) unless it is the recorded one.
   };
 
   Kind K = Kind::Instr;
@@ -85,9 +89,13 @@ struct IrOp {
 
   // Ret fields.
   bool HasValue = false; ///< Ireturn (transfer a value to the caller).
-  /// The recorded return-site block; InvalidBlockId on the final block,
-  /// where any return site completes the trace.
+  /// Ret/Switch: the recorded return-site / successor block;
+  /// InvalidBlockId on the final block, where any block completes the
+  /// trace.
   BlockId ExpectBlock = InvalidBlockId;
+
+  /// Switch: the tableswitch's index into PreparedModule::switchCode().
+  uint32_t SwitchIdx = 0;
 
   /// Source position: the trace block (index into Blocks) and method pc
   /// this op lowers, the basis for interpreter-exact accounting at every
@@ -95,11 +103,10 @@ struct IrOp {
   uint32_t SrcBlockIndex = 0;
   uint32_t SrcPc = 0;
 
-  /// Check elision for heap-access Instr ops, copied from the trace's
-  /// MemElisions (None when the access was not proven, or the trace
-  /// carries no annotation). The compiler instantiates the access's
-  /// helper at this level; an access that can no longer trap gets no
-  /// trap exit at all.
+  /// Check elision for heap-access Instr ops, set by applyMemFacts (None
+  /// when the access was not proven, or the trace was not annotated).
+  /// The compiler instantiates the access's helper at this level; an
+  /// access that can no longer trap gets no trap exit at all.
   ElideLevel Elide = ElideLevel::None;
 };
 
@@ -125,8 +132,9 @@ struct TraceIR {
     Branch, ///< Conditional: FinalTerm pops and picks NextTaken/NextFall.
     Callee, ///< Final op is a virtual call: the successor is the entry
             ///< block of whatever callee resolved at run time.
-    Return, ///< Final op is a return: the successor is the dynamic
-            ///< return site (or the run finishes at the bottom frame).
+    At,     ///< Final op is a return or tableswitch: the successor is the
+            ///< block it reports (or a return finishes the run at the
+            ///< bottom frame).
   };
   CompleteKind Complete = CompleteKind::Static;
   Instruction FinalTerm;
@@ -156,13 +164,27 @@ struct LowerResult {
 };
 
 /// Lowers \p T into a TraceIR, or reports why its shape cannot run on the
-/// template tier (a halt or tableswitch anywhere, or a recorded block
+/// template tier (a halt anywhere, or a recorded block
 /// sequence inconsistent with its terminators -- possible under
 /// fault-injection, where falling back reproduces the interpreter's
 /// divergence behaviour exactly). \p Facts, when provided, annotates
 /// guards with liveness the way validation does.
 LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
                        const analysis::ModuleAnalysis *Facts);
+
+/// The alias analysis' check-elision facts for the trace block sequence
+/// \p Blocks (analysis::analyzeTraceMemory over the module's shared
+/// static facts), ordered by (BlockIndex, Pc).
+std::vector<analysis::TraceMemFact>
+traceMemFacts(const PreparedModule &PM, const std::vector<BlockId> &Blocks);
+
+/// Sets the elision level of each heap access in \p IR that \p Facts
+/// (traceMemFacts of the lowered trace) name. The facts hold only while
+/// execution is inside the trace -- every block before the access's
+/// matched the recorded sequence -- which is exactly when compiled trace
+/// code runs.
+void applyMemFacts(TraceIR &IR,
+                   const std::vector<analysis::TraceMemFact> &Facts);
 
 } // namespace backend
 } // namespace jtc

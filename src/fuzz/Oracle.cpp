@@ -203,21 +203,24 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
       C.violations(checkPersistRoundTrip(VM));
     if (Rec)
       C.violations(checkBtraceRoundTrip(PM, *Rec));
-    if (Config.CheckValidate && Config.Fault == CacheFault::None)
-      C.violations(checkValidateAudit(PM, VM));
 
     // Memory-elision equivalence: the same configuration with dynamic
     // check elision disabled must be observationally identical (elision
     // only skips checks the alias analysis proved redundant), and the
     // stats digest must not move either -- the elision counters are
-    // digest-excluded by design, so --mem-elide is replay-neutral.
-    if (Config.Fault == CacheFault::None) {
+    // digest-excluded by design, so --mem-elide is replay-neutral. Only
+    // promoted native code elides, so this side runs unelided native
+    // code, against the elided native code of the backend axis below,
+    // and only where that axis runs.
+    if (Config.CheckBackends && Config.Fault == CacheFault::None &&
+        backend::jitSupportedHost()) {
       std::ostringstream EName;
       EName << "tracevm-noelide[t=" << G.Threshold << " delay=" << G.Delay
             << " decay=" << G.Decay << "]";
       Comparer EC(Result, EName.str());
       TraceVM EVM(PM, VmOptions(Base)
-                          .backend(backend::BackendKind::Interp)
+                          .backend(backend::BackendKind::Jit)
+                          .jitPromoteAfter(0)
                           .memElide(false));
       RunResult ER = EVM.run();
       EC.outcome(ER.Status, EVM.machine().trap());
@@ -284,6 +287,11 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
       if (Config.CheckInvariants && JitRec)
         JC.violations(checkContextsExecuted(JitVM.graph(), JitRec->blocks()));
     }
+
+    // Last, so the memo holds what the JIT run proved at promotion for
+    // the shapes this configuration builds.
+    if (Config.CheckValidate && Config.Fault == CacheFault::None)
+      C.violations(checkValidateAudit(PM, VM));
   }
 
   if (Config.IncludeNet) {

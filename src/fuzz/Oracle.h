@@ -100,13 +100,16 @@ struct OracleConfig {
   /// instruction count, output, heap, the folded VmStats digest and,
   /// when the btrace audit is on, the byte-identical compressed stream.
   /// This is the interp/JIT equivalence contract of
-  /// backend/JitBackend.h, enforced program-by-program. Skipped on
+  /// backend/JitBackend.h, enforced program-by-program. The same grid
+  /// point also runs on the JIT tier with --mem-elide=off, so elided
+  /// native code is compared with unelided native code. Skipped on
   /// hosts without template-JIT support and under an injected fault.
   bool CheckBackends = true;
 
-  /// Validation mode for the grid's TraceVM runs. On exercises the
-  /// construction-time hook on every generated program; Strict turns any
-  /// in-session rejection into an abort (CI smoke runs use this).
+  /// Validation mode for the grid's TraceVM runs. On exercises
+  /// promotion-time validation on the JIT-tier runs of every generated
+  /// program; Strict turns any rejection into an abort (CI smoke runs
+  /// use this).
   ValidateMode Validate = ValidateMode::On;
 
   /// Injected trace-cache bug, for oracle self-tests (see TraceConfig.h).

@@ -2,6 +2,7 @@
 
 #include "fuzz/ValidateAudit.h"
 
+#include "backend/TraceIR.h"
 #include "validate/Validator.h"
 #include "vm/TraceVM.h"
 
@@ -17,26 +18,30 @@ std::vector<Violation> fuzz::checkValidateAudit(const PreparedModule &PM,
   // Under a deliberate miscompile, rejections are the expected outcome;
   // the audit only polices false rejects of sound optimizer output.
   const bool AuditVerdicts = Cfg.Mutate == UnsoundPass::None;
-  const bool Annotated = VM.options().memElide();
+  const uint64_t Fingerprint = Cfg.fingerprint();
 
   for (const Trace &T : VM.traceCache().traces()) {
-    // The session's elisions may have come from the module's proof memo;
-    // they must be what the analysis derives for this block sequence.
-    if (Annotated && T.Validation != TraceValidation::Rejected &&
-        toMemElisions(traceMemFacts(PM, T.Blocks)) != T.MemElisions) {
+    const analysis::TraceShape Shape{T.Blocks, Fingerprint};
+    // Native code compiles the memo's elisions for this shape, whichever
+    // session proved them; they must be what the analysis derives.
+    if (std::optional<std::vector<analysis::TraceMemFact>> Held =
+            PM.proofs().findMemFacts(Shape);
+        Held && *Held != backend::traceMemFacts(PM, T.Blocks)) {
       std::ostringstream OS;
-      OS << "trace " << T.Id << " (" << T.Blocks.size() << " blocks) carries "
-         << T.MemElisions.size()
+      OS << "trace " << T.Id << " (" << T.Blocks.size() << " blocks): the "
+         << "module holds " << Held->size()
          << " check elisions that differ from its recomputed ones";
       Violations.push_back({"validate-memo-incoherent", OS.str()});
     }
     if (!AuditVerdicts)
       continue;
-    if (T.Validation == TraceValidation::Rejected) {
+    if (std::optional<analysis::TraceVerdict> V =
+            PM.proofs().findVerdict(Shape);
+        V && !V->Ok) {
       std::ostringstream OS;
       OS << "trace " << T.Id << " (" << T.Blocks.size()
-         << " blocks) was rejected by the in-session validation hook on a "
-            "run the execution oracle accepted";
+         << " blocks) was rejected by validation at promotion on a run "
+            "the execution oracle accepted";
       Violations.push_back({"validate-hook-reject", OS.str()});
     }
     validate::Result R = validate::validateTrace(PM, T, Cfg, &PM.facts());

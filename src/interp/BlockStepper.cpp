@@ -30,18 +30,6 @@ void BlockStepper::start() {
   Instructions = 0;
 }
 
-/// The elision level armed for heap access \p Op at \p Pc -- the next
-/// fact of the span [\p EF, \p EEnd) when it names \p Pc -- or None.
-/// Consumes the fact and counts the checks it skips, before the access
-/// can trap on a kept bounds check.
-static ElideLevel takeElision(const MemElision *&EF, const MemElision *EEnd,
-                              uint32_t Pc, Opcode Op, uint64_t &ChecksElided) {
-  if (EF == EEnd || EF->Pc != Pc)
-    return ElideLevel::None;
-  ChecksElided += elisionWeight(Op, EF->Kind);
-  return (EF++)->Kind;
-}
-
 BlockStepper::StepStatus BlockStepper::step() {
   assert(Cur != InvalidBlockId && "step() before start() or after finish");
   const BasicBlock &BB = PM->block(Cur);
@@ -58,16 +46,6 @@ BlockStepper::StepStatus BlockStepper::step() {
   const CodeSlot *S = First;
   // Counted up front; a trap gives back the instructions it skipped.
   Instructions += BB.numInstructions();
-
-  // Consume the one-shot elision span armed for this block. EF == EEnd on
-  // the vast majority of steps: one compare per heap access.
-  const MemElision *EF = Elide;
-  const MemElision *const EEnd = ElideEnd;
-  Elide = ElideEnd = nullptr;
-  auto Armed = [&](Opcode Op) {
-    return takeElision(EF, EEnd, BB.StartPc + static_cast<uint32_t>(S - First),
-                       Op, ChecksElided);
-  };
 
   // Block exits set one of these and jump to the matching label below, so
   // each exit sequence is written once, outside the handlers.
@@ -220,20 +198,18 @@ L_New: {
   JTC_NEXT();
 }
 L_GetField: {
-  ElideLevel L = Armed(Opcode::GetField);
   int64_t Ref = *--Sp;
   auto Idx = static_cast<size_t>(S->A);
-  if ((Trap = H.checkField(Ref, Idx, L)) != TrapKind::None)
+  if ((Trap = H.checkField(Ref, Idx, ElideLevel::None)) != TrapKind::None)
     goto trapped;
   *Sp++ = H.load(Ref, Idx);
   JTC_NEXT();
 }
 L_PutField: {
-  ElideLevel L = Armed(Opcode::PutField);
   Sp -= 2;
   int64_t Ref = Sp[0];
   auto Idx = static_cast<size_t>(S->A);
-  if ((Trap = H.checkField(Ref, Idx, L)) != TrapKind::None)
+  if ((Trap = H.checkField(Ref, Idx, ElideLevel::None)) != TrapKind::None)
     goto trapped;
   H.store(Ref, Idx, Sp[1]);
   JTC_NEXT();
@@ -253,29 +229,26 @@ L_NewArray: {
   JTC_NEXT();
 }
 L_Iaload: {
-  ElideLevel L = Armed(Opcode::Iaload);
   Sp -= 2;
   int64_t Ref = Sp[0];
   int64_t Idx = Sp[1];
-  if ((Trap = H.checkElement(Ref, Idx, L)) != TrapKind::None)
+  if ((Trap = H.checkElement(Ref, Idx, ElideLevel::None)) != TrapKind::None)
     goto trapped;
   *Sp++ = H.load(Ref, static_cast<size_t>(Idx));
   JTC_NEXT();
 }
 L_Iastore: {
-  ElideLevel L = Armed(Opcode::Iastore);
   Sp -= 3;
   int64_t Ref = Sp[0];
   int64_t Idx = Sp[1];
-  if ((Trap = H.checkElement(Ref, Idx, L)) != TrapKind::None)
+  if ((Trap = H.checkElement(Ref, Idx, ElideLevel::None)) != TrapKind::None)
     goto trapped;
   H.store(Ref, static_cast<size_t>(Idx), Sp[2]);
   JTC_NEXT();
 }
 L_ArrayLength: {
-  ElideLevel L = Armed(Opcode::ArrayLength);
   int64_t Ref = *--Sp;
-  if ((Trap = H.checkArrayLength(Ref, L)) != TrapKind::None)
+  if ((Trap = H.checkArrayLength(Ref, ElideLevel::None)) != TrapKind::None)
     goto trapped;
   *Sp++ = static_cast<int64_t>(H.slotCount(Ref));
   JTC_NEXT();

@@ -20,7 +20,6 @@
 #include "interp/PreparedModule.h"
 #include "interp/RunResult.h"
 #include "runtime/Machine.h"
-#include "trace/Trace.h" // MemElision (header-only POD; no link edge)
 
 #include <cstddef>
 
@@ -62,27 +61,6 @@ public:
   /// Total instructions executed so far.
   uint64_t instructions() const { return Instructions; }
 
-  /// Arms check elision for the *next* step() only: \p Facts (\p Count
-  /// entries, pc-ordered, all for the block about to execute) name the
-  /// heap accesses to run with their proven-redundant checks skipped
-  /// (ElideLevel::NullOnly keeps the bounds check). TraceVM's trace-run
-  /// loop arms this per trace block; the one-shot contract means an
-  /// ordinary (non-trace) step can never execute reduced-check code. The
-  /// caller guarantees the facts' proof obligations -- execution reached
-  /// this block along the trace path the alias analysis assumed.
-  void setElisions(const MemElision *Facts, size_t Count) {
-    Elide = Facts;
-    ElideEnd = Facts + Count;
-  }
-
-  /// Dynamic checks skipped via elision so far (whole-run total, the
-  /// MemChecksElided statistic). Like creditChecksElided, whichever tier
-  /// executed contributes.
-  uint64_t checksElided() const { return ChecksElided; }
-
-  /// Credits \p N checks elided by JIT-compiled trace code.
-  void creditChecksElided(uint64_t N) { ChecksElided += N; }
-
   const PreparedModule &prepared() const { return *PM; }
   Machine &machine() { return *Mach; }
 
@@ -91,10 +69,6 @@ private:
   Machine *Mach;
   BlockId Cur = InvalidBlockId;
   uint64_t Instructions = 0;
-  // One-shot elision span for the next step() (see setElisions).
-  const MemElision *Elide = nullptr;
-  const MemElision *ElideEnd = nullptr;
-  uint64_t ChecksElided = 0;
 };
 
 /// Runs \p Stepper to completion, invoking \p OnDispatch(NextBlock) before

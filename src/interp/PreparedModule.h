@@ -20,11 +20,12 @@
 /// shared by every session over the module.
 ///
 /// The module's static analysis (facts()) is shared the same way: each
-/// method's facts are computed the first time any session's validation,
-/// annotation or JIT lowering asks for them, and never again. So are the
-/// proofs built on them (proofs()): each trace shape's validation verdict
-/// and check-elision facts are computed by the first session that builds
-/// the shape, and every later session over the module reuses them.
+/// method's facts are computed the first time any session's JIT
+/// promotion (lowering, validation, check elision) asks for them, and
+/// never again. So are the proofs built on them (proofs()): each trace
+/// shape's validation verdict and check-elision facts are computed by
+/// the first session that promotes the shape, and every later session
+/// over the module reuses them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -55,10 +55,10 @@ enum class EventKind : uint8_t {
   BtraceFlushed,     ///< Encoder buffer flushed: Arg = bytes written.
   BtraceDropped,     ///< Capture abandoned (sink write failed): Arg =
                      ///< bytes lost in the unflushed buffer.
-  TraceValidated,    ///< Translation validation accepted: Id = trace,
-                     ///< Arg = length in blocks.
-  TraceValidationRejected, ///< Validation proof failed (optimized form
-                           ///< discarded): Id = trace, Arg =
+  TraceValidated,    ///< Promotion-time translation validation
+                     ///< accepted: Id = trace, Arg = length in blocks.
+  TraceValidationRejected, ///< Validation proof failed (the trace compiles
+                           ///< without check elision): Id = trace, Arg =
                            ///< validate::Reason code.
   TraceCompiled,         ///< Backend promoted a trace to native code:
                          ///< Id = trace, Arg = code bytes emitted.

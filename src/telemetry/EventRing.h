@@ -59,18 +59,21 @@ public:
   void recordAt(uint64_t At, EventKind K, uint32_t Id, uint32_t Arg = 0) {
     if (Buf.empty())
       return;
-    Event &E = Buf[static_cast<size_t>(Total % Buf.size())];
+    Event &E = Buf[Next];
     E.Clock = At;
     E.Id = Id;
     E.Arg = Arg;
     E.Kind = K;
+    if (++Next == Buf.size())
+      Next = 0;
     ++Total;
   }
 
   /// The \p I-th oldest retained event (0 = oldest surviving).
   const Event &event(size_t I) const {
-    size_t Start = Total < Buf.size() ? 0 : static_cast<size_t>(Total % Buf.size());
-    return Buf[(Start + I) % Buf.size()];
+    // Once the ring is full, the oldest event is the next overwritten.
+    size_t Slot = (Total < Buf.size() ? 0 : Next) + I;
+    return Buf[Slot < Buf.size() ? Slot : Slot - Buf.size()];
   }
 
   /// Visits retained events oldest to newest.
@@ -88,12 +91,13 @@ public:
   }
 
   /// Forgets all retained events (capacity and clock are kept).
-  void clear() { Total = 0; }
+  void clear() { Total = Next = 0; }
 
 private:
   std::vector<Event> Buf;
   const uint64_t *Clock = nullptr;
   uint64_t Total = 0;
+  size_t Next = 0; ///< The slot the next event is written to.
 };
 
 /// Instrumentation-site wrapper: \p RingPtr is an EventRing*, null when

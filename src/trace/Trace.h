@@ -15,7 +15,6 @@
 #ifndef JTC_TRACE_TRACE_H
 #define JTC_TRACE_TRACE_H
 
-#include "bytecode/OpSemantics.h" // ElideLevel (header-only)
 #include "support/Ids.h"
 
 #include <cstdint>
@@ -25,31 +24,6 @@ namespace jtc {
 
 using TraceId = uint32_t;
 constexpr TraceId InvalidTraceId = 0xffffffffu;
-
-/// Outcome of construction-time translation validation (src/validate),
-/// recorded by the trace cache's validate hook. No tier runs the
-/// optimized form -- dispatch always runs the unoptimized block sequence
-/// -- so a rejected trace stays dispatchable unchanged.
-enum class TraceValidation : uint8_t {
-  Unchecked, ///< No validator installed (validation off).
-  Accepted,  ///< Optimized form proved a sound refinement.
-  Rejected,  ///< Proof failed; the trace gets no check-elision
-             ///< annotation (MemElisions stays empty).
-};
-
-/// One heap access on the trace path whose dynamic checks the alias
-/// analysis proved redundant: src/analysis/Alias.h's TraceMemFact, copied
-/// into the trace so the trace layer stays below the analysis layer in
-/// the link order. The facts hold only while execution is *inside* the
-/// trace -- every block before BlockIndex matched the recorded sequence
-/// -- which is exactly when the backends consult them.
-struct MemElision {
-  uint32_t BlockIndex = 0; ///< Index into Trace::Blocks.
-  uint32_t Pc = 0;         ///< Instruction pc within that block's method.
-  ElideLevel Kind = ElideLevel::NullOnly;
-
-  bool operator==(const MemElision &) const = default;
-};
 
 struct Trace {
   TraceId Id = InvalidTraceId;
@@ -61,18 +35,6 @@ struct Trace {
   double ExpectedCompletion = 1.0;
   uint32_t InstrCount = 0; ///< Total instructions over Blocks.
   bool Alive = true;       ///< False once replaced by a newer trace.
-  TraceValidation Validation = TraceValidation::Unchecked;
-
-  /// Check-elision facts, ordered by (BlockIndex, Pc), installed by the
-  /// trace cache's annotate hook (AdaptiveEngine runs the alias analysis
-  /// over the block sequence at construction time). Both execution tiers
-  /// honor them: the interpreter tier via the block executor's armed
-  /// elision span (BlockStepper::setElisions), the JIT via helper
-  /// templates instantiated at the proven level. Empty when annotation
-  /// is off, the trace was rejected by validation, or nothing was
-  /// provable. Purely an execution shortcut -- the elided checks are
-  /// proven to pass, so behaviour and digests are unchanged.
-  std::vector<MemElision> MemElisions;
 
   /// Runtime behaviour, maintained by the trace cache: how often the
   /// trace was dispatched and how often it ran to completion. Used to

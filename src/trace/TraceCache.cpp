@@ -103,31 +103,8 @@ void TraceCache::install(const TraceCandidate &C) {
   FreshIds.push_back(T.Id);
   JTC_RECORD_EVENT(Telem, EventKind::TraceConstructed, T.Id,
                    static_cast<uint32_t>(T.Blocks.size()));
-  applyValidation(T);
   Traces.push_back(std::move(T));
   ++Stats.TracesConstructed;
-}
-
-void TraceCache::applyValidation(Trace &T) {
-  if (Validate) {
-    ValidationVerdict V = Validate(T);
-    ++Stats.TracesValidated;
-    if (V.Accepted) {
-      T.Validation = TraceValidation::Accepted;
-      JTC_RECORD_EVENT(Telem, EventKind::TraceValidated, T.Id,
-                       static_cast<uint32_t>(T.Blocks.size()));
-    } else {
-      // The trace stays dispatchable -- no tier runs the optimized form
-      // -- but gets no check-elision annotation below.
-      T.Validation = TraceValidation::Rejected;
-      ++Stats.ValidationRejects;
-      ++Stats.RejectsByReason[V.ReasonCode];
-      JTC_RECORD_EVENT(Telem, EventKind::TraceValidationRejected, T.Id,
-                       V.ReasonCode);
-    }
-  }
-  if (Annotate && T.Validation != TraceValidation::Rejected)
-    Annotate(T);
 }
 
 void TraceCache::checkRetirement(TraceId Id) {
@@ -196,7 +173,6 @@ void TraceCache::seedTraces(const std::vector<TraceSeed> &Seeds) {
       for (BlockId B : T.Blocks)
         T.InstrCount += BlockSize(B);
     setEntry(T.Contexts[0], T.Id);
-    applyValidation(T);
     Traces.push_back(std::move(T));
     ++Stats.TracesSeeded;
   }

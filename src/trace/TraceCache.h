@@ -22,7 +22,6 @@
 
 #include <cassert>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <vector>
 
@@ -45,33 +44,6 @@ public:
   /// replacement, invalidation and retirement are recorded into it. Null
   /// (the default) disables recording.
   void setTelemetry(EventRing *R) { Telem = R; }
-
-  /// Verdict returned by the translation-validation hook. ReasonCode is a
-  /// validate::Reason, opaque to the cache (the trace layer sits below
-  /// the optimizer and validator in the link order).
-  struct ValidationVerdict {
-    bool Accepted = true;
-    uint32_t ReasonCode = 0;
-  };
-  using ValidateHook = std::function<ValidationVerdict(const Trace &)>;
-
-  /// Installs a construction-time validation hook. Every freshly
-  /// constructed or seeded trace is handed to it once (hash-cons reuse
-  /// keeps the original verdict: same content, same proof); the verdict
-  /// is recorded on the trace, tallied into CacheStats, and mirrored as a
-  /// TraceValidated / TraceValidationRejected telemetry event.
-  void setValidateHook(ValidateHook H) { Validate = std::move(H); }
-
-  using AnnotateHook = std::function<void(Trace &)>;
-
-  /// Installs a construction-time annotation hook, called once per
-  /// freshly constructed or seeded trace (after validation; hash-cons
-  /// reuse keeps the original annotation) to attach derived execution
-  /// facts -- today the alias analysis' MemElisions. Like validation it
-  /// runs off the dispatch path, and it is skipped for traces whose
-  /// optimized form validation rejected: a failed proof means analysis
-  /// and optimizer disagreed somewhere, so the trace runs fully checked.
-  void setAnnotateHook(AnnotateHook H) { Annotate = std::move(H); }
 
   /// Trace entered at branch context \p Context, or null (also for
   /// InvalidNodeId). This is the per-dispatch lookup the interpreter
@@ -110,11 +82,6 @@ public:
     uint64_t TracesRetired = 0;     ///< Killed for poor observed completion.
     uint64_t TracesSeeded = 0;      ///< Installed from a donor snapshot.
     uint64_t CandidatesSeen = 0;
-    uint64_t TracesValidated = 0;   ///< Traces handed to the validate hook.
-    uint64_t ValidationRejects = 0; ///< Hook verdicts that rejected.
-    /// Rejections tallied by validate::Reason code (ordered so JSON
-    /// emission is deterministic).
-    std::map<uint32_t, uint64_t> RejectsByReason;
   };
 
   /// One live trace in portable form, captured by exportLiveTraces() and
@@ -177,9 +144,6 @@ private:
   /// Points entry \p Context at trace \p Id, killing (as replaced) any
   /// other trace that held it.
   void setEntry(NodeId Context, TraceId Id);
-  /// Runs the validate hook (if any) over a just-built trace, recording
-  /// the verdict on the trace, in stats and in telemetry.
-  void applyValidation(Trace &T);
   void bumpGeneration() {
 #ifndef NDEBUG
     ++Generation;
@@ -190,8 +154,6 @@ private:
   TraceConfig Config;
   TraceBuilder Builder;
   EventRing *Telem = nullptr;
-  ValidateHook Validate;
-  AnnotateHook Annotate;
   std::function<uint32_t(BlockId)> BlockSize;
   std::vector<Trace> Traces;
   /// Entry node id -> live trace id (InvalidTraceId when none); grown on

@@ -4,10 +4,10 @@
 /// A translation validator for the trace optimizer, in the
 /// CompCert-style "verify each translation, not the translator" mold:
 /// instead of trusting TraceOptimizer, every optimized segment is proved
-/// equivalent to its source segment at construction time. No tier runs
-/// the optimized form, so a trace whose proof fails still dispatches
-/// unchanged: the rejection only withholds its check-elision annotation
-/// (and --validate=strict aborts).
+/// equivalent to its source segment when the native tier promotes the
+/// trace. No tier runs the optimized form, so a trace whose proof fails
+/// still compiles and dispatches unchanged: the rejection only withholds
+/// its check elision (and --validate=strict aborts).
 ///
 /// The proof is an abstract bisimulation over the two straight-line
 /// instruction sequences. Both are evaluated symbolically into a shared

@@ -2,12 +2,7 @@
 
 #include "vm/AdaptiveEngine.h"
 
-#include "analysis/Analysis.h"
-#include "validate/Validator.h"
-
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace jtc;
 
@@ -15,82 +10,13 @@ AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
                                const VmOptions &Options)
     : PM(&PM), Options(&Options), Profiling(Options.profiling()),
       Tracing(Options.profiling() && Options.traces()),
-      ProofConfig(Options.optConfig().fingerprint()),
       Graph(Options.profilerConfig()),
       Cache(Graph, Options.traceConfig(),
             [P = &PM](BlockId B) { return P->blockSize(B); }) {
   // Trace construction is driven by profiler signals, so trace dispatch
   // requires profiling.
-  if (Tracing) {
+  if (Tracing)
     Graph.setSink(&Cache);
-    if (Options.validate() != ValidateMode::Off)
-      Cache.setValidateHook(
-          [this](const Trace &T) { return validateCandidate(T); });
-    if (Options.memElide())
-      Cache.setAnnotateHook([this](Trace &T) { annotateCandidate(T); });
-  }
-}
-
-std::vector<analysis::TraceMemFact>
-jtc::traceMemFacts(const PreparedModule &PM,
-                   const std::vector<BlockId> &Blocks) {
-  const analysis::ModuleAnalysis &A = PM.facts();
-  std::vector<analysis::TraceBlockSpan> Spans;
-  Spans.reserve(Blocks.size());
-  for (BlockId B : Blocks) {
-    const BasicBlock &BB = PM.block(B);
-    Spans.push_back({BB.MethodId, BB.StartPc, BB.EndPc});
-  }
-  return analysis::analyzeTraceMemory(
-      PM.module(),
-      [&A](uint32_t MethodId) -> const analysis::MethodValueFacts * {
-        const analysis::MethodAnalysis *MA = A.method(MethodId);
-        return MA ? &MA->Values : nullptr;
-      },
-      Spans);
-}
-
-std::vector<MemElision>
-jtc::toMemElisions(const std::vector<analysis::TraceMemFact> &Facts) {
-  std::vector<MemElision> Out;
-  Out.reserve(Facts.size());
-  for (const analysis::TraceMemFact &F : Facts)
-    Out.push_back({F.BlockIndex, F.Pc, F.Elide});
-  return Out;
-}
-
-TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) {
-  bool Reused = false;
-  analysis::TraceVerdict V = PM->proofs().verdict(
-      {T.Blocks, ProofConfig},
-      [&] {
-        validate::Result R = validate::validateTrace(
-            *PM, T, Options->optConfig(), &PM->facts());
-        return analysis::TraceVerdict{R.Ok, static_cast<uint32_t>(R.Why),
-                                      R.SegmentIndex, std::move(R.Detail)};
-      },
-      Reused);
-  Stats.TraceProofsReused += Reused;
-  if (!V.Ok && Options->validate() == ValidateMode::Strict) {
-    validate::Result R =
-        validate::Result::fail(static_cast<validate::Reason>(V.ReasonCode),
-                               V.Detail);
-    std::fprintf(stderr,
-                 "jtc: --validate=strict: trace %u rejected by translation "
-                 "validation: %s (segment %u)\n",
-                 T.Id, R.typed().qualifiedMessage().c_str(), V.SegmentIndex);
-    std::abort();
-  }
-  return {V.Ok, V.ReasonCode};
-}
-
-void AdaptiveEngine::annotateCandidate(Trace &T) {
-  bool Reused = false;
-  T.MemElisions = toMemElisions(PM->proofs().memFacts(
-      {T.Blocks, ProofConfig}, [&] { return traceMemFacts(*PM, T.Blocks); },
-      Reused));
-  Stats.TraceProofsReused += Reused;
-  Stats.MemElisionSites += T.MemElisions.size();
 }
 
 void AdaptiveEngine::setTelemetry(EventRing *R) {
@@ -194,8 +120,6 @@ VmStats AdaptiveEngine::snapshotStats(uint64_t Instructions) const {
   S.TracesReplaced = CS.TracesReplaced;
   S.TracesRetired = CS.TracesRetired;
   S.TracesSeeded = CS.TracesSeeded;
-  S.TracesValidated = CS.TracesValidated;
-  S.TraceValidationRejects = CS.ValidationRejects;
   S.LiveTraces = Cache.numLiveTraces();
   S.GraphNodes = Graph.numNodes();
   S.GraphArenaBytes = Graph.arenaBytes();

@@ -48,16 +48,6 @@ struct VmSeed {
   bool empty() const { return Nodes.empty() && Traces.empty(); }
 };
 
-/// The alias analysis' check-elision facts for the trace block sequence
-/// \p Blocks (analysis::analyzeTraceMemory over the module's shared
-/// static facts).
-std::vector<analysis::TraceMemFact>
-traceMemFacts(const PreparedModule &PM, const std::vector<BlockId> &Blocks);
-
-/// \p Facts in the trace layer's form, as Trace::MemElisions holds them.
-std::vector<MemElision>
-toMemElisions(const std::vector<analysis::TraceMemFact> &Facts);
-
 /// The adaptive half of one VM session, driven by a block-transition
 /// stream. See the file comment for the driver contract.
 class AdaptiveEngine {
@@ -65,8 +55,7 @@ public:
   /// \p PM and \p Options must outlive the engine.
   AdaptiveEngine(const PreparedModule &PM, const VmOptions &Options);
 
-  // Pinned: the trace cache's hooks capture `this`, and the graph and
-  // cache point at each other.
+  // Pinned: the graph and cache point at each other.
   AdaptiveEngine(const AdaptiveEngine &) = delete;
   AdaptiveEngine &operator=(const AdaptiveEngine &) = delete;
 
@@ -215,26 +204,10 @@ private:
   const Trace *commitPartialRun(const TraceRunResult &Run, uint32_t From,
                                 BlockTransitionSink *Sink);
 
-  /// The TraceCache validation hook (--validate != off): re-runs the
-  /// optimizer on \p T's linearized form and proves the result a sound
-  /// refinement of the source bytecode (validate::validateTrace), unless
-  /// the module already holds the verdict on \p T's shape. Under
-  /// --validate=strict a rejection aborts the process, proved now or
-  /// earlier.
-  TraceCache::ValidationVerdict validateCandidate(const Trace &T);
-
-  /// The TraceCache annotation hook (memElide on): records the heap
-  /// accesses whose dynamic checks are provably redundant on \p T's path
-  /// (traceMemFacts, or the module's memo of them), for both execution
-  /// tiers to skip.
-  void annotateCandidate(Trace &T);
-
   const PreparedModule *PM;
   const VmOptions *Options;
   const bool Profiling; ///< Options->profiling(): the hook runs.
   const bool Tracing;   ///< Profiling and traces: entries are looked up.
-  /// The optimizer configuration's part of the trace-shape key.
-  uint64_t ProofConfig;
   BranchCorrelationGraph Graph;
   TraceCache Cache;
   VmStats Stats;

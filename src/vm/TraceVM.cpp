@@ -154,10 +154,6 @@ TraceRunResult TraceVM::runTrace(const Trace &T, uint32_t &Committed) {
 
 TraceRunResult TraceVM::stepTrace(const Trace &T, uint32_t &Committed) {
   const uint32_t Len = static_cast<uint32_t>(T.Blocks.size());
-  // The elision facts are pc-ordered within ascending block index; EF
-  // walks them block by block.
-  const MemElision *EF = T.MemElisions.data();
-  const MemElision *const EEnd = EF + T.MemElisions.size();
   const uint64_t Budget = Options.maxInstructions();
   [[maybe_unused]] const uint64_t Generation = Engine.traceCache().generation();
   TraceRunResult TR;
@@ -165,15 +161,6 @@ TraceRunResult TraceVM::stepTrace(const Trace &T, uint32_t &Committed) {
   while (true) {
     assert(Engine.traceCache().generation() == Generation &&
            "trace cache mutated inside a run");
-    // Arm this block's slice of the elision facts. Their path assumption
-    // holds by construction: trace block I only executes after blocks
-    // 0..I-1 matched the recorded sequence.
-    const MemElision *Begin = EF;
-    while (EF != EEnd && EF->BlockIndex == I)
-      ++EF;
-    if (EF != Begin)
-      Stepper.setElisions(Begin, static_cast<size_t>(EF - Begin));
-
     BlockStepper::StepStatus S = Stepper.step();
     TR.LastBlock = T.Blocks[I++];
     // A sample on the trace's last block completes the trace and may free
@@ -220,9 +207,13 @@ VmStats TraceVM::currentStats() const {
     S.TraceCompileFallbacks = BS.CompileFallbacks;
     S.TraceDispatchesJit = BS.CompiledDispatches;
     S.JitCodeBytes = BS.CodeBytes;
+    S.TracesValidated = BS.TracesValidated;
+    S.TraceValidationRejects = BS.ValidationRejects;
+    S.TraceProofsReused = BS.ProofsReused;
+    S.MemElisionSites = BS.MemElisionSites;
+    S.MemChecksElided = BS.ChecksElided;
   }
   // Every trace entry runs exactly once, natively or block-stepped.
   S.TraceDispatchesInterp = S.TraceDispatches - S.TraceDispatchesJit;
-  S.MemChecksElided = Stepper.checksElided();
   return S;
 }

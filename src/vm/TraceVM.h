@@ -111,6 +111,13 @@ public:
     return Jit ? backend::BackendKind::Jit : backend::BackendKind::Interp;
   }
 
+  /// The native tier's accounting, null on the interp tier. Its scalar
+  /// counters are folded into currentStats(); the validation rejections
+  /// by reason are only here.
+  const backend::BackendStats *backendStats() const {
+    return Jit ? &Jit->stats() : nullptr;
+  }
+
   const VmOptions &options() const { return Options; }
   const PreparedModule &prepared() const { return *PM; }
   const BranchCorrelationGraph &graph() const { return Engine.graph(); }
@@ -127,8 +134,7 @@ private:
   TraceRunResult runTrace(const Trace &T, uint32_t &Committed);
 
   /// The interp tier of runTrace: steps \p T's blocks while each
-  /// successor matches, arming each block's check elisions and checking
-  /// the budget after every block.
+  /// successor matches, checking the budget after every block.
   TraceRunResult stepTrace(const Trace &T, uint32_t &Committed);
 
   /// Trace block \p I (counting from 1) of the current run has executed:

@@ -32,30 +32,6 @@
 
 namespace jtc {
 
-/// Construction-time translation validation of optimized traces
-/// (src/validate).
-enum class ValidateMode : uint8_t {
-  Off,    ///< Traces install unchecked.
-  On,     ///< Validate every constructed/seeded trace; a rejected trace
-          ///< still dispatches (no tier runs the optimized form) but
-          ///< gets no check-elision annotation (the default).
-  Strict, ///< Like On, but a rejection aborts the process -- for CI and
-          ///< fuzzing, where any rejection of stock optimizer output is
-          ///< a bug in either the optimizer or the validator.
-};
-
-inline const char *validateModeName(ValidateMode M) {
-  switch (M) {
-  case ValidateMode::Off:
-    return "off";
-  case ValidateMode::On:
-    return "on";
-  case ValidateMode::Strict:
-    return "strict";
-  }
-  return "on";
-}
-
 /// The backend a default-constructed VmOptions selects. Normally Interp
 /// (the JIT is opt-in via --backend), but the JTC_BACKEND environment
 /// variable overrides it so CI can force a tier across an entire test
@@ -170,21 +146,23 @@ public:
     return *this;
   }
 
-  /// Construction-time translation validation of every optimized trace.
-  /// On by default: validation runs off the dispatch path (once per
-  /// trace shape and module, PreparedModule::proofs()) and is the safety
-  /// net under the optimizer.
+  /// Translation validation of every trace the native tier promotes
+  /// (--backend=jit/auto; the interp tier validates nothing). On by
+  /// default: it runs off the dispatch path, once per trace shape and
+  /// module (PreparedModule::proofs()), and gates the check elision
+  /// below.
   VmOptions &validate(ValidateMode M) {
     Validate = M;
     return *this;
   }
 
-  /// Alias-analysis check elision: annotate every installed trace with
-  /// the heap accesses whose null/class/bounds checks are provably
-  /// redundant on the trace path, and let both execution tiers skip
-  /// them. On by default; the analysis runs once per trace shape and
-  /// module, off the dispatch path, and elision never changes behaviour
-  /// (the skipped checks are proven to pass), so digests are unaffected.
+  /// Alias-analysis check elision: when the native tier promotes a trace
+  /// that validation did not reject, its code skips the heap accesses'
+  /// null/class/bounds checks that are provably redundant on the trace
+  /// path. The interp tier runs every check. On by default; the analysis
+  /// runs once per trace shape and module, off the dispatch path, and
+  /// elision never changes behaviour (the skipped checks are proven to
+  /// pass), so digests are unaffected.
   VmOptions &memElide(bool On) {
     MemElide = On;
     return *this;
@@ -274,6 +252,9 @@ public:
     jtc::backend::BackendConfig B;
     B.JitPromoteAfter = JitPromote;
     B.SimulateUnsupportedHost = SimUnsupported;
+    B.Validate = Validate;
+    B.MemElide = MemElide;
+    B.Opt = Opt;
     return B;
   }
 

@@ -47,14 +47,14 @@ struct VmStats {
   uint64_t GraphNodes = 0;
 
   //===--- Translation validation (src/validate) -----------------------===//
-  /// Traces handed to the construction-time translation validator, and
-  /// how many it rejected (the optimized form fell back to unoptimized).
+  /// Traces the native tier translation-validated when it promoted them,
+  /// and how many it rejected (they compiled without check elision).
   /// Validation never changes what executes, and whether it runs at all
-  /// depends on --validate / build wiring a replay cannot see, so both
-  /// are digest-excluded like EventsDropped.
+  /// depends on --validate and --backend, which a replay cannot see, so
+  /// both are digest-excluded like EventsDropped.
   uint64_t TracesValidated = 0;
   uint64_t TraceValidationRejects = 0;
-  /// Validation and annotation hook calls answered from the module's
+  /// Promotion-time verdicts and elision facts answered from the module's
   /// proof memo (PreparedModule::proofs()) instead of computed. It counts
   /// what earlier sessions over the module proved, not anything this one
   /// executed, so it is digest-excluded too.
@@ -74,14 +74,15 @@ struct VmStats {
   uint64_t JitCodeBytes = 0;          ///< Native code bytes installed.
 
   //===--- Memory-check elision (src/analysis) --------------------------===//
-  /// Heap-access check elision proved by the trace-path alias analysis
-  /// (Trace::MemElisions). Sites counts annotated access sites over all
-  /// installed traces; ChecksElided counts the dynamic checks both tiers
-  /// actually skipped. Elision never changes execution semantics (the
-  /// checks were proved to pass), and whether it runs at all is the
-  /// --mem-elide configuration, so like the validation and tier counters
-  /// both are digest-excluded.
-  uint64_t MemElisionSites = 0;  ///< Annotated heap-access sites.
+  /// Heap-access check elision proved by the trace-path alias analysis,
+  /// which only JIT-promoted code applies. Sites counts the heap accesses
+  /// compiled with elision over all promoted traces; ChecksElided counts
+  /// the dynamic checks native code actually skipped. Elision never
+  /// changes execution semantics (the checks were proved to pass), and
+  /// whether it runs at all is the --mem-elide and --backend
+  /// configuration, so like the validation and tier counters both are
+  /// digest-excluded.
+  uint64_t MemElisionSites = 0;  ///< Heap accesses compiled with elision.
   uint64_t MemChecksElided = 0;  ///< Dynamic checks skipped at run time.
 
   //===--- Memory -----------------------------------------------------===//

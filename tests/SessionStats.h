@@ -4,13 +4,15 @@
 /// Tests that run several sessions over one PreparedModule compare their
 /// statistics counter by counter. TraceProofsReused is left out: it
 /// counts the proofs earlier sessions over the module left behind, so a
-/// repeat session differs there by design.
+/// repeat session differs there by design. Sessions that must prove and
+/// elide run on the JIT tier, the only one that does.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_TESTS_SESSIONSTATS_H
 #define JTC_TESTS_SESSIONSTATS_H
 
+#include "vm/VmOptions.h"
 #include "vm/VmStats.h"
 
 #include <string>
@@ -27,6 +29,14 @@ inline std::string statsDiff(const VmStats &A, const VmStats &B) {
         A.*F.Counter != B.*F.Counter)
       Diff += std::string(Diff.empty() ? "" : " ") + F.Key;
   return Diff;
+}
+
+/// \p O on the JIT tier, promoting every trace on its first dispatch:
+/// promotion is where a trace is validated and annotated, so this
+/// proves every dispatched trace, and maximizes native coverage in
+/// short runs.
+inline VmOptions promoteAll(VmOptions O = VmOptions()) {
+  return O.backend(backend::BackendKind::Jit).jitPromoteAfter(0);
 }
 
 } // namespace testprog

@@ -138,32 +138,6 @@ void expectAgreement(const Module &M, const std::string &What) {
   EXPECT_EQ(Got.BlockHash, Ref.BlockHash);
 }
 
-/// main: new C; store it; two iterations of a loop block that reads its
-/// field 0 and prints it. Blocks: 0 = set-up (falls into the loop
-/// leader), 1 = the loop body, 2 = halt.
-Module fieldLoop() {
-  Assembler Asm;
-  uint32_t C = Asm.declareClass("C", 1);
-  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
-  MethodBuilder B = Asm.beginMethod(Main);
-  Label Loop = B.newLabel();
-  B.newobj(C);
-  B.istore(0);
-  B.iconst(2);
-  B.istore(1);
-  B.bind(Loop);
-  B.iload(0);
-  B.getfield(0); // pc 5
-  B.emit(Opcode::Iprint);
-  B.iinc(1, -1);
-  B.iload(1);
-  B.branch(Opcode::IfGt, Loop);
-  B.halt();
-  B.finish();
-  Asm.setEntry(Main);
-  return Asm.build();
-}
-
 /// main calls rec(Depth); rec(n) keeps Locals locals and pushes Extra
 /// operands before recursing, so deep recursion outgrows both arenas'
 /// initial capacity many times over. rec returns n + rec(n - 1) + the
@@ -326,32 +300,6 @@ TEST(BlockExecTest, DeepRecursionGrowsTheArenas) {
   for (int64_t N = 1; N <= 1500; ++N)
     Expect += N + 16 * 15 / 2;
   EXPECT_EQ(Mach.output(), (std::vector<int64_t>{Expect}));
-}
-
-TEST(BlockExecTest, ElisionSpanIsConsumedByExactlyOneStep) {
-  Module M = fieldLoop();
-  PreparedModule PM(M);
-  ASSERT_EQ(PM.numBlocks(), 3u);
-  Machine Mach(M);
-  BlockStepper Stepper(PM, Mach);
-  Stepper.start();
-  ASSERT_EQ(Stepper.step(), BlockStepper::StepStatus::Continue);
-  const BlockId Loop = Stepper.currentBlock();
-  ASSERT_EQ(PM.block(Loop).StartPc, 4u);
-
-  // Arm a Full elision for the loop body's getfield (pc 5): skipping both
-  // of its checks counts 2.
-  const MemElision Fact{0, 5, ElideLevel::Full};
-  Stepper.setElisions(&Fact, 1);
-  ASSERT_EQ(Stepper.step(), BlockStepper::StepStatus::Continue);
-  EXPECT_EQ(Stepper.checksElided(), 2u);
-
-  // The second iteration runs the same block unarmed: fully checked.
-  ASSERT_EQ(Stepper.currentBlock(), Loop);
-  ASSERT_EQ(Stepper.step(), BlockStepper::StepStatus::Continue);
-  EXPECT_EQ(Stepper.checksElided(), 2u);
-  EXPECT_EQ(Stepper.step(), BlockStepper::StepStatus::Finished);
-  EXPECT_EQ(Mach.output(), (std::vector<int64_t>{0, 0}));
 }
 
 TEST(BlockExecTest, DecodedCodeResolvesSuccessors) {

@@ -15,7 +15,9 @@
 #include "fuzz/ProgramGen.h"
 #include "fuzz/ValidateAudit.h"
 
+#include "SessionStats.h"
 #include "TestPrograms.h"
+#include "backend/TraceIR.h"
 #include "bytecode/Verifier.h"
 #include "interp/InstructionInterpreter.h"
 #include "text/AsmParser.h"
@@ -225,24 +227,27 @@ TEST(ContextInvariantTest, EveryWorkloadProfilesOnlyExecutedContexts) {
 TEST(ValidateAuditTest, ReusedElisionsAreCheckedAgainstRecomputedOnes) {
   // A clean memo passes the audit on the session that filled it and on
   // the one that reuses it. A memo poisoned with wrong facts for shapes a
-  // session is about to build is caught.
+  // session is about to promote is caught.
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   const WorkloadInfo *W = findWorkload("javac");
   ASSERT_NE(W, nullptr);
   Module M = W->Build(std::max(1u, W->DefaultScale / 20));
+  const VmOptions Opts = testprog::promoteAll();
   PreparedModule PM(M);
-  TraceVM First(PM, VmOptions());
+  TraceVM First(PM, Opts);
   First.run();
-  TraceVM Second(PM, VmOptions());
+  TraceVM Second(PM, Opts);
   Second.run();
   ASSERT_GT(Second.stats().TraceProofsReused, 0u);
   EXPECT_TRUE(checkValidateAudit(PM, First).empty());
   EXPECT_TRUE(checkValidateAudit(PM, Second).empty());
 
   PreparedModule Poisoned(M);
-  const uint64_t Config = VmOptions().optConfig().fingerprint();
+  const uint64_t Config = Opts.optConfig().fingerprint();
   unsigned Shapes = 0;
   for (const Trace &T : First.traceCache().traces()) {
-    if (T.MemElisions.empty())
+    if (backend::traceMemFacts(PM, T.Blocks).empty())
       continue;
     bool Reused = false;
     Poisoned.proofs().memFacts(
@@ -251,7 +256,7 @@ TEST(ValidateAuditTest, ReusedElisionsAreCheckedAgainstRecomputedOnes) {
     ++Shapes;
   }
   ASSERT_GT(Shapes, 0u);
-  TraceVM Victim(Poisoned, VmOptions());
+  TraceVM Victim(Poisoned, Opts);
   Victim.run();
   std::vector<Violation> Vs = checkValidateAudit(Poisoned, Victim);
   ASSERT_FALSE(Vs.empty());

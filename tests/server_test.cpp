@@ -22,6 +22,7 @@
 #include <thread>
 
 using namespace jtc;
+using testprog::promoteAll;
 
 namespace {
 
@@ -80,22 +81,25 @@ TEST(VmServiceTest, ConcurrentSessionsMatchSingleThreadedReference) {
 
 TEST(VmServiceTest, ConcurrentFirstUseOfModuleFacts) {
   // Eight workers start together on a module whose static analysis is
-  // still cold, so their validations race to compute the same methods'
+  // still cold, so their promotions race to compute the same methods'
   // facts. Each method must be computed exactly once -- as many as one
   // single-threaded session computes -- and every session must still
   // match that session bit for bit.
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   const WorkloadInfo *W = findWorkload("raytrace");
   ASSERT_NE(W, nullptr);
   uint32_t Scale = std::max(1u, W->DefaultScale / 20);
   Module M = W->Build(Scale);
   PreparedModule RefPM(M);
-  TraceVM RefVM(RefPM, VmOptions());
+  TraceVM RefVM(RefPM, promoteAll());
   RefVM.run();
   uint32_t RefComputed = RefPM.facts().methodsComputed();
   ASSERT_GT(RefVM.stats().TracesValidated, 0u);
   ASSERT_GT(RefComputed, 1u);
 
-  VmService Svc(ServiceOptions().workers(8).warmHandoff(false));
+  VmService Svc(
+      ServiceOptions().workers(8).warmHandoff(false).vm(promoteAll()));
   Svc.registerWorkload(*W, Scale);
   const PreparedModule *PM = Svc.preparedModule(W->Name);
   ASSERT_NE(PM, nullptr);
@@ -436,16 +440,19 @@ TEST(VmServiceTest, ConcurrentFirstUseOfTraceProofs) {
   // yet, so they race to prove -- and publish -- the same shapes. Every
   // session must match a single-threaded one counter for counter, and
   // the module ends up holding the shapes that session proved.
-  const WorkloadInfo *W = findWorkload("javac");
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  const WorkloadInfo *W = findWorkload("soot");
   ASSERT_NE(W, nullptr);
   uint32_t Scale = std::max(1u, W->DefaultScale / 20);
   Module M = W->Build(Scale);
   PreparedModule RefPM(M);
-  TraceVM RefVM(RefPM, VmOptions());
+  TraceVM RefVM(RefPM, promoteAll());
   RefVM.run();
   ASSERT_GT(RefVM.stats().TracesValidated, 0u);
 
-  VmService Svc(ServiceOptions().workers(8).warmHandoff(false));
+  VmService Svc(
+      ServiceOptions().workers(8).warmHandoff(false).vm(promoteAll()));
   Svc.registerWorkload(*W, Scale);
   const PreparedModule *PM = Svc.preparedModule(W->Name);
   ASSERT_NE(PM, nullptr);

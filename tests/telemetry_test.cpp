@@ -225,6 +225,28 @@ TEST(EventRingTest, OverwritesOldestAtCapacity) {
   }
 }
 
+TEST(EventRingTest, WrapsAtACapacityThatDoesNotDivideTheCount) {
+  // 10 events into 3 slots: the write index wraps three times and stops
+  // mid-ring, so the oldest survivor sits in the middle of the buffer.
+  EventRing R(3);
+  for (uint32_t I = 0; I < 10; ++I)
+    R.recordAt(100 + I, EventKind::TraceDispatched, I);
+  EXPECT_EQ(R.size(), 3u);
+  EXPECT_EQ(R.totalRecorded(), 10u);
+  EXPECT_EQ(R.dropped(), 7u);
+  std::vector<Event> Snap = R.snapshot();
+  ASSERT_EQ(Snap.size(), 3u);
+  for (size_t I = 0; I < 3; ++I) {
+    EXPECT_EQ(Snap[I].Id, 7u + I);
+    EXPECT_EQ(Snap[I].Clock, 107u + I);
+  }
+  // After clear() the ring fills from its first slot again.
+  R.clear();
+  R.recordAt(1, EventKind::TraceRetired, 42);
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_EQ(R.event(0).Id, 42u);
+}
+
 TEST(EventRingTest, ClockIsReadThroughPointer) {
   uint64_t Clock = 0;
   EventRing R(8, &Clock);

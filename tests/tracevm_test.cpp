@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace jtc;
 
 namespace {
@@ -337,8 +339,11 @@ TEST(TraceVmTest, SeedIgnoredWhenComponentsDisabled) {
 
 TEST(TraceVmTest, SecondSessionComputesNoFacts) {
   // The static analysis belongs to the PreparedModule: the first session
-  // computes the facts of the methods its traces pass through, and later
-  // sessions over the module, cold or seeded, find them computed.
+  // computes the facts of the methods its promoted traces pass through,
+  // and later sessions over the module, cold or seeded, find them
+  // computed.
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   const WorkloadInfo *W = findWorkload("raytrace");
   ASSERT_NE(W, nullptr);
   Module M = W->Build(std::max(1u, W->DefaultScale / 10));
@@ -346,19 +351,19 @@ TEST(TraceVmTest, SecondSessionComputesNoFacts) {
   const analysis::ModuleAnalysis &Facts = PM.facts();
   EXPECT_EQ(Facts.methodsComputed(), 0u);
 
-  TraceVM First(PM, VmOptions());
+  TraceVM First(PM, testprog::promoteAll());
   First.run();
   uint32_t Computed = Facts.methodsComputed();
   EXPECT_GT(First.stats().TracesValidated, 0u);
   EXPECT_GT(Computed, 0u);
   EXPECT_LT(Computed, Facts.numMethods());
 
-  TraceVM Second(PM, VmOptions());
+  TraceVM Second(PM, testprog::promoteAll());
   Second.run();
   EXPECT_EQ(Facts.methodsComputed(), Computed);
   EXPECT_EQ(Second.stats().digest(), First.stats().digest());
 
-  TraceVM Seeded(PM, VmOptions());
+  TraceVM Seeded(PM, testprog::promoteAll());
   Seeded.importSeed(First.exportSeed());
   Seeded.run();
   EXPECT_GT(Seeded.stats().TracesValidated, 0u);
@@ -368,56 +373,128 @@ TEST(TraceVmTest, SecondSessionComputesNoFacts) {
 TEST(TraceVmTest, SecondSessionProvesNothing) {
   // Each trace shape's validation verdict and check-elision facts belong
   // to the PreparedModule: a second session over the module finds every
-  // shape it builds already proved, and reports exactly what the first
+  // shape it promotes already proved, and reports exactly what the first
   // one did.
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  const uint64_t Fingerprint = OptConfig().fingerprint();
   for (const WorkloadInfo &W : allWorkloads()) {
+    SCOPED_TRACE(W.Name);
     Module M = W.Build(std::max(1u, W.DefaultScale / 20));
-    for (backend::BackendKind Tier :
-         {backend::BackendKind::Interp, backend::BackendKind::Jit}) {
-      SCOPED_TRACE(std::string(W.Name) + "/" + backend::backendKindName(Tier));
-      VmOptions VO = VmOptions().backend(Tier);
-      PreparedModule PM(M);
-      const analysis::TraceProofMemo &Proofs = PM.proofs();
-      EXPECT_EQ(Proofs.proofsComputed(), 0u);
-      TraceVM First(PM, VO);
-      First.run();
-      uint64_t Computed = Proofs.proofsComputed();
-      ASSERT_GT(First.stats().TracesValidated, 0u);
-      EXPECT_GT(Computed, 0u);
-      EXPECT_GT(Proofs.shapesHeld(), 0u);
+    PreparedModule PM(M);
+    const analysis::TraceProofMemo &Proofs = PM.proofs();
+    EXPECT_EQ(Proofs.proofsComputed(), 0u);
+    TraceVM First(PM, testprog::promoteAll());
+    First.run();
+    uint64_t Computed = Proofs.proofsComputed();
+    ASSERT_GT(First.stats().TracesValidated, 0u);
+    EXPECT_GT(Computed, 0u);
+    EXPECT_GT(Proofs.shapesHeld(), 0u);
 
-      TraceVM Second(PM, VO);
-      Second.run();
-      EXPECT_EQ(Proofs.proofsComputed(), Computed);
-      EXPECT_EQ(testprog::statsDiff(First.stats(), Second.stats()), "");
-      // Every validation and annotation hook call was answered.
-      EXPECT_EQ(Second.stats().TraceValidationRejects, 0u);
-      EXPECT_EQ(Second.stats().TraceProofsReused,
-                2 * Second.stats().TracesValidated);
-      const std::vector<Trace> &A = First.traceCache().traces();
-      const std::vector<Trace> &B = Second.traceCache().traces();
-      ASSERT_EQ(A.size(), B.size());
-      for (size_t I = 0; I < A.size(); ++I) {
-        EXPECT_EQ(A[I].Validation, B[I].Validation) << "trace " << I;
-        EXPECT_EQ(A[I].MemElisions, B[I].MemElisions) << "trace " << I;
-      }
+    TraceVM Second(PM, testprog::promoteAll());
+    Second.run();
+    EXPECT_EQ(Proofs.proofsComputed(), Computed);
+    EXPECT_EQ(testprog::statsDiff(First.stats(), Second.stats()), "");
+    // Every verdict and every elision fact list was answered.
+    EXPECT_EQ(Second.stats().TraceValidationRejects, 0u);
+    EXPECT_EQ(Second.stats().TraceProofsReused,
+              2 * Second.stats().TracesValidated);
 
-      // Traces seeded from the first session are shapes it proved.
-      TraceVM Seeded(PM, VO);
-      Seeded.importSeed(First.exportSeed());
-      Seeded.run();
-      ASSERT_GT(Seeded.stats().TracesSeeded, 0u);
-      EXPECT_GE(Seeded.stats().TraceProofsReused,
-                2 * Seeded.stats().TracesSeeded);
-
-      // The first session is any first session.
-      PreparedModule FreshPM(M);
-      TraceVM Fresh(FreshPM, VO);
-      Fresh.run();
-      EXPECT_EQ(testprog::statsDiff(First.stats(), Fresh.stats()), "");
-      EXPECT_EQ(First.stats().TraceProofsReused,
-                Fresh.stats().TraceProofsReused);
-      EXPECT_EQ(FreshPM.proofs().proofsComputed(), Computed);
+    // Traces seeded from the first session are shapes it built. The
+    // seeded session proves only the shapes the memo does not hold, and
+    // some seeded ones it holds recur.
+    std::set<std::vector<BlockId>> Held;
+    for (const Trace &T : First.traceCache().traces())
+      if (Proofs.findVerdict({T.Blocks, Fingerprint}))
+        Held.insert(T.Blocks);
+    VmSeed Seed = First.exportSeed();
+    std::set<std::vector<BlockId>> SeededShapes;
+    for (const TraceCache::TraceSeed &T : Seed.Traces)
+      SeededShapes.insert(T.Blocks);
+    TraceVM Seeded(PM, testprog::promoteAll().telemetry(true).telemetryCapacity(
+                           1u << 22));
+    Seeded.importSeed(Seed);
+    Seeded.run();
+    ASSERT_GT(Seeded.stats().TracesSeeded, 0u);
+    EXPECT_GT(Seeded.stats().TraceProofsReused, 0u);
+#ifdef JTC_TELEMETRY
+    ASSERT_EQ(Seeded.events().dropped(), 0u);
+    std::set<std::vector<BlockId>> Promoted;
+    Seeded.events().forEach([&](const Event &E) {
+      if (E.Kind == EventKind::TraceValidated)
+        Promoted.insert(Seeded.traceCache().traces()[E.Id].Blocks);
+    });
+    uint64_t New = 0, SeededRecurred = 0;
+    for (const std::vector<BlockId> &B : Promoted) {
+      New += !Held.count(B);
+      SeededRecurred += Held.count(B) && SeededShapes.count(B);
     }
+    EXPECT_GT(SeededRecurred, 0u);
+    // One verdict and one fact list per shape the memo lacked.
+    EXPECT_EQ(Proofs.proofsComputed() - Computed, 2 * New);
+#endif
+
+    // The first session is any first session.
+    PreparedModule FreshPM(M);
+    TraceVM Fresh(FreshPM, testprog::promoteAll());
+    Fresh.run();
+    EXPECT_EQ(testprog::statsDiff(First.stats(), Fresh.stats()), "");
+    EXPECT_EQ(First.stats().TraceProofsReused,
+              Fresh.stats().TraceProofsReused);
+    EXPECT_EQ(FreshPM.proofs().proofsComputed(), Computed);
+  }
+}
+
+TEST(TraceVmTest, OnlyPromotionProvesAndElides) {
+  // Check elision saves something only in native code, so the interp
+  // tier neither validates nor annotates a trace and runs every check;
+  // the JIT tier proves a trace when it promotes it, and at most once.
+  uint64_t Validated = 0, Elided = 0;
+  for (const WorkloadInfo &W : allWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    Module M = W.Build(std::max(1u, W.DefaultScale / 20));
+    PreparedModule PM(M);
+    TraceVM Interp(PM, VmOptions().backend(backend::BackendKind::Interp));
+    Interp.run();
+    const VmStats &S = Interp.stats();
+    ASSERT_GT(S.TracesConstructed, 0u);
+    EXPECT_EQ(S.TracesValidated, 0u);
+    EXPECT_EQ(S.MemElisionSites, 0u);
+    EXPECT_EQ(S.MemChecksElided, 0u);
+    EXPECT_EQ(S.TraceProofsReused, 0u);
+    EXPECT_EQ(PM.proofs().proofsComputed(), 0u);
+    if (!backend::jitSupportedHost())
+      continue;
+
+    // The default promotion threshold, with every event kept.
+    TraceVM Jit(PM, VmOptions()
+                        .backend(backend::BackendKind::Jit)
+                        .telemetry(true)
+                        .telemetryCapacity(1u << 22));
+    Jit.run();
+    const VmStats &J = Jit.stats();
+    EXPECT_EQ(J.digest(), S.digest());
+    EXPECT_LE(J.TracesValidated,
+              J.TracesJitCompiled + J.TraceCompileFallbacks);
+    Validated += J.TracesValidated;
+    Elided += J.MemChecksElided;
+#ifdef JTC_TELEMETRY
+    ASSERT_EQ(Jit.events().dropped(), 0u);
+    std::set<TraceId> Proved;
+    uint64_t Verdicts = 0;
+    Jit.events().forEach([&](const Event &E) {
+      if (E.Kind != EventKind::TraceValidated &&
+          E.Kind != EventKind::TraceValidationRejected)
+        return;
+      ++Verdicts;
+      EXPECT_TRUE(Proved.insert(E.Id).second)
+          << "trace " << E.Id << " validated twice";
+    });
+    EXPECT_EQ(Verdicts, J.TracesValidated);
+#endif
+  }
+  if (backend::jitSupportedHost()) {
+    EXPECT_GT(Validated, 0u);
+    EXPECT_GT(Elided, 0u);
   }
 }

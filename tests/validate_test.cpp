@@ -16,6 +16,7 @@
 
 #include "validate/Validator.h"
 
+#include "SessionStats.h"
 #include "TestPrograms.h"
 #include "analysis/Analysis.h"
 #include "opt/TraceOptimizer.h"
@@ -32,6 +33,7 @@
 #include <sstream>
 
 using namespace jtc;
+using testprog::promoteAll;
 using validate::Reason;
 using validate::reasonName;
 using validate::Result;
@@ -790,61 +792,73 @@ TEST(ValidatorTraceTest, StockOptimizerValidatesCleanOnAllWorkloads) {
 }
 
 //===----------------------------------------------------------------------===//
-// The construction-time hook: stats, telemetry, fallback, strict mode
+// Validation at JIT promotion: stats, telemetry, fallback, strict mode
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The rejections by reason of \p VM's native tier.
+const std::map<uint32_t, uint64_t> &rejectsByReason(const TraceVM &VM) {
+  static const std::map<uint32_t, uint64_t> None;
+  const backend::BackendStats *BS = VM.backendStats();
+  return BS ? BS->RejectsByReason : None;
+}
+
+} // namespace
+
 TEST(ValidatorHookTest, StockRunValidatesAndAcceptsEveryTrace) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM VM(PM); // validation defaults to On
+  TraceVM VM(PM, promoteAll()); // validation defaults to On
   VM.run();
-  const TraceCache::CacheStats &CS = VM.traceCache().stats();
-  EXPECT_GT(CS.TracesValidated, 0u);
-  EXPECT_EQ(CS.ValidationRejects, 0u);
-  EXPECT_TRUE(CS.RejectsByReason.empty());
-  for (const Trace &T : VM.traceCache().traces())
-    EXPECT_EQ(T.Validation, TraceValidation::Accepted) << "trace " << T.Id;
   VmStats S = VM.stats();
-  EXPECT_EQ(S.TracesValidated, CS.TracesValidated);
+  EXPECT_GT(S.TracesValidated, 0u);
+  EXPECT_EQ(S.TracesValidated, S.TracesJitCompiled);
   EXPECT_EQ(S.TraceValidationRejects, 0u);
+  EXPECT_TRUE(rejectsByReason(VM).empty());
 }
 
 TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM VM(PM, VmOptions().validate(ValidateMode::Off));
+  TraceVM VM(PM, promoteAll().validate(ValidateMode::Off));
   VM.run();
-  EXPECT_EQ(VM.traceCache().stats().TracesValidated, 0u);
-  for (const Trace &T : VM.traceCache().traces())
-    EXPECT_EQ(T.Validation, TraceValidation::Unchecked);
+  EXPECT_GT(VM.stats().TracesJitCompiled, 0u);
+  EXPECT_EQ(VM.stats().TracesValidated, 0u);
+  EXPECT_FALSE(PM.proofs().findVerdict(
+      {VM.traceCache().traces().front().Blocks,
+       VM.options().optConfig().fingerprint()}));
 }
 
 TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM Stock(PM);
+  TraceVM Stock(PM, promoteAll());
   Stock.run();
-  TraceVM Mutant(PM, VmOptions().optConfig(mutated(UnsoundPass::DropGuard)));
+  TraceVM Mutant(PM, promoteAll().optConfig(mutated(UnsoundPass::DropGuard)));
   Mutant.run();
 
-  const TraceCache::CacheStats &CS = Mutant.traceCache().stats();
-  EXPECT_GT(CS.ValidationRejects, 0u);
+  VmStats S = Mutant.stats();
+  EXPECT_GT(S.TraceValidationRejects, 0u);
   uint64_t ByReason = 0;
-  for (const auto &[Code, Count] : CS.RejectsByReason) {
+  for (const auto &[Code, Count] : rejectsByReason(Mutant)) {
     EXPECT_EQ(static_cast<Reason>(Code), Reason::GuardDropped);
     ByReason += Count;
   }
-  EXPECT_EQ(ByReason, CS.ValidationRejects);
-  bool SawRejected = false;
-  for (const Trace &T : Mutant.traceCache().traces())
-    SawRejected |= T.Validation == TraceValidation::Rejected;
-  EXPECT_TRUE(SawRejected);
+  EXPECT_EQ(ByReason, S.TraceValidationRejects);
 
-  // Dispatch always executes the unoptimized block sequence, so even a
-  // run whose every trace was rejected behaves identically.
+  // Native code always runs the unoptimized block sequence, so even a
+  // run whose every trace was rejected compiles them all and behaves
+  // identically.
+  EXPECT_EQ(S.TracesJitCompiled, Stock.stats().TracesJitCompiled);
   EXPECT_EQ(Mutant.machine().output(), Stock.machine().output());
-  VmStats S = Mutant.stats();
-  EXPECT_EQ(S.TraceValidationRejects, CS.ValidationRejects);
+  EXPECT_EQ(S.digest(), Stock.stats().digest());
 }
 
 // The mirroring test reads the event ring, so it needs the
@@ -852,20 +866,20 @@ TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
 // unconditional and covered above.
 #ifdef JTC_TELEMETRY
 TEST(ValidatorHookTest, VerdictsAreMirroredAsTelemetryEvents) {
-  // Keep the run small enough that the ring retains every event:
-  // validation events fire at construction time, early in the run, and
-  // would be the first overwritten.
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  // Keep the run small enough that the ring retains every event.
   Module M = testprog::hotLoop(20000);
   PreparedModule PM(M);
-  TraceVM VM(PM, VmOptions()
+  TraceVM VM(PM, promoteAll()
                      .telemetry(true)
                      .telemetryCapacity(1u << 18)
                      .optConfig(mutated(UnsoundPass::DropGuard)));
   VM.run();
   ASSERT_EQ(VM.events().dropped(), 0u)
       << "ring wrapped; the counts below would be meaningless";
-  const TraceCache::CacheStats &CS = VM.traceCache().stats();
-  ASSERT_GT(CS.ValidationRejects, 0u);
+  VmStats S = VM.stats();
+  ASSERT_GT(S.TraceValidationRejects, 0u);
   uint64_t Accepted = 0, Rejected = 0;
   for (const Event &E : VM.events().snapshot()) {
     if (E.Kind == EventKind::TraceValidated)
@@ -873,18 +887,20 @@ TEST(ValidatorHookTest, VerdictsAreMirroredAsTelemetryEvents) {
     else if (E.Kind == EventKind::TraceValidationRejected)
       ++Rejected;
   }
-  EXPECT_EQ(Accepted, CS.TracesValidated - CS.ValidationRejects);
-  EXPECT_EQ(Rejected, CS.ValidationRejects);
+  EXPECT_EQ(Accepted, S.TracesValidated - S.TraceValidationRejects);
+  EXPECT_EQ(Rejected, S.TraceValidationRejects);
 }
 #endif // JTC_TELEMETRY
 
 #if GTEST_HAS_DEATH_TEST
 TEST(ValidatorHookTest, StrictModeAbortsOnRejection) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
   EXPECT_DEATH(
       {
-        TraceVM VM(PM, VmOptions()
+        TraceVM VM(PM, promoteAll()
                            .validate(ValidateMode::Strict)
                            .optConfig(mutated(UnsoundPass::DropGuard)));
         VM.run();
@@ -894,6 +910,8 @@ TEST(ValidatorHookTest, StrictModeAbortsOnRejection) {
 #endif
 
 TEST(ValidatorHookTest, MutantsAreRejectedAfterASoundSessionFilledTheMemo) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   // The module's proof memo is keyed by the optimizer configuration too:
   // verdicts a sound session left behind never answer for a mutated
   // optimizer, whose sessions prove the same shapes again and reject them
@@ -902,21 +920,20 @@ TEST(ValidatorHookTest, MutantsAreRejectedAfterASoundSessionFilledTheMemo) {
   std::map<UnsoundPass, uint64_t> Rejected;
   for (const Module &M : Programs) {
     PreparedModule PM(M);
-    TraceVM Sound(PM);
+    TraceVM Sound(PM, promoteAll());
     Sound.run();
     ASSERT_GT(PM.proofs().shapesHeld(), 0u);
     for (UnsoundPass P : AllMutations) {
       uint64_t Computed = PM.proofs().proofsComputed();
-      TraceVM Mutant(PM, VmOptions().optConfig(mutated(P)));
+      TraceVM Mutant(PM, promoteAll().optConfig(mutated(P)));
       Mutant.run();
-      const TraceCache::CacheStats &CS = Mutant.traceCache().stats();
       EXPECT_GT(PM.proofs().proofsComputed(), Computed)
           << unsoundPassName(P) << " was answered by stock verdicts";
-      for (const auto &[Code, Count] : CS.RejectsByReason)
+      for (const auto &[Code, Count] : rejectsByReason(Mutant))
         EXPECT_TRUE(expectedReason(P, static_cast<Reason>(Code)))
             << unsoundPassName(P) << " surfaced as "
             << reasonName(static_cast<Reason>(Code));
-      Rejected[P] += CS.ValidationRejects;
+      Rejected[P] += Mutant.stats().TraceValidationRejects;
     }
   }
   for (UnsoundPass P : AllMutations)
@@ -942,19 +959,21 @@ TEST(ValidatorHookTest, OptConfigFingerprintCoversEveryField) {
 
 #if GTEST_HAS_DEATH_TEST
 TEST(ValidatorHookTest, StrictModeAbortsOnARejectionTheMemoAnswers) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  VmOptions Mutant = VmOptions().optConfig(mutated(UnsoundPass::DropGuard));
+  VmOptions Mutant = promoteAll().optConfig(mutated(UnsoundPass::DropGuard));
   TraceVM Lenient(PM, Mutant);
   Lenient.run();
-  ASSERT_GT(Lenient.traceCache().stats().ValidationRejects, 0u);
-  // Sessions under this configuration now build only proved shapes ...
+  ASSERT_GT(Lenient.stats().TraceValidationRejects, 0u);
+  // Sessions under this configuration now promote only proved shapes ...
   uint64_t Computed = PM.proofs().proofsComputed();
   TraceVM Again(PM, Mutant);
   Again.run();
   ASSERT_EQ(PM.proofs().proofsComputed(), Computed);
-  ASSERT_EQ(Again.traceCache().stats().ValidationRejects,
-            Lenient.traceCache().stats().ValidationRejects);
+  ASSERT_EQ(Again.stats().TraceValidationRejects,
+            Lenient.stats().TraceValidationRejects);
   // ... so a strict one meets its first rejection as a memo hit, and
   // still aborts.
   EXPECT_DEATH(
@@ -1042,9 +1061,9 @@ TEST(ValidatorCorpusTest, EveryPinnedPairReplaysToItsReasonCode) {
     analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(*M);
     TraceVM VM(PM);
     VM.run();
-    ASSERT_GT(VM.traceCache().stats().TracesValidated, 0u)
+    ASSERT_GT(VM.stats().TracesConstructed, 0u)
         << Path << ": fixture builds no traces";
-    EXPECT_EQ(VM.traceCache().stats().ValidationRejects, 0u)
+    EXPECT_TRUE(reasonsUnder(PM, VM, OptConfig(), &Facts).empty())
         << Path << ": fixtures must be clean under the stock optimizer";
 
     std::vector<Reason> Reasons =

@@ -43,18 +43,18 @@
 ///                        (default 4096; 0 = none)
 ///   --replay=<f>         do not execute: replay the .btc stream against
 ///                        <program> and verify the stats digest
-///   --validate=<mode>    construction-time translation validation of
-///                        optimized traces: off, on (default) or strict
-///                        (abort the process on any rejection)
+///   --validate=<mode>    translation validation of each trace the JIT
+///                        promotes: off, on (default) or strict (abort
+///                        the process on any rejection)
 ///   --backend=<tier>     trace-execution backend: interp (default; the
 ///                        oracle tier), jit (x86-64 template JIT), or
 ///                        auto (jit when the host supports it). The
 ///                        JTC_BACKEND environment variable changes the
 ///                        default.
 ///   --mem-elide=<mode>   heap-access check elision from the trace-path
-///                        alias analysis: on (default) or off. Digest-
-///                        neutral either way (elided checks were proved
-///                        to pass).
+///                        alias analysis, in JIT-promoted code: on
+///                        (default) or off. Digest-neutral either way
+///                        (elided checks were proved to pass).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -306,23 +306,24 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
         .fieldBool("dropped", ES.Dropped)
         .endObject();
   }
-  // The validation verdict breakdown: how many constructed/seeded traces
-  // the translation validator checked, the rejections by typed reason,
-  // and how many hook calls the module's proof memo answered. Omitted
-  // entirely with --validate=off (nothing ran).
+  // The validation verdict breakdown: how many promoted traces the
+  // translation validator checked (none on the interp tier), the
+  // rejections by typed reason, and how many proofs the module's memo
+  // answered. Omitted entirely with --validate=off (nothing ran).
   if (VM.options().validate() != ValidateMode::Off) {
-    const TraceCache::CacheStats &CS = VM.traceCache().stats();
+    const VmStats &S = VM.stats();
     W.key("validation")
         .beginObject()
         .field("mode", validateModeName(VM.options().validate()))
-        .fieldUInt("checked", CS.TracesValidated)
-        .fieldUInt("accepted", CS.TracesValidated - CS.ValidationRejects)
-        .fieldUInt("rejected", CS.ValidationRejects)
-        .fieldUInt("reused", VM.stats().TraceProofsReused);
+        .fieldUInt("checked", S.TracesValidated)
+        .fieldUInt("accepted", S.TracesValidated - S.TraceValidationRejects)
+        .fieldUInt("rejected", S.TraceValidationRejects)
+        .fieldUInt("reused", S.TraceProofsReused);
     W.key("rejected_by_reason").beginObject();
-    for (const auto &[Code, Count] : CS.RejectsByReason)
-      W.fieldUInt(
-          validate::reasonName(static_cast<validate::Reason>(Code)), Count);
+    if (const backend::BackendStats *BS = VM.backendStats())
+      for (const auto &[Code, Count] : BS->RejectsByReason)
+        W.fieldUInt(
+            validate::reasonName(static_cast<validate::Reason>(Code)), Count);
     W.endObject();
     W.endObject();
   }
