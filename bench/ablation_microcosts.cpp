@@ -15,12 +15,24 @@
 /// lookup, the node, its first correlation and predecessor link), which
 /// is what short sessions mostly pay for.
 ///
+/// Three benchmarks price a block inside a block-stepped trace run (Table
+/// VII's question) on one recorded 17-block sequence of a branchy loop,
+/// in ns per block: BM_BlocksFusedTraceRun runs it as one
+/// BlockStepper::runTrace call; BM_BlocksSteppedWithCompare runs it as
+/// one step() per block with the successor compare between them;
+/// BM_BlocksHookedDispatch runs it as the profiled interpreter does, the
+/// profiler hook before every step().
+///
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Assembler.h"
+#include "interp/BlockStepper.h"
 #include "profile/BranchCorrelationGraph.h"
 #include "trace/TraceCache.h"
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 using namespace jtc;
 
@@ -159,6 +171,103 @@ void BM_TraceEntryLookup(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
 }
 BENCHMARK(BM_TraceEntryLookup);
+
+/// An endless loop over i with two data-dependent branches, on i's low
+/// two bits: four iterations make a 17-block sequence that repeats.
+Module branchyLoop() {
+  Assembler Asm;
+  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  Label Loop = B.newLabel(), Even = B.newLabel(), Join = B.newLabel(),
+        Skip = B.newLabel();
+  B.iconst(0);
+  B.istore(0);
+  B.bind(Loop);
+  B.iload(0);
+  B.iconst(1);
+  B.emit(Opcode::Iand);
+  B.branch(Opcode::IfEq, Even);
+  B.iinc(1, 3);
+  B.branch(Opcode::Goto, Join);
+  B.bind(Even);
+  B.iinc(1, 5);
+  B.bind(Join);
+  B.iload(0);
+  B.iconst(3);
+  B.emit(Opcode::Iand);
+  B.branch(Opcode::IfNe, Skip);
+  B.iload(1);
+  B.iconst(7);
+  B.emit(Opcode::Ixor);
+  B.istore(1);
+  B.bind(Skip);
+  B.iinc(0, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.finish();
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
+/// A stepper over branchyLoop() standing at the loop header with i = 0,
+/// and the loop's four-iteration block sequence from there, which leaves
+/// it at the header with i a multiple of four again.
+struct LoopFixture {
+  Module M = branchyLoop();
+  PreparedModule PM{M};
+  Machine Mach{M};
+  BlockStepper Stepper{PM, Mach};
+  std::vector<BlockId> Seq;
+
+  LoopFixture() {
+    Stepper.start();
+    Stepper.step(); // the entry block: i = 0
+    const BlockId Header = Stepper.currentBlock();
+    for (unsigned Laps = 0; Laps < 4;) {
+      Seq.push_back(Stepper.currentBlock());
+      Stepper.step();
+      Laps += Stepper.currentBlock() == Header;
+    }
+  }
+};
+
+void BM_BlocksFusedTraceRun(benchmark::State &State) {
+  LoopFixture F;
+  for (auto _ : State) {
+    BlockStepper::TraceStep R = F.Stepper.runTrace(F.Seq, ~0ull);
+    benchmark::DoNotOptimize(R);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(F.Seq.size()));
+}
+BENCHMARK(BM_BlocksFusedTraceRun);
+
+void BM_BlocksSteppedWithCompare(benchmark::State &State) {
+  LoopFixture F;
+  for (auto _ : State) {
+    for (size_t I = 1;; ++I) {
+      F.Stepper.step();
+      if (I == F.Seq.size() || F.Stepper.currentBlock() != F.Seq[I])
+        break;
+    }
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(F.Seq.size()));
+}
+BENCHMARK(BM_BlocksSteppedWithCompare);
+
+void BM_BlocksHookedDispatch(benchmark::State &State) {
+  LoopFixture F;
+  BranchCorrelationGraph G(profConfig(/*DecayInterval=*/1u << 30));
+  for (auto _ : State) {
+    for (size_t I = 0; I < F.Seq.size(); ++I) {
+      G.onBlockDispatch(F.Stepper.currentBlock());
+      F.Stepper.step();
+    }
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(F.Seq.size()));
+}
+BENCHMARK(BM_BlocksHookedDispatch);
 
 } // namespace
 

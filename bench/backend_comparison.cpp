@@ -2,17 +2,22 @@
 ///
 /// The Table VII workload set rerun on both trace-execution tiers: each
 /// workload is timed end-to-end under --backend=interp and --backend=jit
-/// (best of N runs), with the interp/JIT equivalence contract asserted
-/// on the way (identical folded stats digests -- a mismatch aborts, the
-/// numbers would be meaningless). The interesting columns are the net
-/// speedup of the template-JIT tier over block-stepping the same traces
-/// and how much of the run the compiled tier actually served.
+/// in Pairs interleaved pairs of runs, with the interp/JIT equivalence
+/// contract asserted on the way (identical folded stats digests -- a
+/// mismatch aborts, the numbers would be meaningless). The interesting
+/// columns are the net speedup of the template-JIT tier over
+/// block-stepping the same traces -- the median over the pairs of each
+/// pair's interp/jit time ratio, so a slow moment of the host lands on
+/// both sides of one pair instead of deciding a best-of -- and how much
+/// of the run the compiled tier actually served.
 ///
 /// JSON artifact: one record per workload; "overhead" reuses the
-/// OverheadSample shape with plain_seconds = the interp-backend wall
-/// time and profiled_seconds = the jit-backend wall time, and "stats"
-/// is the jit run's statistics block (whose tier counters report traces
-/// compiled, native dispatches and code bytes).
+/// OverheadSample shape with plain_seconds = the median interp-backend
+/// wall time and profiled_seconds = plain_seconds times the median
+/// jit/interp ratio, so profiled < plain exactly when the jit tier is
+/// faster in the median pair; "stats" is the jit run's statistics block
+/// (whose tier counters report traces compiled, native dispatches and
+/// code bytes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +26,11 @@
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 using namespace jtc;
 
@@ -39,25 +46,29 @@ VmOptions tierOptions(backend::BackendKind K) {
       .jitPromoteAfter(0);
 }
 
-/// Best-of-\p Repeats wall seconds for \p PM under \p Options; the
-/// digest and stats of the last run are returned through the outs.
-double timeRuns(const PreparedModule &PM, const VmOptions &Options,
-                int Repeats, VmStats &Stats) {
-  double Best = 1e100;
-  for (int Rep = 0; Rep < Repeats; ++Rep) {
-    TraceVM VM(PM, Options);
-    Timer T;
-    RunResult R = VM.run();
-    double Sec = T.seconds();
-    if (R.Status == RunStatus::Trapped) {
-      std::fprintf(stderr, "workload trapped: %s\n", trapName(R.Trap));
-      std::abort();
-    }
-    if (Sec < Best)
-      Best = Sec;
-    Stats = VM.currentStats();
+/// Interleaved interp/jit pairs of timed runs per workload.
+constexpr int Pairs = 7;
+
+/// Wall seconds of one session over \p PM under \p Options; its stats
+/// are returned through \p Stats.
+double timeRun(const PreparedModule &PM, const VmOptions &Options,
+               VmStats &Stats) {
+  TraceVM VM(PM, Options);
+  Timer T;
+  RunResult R = VM.run();
+  double Sec = T.seconds();
+  if (R.Status == RunStatus::Trapped) {
+    std::fprintf(stderr, "workload trapped: %s\n", trapName(R.Trap));
+    std::abort();
   }
-  return Best;
+  Stats = VM.currentStats();
+  return Sec;
+}
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
 }
 
 } // namespace
@@ -86,9 +97,15 @@ int main(int argc, char **argv) {
     }
     PreparedModule PM(M);
     VmStats SI, SJ;
-    double InterpSec =
-        timeRuns(PM, tierOptions(backend::BackendKind::Interp), 3, SI);
-    double JitSec = timeRuns(PM, tierOptions(backend::BackendKind::Jit), 3, SJ);
+    std::vector<double> InterpSecs, Ratios;
+    for (int P = 0; P < Pairs; ++P) {
+      double I = timeRun(PM, tierOptions(backend::BackendKind::Interp), SI);
+      double J = timeRun(PM, tierOptions(backend::BackendKind::Jit), SJ);
+      InterpSecs.push_back(I);
+      Ratios.push_back(J / I);
+    }
+    const double InterpSec = median(InterpSecs);
+    const double JitSec = InterpSec * median(Ratios);
     // The equivalence contract gates the comparison: same digest or the
     // two tiers did not run the same execution.
     if (SI.digest() != SJ.digest()) {

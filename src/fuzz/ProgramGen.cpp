@@ -120,6 +120,8 @@ Module RandomProgramBuilder::build() {
     for (unsigned S = 0; S < Statements; ++S)
       emitStatement(B, Methods, I, /*Depth=*/0, /*InLoop=*/false);
     if (I == 0) {
+      if (F.Loops && F.Switches && ShapeRng.chancePercent(50))
+        emitPhaseLoop(B, I);
       B.iload(0);
       B.emit(Opcode::Iprint);
       B.halt();
@@ -375,4 +377,73 @@ void RandomProgramBuilder::emitStatement(MethodBuilder &B,
     break;
   }
   }
+}
+
+void RandomProgramBuilder::emitPhaseLoop(MethodBuilder &B, unsigned Self) {
+  // The switch selector is the loop's phase, (i >> Shift) & 3, so the case
+  // a trace recorded stops being taken every 2^Shift iterations; each case
+  // prints its own constant, so native code that misses the switch's side
+  // exit prints the wrong one.
+  uint32_t Counter = Locals[Self] - 1;
+  auto Trip = static_cast<int32_t>(96 + ShapeRng.nextBelow(161));
+  auto Shift = static_cast<int32_t>(3 + ShapeRng.nextBelow(3));
+  auto Mark = static_cast<int32_t>(ShapeRng.nextInRange(1, 99)) * 10;
+  unsigned NumCases = 2 + static_cast<unsigned>(ShapeRng.nextBelow(3));
+  std::vector<Label> Cases;
+  for (unsigned C = 0; C < NumCases; ++C)
+    Cases.push_back(B.newLabel());
+  Label Loop = B.newLabel(), Done = B.newLabel(), Def = B.newLabel(),
+        Join = B.newLabel();
+  B.iconst(0);
+  B.istore(Counter);
+  B.bind(Loop);
+  B.iload(Counter);
+  B.iconst(Trip);
+  B.branch(Opcode::IfIcmpGe, Done);
+  B.iload(Counter);
+  B.iconst(Shift);
+  B.emit(Opcode::Ishr);
+  B.iconst(3);
+  B.emit(Opcode::Iand);
+  B.tableswitch(0, Cases, Def);
+  for (unsigned C = 0; C < NumCases; ++C) {
+    B.bind(Cases[C]);
+    B.iconst(Mark + static_cast<int32_t>(C));
+    B.emit(Opcode::Iprint);
+    B.branch(Opcode::Goto, Join);
+  }
+  B.bind(Def);
+  B.iconst(Mark + 9);
+  B.emit(Opcode::Iprint);
+  B.bind(Join);
+  if (ArrLocal[Self] != NoLocal) {
+    // The array index is i >> IdxShift. Without traps IdxShift keeps it in
+    // bounds for the whole loop. With traps, every other loop takes the
+    // IdxShift at which the index reaches the length in the loop's second
+    // half, so the bounds check that fires there has passed on every
+    // iteration before.
+    const int32_t Len = ArrLen[Self];
+    int32_t IdxShift = 0;
+    if (Config.Features.Traps && ShapeRng.chancePercent(50)) {
+      while ((Len << (IdxShift + 1)) <= Trip - 1)
+        ++IdxShift;
+    } else {
+      while (((Trip - 1) >> IdxShift) >= Len)
+        ++IdxShift;
+    }
+    B.iload(ArrLocal[Self]);
+    B.iload(Counter);
+    B.iconst(IdxShift);
+    B.emit(Opcode::Ishr);
+    if (ShapeRng.chancePercent(50)) {
+      B.iload(Counter);
+      B.emit(Opcode::Iastore);
+    } else {
+      B.emit(Opcode::Iaload);
+      B.emit(Opcode::Iprint);
+    }
+  }
+  B.iinc(Counter, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
 }

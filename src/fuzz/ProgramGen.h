@@ -15,6 +15,14 @@
 /// virtual calls, field traffic, arrays and (optionally) trapping
 /// operations instead of collapsing onto the cheapest kinds.
 ///
+/// Besides the drawn statements, about half of the entry methods end in
+/// a *phase loop* when loops and switches are enabled: a loop long enough
+/// for its traces to be built and promoted before its guards first fire
+/// -- a switch on the loop's phase and, with traps on, an array index
+/// that leaves the bounds in the loop's second half. Its draws come from
+/// a stream of their own, so the rest of a program is what it would be
+/// without it.
+///
 /// This class grew out of the test-only RandomProgramBuilder in
 /// tests/TestPrograms.h and replaces it; the test header re-exports it.
 ///
@@ -105,13 +113,14 @@ struct FeatureCoverage {
 /// starting coverage always produce the same module.
 class RandomProgramBuilder {
 public:
-  explicit RandomProgramBuilder(uint64_t Seed) : Rng(Seed) {}
+  explicit RandomProgramBuilder(uint64_t Seed)
+      : Rng(Seed), ShapeRng(~Seed) {}
 
   /// \p Coverage, when non-null, both biases kind selection and
   /// accumulates this program's emissions (campaign-wide direction).
   RandomProgramBuilder(uint64_t Seed, const GenConfig &Config,
                        FeatureCoverage *Coverage = nullptr)
-      : Rng(Seed), Config(Config), Shared(Coverage) {}
+      : Rng(Seed), ShapeRng(~Seed), Config(Config), Shared(Coverage) {}
 
   /// Builds one module. Single-shot per builder.
   Module build();
@@ -127,8 +136,10 @@ private:
   StmtKind chooseKind(const std::vector<StmtKind> &Eligible);
   void emitStatement(MethodBuilder &B, const std::vector<uint32_t> &Methods,
                      unsigned Self, unsigned Depth, bool InLoop);
+  void emitPhaseLoop(MethodBuilder &B, unsigned Self);
 
   Prng Rng;
+  Prng ShapeRng; ///< The phase loop's draws.
   GenConfig Config;
   FeatureCoverage *Shared = nullptr;
   FeatureCoverage Local;

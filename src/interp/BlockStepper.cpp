@@ -2,13 +2,15 @@
 //
 // The one fast execution core: step() runs a whole block of the module's
 // pre-decoded code (PreparedModule::code) through direct-threaded
-// handlers, one per SlotOp, each ending in its own dispatch. The operand
-// stack top and the locals base live in registers for the whole block;
-// the Machine's arenas are the only execution state, published back at
-// every block exit. Integer and branch handlers are generated from the
-// opcode semantics table (bytecode/OpSemantics.h) and the heap handlers
-// run the heap's own checks (runtime/Heap.h); Machine::execOne is the
-// independent oracle the differential tests compare against.
+// handlers, one per SlotOp, each ending in its own dispatch; runTrace()
+// runs a trace's blocks back to back through the same handlers. The
+// operand stack top and the locals base live in registers for the whole
+// call; the Machine's arenas are the only execution state, published back
+// when the call returns and around frame pushes and pops. Integer and
+// branch handlers are generated from the opcode semantics table
+// (bytecode/OpSemantics.h) and the heap handlers run the heap's own checks
+// (runtime/Heap.h); Machine::execOne is the independent oracle the
+// differential tests compare against.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,22 +32,27 @@ void BlockStepper::start() {
   Instructions = 0;
 }
 
-BlockStepper::StepStatus BlockStepper::step() {
+// The executor body, written once. Out of a trace (step()) it runs one
+// block and returns at its exit. In a trace (runTrace()) each exit that
+// leaves to the next recorded block, with blocks left and the budget not
+// reached, re-enters the dispatch loop at that block instead: the stack
+// top and locals base stay in registers across a leave and are re-derived
+// only after a frame push or pop.
+template <bool InTrace>
+BlockStepper::StepStatus
+BlockStepper::exec([[maybe_unused]] const BlockId *Blocks,
+                   [[maybe_unused]] uint32_t Len,
+                   [[maybe_unused]] uint64_t Budget,
+                   [[maybe_unused]] uint32_t *BlocksRun) {
   assert(Cur != InvalidBlockId && "step() before start() or after finish");
-  const BasicBlock &BB = PM->block(Cur);
   Machine &Mc = *Mach;
   Heap &H = Mc.heap();
-
-  // Every instruction pushes at most one value net, so a block can never
-  // outgrow this reservation: the pointers below stay valid to the end of
-  // the block (calls and returns only ever end one).
-  Mc.reserveOperands(BB.numInstructions());
   int64_t *Sp = Mc.stackTop();
-  int64_t *const Lp = Mc.localsBase();
-  const CodeSlot *const First = PM->code() + BB.FirstSlot;
-  const CodeSlot *S = First;
-  // Counted up front; a trap gives back the instructions it skipped.
-  Instructions += BB.numInstructions();
+  int64_t *Lp = Mc.localsBase();
+  uint32_t Ran = 0; // blocks entered
+  const BasicBlock *BB;
+  const CodeSlot *First;
+  const CodeSlot *S;
 
   // Block exits set one of these and jump to the matching label below, so
   // each exit sequence is written once, outside the handlers.
@@ -73,6 +80,28 @@ BlockStepper::StepStatus BlockStepper::step() {
     JTC_DISPATCH();                                                            \
   } while (0)
 
+  // Every return reports the blocks run in a trace run; out of one the
+  // count is dead.
+#define JTC_RETURN(Status)                                                     \
+  do {                                                                         \
+    if constexpr (InTrace)                                                     \
+      *BlocksRun = Ran;                                                        \
+    return Status;                                                             \
+  } while (0)
+  // Whether the exit to Cur stays in the trace run.
+#define JTC_STAYS_IN_TRACE()                                                   \
+  (InTrace && Ran < Len && Instructions < Budget && Cur == Blocks[Ran])
+
+enter:
+  BB = &PM->block(Cur);
+  ++Ran;
+  // Every instruction pushes at most one value net, so a block can never
+  // outgrow this reservation: the pointers stay valid to the end of the
+  // block (calls and returns only ever end one).
+  Sp = Mc.reserveOperands(Sp, BB->numInstructions());
+  First = S = PM->code() + BB->FirstSlot;
+  // Counted up front; a trap gives back the instructions it skipped.
+  Instructions += BB->numInstructions();
   JTC_DISPATCH();
 
 L_Nop:
@@ -136,7 +165,7 @@ L_Ineg:
   JTC_NEXT();
 
 L_Goto:
-  Next = BB.Taken;
+  Next = BB->Taken;
   goto leave;
 // One handler per conditional branch. A one-operand branch reads its
 // operand as both arguments; evalBranch ignores the second.
@@ -145,8 +174,8 @@ L_Goto:
   L_##Name:                                                                    \
   Sp -= branchArity(Opcode::Name);                                             \
   Next = evalBranch(Opcode::Name, Sp[0], Sp[branchArity(Opcode::Name) - 1])    \
-             ? BB.Taken                                                        \
-             : BB.Fall;                                                        \
+             ? BB->Taken                                                       \
+             : BB->Fall;                                                       \
   goto leave;
   JTC_BRANCH(IfEq)
   JTC_BRANCH(IfNe)
@@ -172,7 +201,7 @@ L_Tableswitch: {
 
 L_InvokeStatic:
   Callee = static_cast<uint32_t>(S->A);
-  Next = BB.Taken;
+  Next = BB->Taken;
   goto call;
 L_InvokeVirtual:
   Trap = Mc.resolveVirtual(Sp[-S->X], static_cast<uint32_t>(S->A), Callee);
@@ -259,45 +288,72 @@ L_Iprint:
 L_Halt:
   Mc.setStackTop(Sp);
   Cur = InvalidBlockId;
-  return StepStatus::Finished;
+  JTC_RETURN(StepStatus::Finished);
 L_FallThrough:
-  Next = BB.Fall;
+  Next = BB->Fall;
   goto leave;
 #undef JTC_NEXT
 #undef JTC_DISPATCH
 
 leave:
-  Mc.setStackTop(Sp);
   Cur = Next;
-  return StepStatus::Continue;
+  if (JTC_STAYS_IN_TRACE())
+    goto enter;
+  Mc.setStackTop(Sp);
+  JTC_RETURN(StepStatus::Continue);
 
 call: // The call is the block's last instruction.
   Mc.setStackTop(Sp);
-  if (!Mc.pushFrame(Callee, BB.EndPc, BB.Fall)) {
+  if (!Mc.pushFrame(Callee, BB->EndPc, BB->Fall)) {
     Cur = InvalidBlockId;
-    return StepStatus::Trapped;
+    JTC_RETURN(StepStatus::Trapped);
   }
   Cur = Next;
-  return StepStatus::Continue;
+  goto framed;
 
 ret: {
   Mc.setStackTop(Sp);
   Machine::PopInfo Info = Mc.popFrame(HasValue);
   if (Info.BottomFrame) {
     Cur = InvalidBlockId;
-    return StepStatus::Finished;
+    JTC_RETURN(StepStatus::Finished);
   }
   assert(Info.ReturnBlock != InvalidBlockId && "frame without a return block");
   Cur = Info.ReturnBlock;
-  return StepStatus::Continue;
+  goto framed;
 }
 
+framed: // A frame push or pop published the stack and moved the frame.
+  if (JTC_STAYS_IN_TRACE()) {
+    Sp = Mc.stackTop();
+    Lp = Mc.localsBase();
+    goto enter;
+  }
+  JTC_RETURN(StepStatus::Continue);
+
 trapped:
-  Instructions -= BB.numInstructions() - static_cast<uint32_t>(S - First) - 1;
+  Instructions -= BB->numInstructions() - static_cast<uint32_t>(S - First) - 1;
   Mc.setStackTop(Sp);
   Mc.setTrap(Trap);
   Cur = InvalidBlockId;
-  return StepStatus::Trapped;
+  JTC_RETURN(StepStatus::Trapped);
+#undef JTC_STAYS_IN_TRACE
+#undef JTC_RETURN
+}
+
+// step()'s instantiation, called from the header.
+template BlockStepper::StepStatus
+BlockStepper::exec<false>(const BlockId *, uint32_t, uint64_t, uint32_t *);
+
+BlockStepper::TraceStep BlockStepper::runTrace(std::span<const BlockId> Blocks,
+                                               uint64_t Budget) {
+  assert(!Blocks.empty() && Blocks[0] == Cur &&
+         "a trace run starts at the current block");
+  TraceStep R;
+  R.Status = exec</*InTrace=*/true>(Blocks.data(),
+                                    static_cast<uint32_t>(Blocks.size()),
+                                    Budget, &R.BlocksRun);
+  return R;
 }
 
 RunResult jtc::runBlocks(BlockStepper &Stepper, uint64_t MaxInstructions) {

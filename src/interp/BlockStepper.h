@@ -9,8 +9,10 @@
 /// the next slot's handler -- with the operand-stack top and locals base
 /// held in registers, and exposes the resulting block transition -- the
 /// event stream the profiler and trace cache consume. TraceVM drives a
-/// BlockStepper directly (one step() per block, inside traces and out);
-/// plain and profiled runs use runBlocks() / runBlocksWithHook().
+/// BlockStepper directly: one step() per block outside traces, and one
+/// runTrace() per block-stepped trace run, which carries on from block to
+/// block inside the same dispatch loop while the trace's blocks follow.
+/// Plain and profiled runs use runBlocks() / runBlocksWithHook().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 #include "runtime/Machine.h"
 
 #include <cstddef>
+#include <span>
 
 namespace jtc {
 
@@ -43,7 +46,26 @@ public:
   /// Executes currentBlock() to its end and computes the successor block.
   /// A trap mid-block counts the trapping instruction (not the ones after
   /// it) and leaves currentBlock() invalid, as does finishing.
-  StepStatus step();
+  StepStatus step() {
+    return exec</*InTrace=*/false>(nullptr, 0, 0, nullptr);
+  }
+
+  /// The outcome of one runTrace().
+  struct TraceStep {
+    StepStatus Status;
+    /// Blocks executed (>= 1); the block a trap fired in counts as run.
+    uint32_t BlocksRun;
+  };
+
+  /// Executes \p Blocks[0], which must be currentBlock(), and then, in the
+  /// same call, each following block of \p Blocks for as long as the
+  /// previous block continued to it and fewer than \p Budget instructions
+  /// have run in total: the trace run of step() calls that stops where
+  /// step()'s caller would stop comparing successors. On a Continue
+  /// status, currentBlock() is the successor of the last block run, which
+  /// is either past the end of \p Blocks, not the next recorded block, or
+  /// reached with instructions() >= \p Budget.
+  TraceStep runTrace(std::span<const BlockId> Blocks, uint64_t Budget);
 
   /// The block about to be executed by the next step().
   BlockId currentBlock() const { return Cur; }
@@ -65,6 +87,13 @@ public:
   Machine &machine() { return *Mach; }
 
 private:
+  /// The one executor body behind step() (one block) and runTrace()
+  /// (InTrace: up to \p Len blocks of \p Blocks under \p Budget, their
+  /// count stored to \p BlocksRun).
+  template <bool InTrace>
+  StepStatus exec(const BlockId *Blocks, uint32_t Len, uint64_t Budget,
+                  uint32_t *BlocksRun);
+
   const PreparedModule *PM;
   Machine *Mach;
   BlockId Cur = InvalidBlockId;

@@ -177,6 +177,16 @@ public:
     if (static_cast<size_t>(OperandsEnd - Top) < N)
       growOperands(N);
   }
+  /// The same for a caller holding the top in a register: \p Sp is the
+  /// unpublished top. Returns the (possibly moved) top; the machine's own
+  /// top is only updated when the arena grows.
+  int64_t *reserveOperands(int64_t *Sp, size_t N) {
+    if (static_cast<size_t>(OperandsEnd - Sp) >= N) [[likely]]
+      return Sp;
+    setStackTop(Sp);
+    growOperands(N);
+    return Top;
+  }
   int64_t *stackTop() { return Top; }
   void setStackTop(int64_t *NewTop) {
     assert(NewTop >= Operands.data() && NewTop <= OperandsEnd &&

@@ -2,6 +2,7 @@
 
 #include "vm/TraceVM.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace jtc;
@@ -36,16 +37,6 @@ TraceVM::TraceVM(const PreparedModule &PM, VmOptions Options)
 void TraceVM::importSeed(const VmSeed &Seed) {
   assert(!Ran && "importSeed must precede run()");
   Engine.importSeed(Seed);
-}
-
-inline void TraceVM::ranTraceBlock([[maybe_unused]] uint32_t I,
-                                   [[maybe_unused]] uint32_t &Committed) {
-  VmStats &Stats = Engine.stats();
-  ++Stats.BlocksExecuted;
-#ifdef JTC_TELEMETRY
-  if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
-    sampleInTrace(I, Committed);
-#endif
 }
 
 RunResult TraceVM::run() {
@@ -130,21 +121,9 @@ TraceRunResult TraceVM::runTrace(const Trace &T, uint32_t &Committed) {
     // underflow.
     if (std::optional<TraceRunResult> TR = Jit->run(
             T, Stepper, Options.maxInstructions() - Stepper.instructions())) {
-      // Report the run block by block: the clock, due samples and the
-      // sink's inner transitions see it as a block-stepped run. A sample
-      // on the last block may complete the trace and free it, so T is
-      // only read before that.
-      [[maybe_unused]] const uint64_t Generation =
-          Engine.traceCache().generation();
-      for (uint32_t I = 1;; ++I) {
-        ranTraceBlock(I, Committed);
-        if (I == TR->BlocksRun)
-          break;
-        assert(Engine.traceCache().generation() == Generation &&
-               "trace cache mutated inside a run");
-        if (Sink)
-          Sink->onTransition(T.Blocks[I - 1], T.Blocks[I]);
-      }
+      // A sample on the last block may complete the trace and free it, so
+      // T is only read before that.
+      ranTraceBlocks(T, 0, TR->BlocksRun, Committed);
       Stepper.resumeAt(TR->NextBlock);
       return *TR;
     }
@@ -153,43 +132,78 @@ TraceRunResult TraceVM::runTrace(const Trace &T, uint32_t &Committed) {
 }
 
 TraceRunResult TraceVM::stepTrace(const Trace &T, uint32_t &Committed) {
-  const uint32_t Len = static_cast<uint32_t>(T.Blocks.size());
+  const std::span<const BlockId> Blocks(T.Blocks);
+  const uint32_t Len = static_cast<uint32_t>(Blocks.size());
   const uint64_t Budget = Options.maxInstructions();
-  [[maybe_unused]] const uint64_t Generation = Engine.traceCache().generation();
-  TraceRunResult TR;
   uint32_t I = 0; // trace blocks run
   while (true) {
+    // A due phase sample bounds the run at its block, so the sample reads
+    // the instruction count there; the run then carries on from it.
+    uint32_t Stop = Len;
+#ifdef JTC_TELEMETRY
+    if (Sampler.enabled())
+      Stop = static_cast<uint32_t>(
+          std::min<uint64_t>(Len, I + Sampler.nextSampleAt() -
+                                      Engine.stats().BlocksExecuted));
+#endif
+    const uint32_t From = I;
+    const BlockStepper::TraceStep S =
+        Stepper.runTrace(Blocks.subspan(I, Stop - I), Budget);
+    I += S.BlocksRun;
+    const BlockId Next = Stepper.currentBlock();
+    if (S.Status == BlockStepper::StepStatus::Continue &&
+        Stepper.instructions() < Budget && I < Len && Next == Blocks[I]) {
+      ranTraceBlocks(T, From, I, Committed); // stopped at the sample only
+      continue;
+    }
+
+    TraceRunResult TR;
+    TR.BlocksRun = I;
+    TR.LastBlock = Blocks[I - 1];
+    if (S.Status != BlockStepper::StepStatus::Continue)
+      TR.End = S.Status == BlockStepper::StepStatus::Finished
+                   ? TraceRunEnd::Finished
+                   : TraceRunEnd::Trapped;
+    else if (Stepper.instructions() >= Budget)
+      TR.End = TraceRunEnd::BudgetExhausted;
+    else
+      TR.End = I == Len ? TraceRunEnd::Completed : TraceRunEnd::Diverged;
+    if (!TR.endsSession())
+      TR.NextBlock = Next;
+    // A sample on the trace's last block completes the trace and may free
+    // it: nothing after this reads T.
+    ranTraceBlocks(T, From, I, Committed);
+    return TR;
+  }
+}
+
+void TraceVM::ranTraceBlocks(const Trace &T, uint32_t From, uint32_t To,
+                             [[maybe_unused]] uint32_t &Committed) {
+  VmStats &Stats = Engine.stats();
+#ifdef JTC_TELEMETRY
+  const bool SampleDue = Sampler.enabled() &&
+                         Stats.BlocksExecuted + (To - From) >=
+                             Sampler.nextSampleAt();
+#else
+  constexpr bool SampleDue = false;
+#endif
+  if (!Sink && !SampleDue) [[likely]] {
+    Stats.BlocksExecuted += To - From;
+    return;
+  }
+  [[maybe_unused]] const uint64_t Generation =
+      Engine.traceCache().generation();
+  for (uint32_t I = From + 1; I <= To; ++I) {
     assert(Engine.traceCache().generation() == Generation &&
            "trace cache mutated inside a run");
-    BlockStepper::StepStatus S = Stepper.step();
-    TR.LastBlock = T.Blocks[I++];
-    // A sample on the trace's last block completes the trace and may free
-    // it: once I == Len nothing below reads T.
-    ranTraceBlock(I, Committed);
-
-    if (S != BlockStepper::StepStatus::Continue) {
-      TR.End = S == BlockStepper::StepStatus::Finished ? TraceRunEnd::Finished
-                                                       : TraceRunEnd::Trapped;
-      break;
-    }
-    if (Stepper.instructions() >= Budget) {
-      TR.End = TraceRunEnd::BudgetExhausted;
-      break;
-    }
-    TR.NextBlock = Stepper.currentBlock();
-    if (I == Len) {
-      TR.End = TraceRunEnd::Completed;
-      break;
-    }
-    if (TR.NextBlock != T.Blocks[I]) {
-      TR.End = TraceRunEnd::Diverged;
-      break;
-    }
-    if (Sink)
-      Sink->onTransition(TR.LastBlock, TR.NextBlock);
+    if (Sink && I > 1)
+      Sink->onTransition(T.Blocks[I - 2], T.Blocks[I - 1]);
+    ++Stats.BlocksExecuted;
+#ifdef JTC_TELEMETRY
+    if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
+      sampleInTrace(I, Committed);
+#endif
   }
-  TR.BlocksRun = I;
-  return TR;
 }
 
 void TraceVM::sampleInTrace(uint32_t I, uint32_t &Committed) {

@@ -17,10 +17,13 @@
 /// run()'s outer loop steps blocks outside traces, one engine call per
 /// block. A dispatched trace runs to the end of its run in one inner step:
 /// on the optional native tier (backend/JitBackend.h) when it accepts the
-/// trace, otherwise by stepping the trace's blocks back to back while each
+/// trace, otherwise in one BlockStepper::runTrace() call that runs the
+/// trace's blocks back to back in the executor's dispatch loop while each
 /// successor matches, checking the budget after every block. Both tiers
-/// end in the same TraceRunResult, committed to the engine in bulk, so
-/// nothing downstream can tell the tiers apart.
+/// end in the same TraceRunResult, committed to the engine in bulk, and
+/// advance the logical clock by the run's block count in one step (block
+/// by block only when a sink listens or a phase sample falls inside the
+/// run), so nothing downstream can tell the tiers apart.
 ///
 /// The adaptive half of this machinery (profiler, trace cache, active-
 /// trace matching, statistics) lives in AdaptiveEngine so it can also be
@@ -133,14 +136,20 @@ private:
   /// many. The caller commits the rest together with the run's end.
   TraceRunResult runTrace(const Trace &T, uint32_t &Committed);
 
-  /// The interp tier of runTrace: steps \p T's blocks while each
-  /// successor matches, checking the budget after every block.
+  /// The interp tier of runTrace: one BlockStepper::runTrace() over \p T's
+  /// blocks, which runs them while each successor matches and the budget
+  /// lasts, then classifies how the run ended. A phase sample due inside
+  /// the run splits it in two at the sample's block.
   TraceRunResult stepTrace(const Trace &T, uint32_t &Committed);
 
-  /// Trace block \p I (counting from 1) of the current run has executed:
-  /// advances the logical clock (stats().BlocksExecuted) and, when a phase
-  /// sample falls due, commits the run's blocks so far and takes it.
-  void ranTraceBlock(uint32_t I, uint32_t &Committed);
+  /// Trace blocks (\p From, \p To] (counting from 1) of the current run
+  /// have executed, on either tier: advances the logical clock
+  /// (stats().BlocksExecuted). With no sink and no sample due that is one
+  /// addition; otherwise the blocks are reported one by one, each after
+  /// the inner transition into it, and a sample falling due commits the
+  /// run's blocks so far and is taken.
+  void ranTraceBlocks(const Trace &T, uint32_t From, uint32_t To,
+                      uint32_t &Committed);
 
   /// The phase sample due at trace block \p I of the current run.
   void sampleInTrace(uint32_t I, uint32_t &Committed);

@@ -5,9 +5,11 @@
 /// code) against the reference instruction interpreter (runInstructions
 /// over Machine::execOne): same outcome, output, heap digest, instruction
 /// count and block sequence on the checked-in corpus, 500 generated
-/// programs and all six workloads; plus the executor's edge contracts --
-/// trap accounting, budget granularity, frame budget, arena growth and
-/// the one-shot elision span.
+/// programs and all six workloads; the fused trace run
+/// (BlockStepper::runTrace) against block-by-block step() on every trace
+/// the six workloads build, with budget cuts, traps and finishes inside a
+/// run; plus the executor's edge contracts -- trap accounting, budget
+/// granularity, frame budget and arena growth.
 ///
 /// JTC_CORPUS_DIR is injected by the build (tests/CMakeLists.txt).
 ///
@@ -19,12 +21,15 @@
 #include "bytecode/Verifier.h"
 #include "interp/InstructionInterpreter.h"
 #include "text/AsmParser.h"
+#include "vm/TraceVM.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -181,6 +186,104 @@ Module deepRecursion(int32_t Depth, uint32_t Locals, int32_t Extra) {
   return Asm.build();
 }
 
+/// Everything a trace run leaves behind that the fused and the stepped
+/// run must agree on.
+struct RunState {
+  BlockStepper::StepStatus Status = BlockStepper::StepStatus::Continue;
+  uint32_t BlocksRun = 0;
+  uint64_t Instructions = 0;
+  BlockId Next = InvalidBlockId;
+  size_t StackDepth = 0;
+  size_t Frames = 0;
+  TrapKind Trap = TrapKind::None;
+  size_t OutputSize = 0;
+
+  bool operator==(const RunState &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const RunState &S) {
+  return OS << "status " << static_cast<int>(S.Status) << " blocks "
+            << S.BlocksRun << " instrs " << S.Instructions << " next "
+            << S.Next << " stack " << S.StackDepth << " frames " << S.Frames
+            << " trap " << static_cast<int>(S.Trap) << " output "
+            << S.OutputSize;
+}
+
+RunState stateOf(BlockStepper::TraceStep R, BlockStepper &St) {
+  Machine &M = St.machine();
+  const bool Live = R.Status == BlockStepper::StepStatus::Continue;
+  return {.Status = R.Status,
+          .BlocksRun = R.BlocksRun,
+          .Instructions = St.instructions(),
+          .Next = St.currentBlock(),
+          .StackDepth = M.operandDepth(),
+          .Frames = Live ? M.frameDepth() : 0,
+          .Trap = M.trap(),
+          .OutputSize = M.output().size()};
+}
+
+/// The trace run as a sequence of step() calls: the loop runTrace fuses.
+BlockStepper::TraceStep stepBlocks(BlockStepper &St,
+                                   std::span<const BlockId> Blocks,
+                                   uint64_t Budget) {
+  uint32_t I = 0;
+  while (true) {
+    BlockStepper::StepStatus S = St.step();
+    ++I;
+    if (S != BlockStepper::StepStatus::Continue ||
+        St.instructions() >= Budget || I == Blocks.size() ||
+        St.currentBlock() != Blocks[I])
+      return {S, I};
+  }
+}
+
+/// Two steppers over one module, kept in lock step: A runs traces fused,
+/// B block by block.
+struct Twin {
+  explicit Twin(const PreparedModule &PM)
+      : MA(PM.module()), MB(PM.module()), A(PM, MA), B(PM, MB) {
+    A.start();
+    B.start();
+  }
+
+  /// Runs \p Blocks from the current block both ways; returns false (after
+  /// a failed expectation) when the two disagree.
+  bool run(std::span<const BlockId> Blocks, uint64_t Budget,
+           RunState *Out = nullptr) {
+    RunState SA = stateOf(A.runTrace(Blocks, Budget), A);
+    RunState SB = stateOf(stepBlocks(B, Blocks, Budget), B);
+    EXPECT_EQ(SA, SB);
+    if (Out)
+      *Out = SA;
+    return SA == SB;
+  }
+
+  /// Steps one block outside any trace on both.
+  BlockStepper::StepStatus step() {
+    BlockStepper::StepStatus S = A.step();
+    EXPECT_EQ(S, B.step());
+    return S;
+  }
+
+  void expectSameMachines() {
+    EXPECT_EQ(A.instructions(), B.instructions());
+    EXPECT_EQ(MA.output(), MB.output());
+    EXPECT_EQ(heapDigest(MA.heap()), heapDigest(MB.heap()));
+  }
+
+  Machine MA, MB;
+  BlockStepper A, B;
+};
+
+/// \p M's block sequence under step(), to the end of the run.
+std::vector<BlockId> blockSequence(const PreparedModule &PM) {
+  std::vector<BlockId> Seq;
+  Machine Mach(PM.module());
+  BlockStepper Stepper(PM, Mach);
+  runBlocksWithHook(Stepper, [&Seq](BlockId B) { Seq.push_back(B); }, Budget);
+  return Seq;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -218,6 +321,110 @@ TEST(BlockExecTest, GeneratedProgramsAgree) {
 TEST(BlockExecTest, WorkloadsAgree) {
   for (const WorkloadInfo &W : allWorkloads())
     expectAgreement(W.Build(1), W.Name);
+}
+
+//===----------------------------------------------------------------------===//
+// Fused trace runs
+//===----------------------------------------------------------------------===//
+
+TEST(BlockExecTest, TraceRunsMatchSteppingOnWorkloadTraces) {
+  for (const WorkloadInfo &W : allWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    // A tenth of the default scale: long enough for every workload to
+    // build traces of all its hot paths.
+    Module M = W.Build(std::max(W.DefaultScale / 10, 1u));
+    PreparedModule PM(M);
+    // The traces a profiled session builds, replaced ones included.
+    std::vector<std::vector<BlockId>> Traces;
+    {
+      TraceVM VM(PM);
+      ASSERT_EQ(VM.run().Status, RunStatus::Finished);
+      for (const Trace &T : VM.traceCache().traces())
+        Traces.push_back(T.Blocks);
+    }
+    ASSERT_FALSE(Traces.empty());
+    std::vector<std::vector<uint32_t>> ByEntry(PM.numBlocks());
+    for (uint32_t I = 0; I < Traces.size(); ++I)
+      ByEntry[Traces[I][0]].push_back(I);
+
+    // Wherever a trace starts, run the least-tried one there; every
+    // seventh run gets a budget that cuts it short.
+    Twin Tw(PM);
+    std::vector<uint32_t> Tried(Traces.size(), 0);
+    uint64_t Runs = 0;
+    bool Live = true;
+    while (Live) {
+      const std::vector<uint32_t> &Here = ByEntry[Tw.A.currentBlock()];
+      if (Here.empty()) {
+        Live = Tw.step() == BlockStepper::StepStatus::Continue;
+        continue;
+      }
+      uint32_t Pick = *std::min_element(
+          Here.begin(), Here.end(),
+          [&Tried](uint32_t X, uint32_t Y) { return Tried[X] < Tried[Y]; });
+      ++Tried[Pick];
+      uint64_t Cut = ~0ull;
+      if (++Runs % 7 == 0)
+        Cut = Tw.A.instructions() + 1 + Runs % (4 * Traces[Pick].size());
+      RunState S;
+      ASSERT_TRUE(Tw.run(Traces[Pick], Cut, &S)) << "trace " << Pick;
+      Live = S.Status == BlockStepper::StepStatus::Continue;
+      if (Runs % 1024 == 0)
+        Tw.expectSameMachines();
+    }
+    Tw.expectSameMachines();
+    EXPECT_EQ(std::count(Tried.begin(), Tried.end(), 0u), 0)
+        << "traces never entered";
+  }
+}
+
+TEST(BlockExecTest, TraceRunStopsAtTheBudget) {
+  Module M = testprog::countingLoop(100000);
+  PreparedModule PM(M);
+  std::vector<BlockId> Seq = blockSequence(PM);
+  ASSERT_GT(Seq.size(), 200u);
+  const std::span<const BlockId> Window(Seq.data() + 10, 100);
+  for (uint64_t Over : {1ull, 2ull, 7ull, 50ull, 150ull}) {
+    Twin Tw(PM);
+    for (int I = 0; I < 10; ++I)
+      Tw.step();
+    const uint64_t Cut = Tw.A.instructions() + Over;
+    RunState S;
+    ASSERT_TRUE(Tw.run(Window, Cut, &S)) << Over;
+    // Every block ran whole, and the run stopped at the first boundary at
+    // or past the budget, standing at the next block.
+    EXPECT_EQ(S.Status, BlockStepper::StepStatus::Continue);
+    EXPECT_GE(S.Instructions, Cut);
+    EXPECT_LT(S.Instructions - PM.blockSize(Window[S.BlocksRun - 1]), Cut);
+    EXPECT_LT(S.BlocksRun, Window.size());
+    EXPECT_EQ(S.Next, Window[S.BlocksRun]);
+  }
+}
+
+TEST(BlockExecTest, TraceRunEndsOnATrapOrAFinishInside) {
+  // The trap fires in trapInHotLoop's loop, the finish is recursiveMain's
+  // bottom return inside its return chain. Each run covers the last K
+  // blocks of the program, and then one more recorded block, so the end
+  // falls inside the run rather than at its last block.
+  for (const Module &M :
+       {testprog::trapInHotLoop(1000), testprog::recursiveMain(100)}) {
+    PreparedModule PM(M);
+    std::vector<BlockId> Seq = blockSequence(PM);
+    for (size_t K : {size_t{1}, size_t{2}, size_t{5}, size_t{40}}) {
+      ASSERT_GT(Seq.size(), K);
+      std::vector<BlockId> Window(Seq.end() - K, Seq.end());
+      Window.push_back(Window.front());
+      Twin Tw(PM);
+      for (size_t I = 0; I < Seq.size() - K; ++I)
+        ASSERT_EQ(Tw.step(), BlockStepper::StepStatus::Continue);
+      RunState S;
+      ASSERT_TRUE(Tw.run(Window, ~0ull, &S)) << K;
+      EXPECT_NE(S.Status, BlockStepper::StepStatus::Continue) << K;
+      EXPECT_EQ(S.BlocksRun, K);
+      EXPECT_EQ(S.Next, InvalidBlockId);
+      Tw.expectSameMachines();
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
