@@ -2,54 +2,13 @@
 
 #include "analysis/Cfg.h"
 
+#include "bytecode/ControlFlow.h"
+
 #include <algorithm>
 #include <cassert>
 
 namespace jtc {
 namespace analysis {
-
-namespace {
-
-/// Appends every explicit control-flow target of the instruction at \p Pc
-/// (branch targets, switch cases); fallthrough is handled by the caller.
-void appendTargets(const Method &M, uint32_t Pc, std::vector<uint32_t> &Out) {
-  const Instruction &I = M.Code[Pc];
-  switch (opKind(I.Op)) {
-  case OpKind::Branch:
-  case OpKind::Jump:
-    Out.push_back(static_cast<uint32_t>(I.A));
-    break;
-  case OpKind::Switch: {
-    const SwitchTable &T = M.SwitchTables[static_cast<uint32_t>(I.A)];
-    Out.push_back(T.DefaultTarget);
-    Out.insert(Out.end(), T.Targets.begin(), T.Targets.end());
-    break;
-  }
-  case OpKind::Normal:
-  case OpKind::Call:
-  case OpKind::Ret:
-  case OpKind::End:
-    break;
-  }
-}
-
-/// True when control may continue at Pc+1 after executing \p I.
-bool fallsThrough(const Instruction &I) {
-  switch (opKind(I.Op)) {
-  case OpKind::Normal:
-  case OpKind::Branch:
-  case OpKind::Call:
-    return true;
-  case OpKind::Jump:
-  case OpKind::Switch:
-  case OpKind::Ret:
-  case OpKind::End:
-    return false;
-  }
-  return false;
-}
-
-} // namespace
 
 MethodCfg::MethodCfg(const Module &M, uint32_t MethodId,
                      std::pmr::memory_resource *Mem)
@@ -59,21 +18,12 @@ MethodCfg::MethodCfg(const Module &M, uint32_t MethodId,
   uint32_t N = static_cast<uint32_t>(Fn.Code.size());
   assert(N > 0 && "cannot build a CFG for an empty method");
 
-  // Mark leaders: entry, every explicit target, and the instruction after
-  // any block-ending opcode.
+  // Leaders by the rule of bytecode/ControlFlow.h.
   std::vector<bool> Leader(N, false);
-  Leader[0] = true;
-  std::vector<uint32_t> Targets;
-  for (uint32_t Pc = 0; Pc < N; ++Pc) {
-    Targets.clear();
-    appendTargets(Fn, Pc, Targets);
-    for (uint32_t T : Targets) {
-      assert(T < N && "branch target out of range; verify first");
-      Leader[T] = true;
-    }
-    if (endsBlock(Fn.Code[Pc].Op) && Pc + 1 < N)
-      Leader[Pc + 1] = true;
-  }
+  forEachLeader(Fn, [&](uint32_t Pc) {
+    assert(Pc < N && "branch target out of range; verify first");
+    Leader[Pc] = true;
+  });
 
   // Materialize blocks and the pc -> block map. Tables are sized before
   // they are filled: in an arena a regrown table strands its old copy.
@@ -98,15 +48,11 @@ MethodCfg::MethodCfg(const Module &M, uint32_t MethodId,
   std::vector<uint32_t> NumPreds(NumBlocks, 0);
   for (uint32_t B = 0; B < NumBlocks; ++B) {
     const CfgBlock &Blk = Blocks[B];
-    uint32_t LastPc = Blk.End - 1;
-    Targets.clear();
-    appendTargets(Fn, LastPc, Targets);
-    if (fallsThrough(Fn.Code[LastPc]) && Blk.End < N)
-      Targets.push_back(Blk.End);
+    const Instruction &Last = Fn.Code[Blk.End - 1];
     // Dedup (a switch may list the same target many times) while keeping
     // first-occurrence order so the fallthrough/default stay predictable.
     SuccBegin[B] = static_cast<uint32_t>(Succs.size());
-    for (uint32_t T : Targets) {
+    auto AddEdge = [&](uint32_t T) {
       uint32_t S = BlockOfPc[T];
       assert(Blocks[S].Start == T && "edge into the middle of a block");
       if (std::find(Succs.begin() + SuccBegin[B], Succs.end(), S) ==
@@ -114,7 +60,10 @@ MethodCfg::MethodCfg(const Module &M, uint32_t MethodId,
         Succs.push_back(S);
         ++NumPreds[S];
       }
-    }
+    };
+    forEachTarget(Fn, Last, AddEdge);
+    if (fallsThrough(Last.Op) && Blk.End < N)
+      AddEdge(Blk.End);
   }
   const auto NumEdges = static_cast<uint32_t>(Succs.size());
   SuccBegin[NumBlocks] = NumEdges;

@@ -2,11 +2,13 @@
 ///
 /// \file
 /// Basic-block control-flow graph for a single method, plus the
-/// reverse-post-order schedule the dataflow solver iterates in. Block
-/// discovery mirrors the interpreter's preparation pass (leaders at
-/// branch/switch targets and after any block-ending instruction) but adds
-/// explicit successor/predecessor edges; calls are fallthrough edges here
-/// because the callee's effects are interprocedural.
+/// reverse-post-order schedule the dataflow solver iterates in. Blocks
+/// are cut by the leader rule of bytecode/ControlFlow.h, the rule
+/// PreparedModule cuts by, so a method's CFG blocks are its prepared
+/// blocks in order. Edges follow the same header's forEachTarget and
+/// fallsThrough: targets first (a switch's default before its cases),
+/// fallthrough last. Calls are fallthrough edges here because the
+/// callee's effects are interprocedural.
 ///
 /// Construction requires a structurally valid method (all branch targets
 /// in range) -- run the structural verifier pass first.

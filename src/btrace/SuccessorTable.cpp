@@ -2,8 +2,6 @@
 
 #include "btrace/SuccessorTable.h"
 
-#include <unordered_map>
-
 using namespace jtc;
 using namespace jtc::btrace;
 
@@ -12,38 +10,26 @@ SuccessorTable::SuccessorTable(const PreparedModule &PM) {
   Infos.resize(N);
   MethodEntry.resize(N, false);
 
-  // A non-asserting leader map: (method, pc) -> block. PreparedModule's
-  // own accessor asserts on non-leaders, but here an absent leader is a
-  // legitimate answer (a continuation no return ever reaches).
-  std::unordered_map<uint64_t, BlockId> Leader;
-  Leader.reserve(N);
-  for (BlockId B = 0; B < N; ++B) {
-    const BasicBlock &BB = PM.block(B);
-    Leader.emplace(pairKey(BB.MethodId, BB.StartPc), B);
-    MethodEntry[B] = BB.StartPc == 0;
-  }
-  auto Lookup = [&Leader](uint32_t MethodId, uint32_t Pc) -> BlockId {
-    auto It = Leader.find(pairKey(MethodId, Pc));
-    return It == Leader.end() ? InvalidBlockId : It->second;
-  };
-
+  // Preparation has resolved every successor to a block; this table only
+  // classifies the transfer and keeps the successors the stream needs.
   const Module &M = PM.module();
   for (BlockId B = 0; B < N; ++B) {
     const BasicBlock &BB = PM.block(B);
+    MethodEntry[B] = BB.StartPc == 0;
     const Instruction &Last = M.Methods[BB.MethodId].Code[BB.EndPc - 1];
     SuccInfo &I = Infos[B];
     switch (opKind(Last.Op)) {
     case OpKind::Normal: // Block ends because EndPc is a leader.
       I.Kind = SuccKind::FallThrough;
-      I.Fall = Lookup(BB.MethodId, BB.EndPc);
+      I.Fall = BB.Fall;
       break;
     case OpKind::Jump:
       I.Kind = SuccKind::Jump;
-      I.Taken = Lookup(BB.MethodId, static_cast<uint32_t>(Last.A));
+      I.Taken = BB.Taken;
       break;
     case OpKind::Branch:
-      I.Taken = Lookup(BB.MethodId, static_cast<uint32_t>(Last.A));
-      I.Fall = Lookup(BB.MethodId, BB.EndPc);
+      I.Taken = BB.Taken;
+      I.Fall = BB.Fall;
       // A branch whose two arms are the same block decides nothing; as a
       // Jump it costs no TNT bit, and encoder and decoder must agree on
       // the degradation.
@@ -55,9 +41,8 @@ SuccessorTable::SuccessorTable(const PreparedModule &PM) {
     case OpKind::Call:
       I.Kind = Last.Op == Opcode::InvokeStatic ? SuccKind::StaticCall
                                                : SuccKind::IndirectCall;
-      if (Last.Op == Opcode::InvokeStatic)
-        I.Taken = Lookup(static_cast<uint32_t>(Last.A), 0);
-      I.Fall = Lookup(BB.MethodId, BB.EndPc);
+      I.Taken = BB.Taken; // The callee's entry; unset for invokevirtual.
+      I.Fall = BB.Fall;
       break;
     case OpKind::Ret:
       I.Kind = SuccKind::Ret;

@@ -9,6 +9,11 @@
 /// encoder omitted. It is the moral equivalent of the binary image a
 /// hardware-trace decoder walks.
 ///
+/// The successors themselves are PreparedModule's: each BasicBlock's
+/// Taken and Fall, resolved once by preparation under the block rule of
+/// bytecode/ControlFlow.h. The table adds only the classification, and
+/// keeps of those successors the ones its kind uses.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_BTRACE_SUCCESSORTABLE_H
@@ -37,9 +42,9 @@ enum class SuccKind : uint8_t {
   Halt,         ///< No successor, ever.
 };
 
-/// The static successors of one block. Unset slots are InvalidBlockId
-/// (e.g. a call continuation that is not a leader because the program
-/// never returns across it).
+/// The static successors of one block. Slots the kind does not use are
+/// InvalidBlockId: Fall is set only for FallThrough, CondBranch and the
+/// two call kinds, Taken only for Jump, CondBranch and StaticCall.
 struct SuccInfo {
   SuccKind Kind = SuccKind::Halt;
   BlockId Taken = InvalidBlockId; ///< Branch/jump target or static callee.

@@ -3,7 +3,9 @@
 #include "bytecode/Verifier.h"
 
 #include "analysis/Analysis.h"
+#include "bytecode/ControlFlow.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <sstream>
@@ -195,20 +197,10 @@ void MethodVerifier::run() {
   // A method must end in a terminator (goto/switch/return/halt). Height
   // flow reports reachable fall-offs; this rule also covers fall-offs
   // only reachable through paths the height pass cannot see.
-  switch (opKind(Mth.Code.back().Op)) {
-  case OpKind::Normal:
-  case OpKind::Branch:
-  case OpKind::Call:
+  if (fallsThrough(Mth.Code.back().Op))
     error(static_cast<uint32_t>(Mth.Code.size()) - 1,
           "method may fall off the end (last instruction is not a "
           "terminator)");
-    break;
-  case OpKind::Jump:
-  case OpKind::Switch:
-  case OpKind::Ret:
-  case OpKind::End:
-    break;
-  }
 
   // Layer 2: abstract stack-height interpretation over reachable code.
   HeightAt.assign(Mth.Code.size(), Unreached);
@@ -231,73 +223,30 @@ void MethodVerifier::run() {
     }
     int After = Height - Pops + Pushes;
 
-    switch (opKind(I.Op)) {
-    case OpKind::Normal:
-    case OpKind::Call:
+    // A return or halt flows nowhere; leftover operand stack entries are
+    // permitted there (the frame pop discards them), matching JVM
+    // semantics.
+    forEachTarget(Mth, I, [&](uint32_t T) { flowTo(Pc, T, After); });
+    if (fallsThrough(I.Op))
       flowTo(Pc, Pc + 1, After);
-      break;
-    case OpKind::Jump:
-      flowTo(Pc, static_cast<uint32_t>(I.A), After);
-      break;
-    case OpKind::Branch:
-      flowTo(Pc, static_cast<uint32_t>(I.A), After);
-      flowTo(Pc, Pc + 1, After);
-      break;
-    case OpKind::Switch: {
-      const SwitchTable &T = Mth.SwitchTables[I.A];
-      flowTo(Pc, T.DefaultTarget, After);
-      for (uint32_t Tgt : T.Targets)
-        flowTo(Pc, Tgt, After);
-      break;
-    }
-    case OpKind::Ret:
-    case OpKind::End:
-      // Leftover operand stack entries are permitted (the frame pop
-      // discards them), matching JVM semantics.
-      break;
-    }
   }
 }
 
-/// Block index of \p Pc: the number of basic-block leaders at or before
-/// it. Tolerant of malformed methods (out-of-range targets are ignored),
-/// since errors are exactly where malformed code shows up.
+/// Block index of \p Pc within its method: the number of leaders after
+/// pc 0 at or before it. Tolerant of malformed methods (out-of-range
+/// targets are ignored), since errors are exactly where malformed code
+/// shows up.
 uint32_t blockIndexOf(const Method &Mth, uint32_t Pc) {
   auto N = static_cast<uint32_t>(Mth.Code.size());
   if (Pc >= N)
     return 0;
   std::vector<bool> Leader(N, false);
-  Leader[0] = true;
-  auto mark = [&](uint32_t T) {
+  forEachLeader(Mth, [&](uint32_t T) {
     if (T < N)
       Leader[T] = true;
-  };
-  for (uint32_t P = 0; P < N; ++P) {
-    const Instruction &I = Mth.Code[P];
-    switch (opKind(I.Op)) {
-    case OpKind::Branch:
-    case OpKind::Jump:
-      mark(static_cast<uint32_t>(I.A));
-      break;
-    case OpKind::Switch:
-      if (I.A >= 0 && static_cast<size_t>(I.A) < Mth.SwitchTables.size()) {
-        const SwitchTable &T = Mth.SwitchTables[I.A];
-        mark(T.DefaultTarget);
-        for (uint32_t Tgt : T.Targets)
-          mark(Tgt);
-      }
-      break;
-    default:
-      break;
-    }
-    if (endsBlock(I.Op))
-      mark(P + 1);
-  }
-  uint32_t Block = 0;
-  for (uint32_t P = 1; P <= Pc; ++P)
-    if (Leader[P])
-      ++Block;
-  return Block;
+  });
+  return static_cast<uint32_t>(
+      std::count(Leader.begin() + 1, Leader.begin() + Pc + 1, true));
 }
 
 } // namespace

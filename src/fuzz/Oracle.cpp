@@ -34,18 +34,6 @@ uint64_t fuzz::heapDigest(const Heap &H) { return jtc::heapDigest(H); }
 
 namespace {
 
-const char *statusName(RunStatus S) {
-  switch (S) {
-  case RunStatus::Finished:
-    return "finished";
-  case RunStatus::Trapped:
-    return "trapped";
-  case RunStatus::BudgetExhausted:
-    return "budget-exhausted";
-  }
-  return "?";
-}
-
 /// Collects comparisons against the fixed reference outcome.
 class Comparer {
 public:
@@ -59,8 +47,8 @@ public:
   void outcome(RunStatus Status, TrapKind Trap) {
     if (Status != Result.RefStatus)
       finding("status-mismatch",
-              std::string("got ") + statusName(Status) + ", reference " +
-                  statusName(Result.RefStatus));
+              std::string("got ") + runStatusName(Status) + ", reference " +
+                  runStatusName(Result.RefStatus));
     if (Trap != Result.RefTrap)
       finding("trap-mismatch", std::string("got ") + trapName(Trap) +
                                    ", reference " + trapName(Result.RefTrap));

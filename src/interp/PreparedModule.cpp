@@ -2,6 +2,8 @@
 
 #include "interp/PreparedModule.h"
 
+#include "bytecode/ControlFlow.h"
+
 #include <algorithm>
 
 using namespace jtc;
@@ -18,52 +20,25 @@ PreparedModule::PreparedModule(const Module &Mod) : M(&Mod), Facts(Mod) {
   }
   std::vector<BlockId> LeaderToBlock(NumPcs, InvalidBlockId);
 
-  // Pass 1: mark leaders (with block id 0 until pass 2 numbers them).
-  // Instruction 0 is a leader; so is every branch or switch target, and
-  // the instruction after any block-ending instruction (the fallthrough
-  // successor or call continuation). Every leader starts one block.
+  // Pass 1: mark leaders (with block id 0 until pass 2 numbers them) by
+  // the rule of bytecode/ControlFlow.h. Every leader starts one block.
   size_t NumLeaders = 0;
   for (uint32_t MethodId = 0; MethodId < Mod.Methods.size(); ++MethodId) {
     const Method &Mth = Mod.Methods[MethodId];
     auto CodeSize = static_cast<uint32_t>(Mth.Code.size());
     assert(CodeSize > 0 && "prepared methods must have code");
     BlockId *Leader = LeaderToBlock.data() + PcBase[MethodId];
-    auto Mark = [&](uint32_t Pc) {
+    forEachLeader(Mth, [&](uint32_t Pc) {
       assert(Pc <= CodeSize && "unverified target");
       if (Pc < CodeSize && Leader[Pc] == InvalidBlockId) {
         Leader[Pc] = 0;
         ++NumLeaders;
       }
-    };
-    Mark(0);
-    for (uint32_t Pc = 0; Pc < CodeSize; ++Pc) {
-      const Instruction &I = Mth.Code[Pc];
-      switch (opKind(I.Op)) {
-      case OpKind::Normal:
-        break;
-      case OpKind::Branch:
-      case OpKind::Jump:
-        Mark(static_cast<uint32_t>(I.A));
-        Mark(Pc + 1);
-        break;
-      case OpKind::Switch: {
-        const SwitchTable &T = Mth.SwitchTables[I.A];
-        Mark(T.DefaultTarget);
-        for (uint32_t Tgt : T.Targets)
-          Mark(Tgt);
-        Mark(Pc + 1);
-        break;
-      }
-      case OpKind::Call:
-      case OpKind::Ret:
-      case OpKind::End:
-        Mark(Pc + 1);
-        break;
-      }
-    }
+    });
   }
 
-  // Pass 2: cut blocks at leaders and block-ending instructions.
+  // Pass 2: cut a block before every leader (the pc after a block-ending
+  // instruction is one) and at the end of the method.
   Blocks.reserve(NumLeaders);
   MethodBlocks.reserve(Mod.Methods.size() + 1);
   size_t NumSlots = 0;
@@ -74,9 +49,9 @@ PreparedModule::PreparedModule(const Module &Mod) : M(&Mod), Facts(Mod) {
     MethodBlocks.push_back(static_cast<BlockId>(Blocks.size()));
     uint32_t Start = 0;
     for (uint32_t Pc = 0; Pc < CodeSize; ++Pc) {
-      bool Ends = endsBlock(Mth.Code[Pc].Op);
-      if (!Ends && Pc + 1 < CodeSize && Leader[Pc + 1] == InvalidBlockId)
+      if (Pc + 1 < CodeSize && Leader[Pc + 1] == InvalidBlockId)
         continue;
+      bool Ends = endsBlock(Mth.Code[Pc].Op);
       Leader[Start] = static_cast<BlockId>(Blocks.size());
       BasicBlock BB;
       BB.MethodId = MethodId;

@@ -7,7 +7,10 @@
 /// dispatches one block at a time. Blocks end at any control-transfer
 /// instruction -- branches, jumps, switches, calls, returns, halt -- or
 /// where the next instruction is a branch target (fallthrough into a
-/// leader). Block ids are globally unique across the module.
+/// leader). Block ids are globally unique across the module. The leader
+/// rule is bytecode/ControlFlow.h's, the one the analysis CFG and the
+/// verifier's block-indexed errors also cut by; btrace's SuccessorTable
+/// reads each block's resolved successors rather than recomputing them.
 ///
 /// Preparation also pre-decodes the whole module into one flat slot array
 /// -- the code the block executor (BlockStepper::step) runs. Each block

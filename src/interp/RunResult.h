@@ -22,6 +22,20 @@ enum class RunStatus : uint8_t {
   BudgetExhausted, ///< The instruction budget ran out.
 };
 
+/// The status's name as every tool prints it: "finished", "trapped" or
+/// "budget-exhausted".
+constexpr const char *runStatusName(RunStatus S) {
+  switch (S) {
+  case RunStatus::Finished:
+    return "finished";
+  case RunStatus::Trapped:
+    return "trapped";
+  case RunStatus::BudgetExhausted:
+    return "budget-exhausted";
+  }
+  return "unknown";
+}
+
 struct RunResult {
   RunStatus Status = RunStatus::Finished;
   TrapKind Trap = TrapKind::None;

@@ -54,18 +54,20 @@ void writeChromeTrace(std::ostream &OS, const EventRing &Ring,
   telemetry_detail::writeChromeHeader(W, Ring);
   W.key("traceEvents").beginArray();
   telemetry_detail::writeChromeEvents(W, Ring);
-  for (const auto &S : Sampler.samples()) {
+  for (size_t I = 0; I < Sampler.samples().size(); ++I) {
+    const uint64_t Clock = Sampler.samples()[I].Clock;
+    const StatsT Delta = Sampler.delta(I);
     for (const auto &F : StatsT::fields()) {
       double V;
       if (F.Counter)
-        V = static_cast<double>(S.Delta.*(F.Counter));
+        V = static_cast<double>(Delta.*(F.Counter));
       else if (F.Derived)
-        V = (S.Delta.*(F.Derived))();
+        V = (Delta.*(F.Derived))();
       else if (F.DerivedCount)
-        V = static_cast<double>((S.Delta.*(F.DerivedCount))());
+        V = static_cast<double>((Delta.*(F.DerivedCount))());
       else
         continue;
-      telemetry_detail::writeCounterEvent(W, F.Key, S.Clock, V);
+      telemetry_detail::writeCounterEvent(W, F.Key, Clock, V);
     }
   }
   W.endArray();

@@ -10,16 +10,18 @@
 ///
 /// The stats type must expose a static fields() table whose entries carry
 /// a nullable `Counter` pointer-to-member (VmStats::fields() is the model;
-/// non-counter entries are ignored). Each sample stores both the
-/// cumulative snapshot and the per-interval delta of every counter;
-/// derived-metric methods evaluated on the delta snapshot yield
-/// per-interval rates (e.g. coverage within the window).
+/// non-counter entries are ignored). Each sample stores one cumulative
+/// snapshot; delta(I) derives a sample's per-interval counter changes
+/// from it and the previous sample where they are read. Derived-metric
+/// methods evaluated on a delta yield per-interval rates (e.g. coverage
+/// within the window).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_TELEMETRY_PHASESAMPLER_H
 #define JTC_TELEMETRY_PHASESAMPLER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,7 +30,6 @@ namespace jtc {
 template <typename StatsT> struct PhaseSample {
   uint64_t Clock = 0;     ///< Logical clock (blocks executed) at the sample.
   StatsT Cumulative{};    ///< Snapshot at the sample point.
-  StatsT Delta{};         ///< Counter changes since the previous sample.
 };
 
 template <typename StatsT> class PhaseSampler {
@@ -48,25 +49,30 @@ public:
   /// Takes one sample. \p Cur must be a complete snapshot (the VM
   /// assembles one with live profiler/cache counters folded in).
   void sample(uint64_t Clock, const StatsT &Cur) {
-    PhaseSample<StatsT> S;
-    S.Clock = Clock;
-    S.Cumulative = Cur;
-    S.Delta = Cur;
-    for (const auto &F : StatsT::fields())
-      if (F.Counter)
-        S.Delta.*(F.Counter) = Cur.*(F.Counter) - Prev.*(F.Counter);
-    Prev = Cur;
-    Samples.push_back(S);
+    Samples.push_back({Clock, Cur});
     NextAt = Clock + Interval;
   }
 
   const std::vector<PhaseSample<StatsT>> &samples() const { return Samples; }
   bool empty() const { return Samples.empty(); }
 
+  /// Sample \p I's counter changes since sample I-1 (since the all-zero
+  /// start for the first); every non-counter field is sample I's own.
+  StatsT delta(size_t I) const {
+    const StatsT &Cur = Samples[I].Cumulative;
+    StatsT D = Cur;
+    if (I == 0)
+      return D;
+    const StatsT &Prev = Samples[I - 1].Cumulative;
+    for (const auto &F : StatsT::fields())
+      if (F.Counter)
+        D.*(F.Counter) = Cur.*(F.Counter) - Prev.*(F.Counter);
+    return D;
+  }
+
 private:
   uint64_t Interval = 0;
   uint64_t NextAt = 0;
-  StatsT Prev{};
   std::vector<PhaseSample<StatsT>> Samples;
 };
 

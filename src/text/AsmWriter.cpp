@@ -2,6 +2,7 @@
 
 #include "text/AsmWriter.h"
 
+#include "bytecode/ControlFlow.h"
 #include "bytecode/Opcode.h"
 
 #include <set>
@@ -14,23 +15,8 @@ namespace {
 /// Collects every pc in \p Mth that needs a label: branch/switch targets.
 std::set<uint32_t> labelTargets(const Method &Mth) {
   std::set<uint32_t> Targets;
-  for (const Instruction &I : Mth.Code) {
-    switch (opKind(I.Op)) {
-    case OpKind::Branch:
-    case OpKind::Jump:
-      Targets.insert(static_cast<uint32_t>(I.A));
-      break;
-    case OpKind::Switch: {
-      const SwitchTable &T = Mth.SwitchTables[I.A];
-      Targets.insert(T.DefaultTarget);
-      for (uint32_t Tgt : T.Targets)
-        Targets.insert(Tgt);
-      break;
-    }
-    default:
-      break;
-    }
-  }
+  for (const Instruction &I : Mth.Code)
+    forEachTarget(Mth, I, [&Targets](uint32_t Pc) { Targets.insert(Pc); });
   return Targets;
 }
 

@@ -441,12 +441,12 @@ TEST(PhaseSamplerTest, DeltasAreDifferencesOfConsecutiveSamples) {
 
   ASSERT_EQ(S.samples().size(), 2u);
   // First delta is measured against the zero state.
-  EXPECT_EQ(S.samples()[0].Delta.TraceDispatches, 40u);
+  EXPECT_EQ(S.delta(0).TraceDispatches, 40u);
   EXPECT_EQ(S.samples()[0].Cumulative.TraceDispatches, 40u);
   // Second delta only covers the second window.
-  EXPECT_EQ(S.samples()[1].Delta.BlocksExecuted, 1000u);
-  EXPECT_EQ(S.samples()[1].Delta.TraceDispatches, 50u);
-  EXPECT_EQ(S.samples()[1].Delta.Signals, 0u);
+  EXPECT_EQ(S.delta(1).BlocksExecuted, 1000u);
+  EXPECT_EQ(S.delta(1).TraceDispatches, 50u);
+  EXPECT_EQ(S.delta(1).Signals, 0u);
   EXPECT_EQ(S.samples()[1].Cumulative.TraceDispatches, 90u);
   EXPECT_EQ(S.nextSampleAt(), 3000u);
 }
@@ -600,19 +600,20 @@ TEST(TelemetryVmTest, SamplerProducesTimeline) {
     ASSERT_FALSE(S.empty()) << Name;
     uint64_t TotalBlocks = 0;
     uint64_t PrevClock = 0;
-    for (const PhaseSample<VmStats> &P : S.samples()) {
+    for (size_t I = 0; I < S.samples().size(); ++I) {
+      const PhaseSample<VmStats> &P = S.samples()[I];
       // Each sample sees exactly the blocks before it, at its own clock.
       EXPECT_EQ(P.Clock, P.Cumulative.BlocksExecuted) << Name;
       EXPECT_EQ(P.Clock, PrevClock + Interval) << Name;
       EXPECT_EQ(P.Clock % Interval, 0u) << Name;
-      EXPECT_EQ(P.Delta.BlocksExecuted, Interval) << Name;
+      EXPECT_EQ(S.delta(I).BlocksExecuted, Interval) << Name;
       // Every block run so far is counted once: dispatched on its own
       // (the entry, or after a transition outside traces) or in a trace.
       EXPECT_EQ(P.Cumulative.BlocksExecuted,
                 P.Cumulative.BlockDispatches + P.Cumulative.BlocksInTraces)
           << Name << " at clock " << P.Clock;
       PrevClock = P.Clock;
-      TotalBlocks += P.Delta.BlocksExecuted;
+      TotalBlocks += S.delta(I).BlocksExecuted;
     }
     // The per-window deltas tile the run exactly, up to a tail shorter
     // than one interval after the last sample point.

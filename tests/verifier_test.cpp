@@ -3,8 +3,11 @@
 #include "bytecode/Verifier.h"
 
 #include "TestPrograms.h"
+#include "interp/PreparedModule.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace jtc;
 
@@ -368,4 +371,54 @@ TEST(VerifierFuzzRegression, MalformedModulesNeverCrashTheVerifier) {
   Cases.push_back(rawModule({Instruction(Opcode::Goto, -5)}));
   for (size_t I = 0; I < Cases.size(); ++I)
     EXPECT_FALSE(verifyModule(Cases[I]).empty()) << "case " << I;
+}
+
+//===--- VerifyError::Block ------------------------------------------------===//
+
+TEST(VerifierBlockTest, MalformedTargetsGetBlocksCountedByHand) {
+  // Leaders: pc 0; pc 2 after the branch (its target 99 is out of range
+  // and ignored); pc 4 after the switch (its table index 7 has no table,
+  // so it has no targets); pc 5 after the goto and pc 6, its target. The
+  // blocks are [0,2) [2,4) [4,5) [5,6) [6,8).
+  Module M = rawModule({Instruction(Opcode::Iconst, 1),
+                        Instruction(Opcode::IfEq, 99),
+                        Instruction(Opcode::Iconst, 0),
+                        Instruction(Opcode::Tableswitch, 7),
+                        Instruction(Opcode::Goto, 6),
+                        Instruction(Opcode::Nop),
+                        Instruction(Opcode::Iload, 9),
+                        Instruction(Opcode::Return)});
+  std::map<uint32_t, uint32_t> BlockOfErrorPc;
+  for (const VerifyError &E : verifyModule(M))
+    BlockOfErrorPc[E.Pc] = E.Block;
+  const std::map<uint32_t, uint32_t> Expected = {{1, 0}, {3, 1}, {6, 4}};
+  EXPECT_EQ(BlockOfErrorPc, Expected) << formatErrors(verifyModule(M));
+}
+
+TEST(VerifierBlockTest, HeightErrorBlockMatchesPreparedModule) {
+  // Structurally valid, so PreparedModule can cut it; the underflow sits
+  // mid-block in method 1, whose blocks are [0,2) [2,3) [3,6).
+  Module M = rawModule({Instruction(Opcode::Halt)});
+  Method F;
+  F.Name = "f";
+  F.NumLocals = 2;
+  F.Code = {Instruction(Opcode::Iconst, 0), Instruction(Opcode::IfEq, 3),
+            Instruction(Opcode::Nop),       Instruction(Opcode::Nop),
+            Instruction(Opcode::Iadd),      Instruction(Opcode::Return)};
+  M.Methods.push_back(std::move(F));
+
+  std::vector<VerifyError> Errors = verifyModule(M);
+  ASSERT_EQ(Errors.size(), 1u) << formatErrors(Errors);
+  const VerifyError &E = Errors[0];
+  EXPECT_NE(E.Message.find("underflow"), std::string::npos) << E.Message;
+  EXPECT_EQ(E.MethodId, 1u);
+  EXPECT_EQ(E.Pc, 4u);
+
+  PreparedModule PM(M);
+  const BlockId First = PM.methodEntryBlock(E.MethodId);
+  BlockId B = First;
+  while (PM.block(B).EndPc <= E.Pc)
+    ++B;
+  EXPECT_EQ(E.Block, B - First);
+  EXPECT_EQ(E.Block, 2u);
 }

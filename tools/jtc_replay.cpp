@@ -126,18 +126,6 @@ std::optional<Module> loadModule(const std::string &Spec, uint32_t Scale) {
   return M;
 }
 
-const char *statusName(RunStatus S) {
-  switch (S) {
-  case RunStatus::Finished:
-    return "finished";
-  case RunStatus::Trapped:
-    return "trapped";
-  case RunStatus::BudgetExhausted:
-    return "budget-exhausted";
-  }
-  return "unknown";
-}
-
 /// Reports a typed failure: one qualified line on stderr, and with --json
 /// the repo-uniform error document ({"error": {"category", "code",
 /// "detail"}}) so machine consumers parse every taxonomy the same way.
@@ -170,7 +158,7 @@ void writeReplayJson(std::ostream &OS, const Options &Opts,
   W.field("stream", Opts.StreamPath);
   W.field("program", Opts.Program.empty() ? RR.Header.Spec : Opts.Program);
   W.fieldUInt("scale", Opts.Scale ? Opts.Scale : RR.Header.Scale);
-  W.field("status", statusName(RR.End.Status));
+  W.field("status", runStatusName(RR.End.Status));
   if (RR.End.Status == RunStatus::Trapped)
     W.field("trap", trapName(RR.End.Trap));
   W.fieldUInt("blocks", RR.BlocksWalked);
@@ -215,9 +203,9 @@ int cmdRecover(const Options &Opts, const std::vector<uint8_t> &Data,
               << T.From.Offset << " (blocks=" << T.From.BlocksExecuted
               << ", cur=" << T.From.Cur << ")\n";
     if (T.SawEnd)
-      std::cerr << "stream END intact: " << statusName(T.End.Status) << ", "
-                << T.End.BlocksExecuted << " blocks, " << T.End.Instructions
-                << " instructions\n";
+      std::cerr << "stream END intact: " << runStatusName(T.End.Status)
+                << ", " << T.End.BlocksExecuted << " blocks, "
+                << T.End.Instructions << " instructions\n";
     else
       std::cerr << "stream END missing or damaged (torn capture)\n";
   }
@@ -279,7 +267,7 @@ int main(int Argc, char **Argv) {
       std::cerr << ", seeded (" << RR.SeedNodes << " nodes, "
                 << RR.SeedTraces << " traces)";
     std::cerr << "\nreplayed " << RR.BlocksWalked << " blocks ("
-              << statusName(RR.End.Status);
+              << runStatusName(RR.End.Status);
     if (RR.End.Status == RunStatus::Trapped)
       std::cerr << ": " << trapName(RR.End.Trap);
     std::cerr << "), " << RR.End.Instructions << " instructions\n";

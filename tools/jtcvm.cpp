@@ -248,18 +248,6 @@ int reportEnd(const RunResult &R) {
   return 1;
 }
 
-const char *statusName(RunStatus S) {
-  switch (S) {
-  case RunStatus::Finished:
-    return "finished";
-  case RunStatus::Trapped:
-    return "trapped";
-  case RunStatus::BudgetExhausted:
-    return "budget-exhausted";
-  }
-  return "unknown";
-}
-
 /// The `--json` document: run outcome, configuration, the full stats
 /// block, and the phase time-series when sampling was on.
 void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
@@ -268,7 +256,7 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
   JsonWriter W(OS);
   W.beginObject();
   W.field("program", Opts.Program);
-  W.field("status", statusName(R.Status));
+  W.field("status", runStatusName(R.Status));
   W.key("config")
       .beginObject()
       .fieldReal("threshold", Opts.Threshold)
@@ -332,10 +320,12 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
   W.endObject();
   if (!VM.sampler().empty()) {
     W.key("phases").beginArray();
-    for (const PhaseSample<VmStats> &S : VM.sampler().samples()) {
+    const PhaseSampler<VmStats> &Sampler = VM.sampler();
+    for (size_t I = 0; I < Sampler.samples().size(); ++I) {
+      const PhaseSample<VmStats> &S = Sampler.samples()[I];
       W.beginObject().fieldUInt("clock", S.Clock);
       W.key("delta").beginObject();
-      S.Delta.writeJsonFields(W);
+      Sampler.delta(I).writeJsonFields(W);
       W.endObject();
       W.key("cumulative").beginObject();
       S.Cumulative.writeJsonFields(W);
@@ -399,7 +389,7 @@ int cmdReplay(const Options &Opts, const Module &M) {
   if (Opts.Stats)
     RR.Stats.print(std::cerr);
   std::cerr << "replayed " << RR.BlocksWalked << " blocks ("
-            << statusName(RR.End.Status) << "); stats digest "
+            << runStatusName(RR.End.Status) << "); stats digest "
             << (RR.DigestMatch ? "matches" : "MISMATCH") << "\n";
   return RR.DigestMatch ? 0 : 1;
 }
