@@ -107,6 +107,15 @@ TraceProofMemo::findMemFacts(const TraceShape &S) const {
   return find<std::vector<TraceMemFact>>(keyOf(S), &Entry::MemFacts);
 }
 
+TraceProofMemo::Held TraceProofMemo::held(const TraceShape &S) const {
+  Key K = keyOf(S);
+  std::lock_guard<std::mutex> G(Lock);
+  auto It = Entries.find(K);
+  if (It == Entries.end())
+    return {};
+  return {It->second.Verdict.has_value(), It->second.MemFacts.has_value()};
+}
+
 uint64_t TraceProofMemo::proofsComputed() const {
   std::lock_guard<std::mutex> G(Lock);
   return Computed;

@@ -89,6 +89,14 @@ public:
   std::optional<std::vector<TraceMemFact>>
   findMemFacts(const TraceShape &S) const;
 
+  /// Which parts of \p S's entry the memo holds, copying neither: what
+  /// verdict() and memFacts() would answer without computing.
+  struct Held {
+    bool Verdict = false;
+    bool MemFacts = false;
+  };
+  Held held(const TraceShape &S) const;
+
   /// Verdicts and fact lists computed through the memo so far, kept or
   /// not.
   uint64_t proofsComputed() const;

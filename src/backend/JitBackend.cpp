@@ -11,6 +11,7 @@
 #include "telemetry/EventRing.h"
 #include "validate/Validator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdio>
@@ -250,6 +251,10 @@ static uint64_t jtcJitSwitch(JitContext *JC, const SwitchCode *SC,
 // CodeArena
 //===----------------------------------------------------------------------===//
 
+/// Bytes each chunk reserves (virtual memory: a page costs memory only
+/// once an install writes it).
+static constexpr size_t ChunkBytes = 256u << 10;
+
 CodeArena::~CodeArena() {
 #ifdef JTC_HAVE_MMAP
   for (Chunk &C : Chunks)
@@ -261,32 +266,91 @@ const void *CodeArena::install(const std::vector<uint8_t> &Code) {
 #ifdef JTC_HAVE_MMAP
   if (Code.empty())
     return nullptr;
+  static const size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t Size = (Code.size() + Page - 1) / Page * Page;
   Chunk *C = Chunks.empty() ? nullptr : &Chunks.back();
-  if (!C || C->Size - C->Used < Code.size()) {
-    const size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    size_t Size = ((Code.size() + Page - 1) / Page) * Page;
-    if (Size < (64u << 10))
-      Size = 64u << 10;
-    void *Base = mmap(nullptr, Size, PROT_READ | PROT_WRITE,
+  if (!C || C->Size - C->Used < Size) {
+    const size_t ChunkSize = std::max(Size, ChunkBytes);
+    void *Base = mmap(nullptr, ChunkSize, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (Base == MAP_FAILED)
       return nullptr;
-    Chunks.push_back({static_cast<uint8_t *>(Base), Size, 0});
+    Chunks.push_back({static_cast<uint8_t *>(Base), ChunkSize, 0});
     C = &Chunks.back();
-  } else {
-    if (mprotect(C->Base, C->Size, PROT_READ | PROT_WRITE) != 0)
-      return nullptr;
   }
+  // The pages past Used were never executable; these become so for good.
   uint8_t *At = C->Base + C->Used;
   std::memcpy(At, Code.data(), Code.size());
-  C->Used += Code.size();
-  if (mprotect(C->Base, C->Size, PROT_READ | PROT_EXEC) != 0)
+  if (mprotect(At, Size, PROT_READ | PROT_EXEC) != 0)
     return nullptr;
+  C->Used += Size;
   return At;
 #else
   (void)Code;
   return nullptr;
 #endif
+}
+
+size_t CodeArena::bytesInstalled() const {
+  size_t N = 0;
+  for (const Chunk &C : Chunks)
+    N += C.Used;
+  return N;
+}
+
+//===----------------------------------------------------------------------===//
+// ModuleCode
+//===----------------------------------------------------------------------===//
+
+size_t ModuleCode::KeyHash::operator()(const CodeKey &K) const {
+  // FNV-1a over the settings and the block ids.
+  uint64_t H = 1469598103934665603ull ^ K.ProofConfig;
+  H = (H ^ (static_cast<uint64_t>(K.Validate) << 1 | K.MemElide)) *
+      1099511628211ull;
+  for (BlockId B : K.Blocks) {
+    H ^= B;
+    H *= 1099511628211ull;
+  }
+  return static_cast<size_t>(H);
+}
+
+const CompiledTrace *ModuleCode::find(const CodeKey &K) const {
+  std::lock_guard<std::mutex> G(Lock);
+  auto It = Entries.find(K);
+  return It == Entries.end() ? nullptr : &It->second;
+}
+
+const void *ModuleCode::install(const std::vector<uint8_t> &Code) {
+  std::lock_guard<std::mutex> G(Lock);
+  if (Installs >= Cap)
+    return nullptr;
+  const void *At = Arena.install(Code);
+  Installs += At != nullptr;
+  return At;
+}
+
+const CompiledTrace *ModuleCode::publish(CodeKey K, CompiledTrace C) {
+  std::lock_guard<std::mutex> G(Lock);
+  return &Entries.try_emplace(std::move(K), std::move(C)).first->second;
+}
+
+size_t ModuleCode::tracesHeld() const {
+  std::lock_guard<std::mutex> G(Lock);
+  return Entries.size();
+}
+
+size_t ModuleCode::installs() const {
+  std::lock_guard<std::mutex> G(Lock);
+  return Installs;
+}
+
+size_t ModuleCode::bytesHeld() const {
+  std::lock_guard<std::mutex> G(Lock);
+  return Arena.bytesInstalled();
+}
+
+ModuleCode &moduleCode(const PreparedModule &PM, size_t Cap) {
+  return PM.backendState<ModuleCode>(Cap);
 }
 
 //===----------------------------------------------------------------------===//
@@ -869,38 +933,47 @@ bool jitSupportedHost() {
 }
 
 JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config)
-    : PM(PM), Config(Config), ProofConfig(Config.Opt.fingerprint()) {}
+    : PM(PM), Config(Config), ProofConfig(Config.Opt.fingerprint()),
+      Code(moduleCode(PM)) {}
 
 JitBackend::~JitBackend() = default;
 
-CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
-  if (Config.SimulateUnsupportedHost || !jitSupportedHost())
-    return CompileFallback::HostUnsupported;
-
+const CompiledTrace *JitBackend::compile(const Trace &T, CodeKey Key,
+                                         CompileFallback &Why) {
   LowerResult L = lowerTrace(PM, T, &PM.facts());
-  if (!L.ok())
-    return L.Why;
-  proveAndAnnotate(T, L.IR);
+  if (!L.ok()) {
+    Why = L.Why;
+    return nullptr;
+  }
+  CompiledTrace C;
+  C.Proof = prove(T, L.IR);
+  credit(T, C.Proof);
 
   TraceCompiler TC(L.IR, PM);
   TC.emit();
-
-  const void *Entry = Arena.install(TC.code());
-  if (!Entry)
-    return CompileFallback::CodeSpace;
-
-  Out.Fn = reinterpret_cast<TraceFn>(reinterpret_cast<uintptr_t>(Entry));
-  Out.Exits = TC.takeExits();
-  Out.MaxPush = L.IR.MaxPush;
-  Out.InstrCount = L.IR.InstrCount;
-  Stats.CodeBytes += TC.code().size();
-  JTC_RECORD_EVENT(Telem, EventKind::TraceCompiled, T.Id,
-                   static_cast<uint32_t>(TC.code().size()));
-  return CompileFallback::None;
+  const void *Entry = Code.install(TC.code());
+  if (!Entry) {
+    Why = CompileFallback::CodeSpace;
+    return nullptr;
+  }
+  C.Fn = reinterpret_cast<TraceFn>(reinterpret_cast<uintptr_t>(Entry));
+  C.Exits = TC.takeExits();
+  C.MaxPush = L.IR.MaxPush;
+  C.InstrCount = L.IR.InstrCount;
+  C.CodeSize = static_cast<uint32_t>(TC.code().size());
+  // A later promotion of the shape reads back from the memo whatever of
+  // the consulted proofs it holds now; past its cap, that can be less
+  // than this promotion found there.
+  analysis::TraceProofMemo::Held H =
+      PM.proofs().held({T.Blocks, ProofConfig});
+  C.Proof.Reused = (C.Proof.Validated && H.Verdict) +
+                   (Config.MemElide && C.Proof.Accepted && H.MemFacts);
+  return Code.publish(std::move(Key), std::move(C));
 }
 
-void JitBackend::proveAndAnnotate(const Trace &T, TraceIR &IR) {
+TraceProof JitBackend::prove(const Trace &T, TraceIR &IR) {
   const analysis::TraceShape Shape{T.Blocks, ProofConfig};
+  TraceProof P;
   bool Reused = false;
   if (Config.Validate != ValidateMode::Off) {
     analysis::TraceVerdict V = PM.proofs().verdict(
@@ -912,8 +985,10 @@ void JitBackend::proveAndAnnotate(const Trace &T, TraceIR &IR) {
                                         R.SegmentIndex, std::move(R.Detail)};
         },
         Reused);
-    Stats.ProofsReused += Reused;
-    ++Stats.TracesValidated;
+    P.Validated = true;
+    P.Reused += Reused;
+    P.Accepted = V.Ok;
+    P.ReasonCode = V.ReasonCode;
     if (!V.Ok) {
       if (Config.Validate == ValidateMode::Strict) {
         validate::Result R = validate::Result::fail(
@@ -928,44 +1003,73 @@ void JitBackend::proveAndAnnotate(const Trace &T, TraceIR &IR) {
       // The trace still compiles -- no tier runs the optimized form --
       // but fully checked: a failed proof means the analysis and the
       // optimizer disagree somewhere.
-      ++Stats.ValidationRejects;
-      ++Stats.RejectsByReason[V.ReasonCode];
-      JTC_RECORD_EVENT(Telem, EventKind::TraceValidationRejected, T.Id,
-                       V.ReasonCode);
-      return;
+      return P;
     }
-    JTC_RECORD_EVENT(Telem, EventKind::TraceValidated, T.Id,
-                     static_cast<uint32_t>(T.Blocks.size()));
   }
   if (!Config.MemElide)
-    return;
+    return P;
   std::vector<analysis::TraceMemFact> Facts = PM.proofs().memFacts(
       Shape, [&] { return traceMemFacts(PM, T.Blocks); }, Reused);
-  Stats.ProofsReused += Reused;
-  Stats.MemElisionSites += Facts.size();
+  P.Reused += Reused;
+  P.ElisionSites = static_cast<uint32_t>(Facts.size());
   applyMemFacts(IR, Facts);
+  return P;
+}
+
+void JitBackend::credit([[maybe_unused]] const Trace &T,
+                        const TraceProof &P) {
+  Stats.ProofsReused += P.Reused;
+  Stats.MemElisionSites += P.ElisionSites;
+  if (!P.Validated)
+    return;
+  ++Stats.TracesValidated;
+  if (P.Accepted) {
+    JTC_RECORD_EVENT(Telem, EventKind::TraceValidated, T.Id,
+                     static_cast<uint32_t>(T.Blocks.size()));
+    return;
+  }
+  ++Stats.ValidationRejects;
+  ++Stats.RejectsByReason[P.ReasonCode];
+  JTC_RECORD_EVENT(Telem, EventKind::TraceValidationRejected, T.Id,
+                   P.ReasonCode);
+}
+
+const CompiledTrace *JitBackend::promote(const Trace &T) {
+  // What a promotion that got no code leaves: the trace stays
+  // block-stepped, and is not promoted again.
+  static const CompiledTrace NotCompiled;
+  CompileFallback Why = CompileFallback::HostUnsupported;
+  const CompiledTrace *C = nullptr;
+  if (!Config.SimulateUnsupportedHost && jitSupportedHost()) {
+    CodeKey Key{T.Blocks, ProofConfig, Config.Validate, Config.MemElide};
+    C = Code.find(Key);
+    if (C) {
+      ++Stats.CodeReused;
+      credit(T, C->Proof);
+    } else {
+      C = compile(T, std::move(Key), Why);
+    }
+  }
+  if (!C) {
+    ++Stats.CompileFallbacks;
+    JTC_RECORD_EVENT(Telem, EventKind::TraceCompileFallback, T.Id,
+                     static_cast<uint32_t>(Why));
+    return &NotCompiled;
+  }
+  ++Stats.TracesCompiled;
+  Stats.CodeBytes += C->CodeSize;
+  JTC_RECORD_EVENT(Telem, EventKind::TraceCompiled, T.Id, C->CodeSize);
+  return C;
 }
 
 const CompiledTrace *JitBackend::compiled(const Trace &T) {
   if (T.Id < Compiled.size() && Compiled[T.Id])
-    return Compiled[T.Id].get();
+    return Compiled[T.Id];
   if (T.Completed < Config.JitPromoteAfter)
     return nullptr; // not hot yet; keep interpreting
-
-  auto C = std::make_unique<CompiledTrace>();
-  CompileFallback Why = tryCompile(T, *C);
-  if (Why != CompileFallback::None) {
-    C->Fn = nullptr;
-    ++Stats.CompileFallbacks;
-    JTC_RECORD_EVENT(Telem, EventKind::TraceCompileFallback, T.Id,
-                     static_cast<uint32_t>(Why));
-  } else {
-    ++Stats.TracesCompiled;
-  }
   if (T.Id >= Compiled.size())
     Compiled.resize(T.Id + 1);
-  Compiled[T.Id] = std::move(C);
-  return Compiled[T.Id].get();
+  return Compiled[T.Id] = promote(T);
 }
 
 std::optional<TraceRunResult> JitBackend::run(const Trace &T,

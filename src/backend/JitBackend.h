@@ -58,6 +58,21 @@
 /// checks away. The interp tier neither proves nor elides: it runs
 /// every check, which costs it nothing a proof could save.
 ///
+/// Native code is per module, not per session. Compiled code depends
+/// only on the trace's blocks and module-owned data (switch tables,
+/// helper addresses), so the module keeps one code cache (ModuleCode,
+/// held in PreparedModule::backendState()) keyed by the trace's shape
+/// and the settings that change the code. A session's first promotion
+/// of a shape the module holds lowers, proves, emits and installs
+/// nothing: it runs the held code and credits the same counters and
+/// telemetry events the compiling promotion did, so which session
+/// compiled a shape is unobservable except through jit_code_reused.
+/// Code memory is W^X by page: an install takes whole fresh pages,
+/// writes them and flips them executable once, and nothing writes them
+/// again, so no page another session may be running is ever writable.
+/// Past ModuleCode::MaxTraces installs a promotion falls back to
+/// CodeSpace and the trace stays block-stepped.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_BACKEND_JITBACKEND_H
@@ -70,8 +85,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace jtc {
@@ -98,7 +114,8 @@ enum class CompileFallback : uint8_t {
                    ///< block's terminator -- a corrupted trace (fault
                    ///< injection); block-stepping reproduces its
                    ///< divergence behaviour exactly.
-  CodeSpace,       ///< Executable code buffer could not be allocated.
+  CodeSpace,       ///< Executable memory could not be allocated, or the
+                   ///< module's code cache is full.
 };
 
 /// Stable kebab-case reason name ("host-unsupported", "switch-guard", ...).
@@ -128,6 +145,9 @@ struct BackendStats {
   uint64_t ProofsReused = 0;
   uint64_t MemElisionSites = 0; ///< Heap accesses compiled with elision.
   uint64_t ChecksElided = 0;    ///< Dynamic checks native code skipped.
+  /// Promotions that found their shape's code in the module's cache, and
+  /// so compiled nothing.
+  uint64_t CodeReused = 0;
 };
 
 /// The in/out block native trace code works against. Layout is ABI: the
@@ -177,19 +197,49 @@ struct ExitRecord {
 
 using TraceFn = void (*)(JitContext *);
 
-/// One promotion outcome, cached per trace id. A null Fn records a failed
-/// promotion: the trace stays block-stepped without retrying.
+/// What a promotion proved about its trace's shape: what the session
+/// credits for it (BackendStats, telemetry), and what every later
+/// promotion of the shape credits again.
+struct TraceProof {
+  bool Validated = false;    ///< Translation validation ran.
+  bool Accepted = true;      ///< Its verdict (true when it did not run).
+  uint32_t ReasonCode = 0;   ///< The validate::Reason of a rejection.
+  uint32_t ElisionSites = 0; ///< Heap accesses compiled with elision.
+  /// Of the verdict and the elision facts the promotion consulted, those
+  /// the module's proof memo answered. On a held CompiledTrace: those
+  /// the memo holds once the shape is compiled, which is what any later
+  /// promotion would find there (memo entries never change).
+  uint32_t Reused = 0;
+};
+
+/// A trace shape's native code, owned by the module's ModuleCode and
+/// shared by every session that promotes the shape.
 struct CompiledTrace {
   TraceFn Fn = nullptr;
   std::vector<ExitRecord> Exits;
   uint32_t MaxPush = 0;
   uint64_t InstrCount = 0;
+  uint32_t CodeSize = 0; ///< Bytes emitted.
+  TraceProof Proof;
 };
 
-/// Bump-allocated executable memory: mmapped chunks, written RW and
-/// flipped RX once the code is in place. Compilation never overlaps
-/// native execution (single-threaded sessions), so re-flipping a chunk RW
-/// to append another trace is safe.
+/// What compiled code depends on besides the module: the trace's block
+/// ids, the optimizer configuration its proofs are keyed by, and the
+/// validation and elision settings that decide which checks it keeps.
+struct CodeKey {
+  std::vector<BlockId> Blocks;
+  uint64_t ProofConfig = 0;
+  ValidateMode Validate = ValidateMode::On;
+  bool MemElide = true;
+
+  bool operator==(const CodeKey &) const = default;
+};
+
+/// Executable memory, W^X by page: each install takes whole fresh pages
+/// from a chunk mapped read-write, copies the code in and flips those
+/// pages read-execute. No page is written after it is executable, so
+/// installs never disturb code another thread is running. Not
+/// thread-safe itself: ModuleCode serializes installs.
 class CodeArena {
 public:
   CodeArena() = default;
@@ -197,9 +247,12 @@ public:
   CodeArena &operator=(const CodeArena &) = delete;
   ~CodeArena();
 
-  /// Copies \p Code into executable memory; null when the platform cannot
-  /// provide it (the CodeSpace fallback).
+  /// Copies \p Code into fresh executable pages; null when the platform
+  /// cannot provide them.
   const void *install(const std::vector<uint8_t> &Code);
+
+  /// Bytes of executable pages installed so far.
+  size_t bytesInstalled() const;
 
 private:
   struct Chunk {
@@ -210,10 +263,60 @@ private:
   std::vector<Chunk> Chunks;
 };
 
-/// The native tier of one VM session; never shared across threads. On a
-/// host without template support (or under SimulateUnsupportedHost) every
-/// promotion records a HostUnsupported fallback and run() always
-/// declines.
+/// One module's native code, shared by every session over it: at most
+/// one CompiledTrace per CodeKey, published first-wins and never changed
+/// or freed before the module. Thread-safe.
+class ModuleCode {
+public:
+  /// Installs per module, like TraceProofMemo::MaxShapes. A default
+  /// javac session compiles about 1100 traces.
+  static constexpr size_t MaxTraces = 4096;
+
+  explicit ModuleCode(size_t Cap = MaxTraces) : Cap(Cap) {}
+  ModuleCode(const ModuleCode &) = delete;
+  ModuleCode &operator=(const ModuleCode &) = delete;
+
+  /// The code held for \p K, or null.
+  const CompiledTrace *find(const CodeKey &K) const;
+
+  /// Copies \p Code into executable memory; null (the CodeSpace
+  /// fallback) once the module has installed its cap, or when no
+  /// executable memory can be had.
+  const void *install(const std::vector<uint8_t> &Code);
+
+  /// Publishes \p C, whose code install() placed, under \p K, and
+  /// returns the held entry: \p C, or the equal one a racing session
+  /// published first (\p C's pages then stay unused).
+  const CompiledTrace *publish(CodeKey K, CompiledTrace C);
+
+  size_t tracesHeld() const;
+  /// Installs so far, published or not (at most the cap).
+  size_t installs() const;
+  /// Bytes of executable pages those installs hold.
+  size_t bytesHeld() const;
+
+private:
+  struct KeyHash {
+    size_t operator()(const CodeKey &K) const;
+  };
+
+  const size_t Cap;
+  /// Guards everything below.
+  mutable std::mutex Lock;
+  std::unordered_map<CodeKey, CompiledTrace, KeyHash> Entries;
+  CodeArena Arena;
+  size_t Installs = 0;
+};
+
+/// \p PM's code cache, created on first use with \p Cap (later calls'
+/// caps are ignored; tests pass a small one).
+ModuleCode &moduleCode(const PreparedModule &PM,
+                       size_t Cap = ModuleCode::MaxTraces);
+
+/// The native tier of one VM session; never shared across threads,
+/// though the module's code it runs is. On a host without template
+/// support (or under SimulateUnsupportedHost) every promotion records a
+/// HostUnsupported fallback and run() always declines.
 class JitBackend {
 public:
   /// Side-exit liveness comes from \p PM's shared analysis (facts()).
@@ -237,27 +340,36 @@ public:
   const BackendStats &stats() const { return Stats; }
 
 private:
-  /// The cached promotion outcome for \p T, compiling on first sight of a
-  /// hot trace; null while the trace is below the promotion threshold.
+  /// The promotion outcome for \p T, promoting on first sight of a hot
+  /// trace; null while the trace is below the promotion threshold.
   const CompiledTrace *compiled(const Trace &T);
-  CompileFallback tryCompile(const Trace &T, CompiledTrace &Out);
+  /// Runs \p T's shape from the module's code when held, else compiles
+  /// and publishes it; credits the promotion either way. A trace that
+  /// gets no code yields a CompiledTrace with a null Fn.
+  const CompiledTrace *promote(const Trace &T);
+  /// Lowers, proves, emits and installs \p T; null with \p Why on a
+  /// fallback.
+  const CompiledTrace *compile(const Trace &T, CodeKey Key,
+                               CompileFallback &Why);
   /// The promotion-time proof work on \p T, lowered into \p IR, through
   /// the module's memo (PreparedModule::proofs()): translation validation
   /// (aborting on a rejection under ValidateMode::Strict), then, unless
   /// validation rejected the trace, its check-elision facts applied to
   /// \p IR.
-  void proveAndAnnotate(const Trace &T, TraceIR &IR);
+  TraceProof prove(const Trace &T, TraceIR &IR);
+  /// Counts what a promotion of \p T proved, and records its events.
+  void credit(const Trace &T, const TraceProof &P);
 
   const PreparedModule &PM;
   BackendConfig Config;
   /// Config.Opt's part of the trace-shape key of the module's proofs.
   uint64_t ProofConfig;
+  ModuleCode &Code;
   BackendStats Stats;
   EventRing *Telem = nullptr;
   /// Promotion outcome per trace id (a cache's ids are dense and never
   /// reused); null until the trace is first seen hot.
-  std::vector<std::unique_ptr<CompiledTrace>> Compiled;
-  CodeArena Arena;
+  std::vector<const CompiledTrace *> Compiled;
 };
 
 } // namespace backend

@@ -178,6 +178,8 @@ private:
     Put("checkpoints-loaded", S.CheckpointsLoaded);
     Put("checkpoint-load-rejects", S.CheckpointLoadRejects);
     Put("queue-depth", Svc.queueDepth());
+    Put("traces-jit-compiled", S.Aggregate.TracesJitCompiled);
+    Put("jit-code-reused", S.Aggregate.JitCodeReused);
     Put(eventKindName(EventKind::ConnAccepted), N.ConnsAccepted);
     Put(eventKindName(EventKind::ConnClosed), N.ConnsClosed);
     Put(eventKindName(EventKind::RequestRejectedBackpressure),
@@ -207,7 +209,7 @@ int fleet::runShardProcess(const ShardOptions &O) {
   }
 
   ServiceOptions SO;
-  SO.workers(O.Workers);
+  SO.workers(O.Workers).vm(VmOptions().backend(O.Backend));
   if (!O.StateDir.empty()) {
     std::string Dir = shardCheckpointDir(O.StateDir, O.ShardId);
     std::error_code Ec;

@@ -24,6 +24,8 @@
 #ifndef JTC_FLEET_SHARD_H
 #define JTC_FLEET_SHARD_H
 
+#include "vm/VmOptions.h"
+
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -42,6 +44,8 @@ struct ShardOptions {
   double CheckpointIntervalSeconds = 0;
   /// Workloads to register at boot: (registry name, scale; 0 = default).
   std::vector<std::pair<std::string, uint32_t>> Workloads;
+  /// Trace-execution tier of every session.
+  backend::BackendKind Backend = defaultBackendKind();
 };
 
 /// Per-shard checkpoint directory under \p StateDir.

@@ -42,6 +42,8 @@ bool FleetSupervisor::spawnShard(unsigned Shard, std::string &Err) {
   Args.push_back("--listen-fd=" + std::to_string(S.ListenFd));
   Args.push_back("--shard-workers=" + std::to_string(O.Workers));
   Args.push_back("--max-queue-depth=" + std::to_string(O.MaxQueueDepth));
+  Args.push_back(std::string("--backend=") +
+                 backend::backendKindName(O.Backend));
   if (!O.StateDir.empty())
     Args.push_back("--state-dir=" + O.StateDir);
   if (O.CheckpointIntervalSeconds > 0)

@@ -28,6 +28,7 @@
 #include "fleet/ConsistentHash.h"
 #include "net/EpollServer.h"
 #include "persist/SnapshotMerge.h"
+#include "vm/VmOptions.h"
 
 #include <sys/types.h>
 
@@ -52,6 +53,8 @@ struct FleetOptions {
   std::string ShardBinary; ///< Path to jtc-fleet (re-executed --shard).
   /// Workloads every shard registers: (registry name, scale).
   std::vector<std::pair<std::string, uint32_t>> Workloads;
+  /// Trace-execution tier every shard's sessions run on.
+  backend::BackendKind Backend = defaultBackendKind();
 };
 
 struct FleetStats {

@@ -192,47 +192,22 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
     if (Rec)
       C.violations(checkBtraceRoundTrip(PM, *Rec));
 
-    // Memory-elision equivalence: the same configuration with dynamic
-    // check elision disabled must be observationally identical (elision
-    // only skips checks the alias analysis proved redundant), and the
-    // stats digest must not move either -- the elision counters are
-    // digest-excluded by design, so --mem-elide is replay-neutral. Only
-    // promoted native code elides, so this side runs unelided native
-    // code, against the elided native code of the backend axis below,
-    // and only where that axis runs.
-    if (Config.CheckBackends && Config.Fault == CacheFault::None &&
-        backend::jitSupportedHost()) {
-      std::ostringstream EName;
-      EName << "tracevm-noelide[t=" << G.Threshold << " delay=" << G.Delay
-            << " decay=" << G.Decay << "]";
-      Comparer EC(Result, EName.str());
-      TraceVM EVM(PM, VmOptions(Base)
-                          .backend(backend::BackendKind::Jit)
-                          .jitPromoteAfter(0)
-                          .memElide(false));
-      RunResult ER = EVM.run();
-      EC.outcome(ER.Status, EVM.machine().trap());
-      EC.instructions(ER.Instructions);
-      EC.output(EVM.machine().output());
-      EC.heap(fuzz::heapDigest(EVM.machine().heap()), RefDigest);
-      if (VM.currentStats().digest() != EVM.currentStats().digest()) {
-        std::ostringstream OS;
-        OS << "elide-on digest " << std::hex << VM.currentStats().digest()
-           << ", elide-off digest " << EVM.currentStats().digest();
-        Result.Findings.push_back(
-            {EName.str(), "mem-elide-digest-mismatch", OS.str()});
-      }
-    }
-
     // Backend equivalence: the same configuration on the JIT tier must
     // be observationally indistinguishable -- including the adaptive
     // bookkeeping (stats digest) and the emitted btrace stream, which
-    // deliberately has no backend field.
-    if (Config.CheckBackends && Config.Fault == CacheFault::None &&
-        backend::jitSupportedHost()) {
+    // deliberately has no backend field. A second session over the
+    // module runs the native code the first left in it and must be
+    // compared the same way, and must count exactly what the first did
+    // but for what it found left behind.
+    const bool Backends = Config.CheckBackends &&
+                          Config.Fault == CacheFault::None &&
+                          backend::jitSupportedHost();
+    VmStats FirstJit;
+    for (int Session = 0; Backends && Session < 2; ++Session) {
       std::ostringstream JName;
-      JName << "tracevm-jit[t=" << G.Threshold << " delay=" << G.Delay
-            << " decay=" << G.Decay << "]";
+      JName << "tracevm-jit" << (Session ? "-reuse" : "") << "[t="
+            << G.Threshold << " delay=" << G.Delay << " decay=" << G.Decay
+            << "]";
       Comparer JC(Result, JName.str());
       TraceVM JitVM(PM, VmOptions(Base)
                             .backend(backend::BackendKind::Jit)
@@ -247,33 +222,85 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
       JC.instructions(JR.Instructions);
       JC.output(JitVM.machine().output());
       JC.heap(fuzz::heapDigest(JitVM.machine().heap()), RefDigest);
-      if (VM.currentStats().digest() != JitVM.currentStats().digest()) {
+      const VmStats JS = JitVM.currentStats();
+      if (VM.currentStats().digest() != JS.digest()) {
         std::ostringstream OS;
         OS << "interp digest " << std::hex << VM.currentStats().digest()
-           << ", jit digest " << JitVM.currentStats().digest();
-        Result.Findings.push_back(
-            {JName.str(), "backend-digest-mismatch", OS.str()});
+           << ", jit digest " << JS.digest();
+        JC.finding("backend-digest-mismatch", OS.str());
       }
       if (JitRec) {
         if (JitRec->blocks() != Rec->blocks()) {
           std::ostringstream OS;
           OS << "interp dispatched " << Rec->blocks().size()
              << " blocks, jit " << JitRec->blocks().size();
-          Result.Findings.push_back(
-              {JName.str(), "backend-block-mismatch", OS.str()});
+          JC.finding("backend-block-mismatch", OS.str());
         } else if (JitRec->stream() != Rec->stream()) {
           std::ostringstream OS;
           OS << "identical block sequence encoded to different streams ("
              << Rec->stream().size() << " vs " << JitRec->stream().size()
              << " bytes)";
-          Result.Findings.push_back(
-              {JName.str(), "backend-stream-mismatch", OS.str()});
+          JC.finding("backend-stream-mismatch", OS.str());
         }
       }
       if (Config.CheckInvariants)
         JC.violations(checkTraceVm(JitVM, JR.Status));
       if (Config.CheckInvariants && JitRec)
         JC.violations(checkContextsExecuted(JitVM.graph(), JitRec->blocks()));
+      if (Session == 0) {
+        FirstJit = JS;
+        continue;
+      }
+      for (const VmStats::FieldInfo &F : VmStats::fields())
+        if (F.Counter && F.Counter != &VmStats::TraceProofsReused &&
+            F.Counter != &VmStats::JitCodeReused &&
+            JS.*F.Counter != FirstJit.*F.Counter)
+          JC.finding("reuse-stats-mismatch",
+                     std::string(F.Key) + ": first session " +
+                         std::to_string(FirstJit.*F.Counter) + ", second " +
+                         std::to_string(JS.*F.Counter));
+      if (JS.JitCodeReused != JS.TracesJitCompiled)
+        JC.finding("jit-code-recompiled",
+                   std::to_string(JS.TracesJitCompiled) + " promoted, " +
+                       std::to_string(JS.JitCodeReused) +
+                       " from the module's code");
+    }
+
+    // Memory-elision equivalence: the same configuration with dynamic
+    // check elision disabled must be observationally identical (elision
+    // only skips checks the alias analysis proved redundant), and the
+    // stats digest must not move either -- the elision counters are
+    // digest-excluded by design, so --mem-elide is replay-neutral. Only
+    // promoted native code elides, so this side runs unelided native
+    // code, against the elided native code of the backend axis above
+    // -- after it, so the module already holds that elided code, which
+    // this session must not run: it must report no elision at all.
+    if (Backends) {
+      std::ostringstream EName;
+      EName << "tracevm-noelide[t=" << G.Threshold << " delay=" << G.Delay
+            << " decay=" << G.Decay << "]";
+      Comparer EC(Result, EName.str());
+      TraceVM EVM(PM, VmOptions(Base)
+                          .backend(backend::BackendKind::Jit)
+                          .jitPromoteAfter(0)
+                          .memElide(false));
+      RunResult ER = EVM.run();
+      EC.outcome(ER.Status, EVM.machine().trap());
+      EC.instructions(ER.Instructions);
+      EC.output(EVM.machine().output());
+      EC.heap(fuzz::heapDigest(EVM.machine().heap()), RefDigest);
+      const VmStats ES = EVM.currentStats();
+      if (VM.currentStats().digest() != ES.digest()) {
+        std::ostringstream OS;
+        OS << "elide-on digest " << std::hex << VM.currentStats().digest()
+           << ", elide-off digest " << ES.digest();
+        EC.finding("mem-elide-digest-mismatch", OS.str());
+      }
+      if (ES.MemElisionSites != 0 || ES.MemChecksElided != 0)
+        EC.finding("mem-elide-off-elided",
+                   std::to_string(ES.MemElisionSites) + " sites, " +
+                       std::to_string(ES.MemChecksElided) +
+                       " checks elided");
     }
 
     // Last, so the memo holds what the JIT run proved at promotion for

@@ -100,10 +100,14 @@ struct OracleConfig {
   /// instruction count, output, heap, the folded VmStats digest and,
   /// when the btrace audit is on, the byte-identical compressed stream.
   /// This is the interp/JIT equivalence contract of
-  /// backend/JitBackend.h, enforced program-by-program. The same grid
-  /// point also runs on the JIT tier with --mem-elide=off, so elided
-  /// native code is compared with unelided native code. Skipped on
-  /// hosts without template-JIT support and under an injected fault.
+  /// backend/JitBackend.h, enforced program-by-program. A second JIT
+  /// session over the same module, which runs the native code the first
+  /// left there, is compared the same way and must count what the first
+  /// did. The same grid point then runs on the JIT tier with
+  /// --mem-elide=off, so elided native code is compared with unelided
+  /// native code, and the module's elided code must not leak into that
+  /// session. Skipped on hosts without template-JIT support and under an
+  /// injected fault.
   bool CheckBackends = true;
 
   /// Validation mode for the grid's TraceVM runs. On exercises

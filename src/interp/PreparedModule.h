@@ -28,7 +28,9 @@
 /// never again. So are the proofs built on them (proofs()): each trace
 /// shape's validation verdict and check-elision facts are computed by
 /// the first session that promotes the shape, and every later session
-/// over the module reuses them.
+/// over the module reuses them. The native code the JIT compiles for a
+/// shape is module state too (backendState()), held type-erased so this
+/// layer knows no backend type.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +43,10 @@
 #include "support/Ids.h"
 
 #include <cassert>
+#include <memory>
+#include <mutex>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 namespace jtc {
@@ -115,6 +120,19 @@ public:
   /// on demand and shared by every session over this PreparedModule.
   const analysis::TraceProofMemo &proofs() const { return Proofs; }
 
+  /// The module-lifetime state of the native tier (the JIT's code
+  /// cache), shared by every session over this PreparedModule. The first
+  /// call constructs it from \p Args, thread-safely; later calls return
+  /// it and ignore theirs. Held type-erased: every caller must name the
+  /// same \p T.
+  template <typename T, typename... ArgTs>
+  T &backendState(ArgTs &&...Args) const {
+    std::call_once(BackendOnce, [&] {
+      Backend = std::make_shared<T>(std::forward<ArgTs>(Args)...);
+    });
+    return *static_cast<T *>(Backend.get());
+  }
+
   size_t numBlocks() const { return Blocks.size(); }
 
   const BasicBlock &block(BlockId B) const {
@@ -171,6 +189,8 @@ private:
   std::vector<BlockId> SwitchTargets;
   analysis::ModuleAnalysis Facts;
   analysis::TraceProofMemo Proofs;
+  mutable std::once_flag BackendOnce;
+  mutable std::shared_ptr<void> Backend;
 };
 
 } // namespace jtc

@@ -221,6 +221,7 @@ VmStats TraceVM::currentStats() const {
     S.TraceCompileFallbacks = BS.CompileFallbacks;
     S.TraceDispatchesJit = BS.CompiledDispatches;
     S.JitCodeBytes = BS.CodeBytes;
+    S.JitCodeReused = BS.CodeReused;
     S.TracesValidated = BS.TracesValidated;
     S.TraceValidationRejects = BS.ValidationRejects;
     S.TraceProofsReused = BS.ProofsReused;

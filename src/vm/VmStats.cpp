@@ -76,6 +76,8 @@ const std::vector<VmStats::FieldInfo> &VmStats::fields() {
               &VmStats::TraceDispatchesInterp, /*InPrint=*/false),
       Counter("jit code bytes", "jit_code_bytes", &VmStats::JitCodeBytes,
               /*InPrint=*/false),
+      Counter("jit code reused", "jit_code_reused", &VmStats::JitCodeReused,
+              /*InPrint=*/false),
       Counter("mem elision sites", "mem_elision_sites",
               &VmStats::MemElisionSites, /*InPrint=*/false),
       Counter("mem checks elided", "mem_checks_elided",
@@ -123,7 +125,7 @@ uint64_t VmStats::digest() const {
            M == &VmStats::TraceCompileFallbacks ||
            M == &VmStats::TraceDispatchesJit ||
            M == &VmStats::TraceDispatchesInterp ||
-           M == &VmStats::JitCodeBytes ||
+           M == &VmStats::JitCodeBytes || M == &VmStats::JitCodeReused ||
            // Elision accounting is configuration (--mem-elide) like the
            // tier counters; the elided checks were proved to pass, so the
            // execution semantics are identical either way.

@@ -64,7 +64,7 @@ struct VmStats {
   /// Which execution tier served trace dispatches, and what the JIT
   /// compiled. Tier selection is a --backend configuration choice that
   /// by contract never changes execution semantics (interp and JIT runs
-  /// are bit-equivalent), so like the validation counters all five are
+  /// are bit-equivalent), so like the validation counters all of them are
   /// digest-excluded: a replay or an oracle run under a different
   /// backend still matches.
   uint64_t TracesJitCompiled = 0;     ///< Traces compiled to native code.
@@ -72,6 +72,12 @@ struct VmStats {
   uint64_t TraceDispatchesJit = 0;    ///< Trace entries run natively.
   uint64_t TraceDispatchesInterp = 0; ///< Trace entries block-stepped.
   uint64_t JitCodeBytes = 0;          ///< Native code bytes installed.
+  /// Promotions that ran code an earlier promotion of the same shape
+  /// compiled into the module (PreparedModule::backendState()) instead
+  /// of compiling. Like TraceProofsReused it counts what earlier
+  /// sessions left behind; every other tier counter reads the same
+  /// either way.
+  uint64_t JitCodeReused = 0;
 
   //===--- Memory-check elision (src/analysis) --------------------------===//
   /// Heap-access check elision proved by the trace-path alias analysis,

@@ -2,9 +2,10 @@
 ///
 /// \file
 /// Tests that run several sessions over one PreparedModule compare their
-/// statistics counter by counter. TraceProofsReused is left out: it
-/// counts the proofs earlier sessions over the module left behind, so a
-/// repeat session differs there by design. Sessions that must prove and
+/// statistics counter by counter. TraceProofsReused and JitCodeReused
+/// are left out: they count the proofs and native code earlier sessions
+/// over the module left behind, so a repeat session differs there by
+/// design. Sessions that must prove and
 /// elide run on the JIT tier, the only one that does.
 ///
 //===----------------------------------------------------------------------===//
@@ -26,7 +27,7 @@ inline std::string statsDiff(const VmStats &A, const VmStats &B) {
   std::string Diff;
   for (const VmStats::FieldInfo &F : VmStats::fields())
     if (F.Counter && F.Counter != &VmStats::TraceProofsReused &&
-        A.*F.Counter != B.*F.Counter)
+        F.Counter != &VmStats::JitCodeReused && A.*F.Counter != B.*F.Counter)
       Diff += std::string(Diff.empty() ? "" : " ") + F.Key;
   return Diff;
 }

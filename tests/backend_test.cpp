@@ -3,7 +3,8 @@
 /// \file
 /// The two trace tiers: interp/JIT bit-equivalence, guard side-exit state
 /// materialization, budget cuts inside traces, compile-failure fallback,
-/// and tier-promotion accounting. Everything here runs against the
+/// tier-promotion accounting, and the module's shared native code.
+/// Everything here runs against the
 /// contract in backend/JitBackend.h -- which tier executes a dispatched
 /// trace must be unobservable except through the digest-excluded tier
 /// counters.
@@ -17,6 +18,13 @@
 #include "interp/InstructionInterpreter.h"
 #include "runtime/Heap.h"
 #include "vm/TraceVM.h"
+#include "workloads/Workloads.h"
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <map>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -571,4 +579,209 @@ TEST(BackendTest, CompileFallbackNamesAreStable) {
                static_cast<uint32_t>(CompileFallback::SwitchGuard),
                "trace 7");
   EXPECT_EQ("backend/switch-guard: trace 7", E.qualifiedMessage());
+}
+
+//===----------------------------------------------------------------------===//
+// The module's native code
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What one session did, as far as any output, statistic or event shows.
+struct SessionRecord {
+  RunResult Run;
+  std::vector<int64_t> Output;
+  uint64_t HeapDigest = 0;
+  VmStats Stats;
+  std::map<uint32_t, uint64_t> RejectsByReason;
+  std::vector<BlockId> Blocks;
+  std::vector<std::tuple<uint64_t, uint32_t, uint32_t, EventKind>> Events;
+};
+
+SessionRecord runSession(const PreparedModule &PM, const VmOptions &O) {
+  TraceVM VM(PM, VmOptions(O).telemetry(true).telemetryCapacity(1u << 17));
+  SequenceSink Sink;
+  VM.setTransitionSink(&Sink);
+  SessionRecord S;
+  S.Run = VM.run();
+  S.Output = VM.machine().output();
+  S.HeapDigest = heapDigest(VM.machine().heap());
+  S.Stats = VM.currentStats();
+  EXPECT_EQ(S.Stats.EventsDropped, 0u);
+  if (const backend::BackendStats *BS = VM.backendStats())
+    S.RejectsByReason = BS->RejectsByReason;
+  S.Blocks = std::move(Sink.Blocks);
+  VM.events().forEach([&S](const Event &E) {
+    S.Events.emplace_back(E.Clock, E.Id, E.Arg, E.Kind);
+  });
+  return S;
+}
+
+/// Checks that \p B executed, counted and reported exactly what \p A
+/// did, but for the counters of what earlier sessions left behind.
+void expectSameSession(const SessionRecord &A, const SessionRecord &B) {
+  EXPECT_EQ(A.Run.Status, B.Run.Status);
+  EXPECT_EQ(A.Run.Instructions, B.Run.Instructions);
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.HeapDigest, B.HeapDigest);
+  EXPECT_EQ(A.Stats.digest(), B.Stats.digest());
+  EXPECT_EQ(testprog::statsDiff(A.Stats, B.Stats), "");
+  EXPECT_EQ(A.RejectsByReason, B.RejectsByReason);
+  EXPECT_EQ(A.Blocks, B.Blocks);
+  EXPECT_EQ(A.Events, B.Events);
+}
+
+#ifdef JTC_TELEMETRY
+/// Promotion events of \p S carrying \p Why as a compile fallback.
+size_t fallbacksFor(const SessionRecord &S, backend::CompileFallback Why) {
+  return static_cast<size_t>(std::count_if(
+      S.Events.begin(), S.Events.end(), [Why](const auto &E) {
+        return std::get<3>(E) == EventKind::TraceCompileFallback &&
+               std::get<2>(E) == static_cast<uint32_t>(Why);
+      }));
+}
+#endif
+
+} // namespace
+
+TEST(BackendTest, SecondSessionReusesTheModulesCode) {
+  // Native code belongs to the PreparedModule: a second session over it
+  // compiles nothing, and is indistinguishable from the first except
+  // through the counters of what the first left behind.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  std::vector<Module> Programs;
+  Programs.push_back(biasedBranchLoop(20000, 7));
+  Programs.push_back(polymorphicCallLoop(20000));
+  Programs.push_back(switchLoop(20000));
+  Programs.push_back(arrayOverrun(4096));
+  for (const char *Name : {"javac", "mpegaudio"}) {
+    const WorkloadInfo *W = findWorkload(Name);
+    ASSERT_NE(W, nullptr);
+    Programs.push_back(W->Build(std::max(1u, W->DefaultScale / 20)));
+  }
+  for (const VmOptions &O :
+       {jitOptions(), baseOptions().backend(backend::BackendKind::Jit)}) {
+    for (const Module &M : Programs) {
+      PreparedModule PM(M);
+      const backend::ModuleCode &Code = backend::moduleCode(PM);
+      SessionRecord First = runSession(PM, O);
+      const size_t Installs = Code.installs();
+      ASSERT_GT(First.Stats.TracesJitCompiled, 0u);
+      EXPECT_EQ(Code.tracesHeld(), Installs);
+      // A shape that recurs within the session is compiled once.
+      EXPECT_EQ(First.Stats.TracesJitCompiled,
+                Installs + First.Stats.JitCodeReused);
+
+      SessionRecord Second = runSession(PM, O);
+      EXPECT_EQ(Code.installs(), Installs);
+      EXPECT_EQ(Second.Stats.JitCodeReused, Second.Stats.TracesJitCompiled);
+      // Every proof it credits is one the module holds.
+      EXPECT_EQ(Second.Stats.TraceProofsReused,
+                2 * Second.Stats.TracesValidated);
+      expectSameSession(First, Second);
+
+      // The first session is any first session.
+      PreparedModule FreshPM(M);
+      SessionRecord Fresh = runSession(FreshPM, O);
+      expectSameSession(First, Fresh);
+      EXPECT_EQ(First.Stats.TraceProofsReused, Fresh.Stats.TraceProofsReused);
+      EXPECT_EQ(First.Stats.JitCodeReused, Fresh.Stats.JitCodeReused);
+    }
+  }
+}
+
+TEST(BackendTest, ElideOffSessionDoesNotRunElidedCode) {
+  // Elided code is keyed by the elision setting: a --mem-elide=off
+  // session after an elided one compiles and runs its own, fully
+  // checked code, and a repeat of it reuses that.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  Module M = arrayOverrun(4096);
+  PreparedModule PM(M);
+  SessionRecord Elided = runSession(PM, jitOptions());
+  ASSERT_GT(Elided.Stats.MemChecksElided, 0u);
+
+  for (int Repeat = 0; Repeat < 2; ++Repeat) {
+    SessionRecord Off = runSession(PM, jitOptions().memElide(false));
+    EXPECT_EQ(Off.Run.Status, RunStatus::Trapped);
+    EXPECT_EQ(Off.Run.Instructions, Elided.Run.Instructions);
+    EXPECT_EQ(Off.HeapDigest, Elided.HeapDigest);
+    EXPECT_GT(Off.Stats.TraceDispatchesJit, 0u);
+    EXPECT_EQ(Off.Stats.MemElisionSites, 0u);
+    EXPECT_EQ(Off.Stats.MemChecksElided, 0u);
+    if (Repeat == 0)
+      EXPECT_EQ(Off.Stats.JitCodeReused, 0u);
+    else
+      EXPECT_EQ(Off.Stats.JitCodeReused, Off.Stats.TracesJitCompiled);
+  }
+}
+
+TEST(BackendTest, UnsupportedHostSessionRunsNoHeldCode) {
+  // The module holding native code does not make a session without a
+  // native tier run it.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  Module M = testprog::hotLoop(20000);
+  PreparedModule PM(M);
+  SessionRecord Native = runSession(PM, jitOptions());
+  ASSERT_GT(Native.Stats.TracesJitCompiled, 0u);
+  SessionRecord None =
+      runSession(PM, jitOptions().simulateUnsupportedHost(true));
+  EXPECT_EQ(None.Output, Native.Output);
+  EXPECT_EQ(None.Stats.digest(), Native.Stats.digest());
+  EXPECT_EQ(None.Stats.TracesJitCompiled, 0u);
+  EXPECT_EQ(None.Stats.JitCodeReused, 0u);
+  EXPECT_EQ(None.Stats.TraceDispatchesJit, 0u);
+  EXPECT_GT(None.Stats.TraceCompileFallbacks, 0u);
+#ifdef JTC_TELEMETRY
+  EXPECT_EQ(fallbacksFor(None, backend::CompileFallback::HostUnsupported),
+            None.Stats.TraceCompileFallbacks);
+#endif
+}
+
+TEST(BackendTest, FullCodeCacheFallsBackToCodeSpace) {
+  // Past the module's cap a promotion gets no code: the trace records a
+  // CodeSpace fallback and stays block-stepped, and the module's code
+  // stays at the cap however many sessions promote new shapes.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  const WorkloadInfo *W = findWorkload("soot");
+  ASSERT_NE(W, nullptr);
+  Module M = W->Build(std::max(1u, W->DefaultScale / 20));
+  PreparedModule Uncapped(M);
+  SessionRecord Ref = runSession(Uncapped, testprog::promoteAll());
+  const size_t Shapes = backend::moduleCode(Uncapped).tracesHeld();
+  constexpr size_t Cap = 4;
+  ASSERT_GT(Shapes, Cap);
+
+  PreparedModule PM(M);
+  const backend::ModuleCode &Code = backend::moduleCode(PM, Cap);
+  for (int Session = 0; Session < 2; ++Session) {
+    SessionRecord S = runSession(PM, testprog::promoteAll());
+    EXPECT_EQ(S.Output, Ref.Output);
+    EXPECT_EQ(S.HeapDigest, Ref.HeapDigest);
+    EXPECT_EQ(S.Stats.digest(), Ref.Stats.digest());
+    EXPECT_EQ(S.Blocks, Ref.Blocks);
+    EXPECT_GT(S.Stats.TraceCompileFallbacks, 0u);
+#ifdef JTC_TELEMETRY
+    EXPECT_EQ(fallbacksFor(S, backend::CompileFallback::CodeSpace),
+              S.Stats.TraceCompileFallbacks);
+#endif
+    EXPECT_GT(S.Stats.TraceDispatchesJit, 0u);
+    EXPECT_LT(S.Stats.TraceDispatchesJit, Ref.Stats.TraceDispatchesJit);
+    EXPECT_EQ(Code.installs(), Cap);
+    EXPECT_EQ(Code.tracesHeld(), Cap);
+  }
+  EXPECT_GT(Code.bytesHeld(), 0u);
+#ifdef JTC_TELEMETRY
+  // The held code is at most the cap's worth of the largest trace's
+  // pages.
+  uint32_t Largest = 0;
+  for (const auto &E : Ref.Events)
+    if (std::get<3>(E) == EventKind::TraceCompiled)
+      Largest = std::max(Largest, std::get<2>(E));
+  const size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_LE(Code.bytesHeld(), Cap * ((Largest + Page - 1) / Page * Page));
+#endif
 }

@@ -10,6 +10,7 @@
 #include "server/VmService.h"
 
 #include "SessionStats.h"
+#include "backend/JitBackend.h"
 #include "TestPrograms.h"
 #include "runtime/Heap.h"
 #include "workloads/Workloads.h"
@@ -470,4 +471,59 @@ TEST(VmServiceTest, ConcurrentFirstUseOfTraceProofs) {
   }
   EXPECT_EQ(PM->proofs().shapesHeld(), RefPM.proofs().shapesHeld());
   EXPECT_GE(PM->proofs().proofsComputed(), RefPM.proofs().proofsComputed());
+}
+
+TEST(VmServiceTest, ConcurrentFirstUseOfJitCode) {
+  // Four workers start together on modules that hold no native code yet,
+  // so their promotions race to compile and publish the same shapes.
+  // Every session must match a solo session counter for counter,
+  // whichever of them compiled a shape, and each module ends up holding
+  // the shapes that session compiled.
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  VmService Svc(
+      ServiceOptions().workers(4).warmHandoff(false).vm(promoteAll()));
+  const char *Names[] = {"javac", "soot"};
+  std::vector<Reference> Refs;
+  std::vector<size_t> RefShapes;
+  for (const char *Name : Names) {
+    const WorkloadInfo *W = findWorkload(Name);
+    ASSERT_NE(W, nullptr);
+    uint32_t Scale = std::max(1u, W->DefaultScale / 20);
+    Module M = W->Build(Scale);
+    PreparedModule RefPM(M);
+    TraceVM RefVM(RefPM, promoteAll());
+    Reference R;
+    R.Run = RefVM.run();
+    R.Stats = RefVM.stats();
+    R.Output = RefVM.machine().output();
+    R.HeapDigest = heapDigest(RefVM.machine().heap());
+    ASSERT_GT(R.Stats.TracesJitCompiled, 0u);
+    Refs.push_back(std::move(R));
+    RefShapes.push_back(backend::moduleCode(RefPM).tracesHeld());
+    Svc.registerWorkload(*W, Scale);
+  }
+
+  std::vector<std::pair<size_t, std::future<SessionResult>>> Fs;
+  for (int I = 0; I < 8; ++I)
+    for (size_t K = 0; K < std::size(Names); ++K)
+      Fs.emplace_back(K, Svc.submit({Names[K]}));
+  uint64_t Reused = 0;
+  for (auto &[K, F] : Fs) {
+    SessionResult R = F.get();
+    ASSERT_FALSE(R.Rejected);
+    EXPECT_EQ(R.Run.Status, Refs[K].Run.Status);
+    EXPECT_EQ(R.Output, Refs[K].Output);
+    EXPECT_EQ(R.HeapDigest, Refs[K].HeapDigest);
+    EXPECT_EQ(R.Stats.digest(), Refs[K].Stats.digest());
+    EXPECT_EQ(testprog::statsDiff(R.Stats, Refs[K].Stats), "");
+    Reused += R.Stats.JitCodeReused;
+  }
+  EXPECT_GT(Reused, 0u);
+  for (size_t K = 0; K < std::size(Names); ++K) {
+    const backend::ModuleCode &Code =
+        backend::moduleCode(*Svc.preparedModule(Names[K]));
+    EXPECT_EQ(Code.tracesHeld(), RefShapes[K]);
+    EXPECT_GE(Code.installs(), Code.tracesHeld());
+  }
 }

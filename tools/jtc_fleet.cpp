@@ -30,6 +30,9 @@
 ///   --run-for=D               serve for this long, then drain and exit
 ///   --sessions=N              drive N sessions through the front-end
 ///                             (round-robin workloads, distinct keys)
+///   --backend=interp|jit|auto trace-execution tier of every shard's
+///                             sessions (default: interp, or the
+///                             JTC_BACKEND environment variable)
 ///   --stats                   human-readable fleet summary to stderr
 ///   --json[=FILE]             fleet + per-shard counters as JSON
 ///
@@ -74,6 +77,7 @@ struct Options {
   double RunFor = 0;
   uint64_t Sessions = 0;
   uint64_t MaxInstructions = 0;
+  backend::BackendKind Backend = defaultBackendKind();
   bool Stats = false;
   bool Json = false;
   std::string JsonOut;
@@ -87,7 +91,7 @@ int usage() {
          "  --aggregate-interval=D --checkpoint-interval=D "
          "--max-queue-depth=N\n"
          "  --idle-timeout=D --run-for=D --sessions=N --max-instr=N\n"
-         "  --stats --json[=FILE]\n"
+         "  --backend=interp|jit|auto --stats --json[=FILE]\n"
          "  workloads:";
   for (const WorkloadInfo &W : allWorkloads())
     std::cerr << " " << W.Name;
@@ -133,6 +137,11 @@ bool parseOptions(int Argc, char **Argv, Options &Opts) {
       .durationOpt("run-for", &Opts.RunFor)
       .uintOpt("sessions", &Opts.Sessions)
       .uintOpt("max-instr", &Opts.MaxInstructions)
+      .choice("backend",
+              {{"interp", backend::BackendKind::Interp},
+               {"jit", backend::BackendKind::Jit},
+               {"auto", backend::BackendKind::Auto}},
+              &Opts.Backend)
       .flag("stats", &Opts.Stats)
       .custom("json", [&Opts](const std::string &V) {
         Opts.Json = true;
@@ -165,6 +174,7 @@ int runShard(const Options &Opts) {
   SO.IdleTimeoutSeconds = Opts.IdleTimeout;
   SO.CheckpointIntervalSeconds = Opts.CheckpointInterval;
   SO.Workloads = Opts.Workloads;
+  SO.Backend = Opts.Backend;
   return runShardProcess(SO);
 }
 
@@ -217,6 +227,7 @@ void writeFleetJson(std::ostream &OS, const Options &Opts,
       .beginObject()
       .fieldUInt("shards", Opts.Shards)
       .fieldUInt("shard_workers", Opts.ShardWorkers)
+      .field("backend", backend::backendKindName(Opts.Backend))
       .fieldUInt("max_queue_depth", Opts.MaxQueueDepth)
       .fieldReal("aggregate_interval_seconds", Opts.AggregateInterval)
       .endObject();
@@ -277,6 +288,7 @@ int runSupervisor(const Options &Opts, const char *Argv0) {
   FO.IdleTimeoutSeconds = Opts.IdleTimeout;
   FO.ShardBinary = selfExePath(Argv0);
   FO.Workloads = Opts.Workloads;
+  FO.Backend = Opts.Backend;
 
   FleetSupervisor Fleet(FO);
   std::string Err;
