@@ -23,12 +23,21 @@
 /// BM_BlocksHookedDispatch runs it as the profiled interpreter does, the
 /// profiler hook before every step().
 ///
+/// Two pairs price a frame op (a call or a return): a 100k-iteration
+/// loop that calls a two-argument, six-local method, against the same
+/// loop without the call, on the block executor
+/// (BM_FrameOpsBlockExecutor) and as native trace runs
+/// (BM_FrameOpsNative). A pair's difference over 200k frame ops is the
+/// cost of one, the callee's three body instructions included.
+///
 //===----------------------------------------------------------------------===//
 
+#include "backend/JitBackend.h"
 #include "bytecode/Assembler.h"
 #include "interp/BlockStepper.h"
 #include "profile/BranchCorrelationGraph.h"
 #include "trace/TraceCache.h"
+#include "vm/TraceVM.h"
 
 #include <benchmark/benchmark.h>
 
@@ -268,6 +277,88 @@ void BM_BlocksHookedDispatch(benchmark::State &State) {
                           static_cast<int64_t>(F.Seq.size()));
 }
 BENCHMARK(BM_BlocksHookedDispatch);
+
+/// main: N iterations of s = f(i, s), where f(a, b) has six locals and
+/// returns a + b -- or, with \p WithCall false, the same loop with an
+/// iadd in place of the call. The two differ by a call and a return (two
+/// frame ops) and f's three body instructions per iteration.
+Module callLoop(int32_t N, bool WithCall) {
+  Assembler Asm;
+  uint32_t F = Asm.declareMethod("f", 2, 6, true);
+  {
+    MethodBuilder B = Asm.beginMethod(F);
+    B.iload(0);
+    B.iload(1);
+    B.emit(Opcode::Iadd);
+    B.iret();
+    B.finish();
+  }
+  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
+  MethodBuilder B = Asm.beginMethod(Main);
+  Label Loop = B.newLabel(), Done = B.newLabel();
+  B.bind(Loop);
+  B.iload(0);
+  B.iconst(N);
+  B.branch(Opcode::IfIcmpGe, Done);
+  B.iload(0);
+  B.iload(1);
+  if (WithCall)
+    B.invokestatic(F);
+  else
+    B.emit(Opcode::Iadd);
+  B.istore(1);
+  B.iinc(0, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
+  B.iload(1);
+  B.emit(Opcode::Iprint);
+  B.halt();
+  B.finish();
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
+constexpr int32_t CallLoopTrip = 100000;
+
+/// callLoop(State.range(0)) on the block executor, one plain run per
+/// iteration: Machine::pushFrame/popFrame inline in the executor. The
+/// per-frame-op cost is (time of /1 - time of /0) / (2 * 100000).
+void BM_FrameOpsBlockExecutor(benchmark::State &State) {
+  Module M = callLoop(CallLoopTrip, State.range(0) != 0);
+  PreparedModule PM(M);
+  for (auto _ : State) {
+    Machine Mach(M);
+    BlockStepper Stepper(PM, Mach);
+    RunResult R = runBlocks(Stepper);
+    benchmark::DoNotOptimize(R);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          CallLoopTrip);
+}
+BENCHMARK(BM_FrameOpsBlockExecutor)->Arg(0)->Arg(1);
+
+/// The same loop as a jit-tier session over one module (its native code
+/// compiled by the first session), promoting every trace at once: after
+/// the first few blocks each iteration is one native run of the inline
+/// call and return templates. Read as BM_FrameOpsBlockExecutor.
+void BM_FrameOpsNative(benchmark::State &State) {
+  if (!backend::jitSupportedHost()) {
+    State.SkipWithError("no template-JIT support on this host");
+    return;
+  }
+  Module M = callLoop(CallLoopTrip, State.range(0) != 0);
+  PreparedModule PM(M);
+  const VmOptions O =
+      VmOptions().backend(backend::BackendKind::Jit).jitPromoteAfter(0);
+  for (auto _ : State) {
+    TraceVM VM(PM, O);
+    RunResult R = VM.run();
+    benchmark::DoNotOptimize(R);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          CallLoopTrip);
+}
+BENCHMARK(BM_FrameOpsNative)->Arg(0)->Arg(1);
 
 } // namespace
 

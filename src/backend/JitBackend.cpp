@@ -39,9 +39,51 @@ static_assert(offsetof(JitContext, Locals) == CtxLocals, "ABI drift");
 static_assert(offsetof(JitContext, StackTop) == CtxTop, "ABI drift");
 static_assert(offsetof(JitContext, ExitIndex) == CtxExit, "ABI drift");
 static_assert(offsetof(JitContext, ExitPayload) == CtxPayload, "ABI drift");
+static constexpr int32_t CtxFrames = 40;
+static_assert(offsetof(JitContext, Frames) == CtxFrames, "ABI drift");
+
+// The call and return templates address the Machine's FrameState and its
+// frame records by these.
+static constexpr int32_t FsTop = 0;
+static constexpr int32_t FsLimit = 8;
+static constexpr int32_t FsFrames = 16;
+static constexpr int32_t FsLocalsTop = 24;
+static constexpr int32_t FsLocalsEnd = 32;
+static constexpr int32_t FsOperandsEnd = 40;
+static constexpr int32_t FsCurLocals = 48;
+static constexpr int32_t FsCurOperandBase = 56;
+static constexpr int32_t FsCurMethod = 64;
+static_assert(offsetof(FrameState, FrameTop) == FsTop, "ABI drift");
+static_assert(offsetof(FrameState, FrameLimit) == FsLimit, "ABI drift");
+static_assert(offsetof(FrameState, Frames) == FsFrames, "ABI drift");
+static_assert(offsetof(FrameState, LocalsTop) == FsLocalsTop, "ABI drift");
+static_assert(offsetof(FrameState, LocalsEnd) == FsLocalsEnd, "ABI drift");
+static_assert(offsetof(FrameState, OperandsEnd) == FsOperandsEnd,
+              "ABI drift");
+static_assert(offsetof(FrameState, CurLocals) == FsCurLocals, "ABI drift");
+static_assert(offsetof(FrameState, CurOperandBase) == FsCurOperandBase,
+              "ABI drift");
+static_assert(offsetof(FrameState, CurMethod) == FsCurMethod, "ABI drift");
+static_assert(sizeof(FrameState::CurMethod) == 4, "ABI drift");
+static constexpr int32_t FrLocals = 0;
+static constexpr int32_t FrOperandBase = 8;
+static constexpr int32_t FrMethod = 16;
+static constexpr int32_t FrReturnPc = 20;
+static constexpr int32_t FrReturnBlock = 24;
+static constexpr int32_t FrSize = 32;
+static_assert(offsetof(FrameRecord, Locals) == FrLocals, "ABI drift");
+static_assert(offsetof(FrameRecord, OperandBase) == FrOperandBase,
+              "ABI drift");
+static_assert(offsetof(FrameRecord, MethodId) == FrMethod, "ABI drift");
+static_assert(offsetof(FrameRecord, ReturnPc) == FrReturnPc, "ABI drift");
+static_assert(offsetof(FrameRecord, ReturnBlock) == FrReturnBlock,
+              "ABI drift");
+static_assert(sizeof(FrameRecord) == FrSize, "ABI drift");
+static_assert(sizeof(BlockId) == 4, "ABI drift");
 
 // Pinned registers (all callee-saved; see JitBackend.h).
 static constexpr Reg CtxReg = Reg::Rbx;
+static constexpr Reg FrameReg = Reg::Rbp;
 static constexpr Reg LocalsReg = Reg::R13;
 static constexpr Reg TopReg = Reg::R14;
 static constexpr Reg MachReg = Reg::R15;
@@ -160,15 +202,18 @@ static void jtcJitIprint(Machine *M, int64_t Value) {
 //===----------------------------------------------------------------------===//
 // Frame helpers
 //
-// Calls and returns inside a trace run the Machine's real frame machinery.
-// Protocol: publish the template's live top into the Machine, run the
-// frame op, reserve the trace's stack slack in the (possibly different)
-// frame, and publish the -- possibly reallocated -- top and locals
-// pointers back through the JitContext; the template reloads its pinned
-// registers afterwards. Frames record their continuation block exactly as
-// the block executor's do. Return code: 0 = continue on trace,
-// 1 = trapped, 2 = diverged (JC->ExitPayload holds where execution
-// actually went), 3 = program finished (bottom-frame return).
+// A static call or a return runs inline (TraceCompiler's call and return
+// templates); these helpers are its slow path -- arena growth, the frame
+// budget, the bottom-frame return -- and the whole of a virtual call.
+// They run the Machine's own pushFrame/popFrame. Protocol: publish the
+// template's live top into the Machine, run the frame op, reserve the
+// trace's stack slack in the (possibly different) frame, and publish the
+// -- possibly reallocated -- top and locals pointers back through the
+// JitContext; the template reloads its pinned registers afterwards.
+// Frames record their continuation block exactly as the block executor's
+// do. Return code: 0 = continue on trace, 1 = trapped, 2 = diverged
+// (JC->ExitPayload holds where execution actually went), 3 = program
+// finished (bottom-frame return).
 //===----------------------------------------------------------------------===//
 
 /// Reserves \p Slack pushes in the current frame and republishes the
@@ -184,6 +229,7 @@ static uint64_t jtcJitCallStatic(JitContext *JC, uint64_t Callee,
                                  uint64_t ReturnPc, uint64_t ReturnBlock,
                                  uint64_t Slack) {
   Machine *M = JC->Mach;
+  ++JC->FrameOpsHelper;
   M->setStackTop(JC->StackTop);
   if (!M->pushFrame(static_cast<uint32_t>(Callee),
                     static_cast<uint32_t>(ReturnPc),
@@ -197,6 +243,7 @@ static uint64_t jtcJitCallVirtual(JitContext *JC, uint64_t SlotId,
                                   uint64_t ReturnPc, uint64_t ReturnBlock,
                                   uint64_t Expect, uint64_t Slack) {
   Machine *M = JC->Mach;
+  ++JC->FrameOpsHelper;
   M->setStackTop(JC->StackTop);
   // Resolve before the args are consumed, so a trap leaves them in place.
   const SlotInfo &Slot = M->module().Slots[static_cast<size_t>(SlotId)];
@@ -219,6 +266,7 @@ static uint64_t jtcJitCallVirtual(JitContext *JC, uint64_t SlotId,
 static uint64_t jtcJitRet(JitContext *JC, uint64_t HasValue,
                           uint64_t ExpectBlock, uint64_t Slack) {
   Machine *M = JC->Mach;
+  ++JC->FrameOpsHelper;
   M->setStackTop(JC->StackTop);
   Machine::PopInfo Info = M->popFrame(HasValue != 0);
   if (Info.BottomFrame) {
@@ -388,6 +436,7 @@ private:
     // every elided op emitted so far (they are straight-line), so the
     // prefix count is exact per exit.
     Exits.back().ChecksElided = ElidedSoFar;
+    Exits.back().FrameOps = FrameOpsSoFar;
     return static_cast<uint32_t>(Exits.size() - 1);
   }
   /// Instructions executed once \p Op (at its source position) has: full
@@ -417,7 +466,11 @@ private:
   void emitOp(const IrOp &Op);
   Cond emitCompare(Opcode Op);
   void emitGuard(const IrOp &Op);
-  void emitFrameOp(const IrOp &Op);
+  void emitCallStatic(const IrOp &Op);
+  void emitRet(const IrOp &Op);
+  void emitCallVirtual(const IrOp &Op);
+  /// Emits every frame op's out-of-line helper call.
+  void emitSlowPaths();
   void emitDivRem(const IrOp &Op);
   template <ElideLevel L> void emitHeapAccess(const IrOp &Op);
   void emitCompletion();
@@ -443,11 +496,26 @@ private:
     jumpToExit(E.jcc(Cond::Ne), trapExit(Op, TrapKind::None));
   }
 
+  /// The out-of-line half of an inline call or return: the helper call
+  /// its room checks branch to, which rejoins the template at Resume.
+  struct SlowPath {
+    const IrOp *Op = nullptr;
+    std::vector<size_t> Entries; ///< Fixups of the branches to it.
+    size_t Resume = 0;
+    /// Exits created with the template, so they carry its prefix counts:
+    /// a call's trap, a return's finish and divergence.
+    uint32_t Trap = 0, Finished = 0, Diverge = 0;
+  };
+
   const TraceIR &IR;
   const PreparedModule &PM;
   X64Emitter E;
   std::vector<ExitRecord> Exits;
   std::vector<std::pair<size_t, uint32_t>> ExitFixups;
+  std::vector<SlowPath> SlowPaths;
+  /// Frame ops emitted so far, bumped before an op's own exits: every
+  /// exit at or after a frame op has run it, inline or through a helper.
+  uint64_t FrameOpsSoFar = 0;
   /// Checks skipped by the elided ops emitted so far; bumped *before* an
   /// elided op's templates (so its own residual trap exit counts it,
   /// matching the stepper, which counts the elision before the bounds
@@ -456,15 +524,16 @@ private:
 };
 
 void TraceCompiler::prologue() {
+  // Five pushes and the return address keep helper call sites
+  // ABI-aligned.
   E.pushR(Reg::Rbx);
+  E.pushR(Reg::Rbp);
   E.pushR(Reg::R13);
   E.pushR(Reg::R14);
   E.pushR(Reg::R15);
-  // Four pushes put rsp back at 16-byte alignment minus the return
-  // address; one more qword keeps helper call sites ABI-aligned.
-  E.subRI(Reg::Rsp, 8);
   E.movRR(CtxReg, Reg::Rdi);
   E.movRM(MachReg, CtxReg, CtxMach);
+  E.movRM(FrameReg, CtxReg, CtxFrames);
   E.movRM(LocalsReg, CtxReg, CtxLocals);
   E.movRM(TopReg, CtxReg, CtxTop);
 }
@@ -497,54 +566,187 @@ void TraceCompiler::emitGuard(const IrOp &Op) {
   jumpToExit(E.jcc(ExitWhen), Idx);
 }
 
-void TraceCompiler::emitFrameOp(const IrOp &Op) {
+void TraceCompiler::emitCallStatic(const IrOp &Op) {
+  // Machine::pushFrame as straight-line code: the callee's shape and the
+  // caller's locals count are constants here. The caller's locals end,
+  // where the callee's begin, is LocalsReg plus that count.
+  const Module &Mod = PM.module();
+  const Method &Callee = Mod.Methods[Op.Callee];
+  const Method &Caller =
+      Mod.Methods[PM.block(IR.Blocks[Op.SrcBlockIndex]).MethodId];
+  assert(Caller.NumLocals + Callee.NumLocals < (1u << 27) &&
+         IR.MaxPush < (1u << 27) && "frame offsets overflow a disp32");
+  const int32_t Base = static_cast<int32_t>(8 * Caller.NumLocals);
+  const int32_t Args = static_cast<int32_t>(Callee.NumArgs);
+  const int32_t Locals = static_cast<int32_t>(Callee.NumLocals);
+  ++FrameOpsSoFar;
+  SlowPath Slow;
+  Slow.Op = &Op;
+  Slow.Trap = trapExit(Op, TrapKind::None);
+
+  // Room for the frame record (the frame budget included), the callee's
+  // locals and the trace's stack slack in the new frame run; otherwise
+  // the helper grows an arena or raises StackOverflow.
+  E.movRM(Reg::Rax, FrameReg, FsTop);
+  E.cmpRM(Reg::Rax, FrameReg, FsLimit);
+  Slow.Entries.push_back(E.jcc(Cond::Eq));
+  E.leaRM(Reg::Rcx, LocalsReg, Base + 8 * Locals); // the new LocalsTop
+  E.cmpRM(Reg::Rcx, FrameReg, FsLocalsEnd);
+  Slow.Entries.push_back(E.jcc(Cond::Ab));
+  E.leaRM(Reg::Rdx, TopReg, 8 * (static_cast<int32_t>(IR.MaxPush) - Args));
+  E.cmpRM(Reg::Rdx, FrameReg, FsOperandsEnd);
+  Slow.Entries.push_back(E.jcc(Cond::Ab));
+
+  // Move the arguments (deepest first) into the callee's first locals and
+  // zero the rest: unrolled, or a loop up to the new LocalsTop (rcx) for
+  // a method with many locals.
+  if (Args)
+    E.subRI(TopReg, 8 * Args);
+  for (int32_t I = 0; I < Args; ++I) {
+    E.movRM(Reg::Rdx, TopReg, 8 * I);
+    E.movMR(LocalsReg, Base + 8 * I, Reg::Rdx);
+  }
+  if (Locals > Args) {
+    E.xorRR(Reg::Rdx, Reg::Rdx);
+    if (Locals - Args <= 16) {
+      for (int32_t I = Args; I < Locals; ++I)
+        E.movMR(LocalsReg, Base + 8 * I, Reg::Rdx);
+    } else {
+      E.leaRM(Reg::Rsi, LocalsReg, Base + 8 * Args);
+      size_t Loop = E.size();
+      E.movMR(Reg::Rsi, 0, Reg::Rdx);
+      E.addRI(Reg::Rsi, 8);
+      E.cmpRR(Reg::Rsi, Reg::Rcx);
+      E.patchRel32(E.jcc(Cond::Ne), Loop);
+    }
+  }
+  if (Base)
+    E.addRI(LocalsReg, Base);
+
+  // The frame record, the frame top and the cached top-frame fields.
+  E.movMR(Reg::Rax, FrLocals, LocalsReg);
+  E.movMR(Reg::Rax, FrOperandBase, TopReg);
+  E.movM32I(Reg::Rax, FrMethod, Op.Callee);
+  E.movM32I(Reg::Rax, FrReturnPc, Op.ReturnPc);
+  E.movM32I(Reg::Rax, FrReturnBlock, Op.ReturnBlock);
+  E.addRI(Reg::Rax, FrSize);
+  E.movMR(FrameReg, FsTop, Reg::Rax);
+  E.movMR(FrameReg, FsLocalsTop, Reg::Rcx);
+  E.movMR(FrameReg, FsCurLocals, LocalsReg);
+  E.movMR(FrameReg, FsCurOperandBase, TopReg);
+  E.movM32I(FrameReg, FsCurMethod, Op.Callee);
+  Slow.Resume = E.size();
+  SlowPaths.push_back(std::move(Slow));
+}
+
+void TraceCompiler::emitRet(const IrOp &Op) {
+  // Machine::popFrame as straight-line code, then the return-site guard.
+  const int32_t HasValue = Op.HasValue ? 1 : 0;
+  ++FrameOpsSoFar;
+  SlowPath Slow;
+  Slow.Op = &Op;
+  Slow.Finished = exitAt(Op, ExitRecord::Kind::Finished);
+  if (Op.ExpectBlock != InvalidBlockId)
+    Slow.Diverge = exitAt(Op, ExitRecord::Kind::DivergeAt);
+
+  // The bottom frame finishes the program, and a caller frame without
+  // room for the trace's stack slack needs the operand arena grown: both
+  // go to the helper.
+  E.movRM(Reg::Rax, FrameReg, FsTop);
+  E.leaRM(Reg::Rcx, Reg::Rax, -FrSize); // the popped frame
+  E.cmpRM(Reg::Rcx, FrameReg, FsFrames);
+  Slow.Entries.push_back(E.jcc(Cond::Eq));
+  E.movRM(Reg::Rdx, Reg::Rcx, FrOperandBase);
+  E.leaRM(Reg::Rsi, Reg::Rdx,
+          8 * (HasValue + static_cast<int32_t>(IR.MaxPush)));
+  E.cmpRM(Reg::Rsi, FrameReg, FsOperandsEnd);
+  Slow.Entries.push_back(E.jcc(Cond::Ab));
+
+  if (HasValue) {
+    E.movRM(Reg::Rsi, TopReg, -8);
+    E.movMR(Reg::Rdx, 0, Reg::Rsi);
+    E.leaRM(TopReg, Reg::Rdx, 8);
+  } else {
+    E.movRR(TopReg, Reg::Rdx);
+  }
+  E.movMR(FrameReg, FsTop, Reg::Rcx);
+  // The popped frame's locals base, still in LocalsReg, is the new top.
+  E.movMR(FrameReg, FsLocalsTop, LocalsReg);
+  E.movRM(LocalsReg, Reg::Rcx, FrLocals - FrSize);
+  E.movMR(FrameReg, FsCurLocals, LocalsReg);
+  E.movRM(Reg::Rsi, Reg::Rcx, FrOperandBase - FrSize);
+  E.movMR(FrameReg, FsCurOperandBase, Reg::Rsi);
+  E.movR32M(Reg::Rsi, Reg::Rcx, FrMethod - FrSize);
+  E.movM32R(FrameReg, FsCurMethod, Reg::Rsi);
+  E.movR32M(Reg::Rdx, Reg::Rcx, FrReturnBlock);
+  E.movMR(CtxReg, CtxPayload, Reg::Rdx);
+  if (Op.ExpectBlock != InvalidBlockId) {
+    assert(Op.ExpectBlock <= INT32_MAX && "block id outside an imm32");
+    E.cmpRI(Reg::Rdx, static_cast<int32_t>(Op.ExpectBlock));
+    jumpToExit(E.jcc(Cond::Ne), Slow.Diverge);
+  }
+  Slow.Resume = E.size();
+  SlowPaths.push_back(std::move(Slow));
+}
+
+void TraceCompiler::emitCallVirtual(const IrOp &Op) {
+  ++FrameOpsSoFar;
   // Publish the live top: the helper works on the Machine's real stack
   // state, not the over-extended template view.
   E.movMR(CtxReg, CtxTop, TopReg);
   E.movRR(Reg::Rdi, CtxReg);
-  switch (Op.K) {
-  case IrOp::Kind::CallStatic:
-    E.movRI(Reg::Rsi, Op.Callee);
-    E.movRI(Reg::Rdx, Op.ReturnPc);
-    E.movRI(Reg::Rcx, Op.ReturnBlock);
-    E.movRI(Reg::R8, IR.MaxPush);
-    helperCall(reinterpret_cast<const void *>(&jtcJitCallStatic));
-    break;
-  case IrOp::Kind::CallVirtual:
-    E.movRI(Reg::Rsi, Op.I.A); // vtable slot
-    E.movRI(Reg::Rdx, Op.ReturnPc);
-    E.movRI(Reg::Rcx, Op.ReturnBlock);
-    E.movRI(Reg::R8, Op.Callee); // expected callee (InvalidMethod: none)
-    E.movRI(Reg::R9, IR.MaxPush);
-    helperCall(reinterpret_cast<const void *>(&jtcJitCallVirtual));
-    break;
-  default:
-    assert(Op.K == IrOp::Kind::Ret && "not a frame op");
-    E.movRI(Reg::Rsi, Op.HasValue ? 1 : 0);
-    E.movRI(Reg::Rdx, Op.ExpectBlock);
-    E.movRI(Reg::Rcx, IR.MaxPush);
-    helperCall(reinterpret_cast<const void *>(&jtcJitRet));
-    break;
-  }
+  E.movRI(Reg::Rsi, Op.I.A); // vtable slot
+  E.movRI(Reg::Rdx, Op.ReturnPc);
+  E.movRI(Reg::Rcx, Op.ReturnBlock);
+  E.movRI(Reg::R8, Op.Callee); // expected callee (InvalidMethod: none)
+  E.movRI(Reg::R9, IR.MaxPush);
+  helperCall(reinterpret_cast<const void *>(&jtcJitCallVirtual));
   // The frame op moved the frame and may have reallocated the arenas;
   // re-derive the pinned pointers before dispatching on the return code
-  // (0 continue, 1 trap, 2 diverge, 3 finished).
+  // (0 continue, 1 trap, 2 diverge).
   E.movRM(LocalsReg, CtxReg, CtxLocals);
   E.movRM(TopReg, CtxReg, CtxTop);
-  if (Op.K == IrOp::Kind::Ret) {
-    E.cmpRI(Reg::Rax, 3);
-    jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::Finished));
-    if (Op.ExpectBlock != InvalidBlockId) {
-      E.cmpRI(Reg::Rax, 2);
-      jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::DivergeAt));
+  E.cmpRI(Reg::Rax, 1);
+  jumpToExit(E.jcc(Cond::Eq), trapExit(Op, TrapKind::None));
+  if (Op.Callee != InvalidMethod) {
+    E.cmpRI(Reg::Rax, 2);
+    jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::DivergeCallee));
+  }
+}
+
+void TraceCompiler::emitSlowPaths() {
+  for (const SlowPath &Slow : SlowPaths) {
+    for (size_t Fix : Slow.Entries)
+      E.bind(Fix);
+    const IrOp &Op = *Slow.Op;
+    E.movMR(CtxReg, CtxTop, TopReg);
+    E.movRR(Reg::Rdi, CtxReg);
+    if (Op.K == IrOp::Kind::CallStatic) {
+      E.movRI(Reg::Rsi, Op.Callee);
+      E.movRI(Reg::Rdx, Op.ReturnPc);
+      E.movRI(Reg::Rcx, Op.ReturnBlock);
+      E.movRI(Reg::R8, IR.MaxPush);
+      helperCall(reinterpret_cast<const void *>(&jtcJitCallStatic));
+    } else {
+      E.movRI(Reg::Rsi, Op.HasValue ? 1 : 0);
+      E.movRI(Reg::Rdx, Op.ExpectBlock);
+      E.movRI(Reg::Rcx, IR.MaxPush);
+      helperCall(reinterpret_cast<const void *>(&jtcJitRet));
     }
-  } else {
-    E.cmpRI(Reg::Rax, 1);
-    jumpToExit(E.jcc(Cond::Eq), trapExit(Op, TrapKind::None));
-    if (Op.K == IrOp::Kind::CallVirtual && Op.Callee != InvalidMethod) {
-      E.cmpRI(Reg::Rax, 2);
-      jumpToExit(E.jcc(Cond::Eq), exitAt(Op, ExitRecord::Kind::DivergeCallee));
+    E.movRM(LocalsReg, CtxReg, CtxLocals);
+    E.movRM(TopReg, CtxReg, CtxTop);
+    if (Op.K == IrOp::Kind::CallStatic) {
+      E.testRR(Reg::Rax, Reg::Rax);
+      jumpToExit(E.jcc(Cond::Ne), Slow.Trap);
+    } else {
+      E.cmpRI(Reg::Rax, 3);
+      jumpToExit(E.jcc(Cond::Eq), Slow.Finished);
+      if (Op.ExpectBlock != InvalidBlockId) {
+        E.cmpRI(Reg::Rax, 2);
+        jumpToExit(E.jcc(Cond::Eq), Slow.Diverge);
+      }
     }
+    E.patchRel32(E.jmp(), Slow.Resume);
   }
 }
 
@@ -583,9 +785,13 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     emitGuard(Op);
     return;
   case IrOp::Kind::CallStatic:
-  case IrOp::Kind::CallVirtual:
+    emitCallStatic(Op);
+    return;
   case IrOp::Kind::Ret:
-    emitFrameOp(Op);
+    emitRet(Op);
+    return;
+  case IrOp::Kind::CallVirtual:
+    emitCallVirtual(Op);
     return;
   case IrOp::Kind::Switch: {
     const SwitchCode &SC = PM.switchCode(Op.SwitchIdx);
@@ -827,7 +1033,7 @@ template <ElideLevel L> void TraceCompiler::emitHeapAccess(const IrOp &Op) {
 void TraceCompiler::emitCompletion() {
   // How the final block's terminator selects the successor. All counts
   // are the full-trace counts; only the successor differs. When the final
-  // op was a frame op, the op itself already executed (emitFrameOp) and
+  // op was a frame op, the op itself already executed (its template) and
   // the successor is dynamic -- the exit record defers to the payload the
   // helper recorded.
   ExitRecord Done;
@@ -876,10 +1082,10 @@ void TraceCompiler::emitStubsAndEpilogue() {
     E.patchRel32(Fix, StubAt[ExitIdx]);
 
   E.movMR(CtxReg, CtxTop, TopReg);
-  E.addRI(Reg::Rsp, 8);
   E.popR(Reg::R15);
   E.popR(Reg::R14);
   E.popR(Reg::R13);
+  E.popR(Reg::Rbp);
   E.popR(Reg::Rbx);
   E.ret();
 }
@@ -889,6 +1095,7 @@ void TraceCompiler::emit() {
   for (const IrOp &Op : IR.Ops)
     emitOp(Op);
   emitCompletion();
+  emitSlowPaths();
   emitStubsAndEpilogue();
 }
 
@@ -1096,17 +1303,20 @@ std::optional<TraceRunResult> JitBackend::run(const Trace &T,
   JC.Mach = &M;
   JC.Locals = M.localsBase();
   JC.StackTop = M.stackTop();
-  JC.ExitIndex = 0;
+  JC.Frames = &M.frameState();
   C->Fn(&JC);
 
   // JC.StackTop points into the *current* allocation (frame helpers may
-  // have reallocated the arena mid-run).
+  // have reallocated the arena mid-run); the frame templates keep the
+  // rest of the frame state current themselves.
   M.setStackTop(JC.StackTop);
 
   assert(JC.ExitIndex < C->Exits.size() && "bad exit index");
   const ExitRecord &X = C->Exits[JC.ExitIndex];
   Stepper.creditInstructions(X.Instructions);
   Stats.ChecksElided += X.ChecksElided;
+  Stats.FrameOpsHelper += JC.FrameOpsHelper;
+  Stats.FrameOpsInline += X.FrameOps - JC.FrameOpsHelper;
 
   TraceRunResult R;
   R.BlocksRun = X.BlocksRun;

@@ -23,27 +23,41 @@
 /// compares come from the opcode semantics table
 /// (bytecode/OpSemantics.h), so the block executor and the JIT share one
 /// definition of each; Machine::execOne is the oracle both are tested
-/// against. Calls and returns
-/// inside the trace call frame helpers that run the Machine's real
-/// pushFrame/popFrame, then guard the dynamic continuation (resolved
-/// callee / return site) against what the trace recorded; a tableswitch
-/// calls a helper that selects the block as the block executor does,
-/// guarded the same way.
+/// against.
+///
+/// Static calls and returns are inline, with a helper as the slow path.
+/// A call template is Machine::pushFrame as straight-line code -- the
+/// callee's argument and locals counts are constants, so the argument
+/// moves and the zeroing of its locals unroll -- writing the frame
+/// record, the frame top and the cached top-frame fields of the
+/// Machine's FrameState (runtime/Machine.h) and re-pointing r13. A return
+/// template pops the same way and compares the popped frame's return
+/// block with the one the trace recorded. Each first checks for room: a
+/// frame slot under the frame budget, the callee's locals, the trace's
+/// stack slack in the new frame run. Only without it, and for the
+/// bottom-frame return, does it call a frame helper, out of line, that
+/// runs the Machine's own pushFrame/popFrame (growing an arena, or
+/// raising StackOverflow). A virtual call always goes through its helper,
+/// which also resolves the receiver and guards the resolved callee. A
+/// tableswitch calls a helper that selects the block as the block
+/// executor does, guarded the same way.
 ///
 /// Register convention inside a compiled trace (all callee-saved, so
 /// helper calls preserve them):
 ///
 ///   rbx  JitContext*            r14  operand-stack top (one past top)
-///   r13  frame locals base      r15  Machine*
+///   rbp  FrameState*            r15  Machine*
+///   r13  frame locals base
 ///
 /// The operand stack is the Machine's own arena, the same one the block
 /// executor keeps in registers: before a native run the backend reserves
 /// the trace's MaxPush so template code pushes with raw stores, and
-/// publishes the native top back afterwards (Machine::setStackTop). Frame
-/// helpers publish the live top, run the frame op, reserve MaxPush in the
-/// new frame, and publish the (possibly reallocated) pointers back through
-/// the JitContext; the template reloads its pinned registers after each
-/// one. Every exit -- completion, fired guard, trap, finish -- leaves an
+/// publishes the native top back afterwards (Machine::setStackTop); the
+/// call and return templates keep the rest of the frame state current
+/// themselves. Frame helpers publish the live top, run the frame op,
+/// reserve MaxPush in the new frame, and publish the (possibly
+/// reallocated) pointers back through the JitContext; the template
+/// reloads its pinned registers after each one. Every exit -- completion, fired guard, trap, finish -- leaves an
 /// exit-record index in the JitContext; the record carries the
 /// interpreter-exact blocks-run / instruction counts and resume block
 /// that TraceVM commits to the AdaptiveEngine. Traces are promoted
@@ -94,6 +108,7 @@ namespace jtc {
 
 class PreparedModule;
 class Machine;
+struct FrameState;
 class BlockStepper;
 class EventRing;
 
@@ -148,6 +163,12 @@ struct BackendStats {
   /// Promotions that found their shape's code in the module's cache, and
   /// so compiled nothing.
   uint64_t CodeReused = 0;
+  /// Calls and returns native code ran on its inline templates, and
+  /// those that went through a frame helper instead: a virtual call, or
+  /// a static call or return on the slow path (arena growth, the frame
+  /// budget, the bottom-frame return).
+  uint64_t FrameOpsInline = 0;
+  uint64_t FrameOpsHelper = 0;
 };
 
 /// The in/out block native trace code works against. Layout is ABI: the
@@ -160,9 +181,14 @@ struct JitContext {
   /// Out: the dynamic half of a frame-op or switch exit -- the resolved
   /// callee method (CompleteCallee / DivergeCallee), or the actual
   /// return-site or selected switch-target block (CompleteAt /
-  /// DivergeAt). Written by the helpers, read by JitBackend::run() to
-  /// compute the successor block.
+  /// DivergeAt). Written by the templates and helpers, read by
+  /// JitBackend::run() to compute the successor block.
   uint64_t ExitPayload = 0;
+  /// The Machine's frame state, which the call and return templates
+  /// update in place.
+  FrameState *Frames = nullptr;
+  /// Out: frame ops that ran through a helper (bumped by the helpers).
+  uint64_t FrameOpsHelper = 0;
 };
 
 /// One way out of a compiled trace, with the interpreter-exact accounting
@@ -191,6 +217,10 @@ struct ExitRecord {
   /// to this exit (the compile-time prefix count; exact because elided
   /// ops are straight-line code between exits).
   uint64_t ChecksElided = 0;
+  /// Frame ops (calls and returns) run on the path to this exit, the
+  /// same kind of prefix count; those the helpers did not run were
+  /// inline.
+  uint64_t FrameOps = 0;
   BlockId Next = InvalidBlockId;
   TrapKind TrapToSet = TrapKind::None;
 };

@@ -3,6 +3,7 @@
 #include "backend/X64Emitter.h"
 
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 
 namespace jtc {
@@ -24,6 +25,11 @@ void X64Emitter::imm64(int64_t V) {
 void X64Emitter::rex(Reg RegOp, Reg RmOp) {
   // REX.W, plus R/B extension bits for the reg and rm fields.
   byte(0x48 | (ext(RegOp) ? 0x4 : 0) | (ext(RmOp) ? 0x1 : 0));
+}
+
+void X64Emitter::rex32(Reg RegOp, Reg RmOp) {
+  if (ext(RegOp) || ext(RmOp))
+    byte(0x40 | (ext(RegOp) ? 0x4 : 0) | (ext(RmOp) ? 0x1 : 0));
 }
 
 void X64Emitter::modrmReg(Reg RegOp, Reg RmOp) {
@@ -49,7 +55,14 @@ void X64Emitter::modrmMem(Reg RegOp, Reg Base, int32_t Disp) {
 void X64Emitter::movRR(Reg Dst, Reg Src) { aluRR(0x8B, Dst, Src); }
 
 void X64Emitter::movRI(Reg Dst, int64_t Imm) {
-  if (Imm >= INT32_MIN && Imm <= INT32_MAX) {
+  if (Imm >= 0 && Imm <= UINT32_MAX) {
+    // mov r32, imm32 (zero-extends into the full register): [REX.B]
+    // B8+rd id, the shortest form for ids, counts and block numbers.
+    if (ext(Dst))
+      byte(0x41);
+    byte(0xB8 + lo3(Dst));
+    imm32(static_cast<int32_t>(static_cast<uint32_t>(Imm)));
+  } else if (Imm >= INT32_MIN && Imm <= INT32_MAX) {
     // mov r/m64, imm32 (sign-extended): REX.W C7 /0 id
     rex(Reg::Rax, Dst);
     byte(0xC7);
@@ -82,6 +95,31 @@ void X64Emitter::movMI32(Reg Base, int32_t Disp, int32_t Imm) {
   imm32(Imm);
 }
 
+void X64Emitter::leaRM(Reg Dst, Reg Base, int32_t Disp) {
+  rex(Dst, Base);
+  byte(0x8D);
+  modrmMem(Dst, Base, Disp);
+}
+
+void X64Emitter::movR32M(Reg Dst, Reg Base, int32_t Disp) {
+  rex32(Dst, Base);
+  byte(0x8B);
+  modrmMem(Dst, Base, Disp);
+}
+
+void X64Emitter::movM32R(Reg Base, int32_t Disp, Reg Src) {
+  rex32(Src, Base);
+  byte(0x89);
+  modrmMem(Src, Base, Disp);
+}
+
+void X64Emitter::movM32I(Reg Base, int32_t Disp, uint32_t Imm) {
+  rex32(Reg::Rax, Base);
+  byte(0xC7);
+  modrmMem(Reg::Rax, Base, Disp);
+  imm32(static_cast<int32_t>(Imm));
+}
+
 void X64Emitter::aluRR(uint8_t Op, Reg RegOp, Reg RmOp) {
   rex(RegOp, RmOp);
   byte(Op);
@@ -96,9 +134,15 @@ void X64Emitter::aluRM(uint8_t Op, Reg RegOp, Reg Base, int32_t Disp) {
 
 void X64Emitter::aluRI(uint8_t Ext, Reg RmOp, int32_t Imm) {
   rex(Reg::Rax, RmOp);
-  byte(0x81);
+  // REX.W 83 /Ext ib when the immediate fits a sign-extended byte (stack
+  // steps of 8, small constants), else REX.W 81 /Ext id.
+  const bool Short = Imm >= -128 && Imm <= 127;
+  byte(Short ? 0x83 : 0x81);
   byte(0xC0 | (Ext << 3) | lo3(RmOp));
-  imm32(Imm);
+  if (Short)
+    byte(static_cast<uint8_t>(Imm));
+  else
+    imm32(Imm);
 }
 
 void X64Emitter::addRR(Reg Dst, Reg Src) { aluRR(0x03, Dst, Src); }

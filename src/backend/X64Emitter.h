@@ -10,7 +10,8 @@
 /// machine (see jitSupportedHost()).
 ///
 /// Encoding notes: every instruction here is REX.W-prefixed (64-bit
-/// operand size). Memory operands are [base + disp] only -- the template
+/// operand size), except the few dword moves that read and write the
+/// 32-bit fields of a frame record. Memory operands are [base + disp] only -- the template
 /// code addresses everything off four pinned callee-saved registers (see
 /// JitBackend.h for the register convention), none of which are rsp/r12,
 /// so no SIB bytes are needed; r13/rbp bases force a disp8 of zero per
@@ -56,6 +57,7 @@ enum class Cond : uint8_t {
   Ge = 0xD,  ///< SF == OF (jge, signed)
   Le = 0xE,  ///< ZF || SF != OF (jle, signed)
   Gt = 0xF,  ///< !ZF && SF == OF (jg, signed)
+  Ab = 0x7,  ///< !CF && !ZF (ja, unsigned)
 };
 
 inline Cond negate(Cond C) {
@@ -78,6 +80,16 @@ public:
   void movMR(Reg Base, int32_t Disp, Reg Src); ///< mov [Base+Disp], Src
   /// mov qword [Base+Disp], Imm (sign-extended imm32).
   void movMI32(Reg Base, int32_t Disp, int32_t Imm);
+  /// lea Dst, [Base+Disp]
+  void leaRM(Reg Dst, Reg Base, int32_t Disp);
+
+  // -- 32-bit moves (the frame record's id fields) ------------------------
+  /// mov Dst32, dword [Base+Disp] (zero-extends into Dst).
+  void movR32M(Reg Dst, Reg Base, int32_t Disp);
+  /// mov dword [Base+Disp], Src32
+  void movM32R(Reg Base, int32_t Disp, Reg Src);
+  /// mov dword [Base+Disp], Imm
+  void movM32I(Reg Base, int32_t Disp, uint32_t Imm);
 
   // -- ALU ----------------------------------------------------------------
   void addRR(Reg Dst, Reg Src);
@@ -124,6 +136,9 @@ private:
   void imm32(int32_t V);
   void imm64(int64_t V);
   void rex(Reg RegOp, Reg RmOp);
+  /// The REX prefix of a 32-bit operation, when it needs one (an
+  /// extended register).
+  void rex32(Reg RegOp, Reg RmOp);
   /// ModRM (+ optional SIB/disp) for reg `RegOp`, memory [Base+Disp].
   void modrmMem(Reg RegOp, Reg Base, int32_t Disp);
   void modrmReg(Reg RegOp, Reg RmOp);
@@ -131,7 +146,7 @@ private:
   void aluRR(uint8_t Op, Reg RegOp, Reg RmOp);
   /// REX.W <Op> /r with a memory rm operand.
   void aluRM(uint8_t Op, Reg RegOp, Reg Base, int32_t Disp);
-  /// REX.W 81 /Ext id (ALU with sign-extended imm32).
+  /// REX.W 83 /Ext ib or 81 /Ext id (ALU with a sign-extended immediate).
   void aluRI(uint8_t Ext, Reg RmOp, int32_t Imm);
 
   std::vector<uint8_t> Code;

@@ -13,6 +13,15 @@ uint64_t fleet::ringHash(const std::string &Key) {
     H ^= C;
     H *= 1099511628211ull;
   }
+  // FNV-1a alone leaves keys that differ in their last characters (the
+  // "session-N" family) a small multiple of the prime apart: one narrow
+  // arc of the ring. murmur3's fmix64 spreads every input bit over the
+  // whole word.
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdull;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ull;
+  H ^= H >> 33;
   return H;
 }
 

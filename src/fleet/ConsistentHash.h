@@ -24,8 +24,9 @@
 namespace jtc {
 namespace fleet {
 
-/// FNV-1a over \p Key, the ring's point hash (stable across processes,
-/// unlike std::hash).
+/// FNV-1a over \p Key with murmur3's fmix64 finalizer, the ring's point
+/// hash for keys and virtual nodes alike (stable across processes, unlike
+/// std::hash).
 uint64_t ringHash(const std::string &Key);
 
 class HashRing {

@@ -110,6 +110,54 @@ bool shrinkMethod(Reducer &R, unsigned Id) {
   return Any;
 }
 
+/// Removes method \p Id, which nothing outside itself calls or
+/// dispatches to, renumbering the methods after it.
+void removeMethod(Module &M, uint32_t Id) {
+  M.Methods.erase(M.Methods.begin() + Id);
+  auto Renumber = [Id](uint32_t &Callee) {
+    if (Callee != InvalidMethod && Callee > Id)
+      --Callee;
+  };
+  for (Method &Mt : M.Methods)
+    for (Instruction &I : Mt.Code)
+      if (I.Op == Opcode::InvokeStatic) {
+        auto Callee = static_cast<uint32_t>(I.A);
+        Renumber(Callee);
+        I.A = static_cast<int32_t>(Callee);
+      }
+  for (Class &C : M.Classes)
+    for (uint32_t &Impl : C.Vtable)
+      Renumber(Impl);
+  Renumber(M.EntryMethod);
+}
+
+/// Drops the methods no other method calls and no vtable names -- what
+/// stubbing and shrinking leave of a call site -- including a recursive
+/// method that only calls itself.
+bool dropUnusedMethods(Reducer &R) {
+  bool Any = false;
+  for (uint32_t Id = static_cast<uint32_t>(R.Cur.Methods.size()); Id-- > 0;) {
+    const Module &M = R.Cur;
+    bool Used = Id == M.EntryMethod;
+    for (uint32_t Caller = 0; Caller < M.Methods.size() && !Used; ++Caller)
+      for (const Instruction &I : M.Methods[Caller].Code)
+        if (Caller != Id && I.Op == Opcode::InvokeStatic &&
+            static_cast<uint32_t>(I.A) == Id) {
+          Used = true;
+          break;
+        }
+    for (const Class &C : M.Classes)
+      for (uint32_t Impl : C.Vtable)
+        Used |= Impl == Id;
+    if (Used)
+      continue;
+    Module Cand = R.Cur;
+    removeMethod(Cand, Id);
+    Any |= R.tryAdopt(std::move(Cand));
+  }
+  return Any;
+}
+
 /// Zeroes immediate payloads (Iconst values, Iinc deltas), one method at
 /// a time: failures that do not depend on data values lose their noise.
 bool zeroConstants(Reducer &R) {
@@ -143,6 +191,7 @@ Module fuzz::minimizeModule(
     bool Any = stubMethods(R);
     for (unsigned Id = 0; Id < R.Cur.Methods.size(); ++Id)
       Any |= shrinkMethod(R, Id);
+    Any |= dropUnusedMethods(R);
     Any |= zeroConstants(R);
     if (!Any)
       break;

@@ -5,8 +5,8 @@
 /// that re-runs the failing check, the minimizer greedily shrinks the
 /// module while the failure reproduces: whole non-entry methods are
 /// stubbed out, contiguous instruction ranges are deleted (with branch
-/// and switch targets remapped across the cut), and constants are
-/// zeroed. Every candidate is gated through the static verifier before
+/// and switch targets remapped across the cut), methods no other method
+/// calls any more are dropped, and constants are zeroed. Every candidate is gated through the static verifier before
 /// the predicate runs, so the reduction never leaves the space of valid
 /// programs and the final module is a valid, small reproducer.
 ///

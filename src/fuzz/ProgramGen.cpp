@@ -96,6 +96,19 @@ Module RandomProgramBuilder::build() {
     Methods.push_back(Asm.declareMethod("m" + std::to_string(I), NumArgs,
                                         NumLocals, /*ReturnsValue=*/I != 0));
   }
+  // The recursion's method, declared after the acyclic ones. A deep one
+  // keeps few locals: its 2000-odd frames are there for the frame
+  // budget, and many locals each would make every run allocate
+  // megabytes.
+  uint32_t Rec = InvalidMethod, RecLocals = 0;
+  bool RecDeep = false;
+  if (F.Loops && F.Calls && RecRng.chancePercent(25)) {
+    RecDeep = F.Traps && RecRng.chancePercent(33);
+    RecLocals = RecDeep ? 3 + static_cast<uint32_t>(RecRng.nextBelow(4))
+                        : 8 + static_cast<uint32_t>(RecRng.nextBelow(57));
+    Rec = Asm.declareMethod("rec", /*NumArgs=*/1, RecLocals,
+                            /*ReturnsValue=*/true);
+  }
 
   for (unsigned I = 0; I < NumMethods; ++I) {
     MethodBuilder B = Asm.beginMethod(Methods[I]);
@@ -120,6 +133,8 @@ Module RandomProgramBuilder::build() {
     for (unsigned S = 0; S < Statements; ++S)
       emitStatement(B, Methods, I, /*Depth=*/0, /*InLoop=*/false);
     if (I == 0) {
+      if (Rec != InvalidMethod)
+        emitRecursionLoop(B, Rec, RecDeep);
       if (F.Loops && F.Switches && ShapeRng.chancePercent(50))
         emitPhaseLoop(B, I);
       B.iload(0);
@@ -129,6 +144,11 @@ Module RandomProgramBuilder::build() {
       B.iload(0);
       B.iret();
     }
+    B.finish();
+  }
+  if (Rec != InvalidMethod) {
+    MethodBuilder B = Asm.beginMethod(Rec);
+    emitRecursiveMethod(B, Rec, RecLocals);
     B.finish();
   }
   Asm.setEntry(Methods[0]);
@@ -443,6 +463,69 @@ void RandomProgramBuilder::emitPhaseLoop(MethodBuilder &B, unsigned Self) {
       B.emit(Opcode::Iprint);
     }
   }
+  B.iinc(Counter, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
+}
+
+void RandomProgramBuilder::emitRecursiveMethod(MethodBuilder &B, uint32_t Rec,
+                                               uint32_t NumLocals) {
+  // rec(n) = n <= 0 ? Z : (K := n) + rec(n - 1) + Z, where Z is a local
+  // nothing writes: it reads 0 only if every push zeroed the callee's
+  // locals, and K reads n back only if no deeper frame overwrote it. The
+  // value of K stays on the operand stack across the call, so the stack
+  // grows with the depth as the locals do.
+  auto Zero = static_cast<uint32_t>(1 + RecRng.nextBelow(NumLocals - 1));
+  auto Kept = static_cast<uint32_t>(1 + RecRng.nextBelow(NumLocals - 2));
+  if (Kept >= Zero)
+    ++Kept;
+  Label Deeper = B.newLabel();
+  B.iload(0);
+  B.branch(Opcode::IfGt, Deeper);
+  B.iload(Zero);
+  B.iret();
+  B.bind(Deeper);
+  B.iload(0);
+  B.istore(Kept);
+  B.iload(Kept);
+  B.iload(0);
+  B.iconst(1);
+  B.emit(Opcode::Isub);
+  B.invokestatic(Rec);
+  B.emit(Opcode::Iadd);
+  B.iload(Zero);
+  B.emit(Opcode::Iadd);
+  B.iret();
+}
+
+void RandomProgramBuilder::emitRecursionLoop(MethodBuilder &B, uint32_t Rec,
+                                             bool Deep) {
+  // Iteration i recurses Start + i * Step deep and prints the sum. A run
+  // holds the entry frame plus depth + 1 frames of rec, so past depth
+  // 2046 the budget of 2048 frames is spent: a deep loop starts so that
+  // happens in its third iteration, after two descents of some 2000
+  // calls have promoted its traces.
+  uint32_t Counter = Locals[0] - 1;
+  auto Trip = static_cast<int32_t>(8 + RecRng.nextBelow(17));
+  auto Step = static_cast<int32_t>(1 + RecRng.nextBelow(8));
+  auto Start = static_cast<int32_t>(RecRng.nextBelow(33));
+  if (Deep)
+    Start = 2047 - 2 * Step +
+            static_cast<int32_t>(RecRng.nextBelow(static_cast<uint64_t>(Step)));
+  Label Loop = B.newLabel(), Done = B.newLabel();
+  B.iconst(0);
+  B.istore(Counter);
+  B.bind(Loop);
+  B.iload(Counter);
+  B.iconst(Trip);
+  B.branch(Opcode::IfIcmpGe, Done);
+  B.iload(Counter);
+  B.iconst(Step);
+  B.emit(Opcode::Imul);
+  B.iconst(Start);
+  B.emit(Opcode::Iadd);
+  B.invokestatic(Rec);
+  B.emit(Opcode::Iprint);
   B.iinc(Counter, 1);
   B.branch(Opcode::Goto, Loop);
   B.bind(Done);

@@ -23,6 +23,17 @@
 /// a stream of their own, so the rest of a program is what it would be
 /// without it.
 ///
+/// About a quarter of the programs, when loops and calls are enabled,
+/// also get a *recursion*: a method with up to 64 locals that counts its
+/// argument down to zero through itself, keeping an operand on its stack
+/// across each call, called from a loop in the entry method with a depth
+/// that grows per iteration. Its frames are the one place the call graph
+/// is cyclic: they grow the locals and operand arenas inside trace runs,
+/// and with traps on a third of them pass the 2048-frame budget in the
+/// loop's third iteration, so StackOverflow fires inside promoted native
+/// code. The recursion, too, draws from a stream of its own, and its
+/// method is declared last, so the other methods keep their ids.
+///
 /// This class grew out of the test-only RandomProgramBuilder in
 /// tests/TestPrograms.h and replaces it; the test header re-exports it.
 ///
@@ -114,13 +125,14 @@ struct FeatureCoverage {
 class RandomProgramBuilder {
 public:
   explicit RandomProgramBuilder(uint64_t Seed)
-      : Rng(Seed), ShapeRng(~Seed) {}
+      : Rng(Seed), ShapeRng(~Seed), RecRng(Seed ^ RecSalt) {}
 
   /// \p Coverage, when non-null, both biases kind selection and
   /// accumulates this program's emissions (campaign-wide direction).
   RandomProgramBuilder(uint64_t Seed, const GenConfig &Config,
                        FeatureCoverage *Coverage = nullptr)
-      : Rng(Seed), ShapeRng(~Seed), Config(Config), Shared(Coverage) {}
+      : Rng(Seed), ShapeRng(~Seed), RecRng(Seed ^ RecSalt), Config(Config),
+        Shared(Coverage) {}
 
   /// Builds one module. Single-shot per builder.
   Module build();
@@ -130,6 +142,8 @@ public:
 
 private:
   static constexpr uint32_t NoLocal = 0xffffffffu;
+  /// Separates the recursion's stream from the other two.
+  static constexpr uint64_t RecSalt = 0x5265637572736521ull;
 
   void emitExpr(MethodBuilder &B, unsigned Self);
   uint32_t storeTarget(unsigned Self);
@@ -137,9 +151,15 @@ private:
   void emitStatement(MethodBuilder &B, const std::vector<uint32_t> &Methods,
                      unsigned Self, unsigned Depth, bool InLoop);
   void emitPhaseLoop(MethodBuilder &B, unsigned Self);
+  /// Emits the body of the recursive method \p Rec into \p B.
+  void emitRecursiveMethod(MethodBuilder &B, uint32_t Rec, uint32_t NumLocals);
+  /// Emits the entry method's loop of calls to \p Rec, which runs out
+  /// of frames when \p Deep.
+  void emitRecursionLoop(MethodBuilder &B, uint32_t Rec, bool Deep);
 
   Prng Rng;
   Prng ShapeRng; ///< The phase loop's draws.
+  Prng RecRng;   ///< The recursion's draws.
   GenConfig Config;
   FeatureCoverage *Shared = nullptr;
   FeatureCoverage Local;

@@ -11,25 +11,27 @@ Machine::Machine(const Module &M, size_t MaxFrames, size_t MaxHeapCells)
     : TheModule(M), TheHeap(MaxHeapCells), MaxFrames(MaxFrames) {
   Operands.resize(256);
   Locals.resize(1024);
-  Frames.reserve(64);
-  Top = Operands.data();
-  OperandsEnd = Operands.data() + Operands.size();
+  Frames.resize(64);
+  reset();
 }
 
 void Machine::reset() {
   Top = Operands.data();
-  LocalsTop = 0;
-  Frames.clear();
-  CurMethod = 0;
-  CurLocals = nullptr;
-  CurOperandBase = 0;
+  FS.OperandsEnd = Operands.data() + Operands.size();
+  FS.LocalsTop = Locals.data();
+  FS.LocalsEnd = Locals.data() + Locals.size();
+  FS.Frames = FS.FrameTop = Frames.data();
+  FS.FrameLimit = Frames.data() + std::min(Frames.size(), MaxFrames);
+  FS.CurMethod = 0;
+  FS.CurLocals = nullptr;
+  FS.CurOperandBase = Operands.data();
   Output.clear();
   TheHeap.clear();
   TrapValue = TrapKind::None;
 }
 
 void Machine::start(uint32_t MethodIdx) {
-  assert(Frames.empty() && "start() on a machine already running");
+  assert(!hasFrames() && "start() on a machine already running");
   assert(TheModule.Methods[MethodIdx].NumArgs == 0 &&
          "entry method must take no arguments");
   bool Ok = pushFrame(MethodIdx, /*ReturnPc=*/0);
@@ -37,64 +39,53 @@ void Machine::start(uint32_t MethodIdx) {
   (void)Ok;
 }
 
+/// Moves \p Arena into a buffer of \p Size elements (at least its
+/// current size) and returns where each old element pointer now points:
+/// the caller rebases its pointers into the arena with it while the old
+/// buffer is still alive.
+template <typename T> static auto regrow(std::vector<T> &Arena, size_t Size) {
+  std::vector<T> Bigger(Size);
+  std::copy(Arena.begin(), Arena.end(), Bigger.begin());
+  Arena.swap(Bigger);
+  // Bigger now holds the old buffer, which the returned rebase reads
+  // offsets against; it is freed when the caller's full expression ends.
+  return [Old = std::move(Bigger), New = Arena.data()](T *P) {
+    return New + (P - Old.data());
+  };
+}
+
 void Machine::growOperands(size_t N) {
   size_t Sp = static_cast<size_t>(Top - Operands.data());
-  Operands.resize(std::max(Operands.size() * 2, Sp + N));
-  Top = Operands.data() + Sp;
-  OperandsEnd = Operands.data() + Operands.size();
+  auto Rebase = regrow(Operands, std::max(Operands.size() * 2, Sp + N));
+  Top = Rebase(Top);
+  for (FrameRecord *F = FS.Frames; F != FS.FrameTop; ++F)
+    F->OperandBase = Rebase(F->OperandBase);
+  FS.CurOperandBase = Rebase(FS.CurOperandBase);
+  FS.OperandsEnd = Operands.data() + Operands.size();
 }
 
-bool Machine::pushFrame(uint32_t Callee, uint32_t ReturnPc,
-                        BlockId ReturnBlock) {
-  if (Frames.size() >= MaxFrames) {
-    TrapValue = TrapKind::StackOverflow;
-    return false;
+bool Machine::makeFrameRoom(uint32_t NumLocals) {
+  if (FS.FrameTop == FS.FrameLimit) {
+    if (frameDepth() >= MaxFrames) {
+      TrapValue = TrapKind::StackOverflow;
+      return false;
+    }
+    auto Rebase = regrow(Frames, Frames.size() * 2);
+    FS.FrameTop = Rebase(FS.FrameTop);
+    FS.Frames = Frames.data();
+    FS.FrameLimit = Frames.data() + std::min(Frames.size(), MaxFrames);
   }
-  const Method &M = TheModule.Methods[Callee];
-  assert(operandDepth() >= M.NumArgs &&
-         "caller did not push enough arguments");
-
-  if (Locals.size() - LocalsTop < M.NumLocals)
-    Locals.resize(std::max(Locals.size() * 2, LocalsTop + M.NumLocals));
-  Frame F;
-  F.MethodId = Callee;
-  F.ReturnPc = ReturnPc;
-  F.ReturnBlock = ReturnBlock;
-  F.LocalsBase = static_cast<uint32_t>(LocalsTop);
-  // Move the arguments (deepest first) from the caller's operand stack
-  // into locals [0, NumArgs); the rest start zeroed.
-  int64_t *L = Locals.data() + LocalsTop;
-  Top -= M.NumArgs;
-  std::copy_n(Top, M.NumArgs, L);
-  std::fill(L + M.NumArgs, L + M.NumLocals, 0);
-  LocalsTop += M.NumLocals;
-  F.OperandBase = static_cast<uint32_t>(Top - Operands.data());
-  Frames.push_back(F);
-  cacheTopFrame();
+  size_t Used = static_cast<size_t>(FS.LocalsTop - Locals.data());
+  if (Locals.size() - Used < NumLocals) {
+    auto Rebase = regrow(Locals, std::max(Locals.size() * 2, Used + NumLocals));
+    FS.LocalsTop = Rebase(FS.LocalsTop);
+    for (FrameRecord *F = FS.Frames; F != FS.FrameTop; ++F)
+      F->Locals = Rebase(F->Locals);
+    if (hasFrames())
+      FS.CurLocals = Rebase(FS.CurLocals);
+    FS.LocalsEnd = Locals.data() + Locals.size();
+  }
   return true;
-}
-
-Machine::PopInfo Machine::popFrame(bool HasValue) {
-  assert(!Frames.empty() && "popFrame with no frames");
-  int64_t RetVal = 0;
-  if (HasValue)
-    RetVal = pop();
-  // Read the popped frame's fields in place, before pop_back ends it.
-  const Frame &F = Frames.back();
-  PopInfo Info;
-  Info.ReturnPc = F.ReturnPc;
-  Info.ReturnBlock = F.ReturnBlock;
-  Top = Operands.data() + F.OperandBase;
-  LocalsTop = F.LocalsBase;
-  Frames.pop_back();
-
-  Info.BottomFrame = Frames.empty();
-  if (!Info.BottomFrame) {
-    cacheTopFrame();
-    if (HasValue)
-      push(RetVal);
-  }
-  return Info;
 }
 
 Effect Machine::execOne(const Instruction &I) {

@@ -41,14 +41,48 @@ struct Effect {
   bool HasValue = false;
 };
 
+/// One call frame. It holds pointers rather than arena offsets: an
+/// arena's growth (out of line, and rare) rebases every live frame, so a
+/// push or pop never converts between the two.
+struct FrameRecord {
+  int64_t *Locals = nullptr;      ///< The frame's locals base.
+  int64_t *OperandBase = nullptr; ///< The bottom of its operand stack.
+  uint32_t MethodId = 0;
+  uint32_t ReturnPc = 0; ///< Caller pc to resume at.
+  BlockId ReturnBlock = InvalidBlockId; ///< The same continuation's block.
+};
+
+/// The machine state a frame push or pop reads and writes: the frame
+/// stack, the bounds a push checks, and the top frame's cached fields.
+/// Layout is ABI: the JIT's inline call and return templates address
+/// these fields by constant offsets (asserted in backend/JitBackend.cpp).
+struct FrameState {
+  FrameRecord *FrameTop = nullptr; ///< One past the top frame.
+  /// A push at FrameLimit takes the slow path: the frame arena's end or
+  /// the frame budget, whichever comes first.
+  FrameRecord *FrameLimit = nullptr;
+  FrameRecord *Frames = nullptr;  ///< The entry frame's slot.
+  int64_t *LocalsTop = nullptr;   ///< One past the top frame's locals.
+  int64_t *LocalsEnd = nullptr;   ///< End of the locals arena.
+  int64_t *OperandsEnd = nullptr; ///< End of the operand arena.
+  // The top frame's fields, cached so per-instruction accesses never
+  // touch the frame stack.
+  int64_t *CurLocals = nullptr;
+  int64_t *CurOperandBase = nullptr;
+  uint32_t CurMethod = 0;
+};
+
 /// Execution state plus opcode semantics for one program run.
 ///
-/// The operand stack and locals of all frames live in two shared arenas
-/// with explicit tops: the vectors are capacity, never push_back'd per
-/// instruction, and only grow (by doubling) at a frame push or an
-/// explicit reserveOperands(). The current frame's locals base is cached
-/// as a pointer so no access goes through the frame stack. Calls do not
-/// allocate once the arenas have reached the program's depth.
+/// The operand stack, the locals of all frames and the frames themselves
+/// live in three arenas with explicit tops: the vectors are capacity,
+/// never push_back'd, and only grow (by doubling) on the slow path of a
+/// frame push or at an explicit reserveOperands(). A frame push or pop is
+/// a header-inline fast path of a few stores -- shared by every engine,
+/// and mirrored by the JIT's call and return templates -- that moves
+/// arguments and zeroes locals with plain loops; arena growth and the
+/// StackOverflow trap stay out of line. Calls do not allocate once the
+/// arenas have reached the program's depth.
 class Machine {
 public:
   explicit Machine(const Module &M, size_t MaxFrames = 2048,
@@ -100,7 +134,42 @@ public:
   /// false (and sets a StackOverflow trap) when the frame budget is
   /// exhausted; the arguments are then left on the operand stack.
   bool pushFrame(uint32_t Callee, uint32_t ReturnPc,
-                 BlockId ReturnBlock = InvalidBlockId);
+                 BlockId ReturnBlock = InvalidBlockId) {
+    const Method &M = TheModule.Methods[Callee];
+    if (FS.FrameTop == FS.FrameLimit ||
+        static_cast<size_t>(FS.LocalsEnd - FS.LocalsTop) < M.NumLocals)
+        [[unlikely]] {
+      if (!makeFrameRoom(M.NumLocals))
+        return false;
+    }
+    assert(operandDepth() >= M.NumArgs &&
+           "caller did not push enough arguments");
+    // Move the arguments (deepest first) from the caller's operand stack
+    // into locals [0, NumArgs); the rest start zeroed. A handful of slots
+    // each: plain stores beat a memmove/memset call, and the empty asm
+    // keeps the compiler from turning the loops back into one.
+    int64_t *L = FS.LocalsTop;
+    Top -= M.NumArgs;
+    for (uint32_t I = 0; I < M.NumArgs; ++I) {
+      asm("" : "+r"(I));
+      L[I] = Top[I];
+    }
+    for (uint32_t I = M.NumArgs; I < M.NumLocals; ++I) {
+      asm("" : "+r"(I));
+      L[I] = 0;
+    }
+    FrameRecord *F = FS.FrameTop++;
+    F->Locals = L;
+    F->OperandBase = Top;
+    F->MethodId = Callee;
+    F->ReturnPc = ReturnPc;
+    F->ReturnBlock = ReturnBlock;
+    FS.LocalsTop = L + M.NumLocals;
+    FS.CurMethod = Callee;
+    FS.CurLocals = L;
+    FS.CurOperandBase = Top;
+    return true;
+  }
 
   /// Returned in two registers: the continuation words share the first,
   /// the flag fills the second. The flag is a full word because a lone
@@ -117,20 +186,44 @@ public:
 
   /// Pops the current frame; when \p HasValue, transfers the return value
   /// to the caller's operand stack.
-  PopInfo popFrame(bool HasValue);
+  PopInfo popFrame(bool HasValue) {
+    assert(hasFrames() && "popFrame with no frames");
+    assert((!HasValue || operandDepth() > 0) && "operand stack underflow");
+    int64_t RetVal = HasValue ? Top[-1] : 0;
+    const FrameRecord *F = --FS.FrameTop;
+    PopInfo Info;
+    Info.ReturnPc = F->ReturnPc;
+    Info.ReturnBlock = F->ReturnBlock;
+    Top = F->OperandBase;
+    FS.LocalsTop = F->Locals;
+    if (F == FS.Frames) {
+      Info.BottomFrame = 1;
+      return Info;
+    }
+    FS.CurMethod = F[-1].MethodId;
+    FS.CurLocals = F[-1].Locals;
+    FS.CurOperandBase = F[-1].OperandBase;
+    // The value sat above the popped frame's base, so its slot is in the
+    // arena.
+    if (HasValue)
+      *Top++ = RetVal;
+    return Info;
+  }
 
   /// Module method id of the frame on top of the call stack.
   uint32_t currentMethodId() const {
-    assert(!Frames.empty() && "no active frame");
-    return CurMethod;
+    assert(hasFrames() && "no active frame");
+    return FS.CurMethod;
   }
 
   const Method &currentMethod() const {
     return TheModule.Methods[currentMethodId()];
   }
 
-  bool hasFrames() const { return !Frames.empty(); }
-  size_t frameDepth() const { return Frames.size(); }
+  bool hasFrames() const { return FS.FrameTop != FS.Frames; }
+  size_t frameDepth() const {
+    return static_cast<size_t>(FS.FrameTop - FS.Frames);
+  }
 
   TrapKind trap() const { return TrapValue; }
 
@@ -144,7 +237,7 @@ public:
   // tests. The verifier guarantees stack discipline, so these assert
   // rather than trap.
   void push(int64_t V) {
-    if (Top == OperandsEnd)
+    if (Top == FS.OperandsEnd)
       growOperands(1);
     *Top++ = V;
   }
@@ -153,16 +246,16 @@ public:
     return *--Top;
   }
   size_t operandDepth() const {
-    return static_cast<size_t>(Top - Operands.data()) - CurOperandBase;
+    return static_cast<size_t>(Top - FS.CurOperandBase);
   }
 
   int64_t local(uint32_t Idx) const {
-    assert(!Frames.empty() && Idx < currentMethod().NumLocals);
-    return CurLocals[Idx];
+    assert(hasFrames() && Idx < currentMethod().NumLocals);
+    return FS.CurLocals[Idx];
   }
   void setLocal(uint32_t Idx, int64_t V) {
-    assert(!Frames.empty() && Idx < currentMethod().NumLocals);
-    CurLocals[Idx] = V;
+    assert(hasFrames() && Idx < currentMethod().NumLocals);
+    FS.CurLocals[Idx] = V;
   }
 
   // Register-resident access for the block executor and the template JIT:
@@ -174,14 +267,14 @@ public:
 
   /// Guarantees room for \p N more operand pushes without reallocation.
   void reserveOperands(size_t N) {
-    if (static_cast<size_t>(OperandsEnd - Top) < N)
+    if (static_cast<size_t>(FS.OperandsEnd - Top) < N)
       growOperands(N);
   }
   /// The same for a caller holding the top in a register: \p Sp is the
   /// unpublished top. Returns the (possibly moved) top; the machine's own
   /// top is only updated when the arena grows.
   int64_t *reserveOperands(int64_t *Sp, size_t N) {
-    if (static_cast<size_t>(OperandsEnd - Sp) >= N) [[likely]]
+    if (static_cast<size_t>(FS.OperandsEnd - Sp) >= N) [[likely]]
       return Sp;
     setStackTop(Sp);
     growOperands(N);
@@ -189,34 +282,25 @@ public:
   }
   int64_t *stackTop() { return Top; }
   void setStackTop(int64_t *NewTop) {
-    assert(NewTop >= Operands.data() && NewTop <= OperandsEnd &&
+    assert(NewTop >= Operands.data() && NewTop <= FS.OperandsEnd &&
            "stack top outside the operand arena");
     Top = NewTop;
   }
   int64_t *localsBase() {
-    assert(!Frames.empty() && "no active frame");
-    return CurLocals;
+    assert(hasFrames() && "no active frame");
+    return FS.CurLocals;
   }
+  /// The frame state the JIT's call and return templates work on.
+  FrameState &frameState() { return FS; }
   void setTrap(TrapKind Kind) { TrapValue = Kind; }
   void appendOutput(int64_t V) { Output.push_back(V); }
 
 private:
-  struct Frame {
-    uint32_t MethodId = 0;
-    uint32_t LocalsBase = 0;
-    uint32_t OperandBase = 0;
-    uint32_t ReturnPc = 0;
-    BlockId ReturnBlock = InvalidBlockId;
-  };
-
   void growOperands(size_t N);
-  /// Reloads the cached current-frame fields from Frames.back().
-  void cacheTopFrame() {
-    const Frame &F = Frames.back();
-    CurMethod = F.MethodId;
-    CurLocals = Locals.data() + F.LocalsBase;
-    CurOperandBase = F.OperandBase;
-  }
+  /// The slow path of a push that found no room: raises StackOverflow
+  /// (returning false) when the frame budget is spent, else grows the
+  /// frame arena and the locals arena until a frame of \p NumLocals fits.
+  bool makeFrameRoom(uint32_t NumLocals);
 
   Effect trapOut(TrapKind Kind) {
     TrapValue = Kind;
@@ -225,17 +309,11 @@ private:
 
   const Module &TheModule;
   Heap TheHeap;
-  std::vector<int64_t> Operands; ///< Arena; live part is [data, Top).
-  std::vector<int64_t> Locals;   ///< Arena; live part is [0, LocalsTop).
-  int64_t *Top = nullptr;         ///< One past the operand-stack top.
-  int64_t *OperandsEnd = nullptr; ///< End of the operand arena.
-  size_t LocalsTop = 0;
-  std::vector<Frame> Frames;
-  // The top frame's fields, cached so per-instruction accesses never
-  // touch the frame stack.
-  uint32_t CurMethod = 0;
-  int64_t *CurLocals = nullptr;
-  size_t CurOperandBase = 0;
+  std::vector<int64_t> Operands;  ///< Arena; live part is [data, Top).
+  std::vector<int64_t> Locals;    ///< Arena; live part is [data, LocalsTop).
+  std::vector<FrameRecord> Frames; ///< Arena; live part is [data, FrameTop).
+  int64_t *Top = nullptr;          ///< One past the operand-stack top.
+  FrameState FS;
   std::vector<int64_t> Output;
   TrapKind TrapValue = TrapKind::None;
   size_t MaxFrames;

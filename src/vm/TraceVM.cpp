@@ -222,6 +222,8 @@ VmStats TraceVM::currentStats() const {
     S.TraceDispatchesJit = BS.CompiledDispatches;
     S.JitCodeBytes = BS.CodeBytes;
     S.JitCodeReused = BS.CodeReused;
+    S.JitFrameOpsInline = BS.FrameOpsInline;
+    S.JitFrameOpsHelper = BS.FrameOpsHelper;
     S.TracesValidated = BS.TracesValidated;
     S.TraceValidationRejects = BS.ValidationRejects;
     S.TraceProofsReused = BS.ProofsReused;

@@ -78,6 +78,10 @@ const std::vector<VmStats::FieldInfo> &VmStats::fields() {
               /*InPrint=*/false),
       Counter("jit code reused", "jit_code_reused", &VmStats::JitCodeReused,
               /*InPrint=*/false),
+      Counter("jit frame ops inline", "jit_frame_ops_inline",
+              &VmStats::JitFrameOpsInline, /*InPrint=*/false),
+      Counter("jit frame ops helper", "jit_frame_ops_helper",
+              &VmStats::JitFrameOpsHelper, /*InPrint=*/false),
       Counter("mem elision sites", "mem_elision_sites",
               &VmStats::MemElisionSites, /*InPrint=*/false),
       Counter("mem checks elided", "mem_checks_elided",
@@ -126,6 +130,8 @@ uint64_t VmStats::digest() const {
            M == &VmStats::TraceDispatchesJit ||
            M == &VmStats::TraceDispatchesInterp ||
            M == &VmStats::JitCodeBytes || M == &VmStats::JitCodeReused ||
+           M == &VmStats::JitFrameOpsInline ||
+           M == &VmStats::JitFrameOpsHelper ||
            // Elision accounting is configuration (--mem-elide) like the
            // tier counters; the elided checks were proved to pass, so the
            // execution semantics are identical either way.

@@ -78,6 +78,11 @@ struct VmStats {
   /// sessions left behind; every other tier counter reads the same
   /// either way.
   uint64_t JitCodeReused = 0;
+  /// Calls and returns native code ran inline, and those it handed to a
+  /// frame helper (virtual calls, and the slow path of static calls and
+  /// returns: arena growth, the frame budget, the bottom-frame return).
+  uint64_t JitFrameOpsInline = 0;
+  uint64_t JitFrameOpsHelper = 0;
 
   //===--- Memory-check elision (src/analysis) --------------------------===//
   /// Heap-access check elision proved by the trace-path alias analysis,

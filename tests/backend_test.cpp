@@ -785,3 +785,221 @@ TEST(BackendTest, FullCodeCacheFallsBackToCodeSpace) {
   EXPECT_LE(Code.bytesHeld(), Cap * ((Largest + Page - 1) / Page * Page));
 #endif
 }
+
+//===----------------------------------------------------------------------===//
+// Frames inside native runs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// main: for i in [0, Trip) print rec(Start + i * Step), where rec(n)
+/// copies n into local k and counts it down to 0 through itself:
+/// rec(n) = k + ... + rec(k - 1) + z, with Pending copies of k held on
+/// the operand stack across the call and z the last of its Locals (at
+/// least 3) locals, which nothing writes. The depth grows per
+/// iteration, so a recursion that outgrows an arena or the frame budget
+/// does so after its traces were promoted. The store to k sits in the
+/// block a call enters, so a call template that left a stale locals
+/// base behind loses it.
+Module countdownRecursion(int32_t Trip, int32_t Start, int32_t Step,
+                          uint32_t Locals, uint32_t Pending) {
+  Assembler Asm;
+  uint32_t Rec = Asm.declareMethod("rec", 1, Locals, true);
+  {
+    MethodBuilder B = Asm.beginMethod(Rec);
+    Label Deeper = B.newLabel();
+    B.iload(0);
+    B.istore(1);
+    B.iload(1);
+    B.branch(Opcode::IfGt, Deeper);
+    B.iconst(0);
+    B.iret();
+    B.bind(Deeper);
+    for (uint32_t P = 0; P < Pending; ++P)
+      B.iload(1);
+    B.iload(1);
+    B.iconst(1);
+    B.emit(Opcode::Isub);
+    B.invokestatic(Rec);
+    for (uint32_t P = 0; P < Pending; ++P)
+      B.emit(Opcode::Iadd);
+    B.iload(Locals - 1);
+    B.emit(Opcode::Iadd);
+    B.iret();
+    B.finish();
+  }
+  uint32_t Main = Asm.declareMethod("main", 0, 1, false);
+  {
+    MethodBuilder B = Asm.beginMethod(Main);
+    Label Loop = B.newLabel(), Done = B.newLabel();
+    B.iconst(0);
+    B.istore(0);
+    B.bind(Loop);
+    B.iload(0);
+    B.iconst(Trip);
+    B.branch(Opcode::IfIcmpGe, Done);
+    B.iload(0);
+    B.iconst(Step);
+    B.emit(Opcode::Imul);
+    B.iconst(Start);
+    B.emit(Opcode::Iadd);
+    B.invokestatic(Rec);
+    B.emit(Opcode::Iprint);
+    B.iinc(0, 1);
+    B.branch(Opcode::Goto, Loop);
+    B.bind(Done);
+    B.halt();
+    B.finish();
+  }
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
+/// main: for i in [0, N) add f(i) at one call site, except every 16th
+/// iteration, which subtracts f(i) at another; f(x) has two blocks, so
+/// the block its return ends does not tell which site called it. A
+/// trace recorded through f's return into the common site meets the
+/// rare one as a return to an unexpected site.
+Module twoReturnSites(int32_t N) {
+  Assembler Asm;
+  uint32_t F = Asm.declareMethod("f", 1, 1, true);
+  {
+    MethodBuilder B = Asm.beginMethod(F);
+    Label Join = B.newLabel();
+    B.iload(0);
+    B.branch(Opcode::IfGe, Join);
+    B.iload(0);
+    B.emit(Opcode::Ineg);
+    B.istore(0);
+    B.bind(Join);
+    B.iload(0);
+    B.iconst(3);
+    B.emit(Opcode::Imul);
+    B.iret();
+    B.finish();
+  }
+  uint32_t Main = Asm.declareMethod("main", 0, 2, false);
+  {
+    MethodBuilder B = Asm.beginMethod(Main);
+    Label Loop = B.newLabel(), Rare = B.newLabel(), Join = B.newLabel(),
+          Done = B.newLabel();
+    B.iconst(0);
+    B.istore(0); // i
+    B.iconst(0);
+    B.istore(1); // sum
+    B.bind(Loop);
+    B.iload(0);
+    B.iconst(N);
+    B.branch(Opcode::IfIcmpGe, Done);
+    B.iload(0);
+    B.iconst(15);
+    B.emit(Opcode::Iand);
+    B.branch(Opcode::IfEq, Rare);
+    B.iload(1);
+    B.iload(0);
+    B.invokestatic(F);
+    B.emit(Opcode::Iadd);
+    B.istore(1);
+    B.branch(Opcode::Goto, Join);
+    B.bind(Rare);
+    B.iload(1);
+    B.iload(0);
+    B.invokestatic(F);
+    B.emit(Opcode::Isub);
+    B.istore(1);
+    B.bind(Join);
+    B.iinc(0, 1);
+    B.branch(Opcode::Goto, Loop);
+    B.bind(Done);
+    B.iload(1);
+    B.emit(Opcode::Iprint);
+    B.halt();
+    B.finish();
+  }
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
+/// Runs \p M natively (every trace promoted) and block-stepped, checks
+/// that both executed the same thing, and returns the native session.
+SessionRecord expectNativeMatchesStepped(const Module &M) {
+  PreparedModule PM(M);
+  SessionRecord Stepped = runSession(PM, interpOptions());
+  SessionRecord Native = runSession(PM, jitOptions());
+  EXPECT_EQ(Native.Run.Status, Stepped.Run.Status);
+  EXPECT_EQ(Native.Run.Trap, Stepped.Run.Trap);
+  EXPECT_EQ(Native.Run.Instructions, Stepped.Run.Instructions);
+  EXPECT_EQ(Native.Output, Stepped.Output);
+  EXPECT_EQ(Native.HeapDigest, Stepped.HeapDigest);
+  EXPECT_EQ(Native.Stats.digest(), Stepped.Stats.digest());
+  EXPECT_EQ(Native.Blocks, Stepped.Blocks);
+  EXPECT_GT(Native.Stats.TraceDispatchesJit, 0u);
+  EXPECT_GT(Native.Stats.JitFrameOpsInline, 0u);
+  EXPECT_EQ(Stepped.Stats.JitFrameOpsInline, 0u);
+  EXPECT_EQ(Stepped.Stats.JitFrameOpsHelper, 0u);
+  return Native;
+}
+
+} // namespace
+
+TEST(BackendTest, CallThatGrowsTheLocalsArenaMidRun) {
+  // 40 to 42 locals a frame: near depth 25 the 1024-slot locals arena
+  // grows, and again near 50, while frames (under 64) and operands (one
+  // held per frame) stay within their first arenas. No virtual call and
+  // no bottom-frame return runs, so every helper call is a growth. The
+  // depth steps by 3, so the frame a growth pushes has a positive count
+  // and runs on into the block that stores it.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  for (uint32_t Locals : {40u, 41u, 42u}) {
+    SCOPED_TRACE(Locals);
+    SessionRecord S = expectNativeMatchesStepped(
+        countdownRecursion(/*Trip=*/20, /*Start=*/0, /*Step=*/3, Locals,
+                           /*Pending=*/1));
+    EXPECT_EQ(S.Run.Status, RunStatus::Finished);
+    EXPECT_GT(S.Stats.JitFrameOpsHelper, 0u);
+  }
+}
+
+TEST(BackendTest, CallThatGrowsTheOperandArenaMidRun) {
+  // Eight to ten operands held a frame: past depth 25 to 32 the 256-slot
+  // operand arena grows; locals (three a frame) and frames (under 64) do
+  // not.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  for (uint32_t Pending : {8u, 9u, 10u}) {
+    SCOPED_TRACE(Pending);
+    SessionRecord S = expectNativeMatchesStepped(
+        countdownRecursion(/*Trip=*/60, /*Start=*/0, /*Step=*/1,
+                           /*Locals=*/3, Pending));
+    EXPECT_EQ(S.Run.Status, RunStatus::Finished);
+    EXPECT_GT(S.Stats.JitFrameOpsHelper, 0u);
+  }
+}
+
+TEST(BackendTest, FrameOverflowInsideANativeTrace) {
+  // Depth 64 * i: the run holds the entry frame and depth + 1 frames of
+  // rec, so the 2048-frame budget is spent at i = 32, deep inside a
+  // promoted recursion. Both tiers trap at the same instruction.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  SessionRecord S = expectNativeMatchesStepped(
+      countdownRecursion(/*Trip=*/40, /*Start=*/0, /*Step=*/64,
+                         /*Locals=*/4, /*Pending=*/1));
+  EXPECT_EQ(S.Run.Status, RunStatus::Trapped);
+  EXPECT_EQ(S.Run.Trap, TrapKind::StackOverflow);
+  EXPECT_EQ(S.Output.size(), 32u);
+  EXPECT_GT(S.Stats.JitFrameOpsHelper, 0u);
+}
+
+TEST(BackendTest, ReturnToAnUnexpectedSiteDiverges) {
+  // Every 16th call of f returns to the rare site, against the common
+  // site its traces recorded: native code must leave the trace at the
+  // return with the caller's state exactly as block stepping leaves it.
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  SessionRecord S = expectNativeMatchesStepped(twoReturnSites(20000));
+  EXPECT_EQ(S.Run.Status, RunStatus::Finished);
+  EXPECT_GT(S.Stats.TraceDispatches, S.Stats.TracesCompleted);
+  EXPECT_EQ(S.Stats.JitFrameOpsHelper, 0u);
+}

@@ -3,7 +3,8 @@
 /// Two layers of the fleet, pinned:
 ///
 ///  - the consistent-hash ring in isolation: deterministic routing,
-///    reasonable balance across virtual nodes, and minimal remapping
+///    reasonable balance across virtual nodes (also for the fleet's own
+///    sequential session keys), and minimal remapping
 ///    when a node leaves (only the departed node's keys move);
 ///  - the fleet itself, over real sockets and real forked shard
 ///    processes: sessions route and retire with digests matching a
@@ -28,9 +29,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <vector>
 
 #include <csignal>
 #include <sys/types.h>
@@ -98,6 +101,76 @@ TEST(HashRing, VirtualNodesSpreadLoad) {
   for (uint32_t N = 0; N < 3; ++N) {
     EXPECT_GT(Share[N], Keys / 10u) << "node " << N;
     EXPECT_LT(Share[N], Keys * 2u / 3u) << "node " << N;
+  }
+}
+
+/// The [Lo, Hi] range a Binomial(N, 1/K) count leaves with probability
+/// at most \p Tail on each side: the shard count a key family would
+/// fall outside, under a ring that places keys independently and
+/// uniformly, about once in 1/Tail families.
+std::pair<unsigned, unsigned> binomialBounds(unsigned N, unsigned K,
+                                             double Tail) {
+  const double P = 1.0 / K;
+  std::vector<double> Pmf(N + 1);
+  for (unsigned I = 0; I <= N; ++I)
+    Pmf[I] = std::exp(std::lgamma(N + 1.0) - std::lgamma(I + 1.0) -
+                      std::lgamma(N - I + 1.0) + I * std::log(P) +
+                      (N - I) * std::log1p(-P));
+  unsigned Lo = 0, Hi = N;
+  for (double Below = Pmf[0]; Below <= Tail; Below += Pmf[++Lo])
+    ;
+  for (double Above = Pmf[N]; Above <= Tail; Above += Pmf[--Hi])
+    ;
+  return {Lo, Hi};
+}
+
+TEST(HashRing, LoadgenKeyShapesSpreadOverShards) {
+  // The key families the fleet's own drivers use: jtc-fleet's
+  // "session-N", fleet_scaling's "t<T>-s<N>" and its warm phase's
+  // "warm-N". Each differs from its neighbours only in its last
+  // characters, which a hash without a final mix puts on one arc.
+  const unsigned N = 240;
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      Families = [] {
+        std::vector<std::string> Sessions, Threads, Warm;
+        for (unsigned I = 0; I < N; ++I) {
+          Sessions.push_back("session-" + std::to_string(I));
+          Threads.push_back("t" + std::to_string(I % 4) + "-s" +
+                            std::to_string(I / 4));
+          Warm.push_back("warm-" + std::to_string(I));
+        }
+        return std::vector<std::pair<std::string, std::vector<std::string>>>{
+            {"session-N", Sessions}, {"t<T>-s<N>", Threads}, {"warm-N", Warm}};
+      }();
+  for (unsigned K : {3u, 4u}) {
+    HashRing R;
+    for (uint32_t Node = 0; Node < K; ++Node)
+      R.add(Node);
+    // 240 keys: [47, 116] on 3 shards, [30, 93] on 4.
+    auto [Lo, Hi] = binomialBounds(N, K, 1e-6);
+    for (const auto &[Name, Keys] : Families) {
+      std::vector<unsigned> Share(K);
+      for (const std::string &Key : Keys) {
+        uint32_t Node = ~0u;
+        ASSERT_TRUE(R.route(Key, Node));
+        ASSERT_LT(Node, K);
+        ++Share[Node];
+      }
+      for (uint32_t Node = 0; Node < K; ++Node) {
+        EXPECT_GE(Share[Node], Lo) << Name << ", " << K << " shards";
+        EXPECT_LE(Share[Node], Hi) << Name << ", " << K << " shards";
+      }
+    }
+    // jtc-fleet --sessions=24 reaches every shard: a Binomial(24, 1/3)
+    // count is 0 with probability 6e-5, a Binomial(24, 1/4) one 1e-3.
+    std::vector<unsigned> Share(K);
+    for (unsigned I = 0; I < 24; ++I) {
+      uint32_t Node = ~0u;
+      ASSERT_TRUE(R.route("session-" + std::to_string(I), Node));
+      ++Share[Node];
+    }
+    for (uint32_t Node = 0; Node < K; ++Node)
+      EXPECT_GT(Share[Node], 0u) << "node " << Node << ", " << K << " shards";
   }
 }
 

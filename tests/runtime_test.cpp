@@ -372,6 +372,59 @@ TEST(MachineFrames, FrameBudgetTrapsAsStackOverflow) {
   EXPECT_EQ(Mach.trap(), TrapKind::StackOverflow);
 }
 
+TEST(MachineFrames, BudgetOfExactlyNFramesAcrossArenaGrowth) {
+  // f(x) has 40 locals, so a few dozen frames outgrow the locals arena;
+  // budgets around the frame arena's first size (64) grow it too. The
+  // push fast path must admit exactly N frames, entry frame included,
+  // and every frame's locals must survive the arenas' moves.
+  Module M;
+  Method Main;
+  Main.Name = "main";
+  Main.Code = {Instruction(Opcode::Halt)};
+  M.Methods.push_back(Main);
+  Method F;
+  F.Name = "f";
+  F.NumArgs = 1;
+  F.NumLocals = 40;
+  F.ReturnsValue = true;
+  F.Code = {Instruction(Opcode::Iload, 0), Instruction(Opcode::Ireturn)};
+  M.Methods.push_back(F);
+
+  for (size_t N : {1u, 2u, 63u, 64u, 65u, 128u, 200u}) {
+    SCOPED_TRACE(N);
+    Machine Mach(M, /*MaxFrames=*/N);
+    Mach.start(0);
+    for (size_t Depth = 1; Depth < N; ++Depth) {
+      Mach.push(static_cast<int64_t>(Depth));
+      ASSERT_TRUE(Mach.pushFrame(1, /*ReturnPc=*/7, /*ReturnBlock=*/3));
+      ASSERT_EQ(Mach.frameDepth(), Depth + 1);
+      ASSERT_EQ(Mach.local(0), static_cast<int64_t>(Depth));
+      ASSERT_EQ(Mach.local(39), 0);
+      Mach.setLocal(39, -static_cast<int64_t>(Depth));
+    }
+    Mach.push(-1);
+    EXPECT_FALSE(Mach.pushFrame(1, 7, 3));
+    EXPECT_EQ(Mach.trap(), TrapKind::StackOverflow);
+    EXPECT_EQ(Mach.frameDepth(), N);
+    EXPECT_EQ(Mach.pop(), -1) << "the argument stays on the caller's stack";
+    for (size_t Depth = N - 1; Depth >= 1; --Depth) {
+      ASSERT_EQ(Mach.currentMethodId(), 1u);
+      EXPECT_EQ(Mach.local(0), static_cast<int64_t>(Depth));
+      EXPECT_EQ(Mach.local(39), -static_cast<int64_t>(Depth));
+      Mach.push(Mach.local(0));
+      Machine::PopInfo Info = Mach.popFrame(/*HasValue=*/true);
+      EXPECT_FALSE(Info.BottomFrame);
+      EXPECT_EQ(Info.ReturnPc, 7u);
+      EXPECT_EQ(Info.ReturnBlock, 3u);
+      EXPECT_EQ(Mach.pop(), static_cast<int64_t>(Depth));
+      EXPECT_EQ(Mach.frameDepth(), Depth);
+    }
+    EXPECT_EQ(Mach.currentMethodId(), 0u);
+    EXPECT_EQ(Mach.operandDepth(), 0u);
+    EXPECT_TRUE(Mach.popFrame(false).BottomFrame);
+  }
+}
+
 TEST(MachineFrames, RunawayRecursionTrapsViaInterpreter) {
   // fact(-1) recurses forever; the frame budget must stop it.
   Module M = testprog::recursiveFactorial(5);
