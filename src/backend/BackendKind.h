@@ -25,9 +25,11 @@ enum class ValidateMode : uint8_t {
   On,     ///< Validate every promoted trace; a rejected trace still
           ///< compiles (no tier runs the optimized form) but without
           ///< check elision (the default).
-  Strict, ///< Like On, but a rejection aborts the process -- for CI and
-          ///< fuzzing, where any rejection of stock optimizer output is
-          ///< a bug in either the optimizer or the validator.
+  Strict, ///< Like On, and sharing its compiled code, but a rejection
+          ///< aborts the process -- whether the session proved it or
+          ///< found it with a shape's held code. For CI and fuzzing,
+          ///< where any rejection of stock optimizer output is a bug in
+          ///< either the optimizer or the validator.
 };
 
 inline const char *validateModeName(ValidateMode M) {
@@ -67,7 +69,8 @@ struct BackendConfig {
   /// Compile each promoted trace's provably redundant heap checks away.
   bool MemElide = true;
   /// The optimizer configuration validation re-optimizes under; its
-  /// fingerprint keys the module's proofs (PreparedModule::proofs()).
+  /// fingerprint is part of the key of the module's native code
+  /// (backend::ModuleCode), which carries each shape's verdict.
   OptConfig Opt;
 };
 

@@ -353,7 +353,7 @@ size_t CodeArena::bytesInstalled() const {
 size_t ModuleCode::KeyHash::operator()(const CodeKey &K) const {
   // FNV-1a over the settings and the block ids.
   uint64_t H = 1469598103934665603ull ^ K.ProofConfig;
-  H = (H ^ (static_cast<uint64_t>(K.Validate) << 1 | K.MemElide)) *
+  H = (H ^ (static_cast<uint64_t>(K.Validated) << 1 | K.MemElide)) *
       1099511628211ull;
   for (BlockId B : K.Blocks) {
     H ^= B;
@@ -366,6 +366,11 @@ const CompiledTrace *ModuleCode::find(const CodeKey &K) const {
   std::lock_guard<std::mutex> G(Lock);
   auto It = Entries.find(K);
   return It == Entries.end() ? nullptr : &It->second;
+}
+
+bool ModuleCode::full() const {
+  std::lock_guard<std::mutex> G(Lock);
+  return Installs >= Cap;
 }
 
 const void *ModuleCode::install(const std::vector<uint8_t> &Code) {
@@ -1147,6 +1152,12 @@ JitBackend::~JitBackend() = default;
 
 const CompiledTrace *JitBackend::compile(const Trace &T, CodeKey Key,
                                          CompileFallback &Why) {
+  // Nothing past the cap would be installed, so nothing is lowered or
+  // proved for it either.
+  if (Code.full()) {
+    Why = CompileFallback::CodeSpace;
+    return nullptr;
+  }
   LowerResult L = lowerTrace(PM, T, &PM.facts());
   if (!L.ok()) {
     Why = L.Why;
@@ -1168,77 +1179,49 @@ const CompiledTrace *JitBackend::compile(const Trace &T, CodeKey Key,
   C.MaxPush = L.IR.MaxPush;
   C.InstrCount = L.IR.InstrCount;
   C.CodeSize = static_cast<uint32_t>(TC.code().size());
-  // A later promotion of the shape reads back from the memo whatever of
-  // the consulted proofs it holds now; past its cap, that can be less
-  // than this promotion found there.
-  analysis::TraceProofMemo::Held H =
-      PM.proofs().held({T.Blocks, ProofConfig});
-  C.Proof.Reused = (C.Proof.Validated && H.Verdict) +
-                   (Config.MemElide && C.Proof.Accepted && H.MemFacts);
   return Code.publish(std::move(Key), std::move(C));
 }
 
-TraceProof JitBackend::prove(const Trace &T, TraceIR &IR) {
-  const analysis::TraceShape Shape{T.Blocks, ProofConfig};
+TraceProof JitBackend::prove(const Trace &T, TraceIR &IR) const {
   TraceProof P;
-  bool Reused = false;
   if (Config.Validate != ValidateMode::Off) {
-    analysis::TraceVerdict V = PM.proofs().verdict(
-        Shape,
-        [&] {
-          validate::Result R =
-              validate::validateTrace(PM, T, Config.Opt, &PM.facts());
-          return analysis::TraceVerdict{R.Ok, static_cast<uint32_t>(R.Why),
-                                        R.SegmentIndex, std::move(R.Detail)};
-        },
-        Reused);
     P.Validated = true;
-    P.Reused += Reused;
-    P.Accepted = V.Ok;
-    P.ReasonCode = V.ReasonCode;
-    if (!V.Ok) {
-      if (Config.Validate == ValidateMode::Strict) {
-        validate::Result R = validate::Result::fail(
-            static_cast<validate::Reason>(V.ReasonCode), V.Detail);
-        std::fprintf(stderr,
-                     "jtc: --validate=strict: trace %u rejected by "
-                     "translation validation: %s (segment %u)\n",
-                     T.Id, R.typed().qualifiedMessage().c_str(),
-                     V.SegmentIndex);
-        std::abort();
-      }
-      // The trace still compiles -- no tier runs the optimized form --
-      // but fully checked: a failed proof means the analysis and the
-      // optimizer disagree somewhere.
+    P.Verdict = validate::validateTrace(PM, T, Config.Opt, &PM.facts());
+    // A rejected trace still compiles -- no tier runs the optimized
+    // form -- but fully checked: a failed proof means the analysis and
+    // the optimizer disagree somewhere.
+    if (!P.Verdict.Ok)
       return P;
-    }
   }
-  if (!Config.MemElide)
-    return P;
-  std::vector<analysis::TraceMemFact> Facts = PM.proofs().memFacts(
-      Shape, [&] { return traceMemFacts(PM, T.Blocks); }, Reused);
-  P.Reused += Reused;
-  P.ElisionSites = static_cast<uint32_t>(Facts.size());
-  applyMemFacts(IR, Facts);
+  if (Config.MemElide) {
+    P.MemFacts = traceMemFacts(PM, T.Blocks);
+    applyMemFacts(IR, P.MemFacts);
+  }
   return P;
 }
 
-void JitBackend::credit([[maybe_unused]] const Trace &T,
-                        const TraceProof &P) {
-  Stats.ProofsReused += P.Reused;
-  Stats.MemElisionSites += P.ElisionSites;
+void JitBackend::credit(const Trace &T, const TraceProof &P) {
+  Stats.MemElisionSites += P.MemFacts.size();
   if (!P.Validated)
     return;
   ++Stats.TracesValidated;
-  if (P.Accepted) {
+  if (P.Verdict.Ok) {
     JTC_RECORD_EVENT(Telem, EventKind::TraceValidated, T.Id,
                      static_cast<uint32_t>(T.Blocks.size()));
     return;
   }
+  if (Config.Validate == ValidateMode::Strict) {
+    std::fprintf(stderr,
+                 "jtc: --validate=strict: trace %u rejected by translation "
+                 "validation: %s (segment %u)\n",
+                 T.Id, P.Verdict.typed().qualifiedMessage().c_str(),
+                 P.Verdict.SegmentIndex);
+    std::abort();
+  }
+  const uint32_t Reason = static_cast<uint32_t>(P.Verdict.Why);
   ++Stats.ValidationRejects;
-  ++Stats.RejectsByReason[P.ReasonCode];
-  JTC_RECORD_EVENT(Telem, EventKind::TraceValidationRejected, T.Id,
-                   P.ReasonCode);
+  ++Stats.RejectsByReason[Reason];
+  JTC_RECORD_EVENT(Telem, EventKind::TraceValidationRejected, T.Id, Reason);
 }
 
 const CompiledTrace *JitBackend::promote(const Trace &T) {
@@ -1248,7 +1231,8 @@ const CompiledTrace *JitBackend::promote(const Trace &T) {
   CompileFallback Why = CompileFallback::HostUnsupported;
   const CompiledTrace *C = nullptr;
   if (!Config.SimulateUnsupportedHost && jitSupportedHost()) {
-    CodeKey Key{T.Blocks, ProofConfig, Config.Validate, Config.MemElide};
+    CodeKey Key{T.Blocks, ProofConfig, Config.Validate != ValidateMode::Off,
+                Config.MemElide};
     C = Code.find(Key);
     if (C) {
       ++Stats.CodeReused;

@@ -65,37 +65,41 @@
 /// cannot compile (see CompileFallback) stays block-stepped.
 ///
 /// Promotion is the one place a trace is proved and annotated: once a
-/// trace lowers, its translation-validation verdict and the alias
-/// analysis' check-elision facts come from the module's proof memo
-/// (PreparedModule::proofs(), computed on first sight of the trace's
-/// shape), and an accepted trace compiles its provably redundant heap
-/// checks away. The interp tier neither proves nor elides: it runs
-/// every check, which costs it nothing a proof could save.
+/// trace lowers, the translation validator checks it and, unless it
+/// rejects the trace, the alias analysis' check-elision facts compile its
+/// provably redundant heap checks away. The interp tier neither proves
+/// nor elides: it runs every check, which costs it nothing a proof could
+/// save.
 ///
-/// Native code is per module, not per session. Compiled code depends
-/// only on the trace's blocks and module-owned data (switch tables,
-/// helper addresses), so the module keeps one code cache (ModuleCode,
-/// held in PreparedModule::backendState()) keyed by the trace's shape
-/// and the settings that change the code. A session's first promotion
-/// of a shape the module holds lowers, proves, emits and installs
-/// nothing: it runs the held code and credits the same counters and
-/// telemetry events the compiling promotion did, so which session
-/// compiled a shape is unobservable except through jit_code_reused.
+/// Native code is per module, not per session, and so are the proofs it
+/// was compiled under. Compiled code depends only on the trace's blocks
+/// and module-owned data (switch tables, helper addresses), so the module
+/// keeps one code cache (ModuleCode, held in
+/// PreparedModule::backendState()) keyed by the trace's shape and the
+/// settings that change the code, and each entry carries the TraceProof
+/// that justifies it. A session's first promotion of a shape the module
+/// holds lowers, proves, emits and installs nothing: it runs the held
+/// code and credits the same counters and telemetry events the compiling
+/// promotion did, so which session compiled a shape is unobservable
+/// except through jit_code_reused.
 /// Code memory is W^X by page: an install takes whole fresh pages,
 /// writes them and flips them executable once, and nothing writes them
 /// again, so no page another session may be running is ever writable.
-/// Past ModuleCode::MaxTraces installs a promotion falls back to
-/// CodeSpace and the trace stays block-stepped.
+/// Past ModuleCode::MaxTraces installs a promotion that misses lowers and
+/// proves nothing: it falls back to CodeSpace and the trace stays
+/// block-stepped.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JTC_BACKEND_JITBACKEND_H
 #define JTC_BACKEND_JITBACKEND_H
 
+#include "analysis/Alias.h"
 #include "backend/BackendKind.h"
 #include "runtime/Trap.h"
 #include "support/TypedError.h"
 #include "trace/Trace.h"
+#include "validate/Validator.h"
 
 #include <cstdint>
 #include <map>
@@ -156,8 +160,6 @@ struct BackendStats {
   /// Rejections tallied by validate::Reason code (ordered so JSON
   /// emission is deterministic).
   std::map<uint32_t, uint64_t> RejectsByReason;
-  /// Verdicts and elision facts the module's memo answered.
-  uint64_t ProofsReused = 0;
   uint64_t MemElisionSites = 0; ///< Heap accesses compiled with elision.
   uint64_t ChecksElided = 0;    ///< Dynamic checks native code skipped.
   /// Promotions that found their shape's code in the module's cache, and
@@ -227,19 +229,16 @@ struct ExitRecord {
 
 using TraceFn = void (*)(JitContext *);
 
-/// What a promotion proved about its trace's shape: what the session
-/// credits for it (BackendStats, telemetry), and what every later
-/// promotion of the shape credits again.
+/// What a promotion proved about its trace's shape, kept with the
+/// shape's code: what the session credits for it (BackendStats,
+/// telemetry), and what every later promotion of the shape credits again.
 struct TraceProof {
-  bool Validated = false;    ///< Translation validation ran.
-  bool Accepted = true;      ///< Its verdict (true when it did not run).
-  uint32_t ReasonCode = 0;   ///< The validate::Reason of a rejection.
-  uint32_t ElisionSites = 0; ///< Heap accesses compiled with elision.
-  /// Of the verdict and the elision facts the promotion consulted, those
-  /// the module's proof memo answered. On a held CompiledTrace: those
-  /// the memo holds once the shape is compiled, which is what any later
-  /// promotion would find there (memo entries never change).
-  uint32_t Reused = 0;
+  bool Validated = false;   ///< Translation validation ran.
+  validate::Result Verdict; ///< Its verdict (a pass when it did not run).
+  /// The check-elision facts the code was compiled with, one per heap
+  /// access it elides; none when elision is off or validation rejected
+  /// the trace.
+  std::vector<analysis::TraceMemFact> MemFacts;
 };
 
 /// A trace shape's native code, owned by the module's ModuleCode and
@@ -254,12 +253,13 @@ struct CompiledTrace {
 };
 
 /// What compiled code depends on besides the module: the trace's block
-/// ids, the optimizer configuration its proofs are keyed by, and the
-/// validation and elision settings that decide which checks it keeps.
+/// ids, the optimizer configuration its verdict is proved under, and
+/// whether validation ran and elision was on, which decide the checks it
+/// keeps. --validate=on and strict compile the same code.
 struct CodeKey {
   std::vector<BlockId> Blocks;
   uint64_t ProofConfig = 0;
-  ValidateMode Validate = ValidateMode::On;
+  bool Validated = true;
   bool MemElide = true;
 
   bool operator==(const CodeKey &) const = default;
@@ -298,8 +298,8 @@ private:
 /// or freed before the module. Thread-safe.
 class ModuleCode {
 public:
-  /// Installs per module, like TraceProofMemo::MaxShapes. A default
-  /// javac session compiles about 1100 traces.
+  /// Installs per module. A default javac session compiles about 1100
+  /// traces.
   static constexpr size_t MaxTraces = 4096;
 
   explicit ModuleCode(size_t Cap = MaxTraces) : Cap(Cap) {}
@@ -308,6 +308,10 @@ public:
 
   /// The code held for \p K, or null.
   const CompiledTrace *find(const CodeKey &K) const;
+
+  /// True once the module has installed its cap: install() refuses
+  /// everything from then on.
+  bool full() const;
 
   /// Copies \p Code into executable memory; null (the CodeSpace
   /// fallback) once the module has installed its cap, or when no
@@ -377,22 +381,23 @@ private:
   /// and publishes it; credits the promotion either way. A trace that
   /// gets no code yields a CompiledTrace with a null Fn.
   const CompiledTrace *promote(const Trace &T);
-  /// Lowers, proves, emits and installs \p T; null with \p Why on a
-  /// fallback.
+  /// Lowers, proves (crediting the proof), emits and installs \p T; null
+  /// with \p Why on a fallback, before any of that work once the
+  /// module's cache is full.
   const CompiledTrace *compile(const Trace &T, CodeKey Key,
                                CompileFallback &Why);
-  /// The promotion-time proof work on \p T, lowered into \p IR, through
-  /// the module's memo (PreparedModule::proofs()): translation validation
-  /// (aborting on a rejection under ValidateMode::Strict), then, unless
-  /// validation rejected the trace, its check-elision facts applied to
-  /// \p IR.
-  TraceProof prove(const Trace &T, TraceIR &IR);
+  /// The promotion-time proof work on \p T, lowered into \p IR:
+  /// translation validation, then, unless validation rejected the trace,
+  /// its check-elision facts applied to \p IR.
+  TraceProof prove(const Trace &T, TraceIR &IR) const;
   /// Counts what a promotion of \p T proved, and records its events.
+  /// Under ValidateMode::Strict a rejected verdict aborts the process,
+  /// whether this session proved it or found it with the module's code.
   void credit(const Trace &T, const TraceProof &P);
 
   const PreparedModule &PM;
   BackendConfig Config;
-  /// Config.Opt's part of the trace-shape key of the module's proofs.
+  /// Config.Opt's part of the code-cache key.
   uint64_t ProofConfig;
   ModuleCode &Code;
   BackendStats Stats;

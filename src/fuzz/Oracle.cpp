@@ -252,8 +252,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
         continue;
       }
       for (const VmStats::FieldInfo &F : VmStats::fields())
-        if (F.Counter && F.Counter != &VmStats::TraceProofsReused &&
-            F.Counter != &VmStats::JitCodeReused &&
+        if (F.Counter && F.Counter != &VmStats::JitCodeReused &&
             JS.*F.Counter != FirstJit.*F.Counter)
           JC.finding("reuse-stats-mismatch",
                      std::string(F.Key) + ": first session " +
@@ -303,8 +302,9 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
                        " checks elided");
     }
 
-    // Last, so the memo holds what the JIT run proved at promotion for
-    // the shapes this configuration builds.
+    // Last, so the module holds the code, and the proofs it was compiled
+    // under, that the JIT runs promoted for the shapes this configuration
+    // builds.
     if (Config.CheckValidate && Config.Fault == CacheFault::None)
       C.violations(checkValidateAudit(PM, VM));
   }

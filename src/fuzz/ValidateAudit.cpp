@@ -2,10 +2,12 @@
 
 #include "fuzz/ValidateAudit.h"
 
+#include "backend/JitBackend.h"
 #include "backend/TraceIR.h"
 #include "validate/Validator.h"
 #include "vm/TraceVM.h"
 
+#include <optional>
 #include <sstream>
 
 using namespace jtc;
@@ -18,26 +20,41 @@ std::vector<Violation> fuzz::checkValidateAudit(const PreparedModule &PM,
   // Under a deliberate miscompile, rejections are the expected outcome;
   // the audit only polices false rejects of sound optimizer output.
   const bool AuditVerdicts = Cfg.Mutate == UnsoundPass::None;
-  const uint64_t Fingerprint = Cfg.fingerprint();
+  const backend::ModuleCode &Code = backend::moduleCode(PM);
 
   for (const Trace &T : VM.traceCache().traces()) {
-    const analysis::TraceShape Shape{T.Blocks, Fingerprint};
-    // Native code compiles the memo's elisions for this shape, whichever
-    // session proved them; they must be what the analysis derives.
-    if (std::optional<std::vector<analysis::TraceMemFact>> Held =
-            PM.proofs().findMemFacts(Shape);
-        Held && *Held != backend::traceMemFacts(PM, T.Blocks)) {
-      std::ostringstream OS;
-      OS << "trace " << T.Id << " (" << T.Blocks.size() << " blocks): the "
-         << "module holds " << Held->size()
-         << " check elisions that differ from its recomputed ones";
-      Violations.push_back({"validate-memo-incoherent", OS.str()});
-    }
+    // Every entry the module holds for this shape under this optimizer
+    // configuration, whichever session compiled it.
+    backend::CodeKey Key{T.Blocks, Cfg.fingerprint()};
+    std::optional<std::vector<analysis::TraceMemFact>> Recomputed;
+    bool HookRejected = false;
+    for (bool Validated : {false, true})
+      for (bool MemElide : {false, true}) {
+        Key.Validated = Validated;
+        Key.MemElide = MemElide;
+        const backend::CompiledTrace *C = Code.find(Key);
+        if (!C)
+          continue;
+        const backend::TraceProof &P = C->Proof;
+        HookRejected |= !P.Verdict.Ok;
+        // Code compiled with elision elides its entry's facts; they must
+        // be what the analysis derives.
+        if (!MemElide || !P.Verdict.Ok)
+          continue;
+        if (!Recomputed)
+          Recomputed = backend::traceMemFacts(PM, T.Blocks);
+        if (P.MemFacts == *Recomputed)
+          continue;
+        std::ostringstream OS;
+        OS << "trace " << T.Id << " (" << T.Blocks.size()
+           << " blocks): the module holds code compiled with "
+           << P.MemFacts.size()
+           << " check elisions that differ from its recomputed ones";
+        Violations.push_back({"validate-elision-incoherent", OS.str()});
+      }
     if (!AuditVerdicts)
       continue;
-    if (std::optional<analysis::TraceVerdict> V =
-            PM.proofs().findVerdict(Shape);
-        V && !V->Ok) {
+    if (HookRejected) {
       std::ostringstream OS;
       OS << "trace " << T.Id << " (" << T.Blocks.size()
          << " blocks) was rejected by validation at promotion on a run "

@@ -16,14 +16,16 @@
 /// session's own optimizer configuration and the module's shared
 /// analysis (PreparedModule::facts()), and also flags any trace whose
 /// shape the native tier's promotion-time validation already rejected
-/// (the module's memo, PreparedModule::proofs(), holds that verdict).
-/// It is meaningful only for stock optimizer configurations; under an
-/// UnsoundPass mutation rejections are the desired outcome.
+/// (the module's code cache, backend::moduleCode(), keeps each shape's
+/// verdict with its code). It is meaningful only for stock optimizer
+/// configurations; under an UnsoundPass mutation rejections are the
+/// desired outcome.
 ///
-/// Sessions over one module reuse each other's proofs, so the audit also
-/// recomputes the check elisions of every session shape the memo holds
-/// and compares them with the memo's, under any configuration. It reads
-/// the memo without filling it.
+/// Sessions over one module run each other's code, so the audit also
+/// recomputes the check elisions of every session shape the module holds
+/// code for, compiled with elision, and compares them with the ones that
+/// code was compiled under, under any configuration. It compiles
+/// nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,10 +44,11 @@ namespace fuzz {
 /// Re-validates every trace in \p VM's cache (live and dead; a trace
 /// that was later retired still had to be sound while it ran) and
 /// reports each rejection as a "validate-false-reject" violation, plus a
-/// "validate-hook-reject" for any trace whose shape the memo holds as
-/// rejected, and a "validate-memo-incoherent" for any trace whose check
-/// elisions in the memo differ from recomputed ones. Returns empty when
-/// the session built no traces.
+/// "validate-hook-reject" for any trace whose shape the module holds code
+/// for under a rejected verdict, and a "validate-elision-incoherent" for
+/// any trace whose held code was compiled with check elisions that
+/// differ from recomputed ones. Returns empty when the session built no
+/// traces.
 std::vector<Violation> checkValidateAudit(const PreparedModule &PM,
                                           const TraceVM &VM);
 

@@ -25,12 +25,12 @@
 /// The module's static analysis (facts()) is shared the same way: each
 /// method's facts are computed the first time any session's JIT
 /// promotion (lowering, validation, check elision) asks for them, and
-/// never again. So are the proofs built on them (proofs()): each trace
-/// shape's validation verdict and check-elision facts are computed by
-/// the first session that promotes the shape, and every later session
-/// over the module reuses them. The native code the JIT compiles for a
-/// shape is module state too (backendState()), held type-erased so this
-/// layer knows no backend type.
+/// never again. The native code the JIT compiles for a trace shape is
+/// module state too (backendState()), together with the validation
+/// verdict and check-elision facts it was compiled under: the first
+/// session that promotes the shape proves and compiles it, and every
+/// later session over the module reuses both. It is held type-erased so
+/// this layer knows no backend type.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,6 @@
 #define JTC_INTERP_PREPAREDMODULE_H
 
 #include "analysis/Analysis.h"
-#include "analysis/TraceProofs.h"
 #include "bytecode/Program.h"
 #include "support/Ids.h"
 
@@ -116,10 +115,6 @@ public:
   /// shared by every session over this PreparedModule.
   const analysis::ModuleAnalysis &facts() const { return Facts; }
 
-  /// The module's memo of trace verdicts and check-elision facts, filled
-  /// on demand and shared by every session over this PreparedModule.
-  const analysis::TraceProofMemo &proofs() const { return Proofs; }
-
   /// The module-lifetime state of the native tier (the JIT's code
   /// cache), shared by every session over this PreparedModule. The first
   /// call constructs it from \p Args, thread-safely; later calls return
@@ -188,7 +183,6 @@ private:
   std::vector<SwitchCode> Switches;
   std::vector<BlockId> SwitchTargets;
   analysis::ModuleAnalysis Facts;
-  analysis::TraceProofMemo Proofs;
   mutable std::once_flag BackendOnce;
   mutable std::shared_ptr<void> Backend;
 };

@@ -10,8 +10,9 @@
 ///    "b"/"e" span keyed by its trace id, with dispatches, completions
 ///    and early exits as instants on that span; profiler signals and
 ///    decay passes are thread instants; phase-sampler deltas become
-///    counter ("C") tracks, one per stats field. Timestamps are the
-///    logical clock (blocks executed), not microseconds.
+///    counter ("C") tracks, one per stats field, with an event only where
+///    the field's value changes. Timestamps are the logical clock (blocks
+///    executed), not microseconds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +23,9 @@
 #include "telemetry/EventRing.h"
 #include "telemetry/PhaseSampler.h"
 
+#include <optional>
 #include <ostream>
+#include <vector>
 
 namespace jtc {
 
@@ -45,7 +48,8 @@ void writeChromeTrace(std::ostream &OS, const EventRing &Ring);
 
 /// Chrome trace of the event ring plus one counter track per stats field
 /// of the phase sampler (per-interval deltas and per-interval derived
-/// rates). StatsT follows the VmStats::fields() protocol.
+/// rates), each written at the first sample and then only at the samples
+/// where it changes. StatsT follows the VmStats::fields() protocol.
 template <typename StatsT>
 void writeChromeTrace(std::ostream &OS, const EventRing &Ring,
                       const PhaseSampler<StatsT> &Sampler) {
@@ -54,10 +58,15 @@ void writeChromeTrace(std::ostream &OS, const EventRing &Ring,
   telemetry_detail::writeChromeHeader(W, Ring);
   W.key("traceEvents").beginArray();
   telemetry_detail::writeChromeEvents(W, Ring);
+  // A counter track holds its value until its next event, so each field
+  // is written at the first sample and then only where its value changes.
+  const auto &Fields = StatsT::fields();
+  std::vector<std::optional<double>> Last(Fields.size());
   for (size_t I = 0; I < Sampler.samples().size(); ++I) {
     const uint64_t Clock = Sampler.samples()[I].Clock;
     const StatsT Delta = Sampler.delta(I);
-    for (const auto &F : StatsT::fields()) {
+    for (size_t K = 0; K < Fields.size(); ++K) {
+      const auto &F = Fields[K];
       double V;
       if (F.Counter)
         V = static_cast<double>(Delta.*(F.Counter));
@@ -67,6 +76,9 @@ void writeChromeTrace(std::ostream &OS, const EventRing &Ring,
         V = static_cast<double>((Delta.*(F.DerivedCount))());
       else
         continue;
+      if (Last[K] == V)
+        continue;
+      Last[K] = V;
       telemetry_detail::writeCounterEvent(W, F.Key, Clock, V);
     }
   }

@@ -226,7 +226,6 @@ VmStats TraceVM::currentStats() const {
     S.JitFrameOpsHelper = BS.FrameOpsHelper;
     S.TracesValidated = BS.TracesValidated;
     S.TraceValidationRejects = BS.ValidationRejects;
-    S.TraceProofsReused = BS.ProofsReused;
     S.MemElisionSites = BS.MemElisionSites;
     S.MemChecksElided = BS.ChecksElided;
   }

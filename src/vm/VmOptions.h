@@ -149,8 +149,9 @@ public:
   /// Translation validation of every trace the native tier promotes
   /// (--backend=jit/auto; the interp tier validates nothing). On by
   /// default: it runs off the dispatch path, once per trace shape and
-  /// module (PreparedModule::proofs()), and gates the check elision
-  /// below.
+  /// module (the verdict is kept with the shape's native code,
+  /// backend::ModuleCode), and gates the check elision below. on and
+  /// strict sessions share that code.
   VmOptions &validate(ValidateMode M) {
     Validate = M;
     return *this;

@@ -64,8 +64,6 @@ const std::vector<VmStats::FieldInfo> &VmStats::fields() {
               /*InPrint=*/false),
       Counter("trace validation rejects", "trace_validation_rejects",
               &VmStats::TraceValidationRejects, /*InPrint=*/false),
-      Counter("trace proofs reused", "trace_proofs_reused",
-              &VmStats::TraceProofsReused, /*InPrint=*/false),
       Counter("traces jit compiled", "traces_jit_compiled",
               &VmStats::TracesJitCompiled, /*InPrint=*/false),
       Counter("trace compile fallbacks", "trace_compile_fallbacks",
@@ -107,10 +105,8 @@ uint64_t VmStats::digest() const {
   // FNV-1a over the raw counters in field-table order. EventsDropped is
   // observability of the telemetry channel, not of the execution, and
   // depends on ring capacity; the validation counters likewise depend on
-  // the --validate mode, which btrace replay reconstructs with defaults,
-  // and the reused-proof count on what earlier sessions over the module
-  // did. All are excluded so replay digests are configuration- and
-  // history-independent.
+  // the --validate mode, which btrace replay reconstructs with defaults.
+  // All are excluded so replay digests are configuration-independent.
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t V) {
     for (int I = 0; I < 8; ++I) {
@@ -124,7 +120,6 @@ uint64_t VmStats::digest() const {
   auto Excluded = [](uint64_t VmStats::*M) {
     return M == &VmStats::EventsDropped || M == &VmStats::TracesValidated ||
            M == &VmStats::TraceValidationRejects ||
-           M == &VmStats::TraceProofsReused ||
            M == &VmStats::TracesJitCompiled ||
            M == &VmStats::TraceCompileFallbacks ||
            M == &VmStats::TraceDispatchesJit ||

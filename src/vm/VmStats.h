@@ -54,11 +54,6 @@ struct VmStats {
   /// both are digest-excluded like EventsDropped.
   uint64_t TracesValidated = 0;
   uint64_t TraceValidationRejects = 0;
-  /// Promotion-time verdicts and elision facts answered from the module's
-  /// proof memo (PreparedModule::proofs()) instead of computed. It counts
-  /// what earlier sessions over the module proved, not anything this one
-  /// executed, so it is digest-excluded too.
-  uint64_t TraceProofsReused = 0;
 
   //===--- Backend tiering (src/backend) -------------------------------===//
   /// Which execution tier served trace dispatches, and what the JIT
@@ -72,11 +67,11 @@ struct VmStats {
   uint64_t TraceDispatchesJit = 0;    ///< Trace entries run natively.
   uint64_t TraceDispatchesInterp = 0; ///< Trace entries block-stepped.
   uint64_t JitCodeBytes = 0;          ///< Native code bytes installed.
-  /// Promotions that ran code an earlier promotion of the same shape
-  /// compiled into the module (PreparedModule::backendState()) instead
-  /// of compiling. Like TraceProofsReused it counts what earlier
-  /// sessions left behind; every other tier counter reads the same
-  /// either way.
+  /// Promotions that ran code (and credited the proof it was compiled
+  /// under) that an earlier promotion of the same shape left in the
+  /// module (PreparedModule::backendState()) instead of compiling. It
+  /// counts what earlier sessions left behind; every other tier counter
+  /// reads the same either way.
   uint64_t JitCodeReused = 0;
   /// Calls and returns native code ran inline, and those it handed to a
   /// frame helper (virtual calls, and the slow path of static calls and

@@ -2,10 +2,9 @@
 ///
 /// \file
 /// Tests that run several sessions over one PreparedModule compare their
-/// statistics counter by counter. TraceProofsReused and JitCodeReused
-/// are left out: they count the proofs and native code earlier sessions
-/// over the module left behind, so a repeat session differs there by
-/// design. So are the JIT's frame-op counters, which split native calls
+/// statistics counter by counter. JitCodeReused is left out: it counts
+/// the native code (and the proofs it carries) earlier sessions over the
+/// module left behind, so a repeat session differs there by design. So are the JIT's frame-op counters, which split native calls
 /// and returns by how they ran, not what they did. Sessions that must
 /// prove and elide run on the JIT tier, the only one that does.
 ///
@@ -27,8 +26,7 @@ namespace testprog {
 inline std::string statsDiff(const VmStats &A, const VmStats &B) {
   std::string Diff;
   for (const VmStats::FieldInfo &F : VmStats::fields())
-    if (F.Counter && F.Counter != &VmStats::TraceProofsReused &&
-        F.Counter != &VmStats::JitCodeReused &&
+    if (F.Counter && F.Counter != &VmStats::JitCodeReused &&
         F.Counter != &VmStats::JitFrameOpsInline &&
         F.Counter != &VmStats::JitFrameOpsHelper &&
         A.*F.Counter != B.*F.Counter)

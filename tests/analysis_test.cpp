@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analysis.h"
-#include "analysis/TraceProofs.h"
 
 #include "bytecode/Verifier.h"
 #include "fuzz/ProgramGen.h"
@@ -953,61 +952,4 @@ TEST(RefinementTest, AuditFiresOnUnsoundFacts) {
       fuzz::checkRefinement(Actual, WrongFacts, 10'000);
   ASSERT_FALSE(Vs.empty());
   EXPECT_EQ(Vs[0].Rule, "refinement-range");
-}
-
-//===----------------------------------------------------------------------===//
-// The per-module proof memo
-//===----------------------------------------------------------------------===//
-
-TEST(TraceProofMemoTest, ShapesPastTheCapAreProvedButNotKept) {
-  analysis::TraceProofMemo Memo(/*Cap=*/2);
-  const std::vector<std::vector<uint32_t>> Shapes = {
-      {1, 2}, {3, 4, 5}, {6, 7}, {8, 9, 10}};
-  // A stand-in prover whose verdict is a function of the shape.
-  auto Prove = [](const std::vector<uint32_t> &B, uint64_t Config) {
-    return analysis::TraceVerdict{B.size() % 2 == 0,
-                                  static_cast<uint32_t>(Config), B[0],
-                                  "block " + std::to_string(B.back())};
-  };
-  unsigned Calls = 0;
-  for (int Round = 0; Round < 3; ++Round) {
-    for (size_t I = 0; I < Shapes.size(); ++I) {
-      bool Reused = false;
-      analysis::TraceVerdict V = Memo.verdict(
-          {Shapes[I], 7},
-          [&] {
-            ++Calls;
-            return Prove(Shapes[I], 7);
-          },
-          Reused);
-      EXPECT_EQ(V, Prove(Shapes[I], 7)) << "round " << Round << " shape " << I;
-      // The first two shapes fill the memo; the rest are proved each time.
-      EXPECT_EQ(Reused, Round > 0 && I < 2) << "round " << Round << " shape "
-                                           << I;
-    }
-  }
-  EXPECT_EQ(Memo.shapesHeld(), 2u);
-  EXPECT_EQ(Calls, 4u + 2 * 2);
-  EXPECT_EQ(Memo.proofsComputed(), Calls);
-
-  // Another configuration is another shape, past the cap as well.
-  bool Reused = true;
-  EXPECT_EQ(Memo.verdict({Shapes[0], 8}, [&] { return Prove(Shapes[0], 8); },
-                         Reused),
-            Prove(Shapes[0], 8));
-  EXPECT_FALSE(Reused);
-
-  // A held shape keeps its check-elision facts beside its verdict.
-  const std::vector<analysis::TraceMemFact> Facts = {
-      {1, 4, ElideLevel::Full}};
-  for (int Round = 0; Round < 2; ++Round) {
-    EXPECT_EQ(Memo.memFacts({Shapes[1], 7}, [&] { return Facts; }, Reused),
-              Facts);
-    EXPECT_EQ(Reused, Round == 1);
-    EXPECT_TRUE(Memo.memFacts({Shapes[3], 7}, [] {
-                      return std::vector<analysis::TraceMemFact>();
-                    }, Reused).empty());
-    EXPECT_FALSE(Reused);
-  }
-  EXPECT_EQ(Memo.shapesHeld(), 2u);
 }

@@ -225,9 +225,9 @@ TEST(ContextInvariantTest, EveryWorkloadProfilesOnlyExecutedContexts) {
 }
 
 TEST(ValidateAuditTest, ReusedElisionsAreCheckedAgainstRecomputedOnes) {
-  // A clean memo passes the audit on the session that filled it and on
-  // the one that reuses it. A memo poisoned with wrong facts for shapes a
-  // session is about to promote is caught.
+  // Clean module code passes the audit on the session that compiled it
+  // and on the one that reuses it. Code held with wrong elision facts for
+  // a session's shapes is caught.
   if (!backend::jitSupportedHost())
     GTEST_SKIP() << "no template-JIT support on this host";
   const WorkloadInfo *W = findWorkload("javac");
@@ -239,29 +239,33 @@ TEST(ValidateAuditTest, ReusedElisionsAreCheckedAgainstRecomputedOnes) {
   First.run();
   TraceVM Second(PM, Opts);
   Second.run();
-  ASSERT_GT(Second.stats().TraceProofsReused, 0u);
+  ASSERT_GT(Second.stats().JitCodeReused, 0u);
   EXPECT_TRUE(checkValidateAudit(PM, First).empty());
   EXPECT_TRUE(checkValidateAudit(PM, Second).empty());
 
+  // Poison a second module with the first one's code for every shape
+  // whose elisions are not empty, but with the facts dropped from its
+  // proof.
   PreparedModule Poisoned(M);
+  const backend::ModuleCode &Held = backend::moduleCode(PM);
+  backend::ModuleCode &Target = backend::moduleCode(Poisoned);
   const uint64_t Config = Opts.optConfig().fingerprint();
   unsigned Shapes = 0;
   for (const Trace &T : First.traceCache().traces()) {
-    if (backend::traceMemFacts(PM, T.Blocks).empty())
+    backend::CodeKey Key{T.Blocks, Config};
+    const backend::CompiledTrace *C = Held.find(Key);
+    if (!C || C->Proof.MemFacts.empty() || Target.find(Key))
       continue;
-    bool Reused = false;
-    Poisoned.proofs().memFacts(
-        {T.Blocks, Config},
-        [] { return std::vector<analysis::TraceMemFact>(); }, Reused);
+    backend::CompiledTrace Wrong = *C;
+    Wrong.Proof.MemFacts.clear();
+    Target.publish(std::move(Key), std::move(Wrong));
     ++Shapes;
   }
   ASSERT_GT(Shapes, 0u);
-  TraceVM Victim(Poisoned, Opts);
-  Victim.run();
-  std::vector<Violation> Vs = checkValidateAudit(Poisoned, Victim);
+  std::vector<Violation> Vs = checkValidateAudit(Poisoned, First);
   ASSERT_FALSE(Vs.empty());
   for (const Violation &V : Vs)
-    EXPECT_EQ(V.Rule, "validate-memo-incoherent") << V.Detail;
+    EXPECT_EQ(V.Rule, "validate-elision-incoherent") << V.Detail;
 }
 
 // Retirement detection audits the telemetry event stream, so these two

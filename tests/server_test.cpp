@@ -437,10 +437,10 @@ TEST(VmServiceTest, ReregisteringReplacesModuleAndDropsSnapshot) {
 }
 
 TEST(VmServiceTest, ConcurrentFirstUseOfTraceProofs) {
-  // Eight workers start together on a module that holds no trace proofs
-  // yet, so they race to prove -- and publish -- the same shapes. Every
-  // session must match a single-threaded one counter for counter, and
-  // the module ends up holding the shapes that session proved.
+  // Eight workers start together on a module that holds no proved code
+  // yet, so they race to prove, compile and publish the same shapes.
+  // Every session must match a single-threaded one counter for counter,
+  // and the module ends up holding the shapes that session proved.
   if (!backend::jitSupportedHost())
     GTEST_SKIP() << "no template-JIT support on this host";
   const WorkloadInfo *W = findWorkload("soot");
@@ -457,7 +457,8 @@ TEST(VmServiceTest, ConcurrentFirstUseOfTraceProofs) {
   Svc.registerWorkload(*W, Scale);
   const PreparedModule *PM = Svc.preparedModule(W->Name);
   ASSERT_NE(PM, nullptr);
-  ASSERT_EQ(PM->proofs().proofsComputed(), 0u);
+  const backend::ModuleCode &Code = backend::moduleCode(*PM);
+  ASSERT_EQ(Code.installs(), 0u);
 
   std::vector<std::future<SessionResult>> Fs;
   for (int I = 0; I < 8; ++I)
@@ -469,8 +470,9 @@ TEST(VmServiceTest, ConcurrentFirstUseOfTraceProofs) {
     EXPECT_EQ(R.Output, RefVM.machine().output());
     EXPECT_EQ(testprog::statsDiff(R.Stats, RefVM.stats()), "");
   }
-  EXPECT_EQ(PM->proofs().shapesHeld(), RefPM.proofs().shapesHeld());
-  EXPECT_GE(PM->proofs().proofsComputed(), RefPM.proofs().proofsComputed());
+  const backend::ModuleCode &RefCode = backend::moduleCode(RefPM);
+  EXPECT_EQ(Code.tracesHeld(), RefCode.tracesHeld());
+  EXPECT_GE(Code.installs(), RefCode.installs());
 }
 
 TEST(VmServiceTest, ConcurrentFirstUseOfJitCode) {

@@ -14,6 +14,7 @@
 #include "telemetry/PhaseSampler.h"
 #include "vm/ModuleFingerprint.h"
 #include "vm/TraceVM.h"
+#include "workloads/Workloads.h"
 
 #include "SessionStats.h"
 #include "TestPrograms.h"
@@ -634,6 +635,79 @@ TEST(TelemetryVmTest, SamplerProducesTimeline) {
     EXPECT_EQ(A.BlockDispatches, B.BlockDispatches) << "sample " << I;
     EXPECT_EQ(A.Hooks, B.Hooks) << "sample " << I;
   }
+}
+
+/// The `{"value":...}` object writeChromeTrace gives a counter event
+/// carrying \p V.
+std::string counterArgs(double V) {
+  std::ostringstream OS;
+  JsonWriter W(OS);
+  W.beginObject().fieldReal("value", V).endObject();
+  return OS.str();
+}
+
+TEST(TelemetryVmTest, PhaseOutputsReproduceEverySample) {
+  // jtcvm --json writes each sample's deltas only, and the Chrome trace
+  // writes a counter event only where a field's value changes. Neither
+  // loses a sample: the deltas sum to every cumulative snapshot, and each
+  // counter track, holding its value until its next event, reads every
+  // sample's value at that sample's clock.
+  const WorkloadInfo *W = findWorkload("javac");
+  ASSERT_NE(W, nullptr);
+  Module M = W->Build(std::max(1u, W->DefaultScale / 20));
+  PreparedModule PM(M);
+  TraceVM VM(PM, telemetryOptions().backend(backend::BackendKind::Jit)
+                     .sampleInterval(97));
+  VM.run();
+  const PhaseSampler<VmStats> &S = VM.sampler();
+  ASSERT_GT(S.samples().size(), 100u);
+  const std::vector<VmStats::FieldInfo> &Fields = VmStats::fields();
+
+  VmStats Sum;
+  for (size_t I = 0; I < S.samples().size(); ++I) {
+    const VmStats D = S.delta(I);
+    for (const VmStats::FieldInfo &F : Fields) {
+      if (!F.Counter)
+        continue;
+      Sum.*F.Counter += D.*F.Counter;
+      ASSERT_EQ(Sum.*F.Counter, S.samples()[I].Cumulative.*F.Counter)
+          << F.Key << " at sample " << I;
+    }
+  }
+
+  // Every counter event, per track: (clock, args object).
+  std::ostringstream OS;
+  writeChromeTrace(OS, VM.events(), S);
+  const std::string Doc = OS.str();
+  ASSERT_TRUE(isValidJson(Doc));
+  std::map<std::string, std::vector<std::pair<uint64_t, std::string>>> Tracks;
+  size_t Events = 0;
+  const std::string Mark = "\",\"cat\":\"phase\",\"ph\":\"C\",\"ts\":";
+  for (size_t At = Doc.find(Mark); At != std::string::npos;
+       At = Doc.find(Mark, At + 1), ++Events) {
+    const size_t NameAt = Doc.rfind("{\"name\":\"", At) + 9;
+    const size_t ArgsAt = Doc.find("\"args\":", At) + 7;
+    Tracks[Doc.substr(NameAt, At - NameAt)].emplace_back(
+        std::stoull(Doc.substr(At + Mark.size(), 20)),
+        Doc.substr(ArgsAt, Doc.find('}', ArgsAt) + 1 - ArgsAt));
+  }
+  size_t Values = 0;
+  for (const VmStats::FieldInfo &F : Fields) {
+    const auto &Track = Tracks[F.Key];
+    ASSERT_FALSE(Track.empty()) << F.Key;
+    size_t Next = 0;
+    for (size_t I = 0; I < S.samples().size(); ++I, ++Values) {
+      const uint64_t Clock = S.samples()[I].Clock;
+      while (Next < Track.size() && Track[Next].first <= Clock)
+        ++Next;
+      ASSERT_GT(Next, 0u) << F.Key << " has no value at sample " << I;
+      ASSERT_EQ(Track[Next - 1].second,
+                counterArgs(S.delta(I).fieldValue(F)))
+          << F.Key << " at sample " << I;
+    }
+  }
+  // Most fields hold still most of the time.
+  EXPECT_LT(Events, Values / 2);
 }
 
 TEST(TelemetryVmTest, BtraceCaptureEventsLandInRingAndExports) {

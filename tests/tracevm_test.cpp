@@ -371,10 +371,10 @@ TEST(TraceVmTest, SecondSessionComputesNoFacts) {
 }
 
 TEST(TraceVmTest, SecondSessionProvesNothing) {
-  // Each trace shape's validation verdict and check-elision facts belong
-  // to the PreparedModule: a second session over the module finds every
-  // shape it promotes already proved, and reports exactly what the first
-  // one did.
+  // Each trace shape's validation verdict and check-elision facts travel
+  // with its native code, which belongs to the PreparedModule: a second
+  // session over the module finds every shape it promotes already proved
+  // and compiled, and reports exactly what the first one did.
   if (!backend::jitSupportedHost())
     GTEST_SKIP() << "no template-JIT support on this host";
   const uint64_t Fingerprint = OptConfig().fingerprint();
@@ -382,30 +382,30 @@ TEST(TraceVmTest, SecondSessionProvesNothing) {
     SCOPED_TRACE(W.Name);
     Module M = W.Build(std::max(1u, W.DefaultScale / 20));
     PreparedModule PM(M);
-    const analysis::TraceProofMemo &Proofs = PM.proofs();
-    EXPECT_EQ(Proofs.proofsComputed(), 0u);
+    const backend::ModuleCode &Code = backend::moduleCode(PM);
     TraceVM First(PM, testprog::promoteAll());
     First.run();
-    uint64_t Computed = Proofs.proofsComputed();
+    const size_t Installs = Code.installs();
     ASSERT_GT(First.stats().TracesValidated, 0u);
-    EXPECT_GT(Computed, 0u);
-    EXPECT_GT(Proofs.shapesHeld(), 0u);
+    EXPECT_GT(Installs, 0u);
+    // A shape is proved once, when it is compiled.
+    EXPECT_EQ(First.stats().TracesValidated,
+              Installs + First.stats().JitCodeReused);
 
     TraceVM Second(PM, testprog::promoteAll());
     Second.run();
-    EXPECT_EQ(Proofs.proofsComputed(), Computed);
+    EXPECT_EQ(Code.installs(), Installs);
     EXPECT_EQ(testprog::statsDiff(First.stats(), Second.stats()), "");
-    // Every verdict and every elision fact list was answered.
+    // Every proof it credits came with the module's code.
     EXPECT_EQ(Second.stats().TraceValidationRejects, 0u);
-    EXPECT_EQ(Second.stats().TraceProofsReused,
-              2 * Second.stats().TracesValidated);
+    EXPECT_EQ(Second.stats().JitCodeReused, Second.stats().TracesValidated);
 
     // Traces seeded from the first session are shapes it built. The
-    // seeded session proves only the shapes the memo does not hold, and
-    // some seeded ones it holds recur.
+    // seeded session proves and installs only the shapes the module
+    // lacks, and some seeded ones it holds recur.
     std::set<std::vector<BlockId>> Held;
     for (const Trace &T : First.traceCache().traces())
-      if (Proofs.findVerdict({T.Blocks, Fingerprint}))
+      if (Code.find({T.Blocks, Fingerprint}))
         Held.insert(T.Blocks);
     VmSeed Seed = First.exportSeed();
     std::set<std::vector<BlockId>> SeededShapes;
@@ -416,7 +416,7 @@ TEST(TraceVmTest, SecondSessionProvesNothing) {
     Seeded.importSeed(Seed);
     Seeded.run();
     ASSERT_GT(Seeded.stats().TracesSeeded, 0u);
-    EXPECT_GT(Seeded.stats().TraceProofsReused, 0u);
+    EXPECT_GT(Seeded.stats().JitCodeReused, 0u);
 #ifdef JTC_TELEMETRY
     ASSERT_EQ(Seeded.events().dropped(), 0u);
     std::set<std::vector<BlockId>> Promoted;
@@ -430,8 +430,8 @@ TEST(TraceVmTest, SecondSessionProvesNothing) {
       SeededRecurred += Held.count(B) && SeededShapes.count(B);
     }
     EXPECT_GT(SeededRecurred, 0u);
-    // One verdict and one fact list per shape the memo lacked.
-    EXPECT_EQ(Proofs.proofsComputed() - Computed, 2 * New);
+    // One install, so one proof, per shape the module lacked.
+    EXPECT_EQ(Code.installs() - Installs, New);
 #endif
 
     // The first session is any first session.
@@ -439,9 +439,8 @@ TEST(TraceVmTest, SecondSessionProvesNothing) {
     TraceVM Fresh(FreshPM, testprog::promoteAll());
     Fresh.run();
     EXPECT_EQ(testprog::statsDiff(First.stats(), Fresh.stats()), "");
-    EXPECT_EQ(First.stats().TraceProofsReused,
-              Fresh.stats().TraceProofsReused);
-    EXPECT_EQ(FreshPM.proofs().proofsComputed(), Computed);
+    EXPECT_EQ(First.stats().JitCodeReused, Fresh.stats().JitCodeReused);
+    EXPECT_EQ(backend::moduleCode(FreshPM).installs(), Installs);
   }
 }
 
@@ -461,8 +460,7 @@ TEST(TraceVmTest, OnlyPromotionProvesAndElides) {
     EXPECT_EQ(S.TracesValidated, 0u);
     EXPECT_EQ(S.MemElisionSites, 0u);
     EXPECT_EQ(S.MemChecksElided, 0u);
-    EXPECT_EQ(S.TraceProofsReused, 0u);
-    EXPECT_EQ(PM.proofs().proofsComputed(), 0u);
+    EXPECT_EQ(backend::moduleCode(PM).installs(), 0u);
     if (!backend::jitSupportedHost())
       continue;
 
@@ -474,8 +472,8 @@ TEST(TraceVmTest, OnlyPromotionProvesAndElides) {
     Jit.run();
     const VmStats &J = Jit.stats();
     EXPECT_EQ(J.digest(), S.digest());
-    EXPECT_LE(J.TracesValidated,
-              J.TracesJitCompiled + J.TraceCompileFallbacks);
+    // Every promotion lowers, so each one is proved and gets code.
+    EXPECT_EQ(J.TracesValidated, J.TracesJitCompiled);
     Validated += J.TracesValidated;
     Elided += J.MemChecksElided;
 #ifdef JTC_TELEMETRY

@@ -829,9 +829,14 @@ TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
   VM.run();
   EXPECT_GT(VM.stats().TracesJitCompiled, 0u);
   EXPECT_EQ(VM.stats().TracesValidated, 0u);
-  EXPECT_FALSE(PM.proofs().findVerdict(
-      {VM.traceCache().traces().front().Blocks,
-       VM.options().optConfig().fingerprint()}));
+  // Its code is held as unvalidated, with no verdict to credit.
+  backend::CodeKey Key{VM.traceCache().traces().front().Blocks,
+                       VM.options().optConfig().fingerprint()};
+  EXPECT_FALSE(backend::moduleCode(PM).find(Key));
+  Key.Validated = false;
+  const backend::CompiledTrace *C = backend::moduleCode(PM).find(Key);
+  ASSERT_NE(C, nullptr);
+  EXPECT_FALSE(C->Proof.Validated);
 }
 
 TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
@@ -909,30 +914,31 @@ TEST(ValidatorHookTest, StrictModeAbortsOnRejection) {
 }
 #endif
 
-TEST(ValidatorHookTest, MutantsAreRejectedAfterASoundSessionFilledTheMemo) {
+TEST(ValidatorHookTest, MutantsAreRejectedAfterASoundSessionCompiled) {
   if (!backend::jitSupportedHost())
     GTEST_SKIP() << "no template-JIT support on this host";
-  // The module's proof memo is keyed by the optimizer configuration too:
-  // verdicts a sound session left behind never answer for a mutated
-  // optimizer, whose sessions prove the same shapes again and reject them
-  // with a typed reason.
+  // The module's code is keyed by the optimizer configuration too: code
+  // a sound session compiled, and the verdicts it carries, never answer
+  // for a mutated optimizer, whose sessions prove the same shapes again
+  // and reject them with a typed reason.
   std::vector<Module> Programs = mutationPrograms();
   std::map<UnsoundPass, uint64_t> Rejected;
   for (const Module &M : Programs) {
     PreparedModule PM(M);
+    const backend::ModuleCode &Code = backend::moduleCode(PM);
     TraceVM Sound(PM, promoteAll());
     Sound.run();
-    ASSERT_GT(PM.proofs().shapesHeld(), 0u);
+    ASSERT_GT(Code.installs(), 0u);
     for (UnsoundPass P : AllMutations) {
-      uint64_t Computed = PM.proofs().proofsComputed();
+      const size_t Installs = Code.installs();
       TraceVM Mutant(PM, promoteAll().optConfig(mutated(P)));
       Mutant.run();
-      EXPECT_GT(PM.proofs().proofsComputed(), Computed)
-          << unsoundPassName(P) << " was answered by stock verdicts";
-      for (const auto &[Code, Count] : rejectsByReason(Mutant))
-        EXPECT_TRUE(expectedReason(P, static_cast<Reason>(Code)))
+      EXPECT_GT(Code.installs(), Installs)
+          << unsoundPassName(P) << " ran code compiled under stock verdicts";
+      for (const auto &[Why, Count] : rejectsByReason(Mutant))
+        EXPECT_TRUE(expectedReason(P, static_cast<Reason>(Why)))
             << unsoundPassName(P) << " surfaced as "
-            << reasonName(static_cast<Reason>(Code));
+            << reasonName(static_cast<Reason>(Why));
       Rejected[P] += Mutant.stats().TraceValidationRejects;
     }
   }
@@ -957,25 +963,47 @@ TEST(ValidatorHookTest, OptConfigFingerprintCoversEveryField) {
         << unsoundPassName(P);
 }
 
+TEST(ValidatorHookTest, StrictSessionRunsTheCodeAnOnSessionCompiled) {
+  if (!backend::jitSupportedHost())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  // --validate=on and strict compile the same code (strict only aborts on
+  // a rejection), so they share the module's: a strict session after an
+  // on session proves and installs nothing.
+  Module M = arrayCellLoop();
+  PreparedModule PM(M);
+  const backend::ModuleCode &Code = backend::moduleCode(PM);
+  TraceVM On(PM, promoteAll());
+  On.run();
+  const size_t Installs = Code.installs();
+  ASSERT_GT(Installs, 0u);
+  TraceVM Strict(PM, promoteAll().validate(ValidateMode::Strict));
+  Strict.run();
+  EXPECT_EQ(Code.installs(), Installs);
+  EXPECT_EQ(Strict.stats().JitCodeReused, Strict.stats().TracesJitCompiled);
+  EXPECT_EQ(testprog::statsDiff(Strict.stats(), On.stats()), "");
+}
+
 #if GTEST_HAS_DEATH_TEST
 TEST(ValidatorHookTest, StrictModeAbortsOnARejectionTheMemoAnswers) {
   if (!backend::jitSupportedHost())
     GTEST_SKIP() << "no template-JIT support on this host";
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
+  const backend::ModuleCode &Code = backend::moduleCode(PM);
   VmOptions Mutant = promoteAll().optConfig(mutated(UnsoundPass::DropGuard));
   TraceVM Lenient(PM, Mutant);
   Lenient.run();
   ASSERT_GT(Lenient.stats().TraceValidationRejects, 0u);
-  // Sessions under this configuration now promote only proved shapes ...
-  uint64_t Computed = PM.proofs().proofsComputed();
+  // Sessions under this configuration now promote only shapes the module
+  // holds proved code for ...
+  const size_t Installs = Code.installs();
   TraceVM Again(PM, Mutant);
   Again.run();
-  ASSERT_EQ(PM.proofs().proofsComputed(), Computed);
+  ASSERT_EQ(Code.installs(), Installs);
   ASSERT_EQ(Again.stats().TraceValidationRejects,
             Lenient.stats().TraceValidationRejects);
-  // ... so a strict one meets its first rejection as a memo hit, and
-  // still aborts.
+  // ... so a strict one, which shares their code, meets its first
+  // rejection with a held shape's code, and still aborts.
   EXPECT_DEATH(
       {
         TraceVM VM(PM, VmOptions(Mutant).validate(ValidateMode::Strict));

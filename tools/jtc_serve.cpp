@@ -263,8 +263,7 @@ int main(int Argc, char **Argv) {
     if (Opts.Validate != ValidateMode::Off)
       std::cout << "validation: " << S.Aggregate.TracesValidated
                 << " traces checked, " << S.Aggregate.TraceValidationRejects
-                << " rejected, " << S.Aggregate.TraceProofsReused
-                << " proofs reused\n";
+                << " rejected\n";
     if (!Opts.SaveProfileDir.empty() || !Opts.LoadProfileDir.empty())
       std::cout << "checkpoints: " << S.CheckpointsSaved << " saved, "
                 << S.CheckpointsLoaded << " loaded, "

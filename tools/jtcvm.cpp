@@ -296,8 +296,8 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
   }
   // The validation verdict breakdown: how many promoted traces the
   // translation validator checked (none on the interp tier), the
-  // rejections by typed reason, and how many proofs the module's memo
-  // answered. Omitted entirely with --validate=off (nothing ran).
+  // rejections by typed reason. Omitted entirely with --validate=off
+  // (nothing ran).
   if (VM.options().validate() != ValidateMode::Off) {
     const VmStats &S = VM.stats();
     W.key("validation")
@@ -305,8 +305,7 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
         .field("mode", validateModeName(VM.options().validate()))
         .fieldUInt("checked", S.TracesValidated)
         .fieldUInt("accepted", S.TracesValidated - S.TraceValidationRejects)
-        .fieldUInt("rejected", S.TraceValidationRejects)
-        .fieldUInt("reused", S.TraceProofsReused);
+        .fieldUInt("rejected", S.TraceValidationRejects);
     W.key("rejected_by_reason").beginObject();
     if (const backend::BackendStats *BS = VM.backendStats())
       for (const auto &[Code, Count] : BS->RejectsByReason)
@@ -326,9 +325,6 @@ void writeRunJson(std::ostream &OS, const Options &Opts, const TraceVM &VM,
       W.beginObject().fieldUInt("clock", S.Clock);
       W.key("delta").beginObject();
       Sampler.delta(I).writeJsonFields(W);
-      W.endObject();
-      W.key("cumulative").beginObject();
-      S.Cumulative.writeJsonFields(W);
       W.endObject().endObject();
     }
     W.endArray();
