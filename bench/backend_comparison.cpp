@@ -13,14 +13,14 @@
 ///
 /// Native code belongs to the PreparedModule, so there are two jit
 /// columns. Every run of "jit" gets a fresh module and compiles every
-/// trace it promotes (lowering, emission, install); an untimed session
-/// with strict validation proves the fresh module's trace shapes first,
-/// so, as before native code was per module, the timed run finds the
-/// proofs known -- strict validation proves the same shapes but keys
-/// its code apart. The "jit (module code warm)" runs share one module
-/// whose code an untimed run compiled, so they only dispatch. The gap
-/// between the two columns is the compile cost; what remains against
-/// interp is the native code itself.
+/// trace it promotes: it lowers, proves (translation validation and
+/// check-elision facts, which are kept with the code), emits and
+/// installs each one. Proving also computes, on first use, the static
+/// analysis of the methods the traces touch. The "jit (module code
+/// warm)" runs share one module whose code an untimed run compiled, so
+/// they only dispatch. The gap between the two columns is the cost of
+/// proving and compiling; what remains against interp is the native
+/// code itself.
 ///
 /// JSON artifact: one record per workload; "overhead" reuses the
 /// OverheadSample shape with plain_seconds = the median interp-backend
@@ -119,8 +119,6 @@ int main(int argc, char **argv) {
     for (int P = 0; P < Pairs; ++P) {
       double I = timeRun(PM, Interp, SI);
       PreparedModule Cold(M);
-      VmStats Proving;
-      timeRun(Cold, VmOptions(Jit).validate(ValidateMode::Strict), Proving);
       double J = timeRun(Cold, Jit, SJ);
       double Warm = timeRun(PM, Jit, SW);
       InterpSecs.push_back(I);

@@ -368,6 +368,21 @@ const CompiledTrace *ModuleCode::find(const CodeKey &K) const {
   return It == Entries.end() ? nullptr : &It->second;
 }
 
+std::vector<std::pair<const CodeKey *, const CompiledTrace *>>
+ModuleCode::entries(const std::vector<BlockId> &Blocks,
+                    uint64_t ProofConfig) const {
+  std::vector<std::pair<const CodeKey *, const CompiledTrace *>> Found;
+  {
+    std::lock_guard<std::mutex> G(Lock);
+    for (const auto &[K, C] : Entries)
+      if (K.ProofConfig == ProofConfig && K.Blocks == Blocks)
+        Found.emplace_back(&K, &C);
+  }
+  std::sort(Found.begin(), Found.end(),
+            [](const auto &A, const auto &B) { return *A.first < *B.first; });
+  return Found;
+}
+
 bool ModuleCode::full() const {
   std::lock_guard<std::mutex> G(Lock);
   return Installs >= Cap;

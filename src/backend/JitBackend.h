@@ -101,11 +101,13 @@
 #include "trace/Trace.h"
 #include "validate/Validator.h"
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace jtc {
@@ -262,6 +264,7 @@ struct CodeKey {
   bool Validated = true;
   bool MemElide = true;
 
+  auto operator<=>(const CodeKey &) const = default;
   bool operator==(const CodeKey &) const = default;
 };
 
@@ -308,6 +311,11 @@ public:
 
   /// The code held for \p K, or null.
   const CompiledTrace *find(const CodeKey &K) const;
+
+  /// Every entry held for \p Blocks under \p ProofConfig, whatever the
+  /// rest of its key, in key order.
+  std::vector<std::pair<const CodeKey *, const CompiledTrace *>>
+  entries(const std::vector<BlockId> &Blocks, uint64_t ProofConfig) const;
 
   /// True once the module has installed its cap: install() refuses
   /// everything from then on.

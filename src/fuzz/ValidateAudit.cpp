@@ -25,33 +25,26 @@ std::vector<Violation> fuzz::checkValidateAudit(const PreparedModule &PM,
   for (const Trace &T : VM.traceCache().traces()) {
     // Every entry the module holds for this shape under this optimizer
     // configuration, whichever session compiled it.
-    backend::CodeKey Key{T.Blocks, Cfg.fingerprint()};
     std::optional<std::vector<analysis::TraceMemFact>> Recomputed;
     bool HookRejected = false;
-    for (bool Validated : {false, true})
-      for (bool MemElide : {false, true}) {
-        Key.Validated = Validated;
-        Key.MemElide = MemElide;
-        const backend::CompiledTrace *C = Code.find(Key);
-        if (!C)
-          continue;
-        const backend::TraceProof &P = C->Proof;
-        HookRejected |= !P.Verdict.Ok;
-        // Code compiled with elision elides its entry's facts; they must
-        // be what the analysis derives.
-        if (!MemElide || !P.Verdict.Ok)
-          continue;
-        if (!Recomputed)
-          Recomputed = backend::traceMemFacts(PM, T.Blocks);
-        if (P.MemFacts == *Recomputed)
-          continue;
-        std::ostringstream OS;
-        OS << "trace " << T.Id << " (" << T.Blocks.size()
-           << " blocks): the module holds code compiled with "
-           << P.MemFacts.size()
-           << " check elisions that differ from its recomputed ones";
-        Violations.push_back({"validate-elision-incoherent", OS.str()});
-      }
+    for (const auto &[Key, C] : Code.entries(T.Blocks, Cfg.fingerprint())) {
+      const backend::TraceProof &P = C->Proof;
+      HookRejected |= !P.Verdict.Ok;
+      // Code compiled with elision elides its entry's facts; they must
+      // be what the analysis derives.
+      if (!Key->MemElide || !P.Verdict.Ok)
+        continue;
+      if (!Recomputed)
+        Recomputed = backend::traceMemFacts(PM, T.Blocks);
+      if (P.MemFacts == *Recomputed)
+        continue;
+      std::ostringstream OS;
+      OS << "trace " << T.Id << " (" << T.Blocks.size()
+         << " blocks): the module holds code compiled with "
+         << P.MemFacts.size()
+         << " check elisions that differ from its recomputed ones";
+      Violations.push_back({"validate-elision-incoherent", OS.str()});
+    }
     if (!AuditVerdicts)
       continue;
     if (HookRejected) {

@@ -252,14 +252,14 @@ TEST(ValidateAuditTest, ReusedElisionsAreCheckedAgainstRecomputedOnes) {
   const uint64_t Config = Opts.optConfig().fingerprint();
   unsigned Shapes = 0;
   for (const Trace &T : First.traceCache().traces()) {
-    backend::CodeKey Key{T.Blocks, Config};
-    const backend::CompiledTrace *C = Held.find(Key);
-    if (!C || C->Proof.MemFacts.empty() || Target.find(Key))
-      continue;
-    backend::CompiledTrace Wrong = *C;
-    Wrong.Proof.MemFacts.clear();
-    Target.publish(std::move(Key), std::move(Wrong));
-    ++Shapes;
+    for (const auto &[Key, C] : Held.entries(T.Blocks, Config)) {
+      if (C->Proof.MemFacts.empty() || Target.find(*Key))
+        continue;
+      backend::CompiledTrace Wrong = *C;
+      Wrong.Proof.MemFacts.clear();
+      Target.publish(*Key, std::move(Wrong));
+      ++Shapes;
+    }
   }
   ASSERT_GT(Shapes, 0u);
   std::vector<Violation> Vs = checkValidateAudit(Poisoned, First);

@@ -830,13 +830,12 @@ TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
   EXPECT_GT(VM.stats().TracesJitCompiled, 0u);
   EXPECT_EQ(VM.stats().TracesValidated, 0u);
   // Its code is held as unvalidated, with no verdict to credit.
-  backend::CodeKey Key{VM.traceCache().traces().front().Blocks,
-                       VM.options().optConfig().fingerprint()};
-  EXPECT_FALSE(backend::moduleCode(PM).find(Key));
-  Key.Validated = false;
-  const backend::CompiledTrace *C = backend::moduleCode(PM).find(Key);
-  ASSERT_NE(C, nullptr);
-  EXPECT_FALSE(C->Proof.Validated);
+  auto Held = backend::moduleCode(PM).entries(
+      VM.traceCache().traces().front().Blocks,
+      VM.options().optConfig().fingerprint());
+  ASSERT_EQ(Held.size(), 1u);
+  EXPECT_FALSE(Held[0].first->Validated);
+  EXPECT_FALSE(Held[0].second->Proof.Validated);
 }
 
 TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
