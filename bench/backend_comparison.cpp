@@ -20,7 +20,8 @@
 /// warm)" runs share one module whose code an untimed run compiled, so
 /// they only dispatch. The gap between the two columns is the cost of
 /// proving and compiling; what remains against interp is the native
-/// code itself.
+/// code itself. "code B/instr" is the size of that code: jit_code_bytes
+/// over jit_code_instrs, the bytecode instructions it covers.
 ///
 /// JSON artifact: one record per workload; "overhead" reuses the
 /// OverheadSample shape with plain_seconds = the median interp-backend
@@ -97,7 +98,7 @@ int main(int argc, char **argv) {
 
   TablePrinter T({"benchmark", "interp (s)", "jit (s)", "speedup",
                   "jit (module code warm)", "warm speedup",
-                  "traces compiled", "jit dispatch share"});
+                  "traces compiled", "code B/instr", "jit dispatch share"});
   std::vector<BenchRecord> Records;
   int Faster = 0;
   for (const WorkloadInfo &W : allWorkloads()) {
@@ -151,6 +152,11 @@ int main(int argc, char **argv) {
               TablePrinter::fmt(WarmSec, 3),
               TablePrinter::fmt(InterpSec / WarmSec, 2) + "x",
               std::to_string(SJ.TracesJitCompiled),
+              TablePrinter::fmt(SJ.JitCodeInstrs
+                                    ? static_cast<double>(SJ.JitCodeBytes) /
+                                          static_cast<double>(SJ.JitCodeInstrs)
+                                    : 0.0,
+                                1),
               TablePrinter::fmtPercent(JitShare, 1)});
     BenchRecord R = BenchRecord::forStats(W.Name, 0.97, 64, SJ);
     R.HasOverhead = true;

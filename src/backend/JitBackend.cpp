@@ -12,6 +12,7 @@
 #include "validate/Validator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdio>
@@ -435,6 +436,74 @@ static_assert(static_cast<size_t>(CmpKind::Le) + 1 ==
                   sizeof(X86Cond) / sizeof(X86Cond[0]),
               "one condition per CmpKind");
 
+constexpr uint16_t regBit(Reg R) {
+  return static_cast<uint16_t>(1u << static_cast<unsigned>(R));
+}
+
+/// The caller-saved registers that hold operand values: rcx, rdx, rsi,
+/// rdi and r8-r11. rax stays out of it, the templates' scratch register.
+constexpr uint16_t PoolMask = regBit(Reg::Rcx) | regBit(Reg::Rdx) |
+                              regBit(Reg::Rsi) | regBit(Reg::Rdi) |
+                              regBit(Reg::R8) | regBit(Reg::R9) |
+                              regBit(Reg::R10) | regBit(Reg::R11);
+/// The pool's extended half, which values take first: a REX.W form costs
+/// nothing more with them, and helper calls, division and shifts want the
+/// other half.
+constexpr uint16_t ExtMask = regBit(Reg::R8) | regBit(Reg::R9) |
+                             regBit(Reg::R10) | regBit(Reg::R11);
+
+bool fitsImm32(int64_t V) { return V >= INT32_MIN && V <= INT32_MAX; }
+
+/// The emitter forms of a two-operand ALU opcode: Dst op= an immediate,
+/// a memory operand or a register.
+struct AluForms {
+  void (X64Emitter::*RI)(Reg, int32_t);
+  void (X64Emitter::*RM)(Reg, Reg, int32_t);
+  void (X64Emitter::*RR)(Reg, Reg);
+};
+
+AluForms aluForms(Opcode Op) {
+  switch (Op) {
+  case Opcode::Iadd:
+    return {&X64Emitter::addRI, &X64Emitter::addRM, &X64Emitter::addRR};
+  case Opcode::Isub:
+    return {&X64Emitter::subRI, &X64Emitter::subRM, &X64Emitter::subRR};
+  case Opcode::Imul:
+    return {&X64Emitter::imulRI, &X64Emitter::imulRM, &X64Emitter::imulRR};
+  case Opcode::Iand:
+    return {&X64Emitter::andRI, &X64Emitter::andRM, &X64Emitter::andRR};
+  case Opcode::Ior:
+    return {&X64Emitter::orRI, &X64Emitter::orRM, &X64Emitter::orRR};
+  default:
+    assert(Op == Opcode::Ixor && "not an ALU opcode");
+    return {&X64Emitter::xorRI, &X64Emitter::xorRM, &X64Emitter::xorRR};
+  }
+}
+
+/// An entry of the compile-time operand stack, or an operand popped from
+/// it.
+struct Value {
+  enum class Kind : uint8_t {
+    Const, ///< The constant Imm.
+    Local, ///< A pending read of the local at [r13 + Disp].
+    InReg, ///< In R, a pool register the value owns.
+    Mem,   ///< In the operand slot at [r14 + Disp]. Only an operand popped
+           ///< past the virtual entries is one; an entry never is.
+  };
+  Kind K = Kind::Const;
+  Reg R = Reg::Rax;
+  int32_t Disp = 0;
+  int64_t Imm = 0;
+
+  static Value constant(int64_t V) { return {Kind::Const, Reg::Rax, 0, V}; }
+  static Value local(int32_t Disp) { return {Kind::Local, Reg::Rax, Disp, 0}; }
+  static Value reg(Reg R) { return {Kind::InReg, R, 0, 0}; }
+  static Value mem(int32_t Disp) { return {Kind::Mem, Reg::Rax, Disp, 0}; }
+  bool is(Kind Of) const { return K == Of; }
+  /// The base register of a Local or Mem value.
+  Reg base() const { return K == Kind::Local ? LocalsReg : TopReg; }
+};
+
 class TraceCompiler {
 public:
   TraceCompiler(const TraceIR &IR, const PreparedModule &PM)
@@ -451,6 +520,9 @@ private:
   // after the body; each stub stores its record index and joins the
   // common epilogue.
   uint32_t addExit(const ExitRecord &R) {
+    // Every exit leaves the operand stack in memory, as the block
+    // executor would have it.
+    assert(VStack.empty() && Adj == 0 && "exit with virtual operands");
     Exits.push_back(R);
     // Every exit reached from this point in the template has executed
     // every elided op emitted so far (they are straight-line), so the
@@ -489,22 +561,93 @@ private:
   void emitCallStatic(const IrOp &Op);
   void emitRet(const IrOp &Op);
   void emitCallVirtual(const IrOp &Op);
+  void emitSwitch(const IrOp &Op);
   /// Emits every frame op's out-of-line helper call.
   void emitSlowPaths();
+  void emitAlu(Opcode Op);
+  void emitShift(Opcode Op);
   void emitDivRem(const IrOp &Op);
   template <ElideLevel L> void emitHeapAccess(const IrOp &Op);
   void emitCompletion();
   void emitStubsAndEpilogue();
 
-  // Template building blocks.
+  // The virtual operand stack. Values stay in VStack -- constants,
+  // pending local reads, pool registers -- above the memory top, which
+  // is r14 + 8 * Adj (an op that pops past the entries lowers Adj rather
+  // than r14). flushBelow() writes entries to memory and moves r14 once;
+  // every exit and every call out of the trace comes after one.
+
+  /// A free pool register, taken: one in \p Prefer if any is free, else
+  /// the lowest-numbered, whose 32-bit forms need no REX prefix.
+  Reg take(uint16_t Prefer = ExtMask) {
+    assert((FreeRegs & PoolMask) && "operand register pool exhausted");
+    const uint16_t From = FreeRegs & Prefer ? FreeRegs & Prefer : FreeRegs;
+    const auto R = static_cast<Reg>(std::countr_zero(From));
+    FreeRegs &= static_cast<uint16_t>(~regBit(R));
+    return R;
+  }
+  void release(Reg R) { FreeRegs |= regBit(R) & PoolMask; }
+  void release(const Value &V) {
+    if (V.is(Value::Kind::InReg))
+      release(V.R);
+  }
+  /// A free pool register, taken; flushes the stack when none is, fixing
+  /// up the popped operands \p L0 and \p L1.
+  Reg alloc(Value *L0 = nullptr, Value *L1 = nullptr) {
+    if (!FreeRegs)
+      flushBelow(0, L0, L1);
+    return take();
+  }
+  void push(const Value &V) {
+    assert(!V.is(Value::Kind::Mem) && "a memory slot as a stack entry");
+    VStack.push_back(V);
+  }
+  Value pop() {
+    if (!VStack.empty()) {
+      Value V = VStack.back();
+      VStack.pop_back();
+      return V;
+    }
+    --Adj;
+    return Value::mem(8 * Adj);
+  }
+  /// Writes every entry but the top \p K to memory and points r14 at the
+  /// memory top the op leaves once it has popped \p K operands; those
+  /// then pop as before, from the entries or from the slots above r14.
+  /// \p L0 and \p L1 are operands popped already, whose slots move with
+  /// r14.
+  void flushBelow(unsigned K, Value *L0 = nullptr, Value *L1 = nullptr);
+  /// Loads \p V into \p Dst.
+  void load(Reg Dst, const Value &V);
+  /// Stores \p V to [Base + Disp], through rax unless it is in a
+  /// register or a 32-bit constant.
+  void store(Reg Base, int32_t Disp, const Value &V);
+  /// \p V's value in a pool register it owns, loaded there if need be.
+  Reg ownReg(Value &V, Value *Other = nullptr) {
+    if (!V.is(Value::Kind::InReg)) {
+      Reg R = alloc(&V, Other);
+      load(R, V);
+      V = Value::reg(R);
+    }
+    return V.R;
+  }
+  /// Loads the pending reads of the local at \p Disp, ahead of a write to
+  /// it.
+  void spillReads(int32_t Disp, Value *Live);
+  /// The result of a helper call, from rax onto the stack.
   void pushRax() {
-    E.movMR(TopReg, 0, Reg::Rax);
-    E.addRI(TopReg, 8);
+    Reg R = take();
+    E.movRR(R, Reg::Rax);
+    push(Value::reg(R));
   }
-  void popRax() {
-    E.subRI(TopReg, 8);
-    E.movRM(Reg::Rax, TopReg, 0);
-  }
+  struct ArgMove {
+    Reg Dst;
+    Value Src;
+  };
+  /// Loads helper arguments into their registers, wherever their values
+  /// are: a parallel move, with rax breaking a cycle of registers.
+  void moveArgs(std::vector<ArgMove> Moves);
+
   void helperCall(const void *Fn) {
     E.movRI(Reg::Rax, static_cast<int64_t>(reinterpret_cast<uintptr_t>(Fn)));
     E.callR(Reg::Rax);
@@ -525,6 +668,10 @@ private:
     /// Exits created with the template, so they carry its prefix counts:
     /// a call's trap, a return's finish and divergence.
     uint32_t Trap = 0, Finished = 0, Diverge = 0;
+    /// The operands the helper takes from the stack, deepest first -- a
+    /// call's arguments, a return's value -- which the path writes to
+    /// memory before the call.
+    std::vector<Value> Operands;
   };
 
   const TraceIR &IR;
@@ -541,7 +688,100 @@ private:
   /// matching the stepper, which counts the elision before the bounds
   /// check can trap).
   uint64_t ElidedSoFar = 0;
+  std::vector<Value> VStack;
+  int32_t Adj = 0;
+  uint16_t FreeRegs = PoolMask;
 };
+
+void TraceCompiler::flushBelow(unsigned K, Value *L0, Value *L1) {
+  const auto N = static_cast<int32_t>(VStack.size());
+  const int32_t Keep = std::min(static_cast<int32_t>(K), N);
+  for (int32_t I = 0; I < N - Keep; ++I) {
+    store(TopReg, 8 * (Adj + I), VStack[static_cast<size_t>(I)]);
+    release(VStack[static_cast<size_t>(I)]);
+  }
+  VStack.erase(VStack.begin(), VStack.end() - Keep);
+  // The memory top once the K operands are popped, in slots from r14.
+  const int32_t Shift = Adj + (N - Keep) - (static_cast<int32_t>(K) - Keep);
+  if (Shift)
+    E.addRI(TopReg, 8 * Shift);
+  Adj += (N - Keep) - Shift;
+  for (Value *L : {L0, L1})
+    if (L && L->is(Value::Kind::Mem))
+      L->Disp -= 8 * Shift;
+}
+
+void TraceCompiler::load(Reg Dst, const Value &V) {
+  switch (V.K) {
+  case Value::Kind::Const:
+    E.movRI(Dst, V.Imm);
+    break;
+  case Value::Kind::Local:
+  case Value::Kind::Mem:
+    E.movRM(Dst, V.base(), V.Disp);
+    break;
+  case Value::Kind::InReg:
+    if (V.R != Dst)
+      E.movRR(Dst, V.R);
+    break;
+  }
+}
+
+void TraceCompiler::store(Reg Base, int32_t Disp, const Value &V) {
+  if (V.is(Value::Kind::InReg)) {
+    E.movMR(Base, Disp, V.R);
+  } else if (V.is(Value::Kind::Const) && fitsImm32(V.Imm)) {
+    E.movMI32(Base, Disp, static_cast<int32_t>(V.Imm));
+  } else {
+    load(Reg::Rax, V);
+    E.movMR(Base, Disp, Reg::Rax);
+  }
+}
+
+void TraceCompiler::spillReads(int32_t Disp, Value *Live) {
+  for (Value &V : VStack) {
+    if (!V.is(Value::Kind::Local) || V.Disp != Disp)
+      continue;
+    if (!FreeRegs) {
+      // Writing the whole stack reads the local too.
+      flushBelow(0, Live);
+      return;
+    }
+    Reg R = take();
+    E.movRM(R, LocalsReg, Disp);
+    V = Value::reg(R);
+  }
+}
+
+void TraceCompiler::moveArgs(std::vector<ArgMove> Moves) {
+  auto ReadBy = [&Moves](Reg R, size_t Except) {
+    for (size_t J = 0; J < Moves.size(); ++J)
+      if (J != Except && Moves[J].Src.is(Value::Kind::InReg) &&
+          Moves[J].Src.R == R)
+        return true;
+    return false;
+  };
+  while (!Moves.empty()) {
+    size_t Ready = Moves.size();
+    for (size_t I = 0; I < Moves.size() && Ready == Moves.size(); ++I)
+      if (!ReadBy(Moves[I].Dst, I))
+        Ready = I;
+    if (Ready == Moves.size()) {
+      // Every destination is still read by another move, so the moves
+      // left form cycles of registers: park one source in rax, which
+      // frees the move that writes that register.
+      for (ArgMove &M : Moves)
+        if (M.Src.is(Value::Kind::InReg)) {
+          E.movRR(Reg::Rax, M.Src.R);
+          M.Src.R = Reg::Rax;
+          break;
+        }
+      continue;
+    }
+    load(Moves[Ready].Dst, Moves[Ready].Src);
+    Moves.erase(Moves.begin() + static_cast<ptrdiff_t>(Ready));
+  }
+}
 
 void TraceCompiler::prologue() {
   // Five pushes and the return address keep helper call sites
@@ -560,18 +800,41 @@ void TraceCompiler::prologue() {
 
 /// Pops conditional branch \p Op's operands and compares them, per the
 /// table's arity and comparison kind; returns the condition under which
-/// the branch jumps.
+/// the branch jumps. The stack below the operands is in memory first, so
+/// a jump out of the trace on the flags leaves the branch's own state.
 Cond TraceCompiler::emitCompare(Opcode Op) {
-  if (branchArity(Op) == 2) {
-    E.movRM(Reg::Rcx, TopReg, -8);  // B
-    E.movRM(Reg::Rax, TopReg, -16); // A
-    E.subRI(TopReg, 16);
-    E.cmpRR(Reg::Rax, Reg::Rcx);
+  const unsigned Arity = branchArity(Op);
+  flushBelow(Arity);
+  // A one-operand branch compares against zero.
+  Value B = Arity == 2 ? pop() : Value::constant(0);
+  Value A = pop();
+  const bool AInMemory = A.is(Value::Kind::Local) || A.is(Value::Kind::Mem);
+  const bool BImm = B.is(Value::Kind::Const) && fitsImm32(B.Imm);
+  if (AInMemory && B.is(Value::Kind::InReg)) {
+    E.cmpMR(A.base(), A.Disp, B.R);
+  } else if (AInMemory && BImm) {
+    E.cmpMI(A.base(), A.Disp, static_cast<int32_t>(B.Imm));
   } else {
-    E.subRI(TopReg, 8);
-    E.movRM(Reg::Rax, TopReg, 0);
-    E.cmpRI(Reg::Rax, 0);
+    Reg RA = A.is(Value::Kind::InReg) ? A.R : Reg::Rax;
+    load(RA, A);
+    if (BImm && B.Imm == 0) {
+      E.testRR(RA, RA);
+    } else if (BImm) {
+      E.cmpRI(RA, static_cast<int32_t>(B.Imm));
+    } else if (B.is(Value::Kind::InReg)) {
+      E.cmpRR(RA, B.R);
+    } else if (B.is(Value::Kind::Const)) {
+      // Nothing but the operands holds a register now.
+      Reg T = take();
+      E.movRI(T, B.Imm);
+      E.cmpRR(RA, T);
+      release(T);
+    } else {
+      E.cmpRM(RA, B.base(), B.Disp);
+    }
   }
+  release(A);
+  release(B);
   return X86Cond[static_cast<size_t>(cmpKind(Op))];
 }
 
@@ -599,62 +862,75 @@ void TraceCompiler::emitCallStatic(const IrOp &Op) {
   const int32_t Base = static_cast<int32_t>(8 * Caller.NumLocals);
   const int32_t Args = static_cast<int32_t>(Callee.NumArgs);
   const int32_t Locals = static_cast<int32_t>(Callee.NumLocals);
-  ++FrameOpsSoFar;
+  // The template takes two registers besides the arguments'.
+  if (std::popcount(FreeRegs) < 2)
+    flushBelow(0);
+  // The stack below the arguments goes to memory, and r14 to the
+  // callee's operand base; the arguments go straight to its locals.
+  flushBelow(static_cast<unsigned>(Args));
   SlowPath Slow;
   Slow.Op = &Op;
+  Slow.Operands.resize(static_cast<size_t>(Args));
+  for (int32_t I = Args; I-- > 0;)
+    Slow.Operands[static_cast<size_t>(I)] = pop();
+  ++FrameOpsSoFar;
   Slow.Trap = trapExit(Op, TrapKind::None);
 
   // Room for the frame record (the frame budget included), the callee's
   // locals and the trace's stack slack in the new frame run; otherwise
   // the helper grows an arena or raises StackOverflow.
-  E.movRM(Reg::Rax, FrameReg, FsTop);
-  E.cmpRM(Reg::Rax, FrameReg, FsLimit);
+  const Reg Frame = take(0), LocalsTop = take(0);
+  E.movRM(Frame, FrameReg, FsTop);
+  E.cmpRM(Frame, FrameReg, FsLimit);
   Slow.Entries.push_back(E.jcc(Cond::Eq));
-  E.leaRM(Reg::Rcx, LocalsReg, Base + 8 * Locals); // the new LocalsTop
-  E.cmpRM(Reg::Rcx, FrameReg, FsLocalsEnd);
+  E.leaRM(LocalsTop, LocalsReg, Base + 8 * Locals);
+  E.cmpRM(LocalsTop, FrameReg, FsLocalsEnd);
   Slow.Entries.push_back(E.jcc(Cond::Ab));
-  E.leaRM(Reg::Rdx, TopReg, 8 * (static_cast<int32_t>(IR.MaxPush) - Args));
-  E.cmpRM(Reg::Rdx, FrameReg, FsOperandsEnd);
+  E.leaRM(Reg::Rax, TopReg, 8 * static_cast<int32_t>(IR.MaxPush));
+  E.cmpRM(Reg::Rax, FrameReg, FsOperandsEnd);
   Slow.Entries.push_back(E.jcc(Cond::Ab));
 
-  // Move the arguments (deepest first) into the callee's first locals and
-  // zero the rest: unrolled, or a loop up to the new LocalsTop (rcx) for
+  // The arguments (deepest first) become the callee's first locals, and
+  // the rest are zeroed: unrolled, or a loop up to the new LocalsTop for
   // a method with many locals.
-  if (Args)
-    E.subRI(TopReg, 8 * Args);
   for (int32_t I = 0; I < Args; ++I) {
-    E.movRM(Reg::Rdx, TopReg, 8 * I);
-    E.movMR(LocalsReg, Base + 8 * I, Reg::Rdx);
+    const Value &A = Slow.Operands[static_cast<size_t>(I)];
+    store(LocalsReg, Base + 8 * I, A);
+    release(A);
   }
   if (Locals > Args) {
-    E.xorRR(Reg::Rdx, Reg::Rdx);
+    E.xorRR(Reg::Rax, Reg::Rax);
     if (Locals - Args <= 16) {
       for (int32_t I = Args; I < Locals; ++I)
-        E.movMR(LocalsReg, Base + 8 * I, Reg::Rdx);
+        E.movMR(LocalsReg, Base + 8 * I, Reg::Rax);
     } else {
-      E.leaRM(Reg::Rsi, LocalsReg, Base + 8 * Args);
+      const Reg At = take(0);
+      E.leaRM(At, LocalsReg, Base + 8 * Args);
       size_t Loop = E.size();
-      E.movMR(Reg::Rsi, 0, Reg::Rdx);
-      E.addRI(Reg::Rsi, 8);
-      E.cmpRR(Reg::Rsi, Reg::Rcx);
+      E.movMR(At, 0, Reg::Rax);
+      E.addRI(At, 8);
+      E.cmpRR(At, LocalsTop);
       E.patchRel32(E.jcc(Cond::Ne), Loop);
+      release(At);
     }
   }
   if (Base)
     E.addRI(LocalsReg, Base);
 
   // The frame record, the frame top and the cached top-frame fields.
-  E.movMR(Reg::Rax, FrLocals, LocalsReg);
-  E.movMR(Reg::Rax, FrOperandBase, TopReg);
-  E.movM32I(Reg::Rax, FrMethod, Op.Callee);
-  E.movM32I(Reg::Rax, FrReturnPc, Op.ReturnPc);
-  E.movM32I(Reg::Rax, FrReturnBlock, Op.ReturnBlock);
-  E.addRI(Reg::Rax, FrSize);
-  E.movMR(FrameReg, FsTop, Reg::Rax);
-  E.movMR(FrameReg, FsLocalsTop, Reg::Rcx);
+  E.movMR(Frame, FrLocals, LocalsReg);
+  E.movMR(Frame, FrOperandBase, TopReg);
+  E.movM32I(Frame, FrMethod, Op.Callee);
+  E.movM32I(Frame, FrReturnPc, Op.ReturnPc);
+  E.movM32I(Frame, FrReturnBlock, Op.ReturnBlock);
+  E.addRI(Frame, FrSize);
+  E.movMR(FrameReg, FsTop, Frame);
+  E.movMR(FrameReg, FsLocalsTop, LocalsTop);
   E.movMR(FrameReg, FsCurLocals, LocalsReg);
   E.movMR(FrameReg, FsCurOperandBase, TopReg);
   E.movM32I(FrameReg, FsCurMethod, Op.Callee);
+  release(Frame);
+  release(LocalsTop);
   Slow.Resume = E.size();
   SlowPaths.push_back(std::move(Slow));
 }
@@ -662,9 +938,12 @@ void TraceCompiler::emitCallStatic(const IrOp &Op) {
 void TraceCompiler::emitRet(const IrOp &Op) {
   // Machine::popFrame as straight-line code, then the return-site guard.
   const int32_t HasValue = Op.HasValue ? 1 : 0;
-  ++FrameOpsSoFar;
+  flushBelow(static_cast<unsigned>(HasValue));
   SlowPath Slow;
   Slow.Op = &Op;
+  if (HasValue)
+    Slow.Operands.push_back(pop());
+  ++FrameOpsSoFar;
   Slow.Finished = exitAt(Op, ExitRecord::Kind::Finished);
   if (Op.ExpectBlock != InvalidBlockId)
     Slow.Diverge = exitAt(Op, ExitRecord::Kind::DivergeAt);
@@ -672,47 +951,52 @@ void TraceCompiler::emitRet(const IrOp &Op) {
   // The bottom frame finishes the program, and a caller frame without
   // room for the trace's stack slack needs the operand arena grown: both
   // go to the helper.
+  const Reg Popped = take(0), Base = take(0), T = take(0);
   E.movRM(Reg::Rax, FrameReg, FsTop);
-  E.leaRM(Reg::Rcx, Reg::Rax, -FrSize); // the popped frame
-  E.cmpRM(Reg::Rcx, FrameReg, FsFrames);
+  E.leaRM(Popped, Reg::Rax, -FrSize);
+  E.cmpRM(Popped, FrameReg, FsFrames);
   Slow.Entries.push_back(E.jcc(Cond::Eq));
-  E.movRM(Reg::Rdx, Reg::Rcx, FrOperandBase);
-  E.leaRM(Reg::Rsi, Reg::Rdx,
-          8 * (HasValue + static_cast<int32_t>(IR.MaxPush)));
-  E.cmpRM(Reg::Rsi, FrameReg, FsOperandsEnd);
+  E.movRM(Base, Popped, FrOperandBase);
+  E.leaRM(T, Base, 8 * (HasValue + static_cast<int32_t>(IR.MaxPush)));
+  E.cmpRM(T, FrameReg, FsOperandsEnd);
   Slow.Entries.push_back(E.jcc(Cond::Ab));
 
+  // The value goes straight to the caller's operand base.
   if (HasValue) {
-    E.movRM(Reg::Rsi, TopReg, -8);
-    E.movMR(Reg::Rdx, 0, Reg::Rsi);
-    E.leaRM(TopReg, Reg::Rdx, 8);
+    store(Base, 0, Slow.Operands[0]);
+    release(Slow.Operands[0]);
+    E.leaRM(TopReg, Base, 8);
   } else {
-    E.movRR(TopReg, Reg::Rdx);
+    E.movRR(TopReg, Base);
   }
-  E.movMR(FrameReg, FsTop, Reg::Rcx);
+  E.movMR(FrameReg, FsTop, Popped);
   // The popped frame's locals base, still in LocalsReg, is the new top.
   E.movMR(FrameReg, FsLocalsTop, LocalsReg);
-  E.movRM(LocalsReg, Reg::Rcx, FrLocals - FrSize);
+  E.movRM(LocalsReg, Popped, FrLocals - FrSize);
   E.movMR(FrameReg, FsCurLocals, LocalsReg);
-  E.movRM(Reg::Rsi, Reg::Rcx, FrOperandBase - FrSize);
-  E.movMR(FrameReg, FsCurOperandBase, Reg::Rsi);
-  E.movR32M(Reg::Rsi, Reg::Rcx, FrMethod - FrSize);
-  E.movM32R(FrameReg, FsCurMethod, Reg::Rsi);
-  E.movR32M(Reg::Rdx, Reg::Rcx, FrReturnBlock);
-  E.movMR(CtxReg, CtxPayload, Reg::Rdx);
+  E.movRM(T, Popped, FrOperandBase - FrSize);
+  E.movMR(FrameReg, FsCurOperandBase, T);
+  E.movR32M(T, Popped, FrMethod - FrSize);
+  E.movM32R(FrameReg, FsCurMethod, T);
+  E.movR32M(Base, Popped, FrReturnBlock);
+  E.movMR(CtxReg, CtxPayload, Base);
   if (Op.ExpectBlock != InvalidBlockId) {
     assert(Op.ExpectBlock <= INT32_MAX && "block id outside an imm32");
-    E.cmpRI(Reg::Rdx, static_cast<int32_t>(Op.ExpectBlock));
+    E.cmpRI(Base, static_cast<int32_t>(Op.ExpectBlock));
     jumpToExit(E.jcc(Cond::Ne), Slow.Diverge);
   }
+  release(Popped);
+  release(Base);
+  release(T);
   Slow.Resume = E.size();
   SlowPaths.push_back(std::move(Slow));
 }
 
 void TraceCompiler::emitCallVirtual(const IrOp &Op) {
+  // The helper works on the Machine's real stack: all of it in memory,
+  // and the live top published.
+  flushBelow(0);
   ++FrameOpsSoFar;
-  // Publish the live top: the helper works on the Machine's real stack
-  // state, not the over-extended template view.
   E.movMR(CtxReg, CtxTop, TopReg);
   E.movRR(Reg::Rdi, CtxReg);
   E.movRI(Reg::Rsi, Op.I.A); // vtable slot
@@ -739,6 +1023,19 @@ void TraceCompiler::emitSlowPaths() {
     for (size_t Fix : Slow.Entries)
       E.bind(Fix);
     const IrOp &Op = *Slow.Op;
+    // The helper takes its operands from the Machine's stack. The room
+    // checks clobbered only scratch registers, so the operands are where
+    // the template found them; those still in memory are in place.
+    const auto NumOperands = static_cast<int32_t>(Slow.Operands.size());
+    for (int32_t I = 0; I < NumOperands; ++I) {
+      const Value &V = Slow.Operands[static_cast<size_t>(I)];
+      if (V.is(Value::Kind::Mem))
+        assert(V.Disp == 8 * I && "operand out of place");
+      else
+        store(TopReg, 8 * I, V);
+    }
+    if (NumOperands)
+      E.addRI(TopReg, 8 * NumOperands);
     E.movMR(CtxReg, CtxTop, TopReg);
     E.movRR(Reg::Rdi, CtxReg);
     if (Op.K == IrOp::Kind::CallStatic) {
@@ -770,16 +1067,111 @@ void TraceCompiler::emitSlowPaths() {
   }
 }
 
+void TraceCompiler::emitSwitch(const IrOp &Op) {
+  const SwitchCode &SC = PM.switchCode(Op.SwitchIdx);
+  flushBelow(1);
+  Value Selector = pop();
+  moveArgs({{Reg::Rcx, Selector},
+            {Reg::Rdi, Value::reg(CtxReg)},
+            {Reg::Rsi, Value::constant(static_cast<int64_t>(
+                           reinterpret_cast<uintptr_t>(&SC)))},
+            {Reg::Rdx, Value::constant(static_cast<int64_t>(
+                           reinterpret_cast<uintptr_t>(PM.switchTargets() +
+                                                       SC.FirstTarget)))},
+            {Reg::R8, Value::constant(Op.ExpectBlock)}});
+  release(Selector);
+  helperCall(reinterpret_cast<const void *>(&jtcJitSwitch));
+  if (Op.ExpectBlock != InvalidBlockId) {
+    E.testRR(Reg::Rax, Reg::Rax);
+    jumpToExit(E.jcc(Cond::Ne), exitAt(Op, ExitRecord::Kind::DivergeAt));
+  }
+}
+
+void TraceCompiler::emitAlu(Opcode Op) {
+  Value B = pop(), A = pop();
+  if (A.is(Value::Kind::Const) && B.is(Value::Kind::Const)) {
+    int64_t R = 0;
+    evalBinary(Op, A.Imm, B.Imm, R);
+    push(Value::constant(R));
+    return;
+  }
+  // A commuting op takes the register operand as its destination, and
+  // the constant as its immediate.
+  if (Op != Opcode::Isub &&
+      (A.is(Value::Kind::Const) ||
+       (!A.is(Value::Kind::InReg) && B.is(Value::Kind::InReg))))
+    std::swap(A, B);
+  Reg D = ownReg(A, &B);
+  const AluForms F = aluForms(Op);
+  if (B.is(Value::Kind::Const) && fitsImm32(B.Imm)) {
+    (E.*F.RI)(D, static_cast<int32_t>(B.Imm));
+  } else if (B.is(Value::Kind::Local) || B.is(Value::Kind::Mem)) {
+    (E.*F.RM)(D, B.base(), B.Disp);
+  } else {
+    Reg S = B.is(Value::Kind::InReg) ? B.R : Reg::Rax;
+    load(S, B);
+    (E.*F.RR)(D, S);
+  }
+  release(B);
+  push(Value::reg(D));
+}
+
+void TraceCompiler::emitShift(Opcode Op) {
+  // A 64-bit shift uses the count's low six bits, which is the table's
+  // shift rule. A constant count is an immediate; any other goes to cl,
+  // with the stack below in memory so that rcx is free.
+  if (VStack.empty() || !VStack.back().is(Value::Kind::Const)) {
+    flushBelow(2);
+    Value N = pop(), V = pop();
+    load(Reg::Rax, V);
+    release(V);
+    load(Reg::Rcx, N);
+    release(N);
+    if (Op == Opcode::Ishl)
+      E.shlCl(Reg::Rax);
+    else if (Op == Opcode::Iushr)
+      E.shrCl(Reg::Rax);
+    else
+      E.sarCl(Reg::Rax);
+    pushRax();
+    return;
+  }
+  Value N = pop(), V = pop();
+  if (V.is(Value::Kind::Const)) {
+    int64_t R = 0;
+    evalBinary(Op, V.Imm, N.Imm, R);
+    push(Value::constant(R));
+    return;
+  }
+  Reg D = ownReg(V);
+  const auto Count = static_cast<uint8_t>(N.Imm & 63);
+  if (Op == Opcode::Ishl)
+    E.shlRI(D, Count);
+  else if (Op == Opcode::Iushr)
+    E.shrRI(D, Count);
+  else
+    E.sarRI(D, Count);
+  push(Value::reg(D));
+}
+
 void TraceCompiler::emitDivRem(const IrOp &Op) {
+  // Division can trap: the stack below the operands goes to memory, and
+  // a zero divisor leaves with both operands popped, as the block
+  // executor does.
   const bool Rem = Op.I.Op == Opcode::Irem;
-  E.movRM(Reg::Rcx, TopReg, -8);  // B (divisor)
-  E.movRM(Reg::Rax, TopReg, -16); // A (dividend)
-  E.subRI(TopReg, 8);
-  E.testRR(Reg::Rcx, Reg::Rcx);
+  flushBelow(2);
+  Value B = pop(), A = pop();
+  load(Reg::Rax, A);
+  release(A);
+  // idiv takes rdx:rax, so the divisor sits anywhere else.
+  const Reg Div =
+      B.is(Value::Kind::InReg) && B.R != Reg::Rdx ? B.R : Reg::Rcx;
+  load(Div, B);
+  E.testRR(Div, Div);
   jumpToExit(E.jcc(Cond::Eq), trapExit(Op, TrapKind::DivideByZero));
   // idiv faults on the table's overflow pair; that pair takes the
   // table's result instead.
-  E.cmpRI(Reg::Rcx, DivOverflowDivisor);
+  E.cmpRI(Div, DivOverflowDivisor);
   size_t NotMinus1 = E.jcc(Cond::Ne);
   E.movRI(Reg::Rdx, DivOverflowDividend);
   E.cmpRR(Reg::Rax, Reg::Rdx);
@@ -792,11 +1184,12 @@ void TraceCompiler::emitDivRem(const IrOp &Op) {
   E.bind(NotMinus1);
   E.bind(NotMin);
   E.cqo();
-  E.idivR(Reg::Rcx);
+  E.idivR(Div);
   if (Rem)
     E.movRR(Reg::Rax, Reg::Rdx);
   E.bind(Special);
-  E.movMR(TopReg, -8, Reg::Rax);
+  release(B);
+  pushRax();
 }
 
 void TraceCompiler::emitOp(const IrOp &Op) {
@@ -813,22 +1206,9 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   case IrOp::Kind::CallVirtual:
     emitCallVirtual(Op);
     return;
-  case IrOp::Kind::Switch: {
-    const SwitchCode &SC = PM.switchCode(Op.SwitchIdx);
-    E.subRI(TopReg, 8);
-    E.movRM(Reg::Rcx, TopReg, 0); // Selector
-    E.movRR(Reg::Rdi, CtxReg);
-    E.movRI(Reg::Rsi, static_cast<int64_t>(reinterpret_cast<uintptr_t>(&SC)));
-    E.movRI(Reg::Rdx, static_cast<int64_t>(reinterpret_cast<uintptr_t>(
-                          PM.switchTargets() + SC.FirstTarget)));
-    E.movRI(Reg::R8, Op.ExpectBlock);
-    helperCall(reinterpret_cast<const void *>(&jtcJitSwitch));
-    if (Op.ExpectBlock != InvalidBlockId) {
-      E.testRR(Reg::Rax, Reg::Rax);
-      jumpToExit(E.jcc(Cond::Ne), exitAt(Op, ExitRecord::Kind::DivergeAt));
-    }
+  case IrOp::Kind::Switch:
+    emitSwitch(Op);
     return;
-  }
   case IrOp::Kind::Instr:
     break;
   }
@@ -841,35 +1221,56 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   case Opcode::Nop:
     break;
   case Opcode::Iconst:
-    E.movMI32(TopReg, 0, I.A);
-    E.addRI(TopReg, 8);
+    push(Value::constant(I.A));
     break;
   case Opcode::Iload:
-    E.movRM(Reg::Rax, LocalsReg, LocalOff());
-    pushRax();
+    push(Value::local(LocalOff()));
     break;
-  case Opcode::Istore:
-    popRax();
-    E.movMR(LocalsReg, LocalOff(), Reg::Rax);
+  case Opcode::Istore: {
+    Value V = pop();
+    spillReads(LocalOff(), &V);
+    if (!V.is(Value::Kind::Local) || V.Disp != LocalOff())
+      store(LocalsReg, LocalOff(), V);
+    release(V);
     break;
+  }
   case Opcode::Iinc:
-    E.movRM(Reg::Rax, LocalsReg, LocalOff());
-    E.addRI(Reg::Rax, I.B);
-    E.movMR(LocalsReg, LocalOff(), Reg::Rax);
+    spillReads(LocalOff(), nullptr);
+    E.addMI(LocalsReg, LocalOff(), I.B);
     break;
   case Opcode::Pop:
-    E.subRI(TopReg, 8);
+    release(pop());
     break;
   case Opcode::Dup:
-    E.movRM(Reg::Rax, TopReg, -8);
-    pushRax();
+    if (VStack.empty()) {
+      // The top is in memory, where it stays; the copy goes in a
+      // register.
+      Reg R = take();
+      E.movRM(R, TopReg, 8 * (Adj - 1));
+      push(Value::reg(R));
+    } else if (const Value Top = VStack.back(); !Top.is(Value::Kind::InReg)) {
+      push(Top);
+    } else if (FreeRegs) {
+      Reg R = take();
+      E.movRR(R, Top.R);
+      push(Value::reg(R));
+    } else {
+      flushBelow(0);
+      Reg R = take();
+      E.movRM(R, TopReg, -8);
+      push(Value::reg(R));
+    }
     break;
-  case Opcode::Swap:
-    E.movRM(Reg::Rax, TopReg, -8);
-    E.movRM(Reg::Rcx, TopReg, -16);
-    E.movMR(TopReg, -8, Reg::Rcx);
-    E.movMR(TopReg, -16, Reg::Rax);
+  case Opcode::Swap: {
+    Value B = pop(), A = pop();
+    if (B.is(Value::Kind::Mem))
+      ownReg(B, &A);
+    if (A.is(Value::Kind::Mem))
+      ownReg(A, &B);
+    push(B);
+    push(A);
     break;
+  }
 
   case Opcode::Iadd:
   case Opcode::Isub:
@@ -877,29 +1278,7 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   case Opcode::Iand:
   case Opcode::Ior:
   case Opcode::Ixor:
-    E.movRM(Reg::Rax, TopReg, -16); // A
-    switch (I.Op) {
-    case Opcode::Iadd:
-      E.addRM(Reg::Rax, TopReg, -8);
-      break;
-    case Opcode::Isub:
-      E.subRM(Reg::Rax, TopReg, -8);
-      break;
-    case Opcode::Imul:
-      E.imulRM(Reg::Rax, TopReg, -8);
-      break;
-    case Opcode::Iand:
-      E.andRM(Reg::Rax, TopReg, -8);
-      break;
-    case Opcode::Ior:
-      E.orRM(Reg::Rax, TopReg, -8);
-      break;
-    default:
-      E.xorRM(Reg::Rax, TopReg, -8);
-      break;
-    }
-    E.subRI(TopReg, 8);
-    E.movMR(TopReg, -8, Reg::Rax);
+    emitAlu(I.Op);
     break;
 
   case Opcode::Idiv:
@@ -907,27 +1286,22 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     emitDivRem(Op);
     break;
 
-  case Opcode::Ineg:
-    E.movRM(Reg::Rax, TopReg, -8);
-    E.negR(Reg::Rax);
-    E.movMR(TopReg, -8, Reg::Rax);
+  case Opcode::Ineg: {
+    Value V = pop();
+    if (V.is(Value::Kind::Const)) {
+      push(Value::constant(evalNeg(V.Imm)));
+      break;
+    }
+    Reg D = ownReg(V);
+    E.negR(D);
+    push(Value::reg(D));
     break;
+  }
 
   case Opcode::Ishl:
   case Opcode::Ishr:
   case Opcode::Iushr:
-    // A 64-bit shift by cl uses the count's low six bits, which is the
-    // table's shift rule.
-    E.movRM(Reg::Rcx, TopReg, -8);  // count
-    E.movRM(Reg::Rax, TopReg, -16); // value
-    E.subRI(TopReg, 8);
-    if (I.Op == Opcode::Ishl)
-      E.shlCl(Reg::Rax);
-    else if (I.Op == Opcode::Iushr)
-      E.shrCl(Reg::Rax);
-    else
-      E.sarCl(Reg::Rax);
-    E.movMR(TopReg, -8, Reg::Rax);
+    emitShift(I.Op);
     break;
 
   case Opcode::Iaload:
@@ -948,26 +1322,31 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     }
     break;
   case Opcode::New:
+    flushBelow(0);
     E.movRR(Reg::Rdi, MachReg);
     E.movRI(Reg::Rsi, I.A); // ClassId
     helperCall(reinterpret_cast<const void *>(&jtcJitNew));
     helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
-  case Opcode::NewArray:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rsi, TopReg, -8); // Len
-    E.subRI(TopReg, 8);
+  case Opcode::NewArray: {
+    flushBelow(1);
+    Value Len = pop();
+    moveArgs({{Reg::Rsi, Len}, {Reg::Rdi, Value::reg(MachReg)}});
+    release(Len);
     helperCall(reinterpret_cast<const void *>(&jtcJitNewArray));
     helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
-  case Opcode::Iprint:
-    E.movRR(Reg::Rdi, MachReg);
-    E.movRM(Reg::Rsi, TopReg, -8);
-    E.subRI(TopReg, 8);
+  }
+  case Opcode::Iprint: {
+    flushBelow(1);
+    Value V = pop();
+    moveArgs({{Reg::Rsi, V}, {Reg::Rdi, Value::reg(MachReg)}});
+    release(V);
     helperCall(reinterpret_cast<const void *>(&jtcJitIprint));
     break;
+  }
 
   // Control transfers never lower to Instr ops: lowerTrace turns them
   // into guards, frame ops and the completion rule.
@@ -1000,53 +1379,72 @@ template <ElideLevel L> void TraceCompiler::emitHeapAccess(const IrOp &Op) {
   // elision before a kept bounds check can trap.
   ElidedSoFar += elisionWeight(Op.I.Op, L);
   const bool CanTrap = elisionWeight(Op.I.Op, L) < heapChecks(Op.I.Op);
-  E.movRR(Reg::Rdi, MachReg);
+  const Value Mach = Value::reg(MachReg);
   switch (Op.I.Op) {
-  case Opcode::Iaload:
-    E.movRM(Reg::Rdx, TopReg, -8);  // Idx
-    E.movRM(Reg::Rsi, TopReg, -16); // Ref
-    E.subRI(TopReg, 16);
+  case Opcode::Iaload: {
+    flushBelow(2);
+    Value Idx = pop(), Ref = pop();
+    moveArgs({{Reg::Rsi, Ref}, {Reg::Rdx, Idx}, {Reg::Rdi, Mach}});
+    release(Idx);
+    release(Ref);
     helperCall(reinterpret_cast<const void *>(&jtcJitIaload<L>));
     if (CanTrap)
       helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
-  case Opcode::Iastore:
-    E.movRM(Reg::Rcx, TopReg, -8);  // Value
-    E.movRM(Reg::Rdx, TopReg, -16); // Idx
-    E.movRM(Reg::Rsi, TopReg, -24); // Ref
-    E.subRI(TopReg, 24);
+  }
+  case Opcode::Iastore: {
+    flushBelow(3);
+    Value V = pop(), Idx = pop(), Ref = pop();
+    moveArgs(
+        {{Reg::Rsi, Ref}, {Reg::Rdx, Idx}, {Reg::Rcx, V}, {Reg::Rdi, Mach}});
+    release(V);
+    release(Idx);
+    release(Ref);
     helperCall(reinterpret_cast<const void *>(&jtcJitIastore<L>));
     if (CanTrap)
       helperTrapCheck(Op, Reg::Rax);
     break;
-  case Opcode::ArrayLength:
-    E.movRM(Reg::Rsi, TopReg, -8); // Ref
-    E.subRI(TopReg, 8);
+  }
+  case Opcode::ArrayLength: {
+    flushBelow(1);
+    Value Ref = pop();
+    moveArgs({{Reg::Rsi, Ref}, {Reg::Rdi, Mach}});
+    release(Ref);
     helperCall(reinterpret_cast<const void *>(&jtcJitArrayLength<L>));
     if (CanTrap)
       helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
-  case Opcode::GetField:
-    E.movRM(Reg::Rsi, TopReg, -8); // Ref
-    E.movRI(Reg::Rdx, Op.I.A);     // Slot
-    E.subRI(TopReg, 8);
+  }
+  case Opcode::GetField: {
+    flushBelow(1);
+    Value Ref = pop();
+    moveArgs({{Reg::Rsi, Ref},
+              {Reg::Rdx, Value::constant(Op.I.A)},
+              {Reg::Rdi, Mach}});
+    release(Ref);
     helperCall(reinterpret_cast<const void *>(&jtcJitGetField<L>));
     if (CanTrap)
       helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
-  default:
+  }
+  default: {
     assert(Op.I.Op == Opcode::PutField && "not a heap access");
-    E.movRM(Reg::Rcx, TopReg, -8);  // Value
-    E.movRM(Reg::Rsi, TopReg, -16); // Ref
-    E.movRI(Reg::Rdx, Op.I.A);      // Slot
-    E.subRI(TopReg, 16);
+    flushBelow(2);
+    Value V = pop(), Ref = pop();
+    moveArgs({{Reg::Rsi, Ref},
+              {Reg::Rdx, Value::constant(Op.I.A)},
+              {Reg::Rcx, V},
+              {Reg::Rdi, Mach}});
+    release(V);
+    release(Ref);
     helperCall(reinterpret_cast<const void *>(&jtcJitPutField<L>));
     if (CanTrap)
       helperTrapCheck(Op, Reg::Rax);
     break;
+  }
   }
 }
 
@@ -1061,27 +1459,22 @@ void TraceCompiler::emitCompletion() {
   Done.BlocksRun = static_cast<uint32_t>(IR.Blocks.size());
   Done.Instructions = IR.InstrCount;
 
-  if (IR.Complete == TraceIR::CompleteKind::Static) {
+  if (IR.Complete == TraceIR::CompleteKind::Branch) {
+    Cond C = emitCompare(IR.FinalTerm.Op);
+    ExitRecord Taken = Done;
+    Taken.Next = IR.NextTaken;
+    jumpToExit(E.jcc(C), addExit(Taken));
     Done.Next = IR.NextFall;
     jumpToExit(E.jmp(), addExit(Done));
     return;
   }
-  if (IR.Complete == TraceIR::CompleteKind::Callee) {
+  flushBelow(0);
+  if (IR.Complete == TraceIR::CompleteKind::Static)
+    Done.Next = IR.NextFall;
+  else if (IR.Complete == TraceIR::CompleteKind::Callee)
     Done.K = ExitRecord::Kind::CompleteCallee;
-    jumpToExit(E.jmp(), addExit(Done));
-    return;
-  }
-  if (IR.Complete == TraceIR::CompleteKind::At) {
+  else
     Done.K = ExitRecord::Kind::CompleteAt;
-    jumpToExit(E.jmp(), addExit(Done));
-    return;
-  }
-
-  Cond C = emitCompare(IR.FinalTerm.Op);
-  ExitRecord Taken = Done;
-  Taken.Next = IR.NextTaken;
-  jumpToExit(E.jcc(C), addExit(Taken));
-  Done.Next = IR.NextFall;
   jumpToExit(E.jmp(), addExit(Done));
 }
 
@@ -1264,6 +1657,7 @@ const CompiledTrace *JitBackend::promote(const Trace &T) {
   }
   ++Stats.TracesCompiled;
   Stats.CodeBytes += C->CodeSize;
+  Stats.CodeInstrs += C->InstrCount;
   JTC_RECORD_EVENT(Telem, EventKind::TraceCompiled, T.Id, C->CodeSize);
   return C;
 }

@@ -17,7 +17,12 @@
 /// Each trace IR op has a fixed x86-64 machine-code template (see
 /// TraceCompiler in the .cpp) whose immediates -- local slot offsets,
 /// constants, helper addresses -- are patched at compile time; guards
-/// become a compare and a conditional branch to a side-exit stub.
+/// become a compare and a conditional branch to a side-exit stub. The
+/// templates work on a compile-time (virtual) operand stack: a value an
+/// op pushes stays a constant, a pending read of a local or a value in a
+/// pool register, and the next op takes it as an immediate, a memory
+/// operand or a register, so straight-line arithmetic never round-trips
+/// through the operand stack in memory.
 /// Heap-touching ops (arrays, fields, allocation, print) call C++
 /// helpers that run the heap's own checks (runtime/Heap.h), and branch
 /// compares come from the opcode semantics table
@@ -42,19 +47,34 @@
 /// tableswitch calls a helper that selects the block as the block
 /// executor does, guarded the same way.
 ///
-/// Register convention inside a compiled trace (all callee-saved, so
-/// helper calls preserve them):
+/// Register convention inside a compiled trace. Pinned, all callee-saved
+/// so helper calls preserve them:
 ///
-///   rbx  JitContext*            r14  operand-stack top (one past top)
+///   rbx  JitContext*            r14  operand-stack memory top (one past)
 ///   rbp  FrameState*            r15  Machine*
 ///   r13  frame locals base
 ///
-/// The operand stack is the Machine's own arena, the same one the block
-/// executor keeps in registers: before a native run the backend reserves
-/// the trace's MaxPush so template code pushes with raw stores, and
-/// publishes the native top back afterwards (Machine::setStackTop); the
-/// call and return templates keep the rest of the frame state current
-/// themselves. Frame helpers publish the live top, run the frame op,
+/// Operand pool, caller-saved: rcx, rdx, rsi, rdi and r8-r11 hold the
+/// values of the virtual operand stack above r14. rax is scratch.
+///
+/// The operand stack in memory is the Machine's own arena, the same one
+/// the block executor keeps in registers: before a native run the backend
+/// reserves the trace's MaxPush so template code writes it with raw
+/// stores, and publishes the native top back afterwards
+/// (Machine::setStackTop); the call and return templates keep the rest
+/// of the frame state current themselves.
+///
+/// Flush before exit: before any op that can leave the trace or call out
+/// of it -- a guard's jump (for the values beneath its operands), a
+/// division, a shift by a non-constant count, a heap or allocation
+/// helper, iprint, a switch, a call, a return, the completion -- the
+/// template writes the virtual stack to memory and sets r14 once, and
+/// when the pool runs out it does the same. Every exit therefore sees the
+/// memory state the block executor would leave. Before a write to a
+/// local, pending reads of it are loaded into registers. A static call
+/// stores its arguments straight into the callee's locals, a return its
+/// value straight to the caller's operand base; their slow paths write
+/// those operands to the stack first. Frame helpers publish the live top, run the frame op,
 /// reserve MaxPush in the new frame, and publish the (possibly
 /// reallocated) pointers back through the JitContext; the template
 /// reloads its pinned registers after each one. Every exit -- completion, fired guard, trap, finish -- leaves an
@@ -157,6 +177,7 @@ struct BackendStats {
   uint64_t CompileFallbacks = 0;   ///< Traces that failed promotion.
   uint64_t CompiledDispatches = 0; ///< Trace runs executed natively.
   uint64_t CodeBytes = 0;          ///< Native code emitted.
+  uint64_t CodeInstrs = 0;         ///< Bytecode instructions it covers.
   uint64_t TracesValidated = 0;    ///< Promotions translation-validated.
   uint64_t ValidationRejects = 0;  ///< Of those, rejected.
   /// Rejections tallied by validate::Reason code (ordered so JSON

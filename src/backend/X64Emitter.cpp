@@ -132,17 +132,36 @@ void X64Emitter::aluRM(uint8_t Op, Reg RegOp, Reg Base, int32_t Disp) {
   modrmMem(RegOp, Base, Disp);
 }
 
-void X64Emitter::aluRI(uint8_t Ext, Reg RmOp, int32_t Imm) {
-  rex(Reg::Rax, RmOp);
-  // REX.W 83 /Ext ib when the immediate fits a sign-extended byte (stack
-  // steps of 8, small constants), else REX.W 81 /Ext id.
-  const bool Short = Imm >= -128 && Imm <= 127;
-  byte(Short ? 0x83 : 0x81);
-  byte(0xC0 | (Ext << 3) | lo3(RmOp));
-  if (Short)
+static bool fitsImm8(int32_t Imm) { return Imm >= -128 && Imm <= 127; }
+
+void X64Emitter::aluImm(int32_t Imm) {
+  if (fitsImm8(Imm))
     byte(static_cast<uint8_t>(Imm));
   else
     imm32(Imm);
+}
+
+void X64Emitter::aluRI(uint8_t Ext, Reg RmOp, int32_t Imm) {
+  // REX.W 83 /Ext ib when the immediate fits a sign-extended byte (stack
+  // steps of 8, small constants), else REX.W 81 /Ext id.
+  rex(Reg::Rax, RmOp);
+  byte(fitsImm8(Imm) ? 0x83 : 0x81);
+  byte(0xC0 | (Ext << 3) | lo3(RmOp));
+  aluImm(Imm);
+}
+
+void X64Emitter::aluMI(uint8_t Ext, Reg Base, int32_t Disp, int32_t Imm) {
+  rex(Reg::Rax, Base);
+  byte(fitsImm8(Imm) ? 0x83 : 0x81);
+  modrmMem(static_cast<Reg>(Ext), Base, Disp);
+  aluImm(Imm);
+}
+
+void X64Emitter::shiftRI(uint8_t Ext, Reg R, uint8_t N) {
+  rex(Reg::Rax, R);
+  byte(0xC1);
+  byte(0xC0 | (Ext << 3) | lo3(R));
+  byte(N);
 }
 
 void X64Emitter::addRR(Reg Dst, Reg Src) { aluRR(0x03, Dst, Src); }
@@ -187,7 +206,28 @@ void X64Emitter::imulRM(Reg Dst, Reg Base, int32_t Disp) {
 
 void X64Emitter::addRI(Reg Dst, int32_t Imm) { aluRI(0, Dst, Imm); }
 void X64Emitter::subRI(Reg Dst, int32_t Imm) { aluRI(5, Dst, Imm); }
+void X64Emitter::andRI(Reg Dst, int32_t Imm) { aluRI(4, Dst, Imm); }
+void X64Emitter::orRI(Reg Dst, int32_t Imm) { aluRI(1, Dst, Imm); }
+void X64Emitter::xorRI(Reg Dst, int32_t Imm) { aluRI(6, Dst, Imm); }
 void X64Emitter::cmpRI(Reg A, int32_t Imm) { aluRI(7, A, Imm); }
+
+void X64Emitter::imulRI(Reg Dst, int32_t Imm) {
+  // REX.W 6B /r ib or REX.W 69 /r id, with Dst as both operands.
+  rex(Dst, Dst);
+  byte(fitsImm8(Imm) ? 0x6B : 0x69);
+  modrmReg(Dst, Dst);
+  aluImm(Imm);
+}
+
+void X64Emitter::addMI(Reg Base, int32_t Disp, int32_t Imm) {
+  aluMI(0, Base, Disp, Imm);
+}
+void X64Emitter::cmpMI(Reg Base, int32_t Disp, int32_t Imm) {
+  aluMI(7, Base, Disp, Imm);
+}
+void X64Emitter::cmpMR(Reg Base, int32_t Disp, Reg B) {
+  aluRM(0x39, B, Base, Disp);
+}
 
 void X64Emitter::testRR(Reg A, Reg B) {
   // test r/m64, r64: REX.W 85 /r (B is the reg field).
@@ -230,6 +270,10 @@ void X64Emitter::sarCl(Reg R) {
   byte(0xD3);
   byte(0xC0 | (7 << 3) | lo3(R));
 }
+
+void X64Emitter::shlRI(Reg R, uint8_t N) { shiftRI(4, R, N); }
+void X64Emitter::shrRI(Reg R, uint8_t N) { shiftRI(5, R, N); }
+void X64Emitter::sarRI(Reg R, uint8_t N) { shiftRI(7, R, N); }
 
 size_t X64Emitter::jcc(Cond C) {
   byte(0x0F);

@@ -108,7 +108,16 @@ public:
   void imulRM(Reg Dst, Reg Base, int32_t Disp);
   void addRI(Reg Dst, int32_t Imm); ///< add Dst, imm (sign-extended)
   void subRI(Reg Dst, int32_t Imm);
+  void andRI(Reg Dst, int32_t Imm);
+  void orRI(Reg Dst, int32_t Imm);
+  void xorRI(Reg Dst, int32_t Imm);
   void cmpRI(Reg A, int32_t Imm);
+  void imulRI(Reg Dst, int32_t Imm); ///< imul Dst, Dst, imm
+  /// add qword [Base+Disp], imm (sign-extended)
+  void addMI(Reg Base, int32_t Disp, int32_t Imm);
+  /// cmp qword [Base+Disp], imm (sign-extended)
+  void cmpMI(Reg Base, int32_t Disp, int32_t Imm);
+  void cmpMR(Reg Base, int32_t Disp, Reg B); ///< cmp [Base+Disp], B
   void testRR(Reg A, Reg B); ///< test A, B
   void negR(Reg R);          ///< neg R
   void cqo();                ///< sign-extend rax into rdx:rax
@@ -116,6 +125,9 @@ public:
   void shlCl(Reg R);         ///< shl R, cl (count masked to 63 by hardware)
   void shrCl(Reg R);         ///< shr R, cl
   void sarCl(Reg R);         ///< sar R, cl
+  void shlRI(Reg R, uint8_t N); ///< shl R, N
+  void shrRI(Reg R, uint8_t N); ///< shr R, N
+  void sarRI(Reg R, uint8_t N); ///< sar R, N
 
   // -- control ------------------------------------------------------------
   /// jcc rel32 with a zero displacement; returns the rel32 field offset.
@@ -148,6 +160,12 @@ private:
   void aluRM(uint8_t Op, Reg RegOp, Reg Base, int32_t Disp);
   /// REX.W 83 /Ext ib or 81 /Ext id (ALU with a sign-extended immediate).
   void aluRI(uint8_t Ext, Reg RmOp, int32_t Imm);
+  /// The same with a memory rm operand.
+  void aluMI(uint8_t Ext, Reg Base, int32_t Disp, int32_t Imm);
+  /// REX.W C1 /Ext ib (shift by an immediate count).
+  void shiftRI(uint8_t Ext, Reg R, uint8_t N);
+  /// The immediate of an 83 (ib) or 81 (id) form.
+  void aluImm(int32_t Imm);
 
   std::vector<uint8_t> Code;
 };

@@ -137,6 +137,8 @@ Module RandomProgramBuilder::build() {
         emitRecursionLoop(B, Rec, RecDeep);
       if (F.Loops && F.Switches && ShapeRng.chancePercent(50))
         emitPhaseLoop(B, I);
+      if (F.Loops && OperandRng.chancePercent(50))
+        emitOperandLoop(B, I);
       B.iload(0);
       B.emit(Opcode::Iprint);
       B.halt();
@@ -525,6 +527,56 @@ void RandomProgramBuilder::emitRecursionLoop(MethodBuilder &B, uint32_t Rec,
   B.iconst(Start);
   B.emit(Opcode::Iadd);
   B.invokestatic(Rec);
+  B.emit(Opcode::Iprint);
+  B.iinc(Counter, 1);
+  B.branch(Opcode::Goto, Loop);
+  B.bind(Done);
+}
+
+void RandomProgramBuilder::emitOperandLoop(MethodBuilder &B, unsigned Self) {
+  // One iteration: x, x := x + c (or i), x, then Depth terms L + c / L * c
+  // / L ^ c over the integer locals, a branch on i & Mask that xors the
+  // top term on its rare side, and the whole stack folded and printed.
+  // Native code that loses a pending read, or an operand across the
+  // branch's side exit, prints a different number.
+  uint32_t Counter = Locals[Self] - 1;
+  uint32_t Ints = Locals[Self] - 1 - (ObjLocal[Self] != NoLocal ? 1 : 0) -
+                  (ArrLocal[Self] != NoLocal ? 1 : 0);
+  auto Trip = static_cast<int32_t>(96 + OperandRng.nextBelow(161));
+  auto X = static_cast<uint32_t>(OperandRng.nextBelow(Ints));
+  auto Depth = static_cast<unsigned>(9 + OperandRng.nextBelow(8));
+  const auto Mask = static_cast<int32_t>((16 << OperandRng.nextBelow(3)) - 1);
+  Label Loop = B.newLabel(), Done = B.newLabel(), Common = B.newLabel();
+  B.iconst(0);
+  B.istore(Counter);
+  B.bind(Loop);
+  B.iload(Counter);
+  B.iconst(Trip);
+  B.branch(Opcode::IfIcmpGe, Done);
+  B.iload(X);
+  if (OperandRng.chancePercent(50)) {
+    B.iinc(X, static_cast<int32_t>(OperandRng.nextInRange(-9, 9)));
+  } else {
+    B.iload(Counter);
+    B.istore(X);
+  }
+  B.iload(X);
+  const Opcode Term[] = {Opcode::Iadd, Opcode::Imul, Opcode::Ixor};
+  for (unsigned T = 0; T < Depth; ++T) {
+    B.iload(static_cast<uint32_t>(OperandRng.nextBelow(Ints)));
+    B.iconst(static_cast<int32_t>(OperandRng.nextInRange(-50, 50)));
+    B.emit(Term[OperandRng.nextBelow(3)]);
+  }
+  B.iload(Counter);
+  B.iconst(Mask);
+  B.emit(Opcode::Iand);
+  B.branch(Opcode::IfNe, Common);
+  B.iconst(static_cast<int32_t>(OperandRng.nextInRange(1, 1000)));
+  B.emit(Opcode::Ixor);
+  B.bind(Common);
+  const Opcode Fold[] = {Opcode::Iadd, Opcode::Isub, Opcode::Ixor};
+  for (unsigned T = 0; T < Depth + 1; ++T)
+    B.emit(Fold[OperandRng.nextBelow(3)]);
   B.emit(Opcode::Iprint);
   B.iinc(Counter, 1);
   B.branch(Opcode::Goto, Loop);

@@ -34,6 +34,15 @@
 /// code. The recursion, too, draws from a stream of its own, and its
 /// method is declared last, so the other methods keep their ids.
 ///
+/// Half of the entry methods, when loops are enabled, end in an *operand
+/// loop*, the shape that keeps a compiled trace's operands in registers
+/// busy. Each iteration reads a local and writes it while the read is
+/// still on the operand stack, builds an expression deeper than the eight
+/// registers values live in, branches on the counter with the whole
+/// expression live (the recorded direction fails every 16th, 32nd or
+/// 64th iteration, rarely enough for a trace to run through the branch),
+/// and prints the folded value. It draws from a fourth stream.
+///
 /// This class grew out of the test-only RandomProgramBuilder in
 /// tests/TestPrograms.h and replaces it; the test header re-exports it.
 ///
@@ -125,14 +134,15 @@ struct FeatureCoverage {
 class RandomProgramBuilder {
 public:
   explicit RandomProgramBuilder(uint64_t Seed)
-      : Rng(Seed), ShapeRng(~Seed), RecRng(Seed ^ RecSalt) {}
+      : Rng(Seed), ShapeRng(~Seed), RecRng(Seed ^ RecSalt),
+        OperandRng(Seed ^ OperandSalt) {}
 
   /// \p Coverage, when non-null, both biases kind selection and
   /// accumulates this program's emissions (campaign-wide direction).
   RandomProgramBuilder(uint64_t Seed, const GenConfig &Config,
                        FeatureCoverage *Coverage = nullptr)
-      : Rng(Seed), ShapeRng(~Seed), RecRng(Seed ^ RecSalt), Config(Config),
-        Shared(Coverage) {}
+      : Rng(Seed), ShapeRng(~Seed), RecRng(Seed ^ RecSalt),
+        OperandRng(Seed ^ OperandSalt), Config(Config), Shared(Coverage) {}
 
   /// Builds one module. Single-shot per builder.
   Module build();
@@ -144,6 +154,8 @@ private:
   static constexpr uint32_t NoLocal = 0xffffffffu;
   /// Separates the recursion's stream from the other two.
   static constexpr uint64_t RecSalt = 0x5265637572736521ull;
+  /// Separates the operand loop's stream from the others.
+  static constexpr uint64_t OperandSalt = 0x4f706572616e6473ull;
 
   void emitExpr(MethodBuilder &B, unsigned Self);
   uint32_t storeTarget(unsigned Self);
@@ -156,10 +168,13 @@ private:
   /// Emits the entry method's loop of calls to \p Rec, which runs out
   /// of frames when \p Deep.
   void emitRecursionLoop(MethodBuilder &B, uint32_t Rec, bool Deep);
+  /// Emits the operand loop at the end of method \p Self.
+  void emitOperandLoop(MethodBuilder &B, unsigned Self);
 
   Prng Rng;
   Prng ShapeRng; ///< The phase loop's draws.
   Prng RecRng;   ///< The recursion's draws.
+  Prng OperandRng; ///< The operand loop's draws.
   GenConfig Config;
   FeatureCoverage *Shared = nullptr;
   FeatureCoverage Local;

@@ -221,6 +221,7 @@ VmStats TraceVM::currentStats() const {
     S.TraceCompileFallbacks = BS.CompileFallbacks;
     S.TraceDispatchesJit = BS.CompiledDispatches;
     S.JitCodeBytes = BS.CodeBytes;
+    S.JitCodeInstrs = BS.CodeInstrs;
     S.JitCodeReused = BS.CodeReused;
     S.JitFrameOpsInline = BS.FrameOpsInline;
     S.JitFrameOpsHelper = BS.FrameOpsHelper;

@@ -74,6 +74,8 @@ const std::vector<VmStats::FieldInfo> &VmStats::fields() {
               &VmStats::TraceDispatchesInterp, /*InPrint=*/false),
       Counter("jit code bytes", "jit_code_bytes", &VmStats::JitCodeBytes,
               /*InPrint=*/false),
+      Counter("jit code instructions", "jit_code_instrs",
+              &VmStats::JitCodeInstrs, /*InPrint=*/false),
       Counter("jit code reused", "jit_code_reused", &VmStats::JitCodeReused,
               /*InPrint=*/false),
       Counter("jit frame ops inline", "jit_frame_ops_inline",
@@ -124,7 +126,8 @@ uint64_t VmStats::digest() const {
            M == &VmStats::TraceCompileFallbacks ||
            M == &VmStats::TraceDispatchesJit ||
            M == &VmStats::TraceDispatchesInterp ||
-           M == &VmStats::JitCodeBytes || M == &VmStats::JitCodeReused ||
+           M == &VmStats::JitCodeBytes || M == &VmStats::JitCodeInstrs ||
+           M == &VmStats::JitCodeReused ||
            M == &VmStats::JitFrameOpsInline ||
            M == &VmStats::JitFrameOpsHelper ||
            // Elision accounting is configuration (--mem-elide) like the

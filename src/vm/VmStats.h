@@ -67,6 +67,10 @@ struct VmStats {
   uint64_t TraceDispatchesJit = 0;    ///< Trace entries run natively.
   uint64_t TraceDispatchesInterp = 0; ///< Trace entries block-stepped.
   uint64_t JitCodeBytes = 0;          ///< Native code bytes installed.
+  /// Bytecode instructions that code covers, counted as JitCodeBytes is
+  /// (per promotion that got code), so JitCodeBytes / JitCodeInstrs is
+  /// the native code's size per instruction.
+  uint64_t JitCodeInstrs = 0;
   /// Promotions that ran code (and credited the proof it was compiled
   /// under) that an earlier promotion of the same shape left in the
   /// module (PreparedModule::backendState()) instead of compiling. It

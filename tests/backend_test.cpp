@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/JitBackend.h"
+#include "backend/X64Emitter.h"
 
 #include "SessionStats.h"
 #include "TestPrograms.h"
@@ -23,6 +24,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <map>
 #include <tuple>
 
@@ -921,7 +924,7 @@ Module twoReturnSites(int32_t N) {
 
 /// Runs \p M natively (every trace promoted) and block-stepped, checks
 /// that both executed the same thing, and returns the native session.
-SessionRecord expectNativeMatchesStepped(const Module &M) {
+SessionRecord expectTiersAgree(const Module &M) {
   PreparedModule PM(M);
   SessionRecord Stepped = runSession(PM, interpOptions());
   SessionRecord Native = runSession(PM, jitOptions());
@@ -933,9 +936,15 @@ SessionRecord expectNativeMatchesStepped(const Module &M) {
   EXPECT_EQ(Native.Stats.digest(), Stepped.Stats.digest());
   EXPECT_EQ(Native.Blocks, Stepped.Blocks);
   EXPECT_GT(Native.Stats.TraceDispatchesJit, 0u);
-  EXPECT_GT(Native.Stats.JitFrameOpsInline, 0u);
   EXPECT_EQ(Stepped.Stats.JitFrameOpsInline, 0u);
   EXPECT_EQ(Stepped.Stats.JitFrameOpsHelper, 0u);
+  return Native;
+}
+
+/// expectTiersAgree for a program whose native runs make calls.
+SessionRecord expectNativeMatchesStepped(const Module &M) {
+  SessionRecord Native = expectTiersAgree(M);
+  EXPECT_GT(Native.Stats.JitFrameOpsInline, 0u);
   return Native;
 }
 
@@ -1001,4 +1010,563 @@ TEST(BackendTest, ReturnToAnUnexpectedSiteDiverges) {
   EXPECT_EQ(S.Run.Status, RunStatus::Finished);
   EXPECT_GT(S.Stats.TraceDispatches, S.Stats.TracesCompleted);
   EXPECT_EQ(S.Stats.JitFrameOpsHelper, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Emitter encodings
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using backend::Reg;
+using backend::X64Emitter;
+
+std::string hexOf(const std::vector<uint8_t> &Code) {
+  std::string S;
+  char Buf[4];
+  for (uint8_t B : Code) {
+    std::snprintf(Buf, sizeof(Buf), "%02x", B);
+    S += std::string(S.empty() ? "" : " ") + Buf;
+  }
+  return S;
+}
+
+/// The registers the templates keep operand values in, in the order of
+/// each form's expected encodings below.
+constexpr Reg OperandPool[] = {Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::Rdi,
+                               Reg::R8,  Reg::R9,  Reg::R10, Reg::R11};
+
+struct PoolForm {
+  const char *Name;
+  void (*Emit)(X64Emitter &, Reg);
+  std::array<const char *, 8> Bytes;
+};
+
+struct FixedForm {
+  const char *Name;
+  void (*Emit)(X64Emitter &);
+  const char *Bytes;
+};
+
+} // namespace
+
+TEST(X64EmitterTest, OperandRegisterFormsEncodeAsAssembled) {
+  // Every form the templates emit with an operand register, once per
+  // pool register: r8-r11 need REX.R or REX.B, and r13/rbp bases a zero
+  // disp8. The expected bytes are the GNU assembler's encodings of the
+  // same instructions (Intel syntax, with {load} choosing the reg, r/m
+  // direction of the register-register forms the emitter uses).
+#define FORM(Call, ...)                                                        \
+  PoolForm {                                                                   \
+    #Call, [](X64Emitter &E, Reg R) { E.Call; }, __VA_ARGS__                   \
+  }
+  const PoolForm Forms[] = {
+      FORM(movRR(Reg::Rax, R),
+           {"48 8b c1", "48 8b c2", "48 8b c6", "48 8b c7", "49 8b c0",
+            "49 8b c1", "49 8b c2", "49 8b c3"}),
+      FORM(movRR(R, Reg::Rax),
+           {"48 8b c8", "48 8b d0", "48 8b f0", "48 8b f8", "4c 8b c0",
+            "4c 8b c8", "4c 8b d0", "4c 8b d8"}),
+      FORM(movRI(R, 5),
+           {"b9 05 00 00 00", "ba 05 00 00 00", "be 05 00 00 00",
+            "bf 05 00 00 00", "41 b8 05 00 00 00", "41 b9 05 00 00 00",
+            "41 ba 05 00 00 00", "41 bb 05 00 00 00"}),
+      FORM(movRI(R, -5),
+           {"48 c7 c1 fb ff ff ff", "48 c7 c2 fb ff ff ff",
+            "48 c7 c6 fb ff ff ff", "48 c7 c7 fb ff ff ff",
+            "49 c7 c0 fb ff ff ff", "49 c7 c1 fb ff ff ff",
+            "49 c7 c2 fb ff ff ff", "49 c7 c3 fb ff ff ff"}),
+      FORM(movRI(R, INT64_MIN),
+           {"48 b9 00 00 00 00 00 00 00 80", "48 ba 00 00 00 00 00 00 00 80",
+            "48 be 00 00 00 00 00 00 00 80", "48 bf 00 00 00 00 00 00 00 80",
+            "49 b8 00 00 00 00 00 00 00 80", "49 b9 00 00 00 00 00 00 00 80",
+            "49 ba 00 00 00 00 00 00 00 80", "49 bb 00 00 00 00 00 00 00 80"}),
+      FORM(movRM(R, Reg::R13, 8),
+           {"49 8b 4d 08", "49 8b 55 08", "49 8b 75 08", "49 8b 7d 08",
+            "4d 8b 45 08", "4d 8b 4d 08", "4d 8b 55 08", "4d 8b 5d 08"}),
+      FORM(movRM(R, Reg::R14, -8),
+           {"49 8b 4e f8", "49 8b 56 f8", "49 8b 76 f8", "49 8b 7e f8",
+            "4d 8b 46 f8", "4d 8b 4e f8", "4d 8b 56 f8", "4d 8b 5e f8"}),
+      FORM(movRM(R, Reg::Rbp, 0),
+           {"48 8b 4d 00", "48 8b 55 00", "48 8b 75 00", "48 8b 7d 00",
+            "4c 8b 45 00", "4c 8b 4d 00", "4c 8b 55 00", "4c 8b 5d 00"}),
+      FORM(movMR(Reg::R13, 0, R),
+           {"49 89 4d 00", "49 89 55 00", "49 89 75 00", "49 89 7d 00",
+            "4d 89 45 00", "4d 89 4d 00", "4d 89 55 00", "4d 89 5d 00"}),
+      FORM(movMR(Reg::R14, 512, R),
+           {"49 89 8e 00 02 00 00", "49 89 96 00 02 00 00",
+            "49 89 b6 00 02 00 00", "49 89 be 00 02 00 00",
+            "4d 89 86 00 02 00 00", "4d 89 8e 00 02 00 00",
+            "4d 89 96 00 02 00 00", "4d 89 9e 00 02 00 00"}),
+      FORM(movMR(R, 0, Reg::Rax),
+           {"48 89 01", "48 89 02", "48 89 06", "48 89 07", "49 89 00",
+            "49 89 01", "49 89 02", "49 89 03"}),
+      FORM(movMR(R, 8, Reg::R14),
+           {"4c 89 71 08", "4c 89 72 08", "4c 89 76 08", "4c 89 77 08",
+            "4d 89 70 08", "4d 89 71 08", "4d 89 72 08", "4d 89 73 08"}),
+      FORM(movMR(Reg::Rbp, 56, R),
+           {"48 89 4d 38", "48 89 55 38", "48 89 75 38", "48 89 7d 38",
+            "4c 89 45 38", "4c 89 4d 38", "4c 89 55 38", "4c 89 5d 38"}),
+      FORM(movMI32(R, 16, 7),
+           {"48 c7 41 10 07 00 00 00", "48 c7 42 10 07 00 00 00",
+            "48 c7 46 10 07 00 00 00", "48 c7 47 10 07 00 00 00",
+            "49 c7 40 10 07 00 00 00", "49 c7 41 10 07 00 00 00",
+            "49 c7 42 10 07 00 00 00", "49 c7 43 10 07 00 00 00"}),
+      FORM(leaRM(R, Reg::R13, 64),
+           {"49 8d 4d 40", "49 8d 55 40", "49 8d 75 40", "49 8d 7d 40",
+            "4d 8d 45 40", "4d 8d 4d 40", "4d 8d 55 40", "4d 8d 5d 40"}),
+      FORM(leaRM(R, Reg::Rax, -32),
+           {"48 8d 48 e0", "48 8d 50 e0", "48 8d 70 e0", "48 8d 78 e0",
+            "4c 8d 40 e0", "4c 8d 48 e0", "4c 8d 50 e0", "4c 8d 58 e0"}),
+      FORM(movR32M(R, Reg::R8, 24),
+           {"41 8b 48 18", "41 8b 50 18", "41 8b 70 18", "41 8b 78 18",
+            "45 8b 40 18", "45 8b 48 18", "45 8b 50 18", "45 8b 58 18"}),
+      FORM(movM32R(Reg::Rbp, 64, R),
+           {"89 4d 40", "89 55 40", "89 75 40", "89 7d 40", "44 89 45 40",
+            "44 89 4d 40", "44 89 55 40", "44 89 5d 40"}),
+      FORM(movM32I(R, 20, 9),
+           {"c7 41 14 09 00 00 00", "c7 42 14 09 00 00 00",
+            "c7 46 14 09 00 00 00", "c7 47 14 09 00 00 00",
+            "41 c7 40 14 09 00 00 00", "41 c7 41 14 09 00 00 00",
+            "41 c7 42 14 09 00 00 00", "41 c7 43 14 09 00 00 00"}),
+      FORM(addRR(R, Reg::R9),
+           {"49 03 c9", "49 03 d1", "49 03 f1", "49 03 f9", "4d 03 c1",
+            "4d 03 c9", "4d 03 d1", "4d 03 d9"}),
+      FORM(subRR(R, Reg::Rcx),
+           {"48 2b c9", "48 2b d1", "48 2b f1", "48 2b f9", "4c 2b c1",
+            "4c 2b c9", "4c 2b d1", "4c 2b d9"}),
+      FORM(andRR(R, Reg::Rdx),
+           {"48 23 ca", "48 23 d2", "48 23 f2", "48 23 fa", "4c 23 c2",
+            "4c 23 ca", "4c 23 d2", "4c 23 da"}),
+      FORM(orRR(R, Reg::R11),
+           {"49 0b cb", "49 0b d3", "49 0b f3", "49 0b fb", "4d 0b c3",
+            "4d 0b cb", "4d 0b d3", "4d 0b db"}),
+      FORM(xorRR(R, Reg::Rsi),
+           {"48 33 ce", "48 33 d6", "48 33 f6", "48 33 fe", "4c 33 c6",
+            "4c 33 ce", "4c 33 d6", "4c 33 de"}),
+      FORM(cmpRR(R, Reg::R10),
+           {"49 3b ca", "49 3b d2", "49 3b f2", "49 3b fa", "4d 3b c2",
+            "4d 3b ca", "4d 3b d2", "4d 3b da"}),
+      FORM(imulRR(R, Reg::Rdi),
+           {"48 0f af cf", "48 0f af d7", "48 0f af f7", "48 0f af ff",
+            "4c 0f af c7", "4c 0f af cf", "4c 0f af d7", "4c 0f af df"}),
+      FORM(addRM(R, Reg::R13, 8),
+           {"49 03 4d 08", "49 03 55 08", "49 03 75 08", "49 03 7d 08",
+            "4d 03 45 08", "4d 03 4d 08", "4d 03 55 08", "4d 03 5d 08"}),
+      FORM(subRM(R, Reg::R14, -16),
+           {"49 2b 4e f0", "49 2b 56 f0", "49 2b 76 f0", "49 2b 7e f0",
+            "4d 2b 46 f0", "4d 2b 4e f0", "4d 2b 56 f0", "4d 2b 5e f0"}),
+      FORM(andRM(R, Reg::R13, 0),
+           {"49 23 4d 00", "49 23 55 00", "49 23 75 00", "49 23 7d 00",
+            "4d 23 45 00", "4d 23 4d 00", "4d 23 55 00", "4d 23 5d 00"}),
+      FORM(orRM(R, Reg::R14, 0),
+           {"49 0b 0e", "49 0b 16", "49 0b 36", "49 0b 3e", "4d 0b 06",
+            "4d 0b 0e", "4d 0b 16", "4d 0b 1e"}),
+      FORM(xorRM(R, Reg::R13, 200),
+           {"49 33 8d c8 00 00 00", "49 33 95 c8 00 00 00",
+            "49 33 b5 c8 00 00 00", "49 33 bd c8 00 00 00",
+            "4d 33 85 c8 00 00 00", "4d 33 8d c8 00 00 00",
+            "4d 33 95 c8 00 00 00", "4d 33 9d c8 00 00 00"}),
+      FORM(cmpRM(R, Reg::Rbp, 8),
+           {"48 3b 4d 08", "48 3b 55 08", "48 3b 75 08", "48 3b 7d 08",
+            "4c 3b 45 08", "4c 3b 4d 08", "4c 3b 55 08", "4c 3b 5d 08"}),
+      FORM(imulRM(R, Reg::R13, 16),
+           {"49 0f af 4d 10", "49 0f af 55 10", "49 0f af 75 10",
+            "49 0f af 7d 10", "4d 0f af 45 10", "4d 0f af 4d 10",
+            "4d 0f af 55 10", "4d 0f af 5d 10"}),
+      FORM(addRI(R, 1),
+           {"48 83 c1 01", "48 83 c2 01", "48 83 c6 01", "48 83 c7 01",
+            "49 83 c0 01", "49 83 c1 01", "49 83 c2 01", "49 83 c3 01"}),
+      FORM(subRI(R, 1000),
+           {"48 81 e9 e8 03 00 00", "48 81 ea e8 03 00 00",
+            "48 81 ee e8 03 00 00", "48 81 ef e8 03 00 00",
+            "49 81 e8 e8 03 00 00", "49 81 e9 e8 03 00 00",
+            "49 81 ea e8 03 00 00", "49 81 eb e8 03 00 00"}),
+      FORM(andRI(R, 255),
+           {"48 81 e1 ff 00 00 00", "48 81 e2 ff 00 00 00",
+            "48 81 e6 ff 00 00 00", "48 81 e7 ff 00 00 00",
+            "49 81 e0 ff 00 00 00", "49 81 e1 ff 00 00 00",
+            "49 81 e2 ff 00 00 00", "49 81 e3 ff 00 00 00"}),
+      FORM(orRI(R, -2),
+           {"48 83 c9 fe", "48 83 ca fe", "48 83 ce fe", "48 83 cf fe",
+            "49 83 c8 fe", "49 83 c9 fe", "49 83 ca fe", "49 83 cb fe"}),
+      FORM(xorRI(R, 100000),
+           {"48 81 f1 a0 86 01 00", "48 81 f2 a0 86 01 00",
+            "48 81 f6 a0 86 01 00", "48 81 f7 a0 86 01 00",
+            "49 81 f0 a0 86 01 00", "49 81 f1 a0 86 01 00",
+            "49 81 f2 a0 86 01 00", "49 81 f3 a0 86 01 00"}),
+      FORM(cmpRI(R, -1),
+           {"48 83 f9 ff", "48 83 fa ff", "48 83 fe ff", "48 83 ff ff",
+            "49 83 f8 ff", "49 83 f9 ff", "49 83 fa ff", "49 83 fb ff"}),
+      FORM(imulRI(R, 3),
+           {"48 6b c9 03", "48 6b d2 03", "48 6b f6 03", "48 6b ff 03",
+            "4d 6b c0 03", "4d 6b c9 03", "4d 6b d2 03", "4d 6b db 03"}),
+      FORM(imulRI(R, 1000),
+           {"48 69 c9 e8 03 00 00", "48 69 d2 e8 03 00 00",
+            "48 69 f6 e8 03 00 00", "48 69 ff e8 03 00 00",
+            "4d 69 c0 e8 03 00 00", "4d 69 c9 e8 03 00 00",
+            "4d 69 d2 e8 03 00 00", "4d 69 db e8 03 00 00"}),
+      FORM(cmpMR(Reg::R13, 8, R),
+           {"49 39 4d 08", "49 39 55 08", "49 39 75 08", "49 39 7d 08",
+            "4d 39 45 08", "4d 39 4d 08", "4d 39 55 08", "4d 39 5d 08"}),
+      FORM(cmpMR(Reg::R14, 0, R),
+           {"49 39 0e", "49 39 16", "49 39 36", "49 39 3e", "4d 39 06",
+            "4d 39 0e", "4d 39 16", "4d 39 1e"}),
+      FORM(testRR(R, R),
+           {"48 85 c9", "48 85 d2", "48 85 f6", "48 85 ff", "4d 85 c0",
+            "4d 85 c9", "4d 85 d2", "4d 85 db"}),
+      FORM(negR(R),
+           {"48 f7 d9", "48 f7 da", "48 f7 de", "48 f7 df", "49 f7 d8",
+            "49 f7 d9", "49 f7 da", "49 f7 db"}),
+      FORM(idivR(R),
+           {"48 f7 f9", "48 f7 fa", "48 f7 fe", "48 f7 ff", "49 f7 f8",
+            "49 f7 f9", "49 f7 fa", "49 f7 fb"}),
+      FORM(shlCl(R),
+           {"48 d3 e1", "48 d3 e2", "48 d3 e6", "48 d3 e7", "49 d3 e0",
+            "49 d3 e1", "49 d3 e2", "49 d3 e3"}),
+      FORM(shrCl(R),
+           {"48 d3 e9", "48 d3 ea", "48 d3 ee", "48 d3 ef", "49 d3 e8",
+            "49 d3 e9", "49 d3 ea", "49 d3 eb"}),
+      FORM(sarCl(R),
+           {"48 d3 f9", "48 d3 fa", "48 d3 fe", "48 d3 ff", "49 d3 f8",
+            "49 d3 f9", "49 d3 fa", "49 d3 fb"}),
+      FORM(shlRI(R, 3),
+           {"48 c1 e1 03", "48 c1 e2 03", "48 c1 e6 03", "48 c1 e7 03",
+            "49 c1 e0 03", "49 c1 e1 03", "49 c1 e2 03", "49 c1 e3 03"}),
+      FORM(shrRI(R, 5),
+           {"48 c1 e9 05", "48 c1 ea 05", "48 c1 ee 05", "48 c1 ef 05",
+            "49 c1 e8 05", "49 c1 e9 05", "49 c1 ea 05", "49 c1 eb 05"}),
+      FORM(sarRI(R, 63),
+           {"48 c1 f9 3f", "48 c1 fa 3f", "48 c1 fe 3f", "48 c1 ff 3f",
+            "49 c1 f8 3f", "49 c1 f9 3f", "49 c1 fa 3f", "49 c1 fb 3f"}),
+  };
+#undef FORM
+  for (const PoolForm &F : Forms)
+    for (size_t I = 0; I < std::size(OperandPool); ++I) {
+      X64Emitter E;
+      F.Emit(E, OperandPool[I]);
+      EXPECT_EQ(hexOf(E.code()), F.Bytes[I])
+          << F.Name << " with R = pool register " << I;
+    }
+}
+
+TEST(X64EmitterTest, FixedFormsEncodeAsAssembled) {
+  // The forms the templates emit on pinned registers only.
+#define FORM(Call, Bytes)                                                      \
+  FixedForm { #Call, [](X64Emitter &E) { E.Call; }, Bytes }
+  const FixedForm Forms[] = {
+      FORM(addMI(Reg::R13, 16, 3), "49 83 45 10 03"),
+      FORM(addMI(Reg::R13, 0, -1000), "49 81 45 00 18 fc ff ff"),
+      FORM(cmpMI(Reg::R14, -8, 0), "49 83 7e f8 00"),
+      FORM(cmpMI(Reg::R13, 0, 200), "49 81 7d 00 c8 00 00 00"),
+      FORM(movMI32(Reg::R14, -8, 5), "49 c7 46 f8 05 00 00 00"),
+      FORM(movMI32(Reg::R13, 0, -7), "49 c7 45 00 f9 ff ff ff"),
+      FORM(movMI32(Reg::Rbx, 24, 3), "48 c7 43 18 03 00 00 00"),
+      FORM(movRM(Reg::Rax, Reg::Rbp, 16), "48 8b 45 10"),
+      FORM(movM32I(Reg::Rbp, 64, 12), "c7 45 40 0c 00 00 00"),
+      FORM(xorRR(Reg::Rax, Reg::Rax), "48 33 c0"),
+      FORM(cqo(), "48 99"),
+      FORM(callR(Reg::Rax), "ff d0"),
+      FORM(pushR(Reg::R13), "41 55"),
+      FORM(popR(Reg::R15), "41 5f"),
+      FORM(ret(), "c3"),
+  };
+#undef FORM
+  for (const FixedForm &F : Forms) {
+    X64Emitter E;
+    F.Emit(E);
+    EXPECT_EQ(hexOf(E.code()), F.Bytes) << F.Name;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Operands in registers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Opens main with \p Locals locals, i (local 0) and sum (local 1)
+/// zeroed, and the head of a loop over i < N; the caller emits the body
+/// and closeLoop() the rest, which prints sum.
+struct LoopProgram {
+  Assembler Asm;
+  uint32_t Main;
+  MethodBuilder B;
+  Label Loop, Done;
+
+  LoopProgram(int32_t N, uint32_t Locals)
+      : Main(Asm.declareMethod("main", 0, Locals, false)),
+        B(Asm.beginMethod(Main)), Loop(B.newLabel()), Done(B.newLabel()) {
+    B.iconst(0);
+    B.istore(0);
+    B.iconst(0);
+    B.istore(1);
+    B.bind(Loop);
+    B.iload(0);
+    B.iconst(N);
+    B.branch(Opcode::IfIcmpGe, Done);
+  }
+
+  Module closeLoop() {
+    B.iinc(0, 1);
+    B.branch(Opcode::Goto, Loop);
+    B.bind(Done);
+    B.iload(1);
+    B.emit(Opcode::Iprint);
+    B.halt();
+    B.finish();
+    Asm.setEntry(Main);
+    return Asm.build();
+  }
+};
+
+/// sum += 3 + 5i, but sum - 5i + 3 when i % 32 == 0: a pending read of
+/// sum, a constant and a register value sit on the stack across the
+/// guard that picks, so its side exit must write all three.
+Module stackAcrossGuard(int32_t N) {
+  LoopProgram P(N, 2);
+  MethodBuilder &B = P.B;
+  Label Common = B.newLabel(), Join = B.newLabel();
+  B.iload(1);
+  B.iconst(3);
+  B.iload(0);
+  B.iconst(5);
+  B.emit(Opcode::Imul);
+  B.iload(0);
+  B.iconst(31);
+  B.emit(Opcode::Iand);
+  B.branch(Opcode::IfNe, Common);
+  B.emit(Opcode::Isub);
+  B.emit(Opcode::Iadd);
+  B.branch(Opcode::Goto, Join);
+  B.bind(Common);
+  B.emit(Opcode::Iadd);
+  B.emit(Opcode::Iadd);
+  B.bind(Join);
+  B.istore(1);
+  return P.closeLoop();
+}
+
+/// Reads of x (local 2) still on the stack while iinc and istore write
+/// x: each read must see x as it was when it was pushed.
+Module pendingReadsAcrossWrites(int32_t N) {
+  LoopProgram P(N, 3);
+  MethodBuilder &B = P.B;
+  B.iload(2);
+  B.iinc(2, 3);
+  B.iload(2);
+  B.emit(Opcode::Isub); // -3
+  B.iload(2);
+  B.iload(0);
+  B.istore(2); // x = i under a pending read of x
+  B.emit(Opcode::Iadd);
+  B.iload(2);
+  B.iload(2);
+  B.iconst(2);
+  B.emit(Opcode::Iadd);
+  B.istore(2); // x = i + 2 under a pending read of x
+  B.emit(Opcode::Imul);
+  B.iload(2);
+  B.istore(2); // x = x
+  B.iload(1);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  return P.closeLoop();
+}
+
+/// sum = sum + 1 + 3i, through dup and swap of values held in
+/// registers.
+Module dupSwapRegisters(int32_t N) {
+  LoopProgram P(N, 2);
+  MethodBuilder &B = P.B;
+  B.iload(0);
+  B.iconst(3);
+  B.emit(Opcode::Imul); // 3i
+  B.emit(Opcode::Dup);
+  B.iload(1);
+  B.iconst(1);
+  B.emit(Opcode::Iadd); // 3i 3i s+1
+  B.emit(Opcode::Swap); // 3i s+1 3i
+  B.emit(Opcode::Isub); // 3i s+1-3i
+  B.emit(Opcode::Swap); // s+1-3i 3i
+  B.emit(Opcode::Dup);
+  B.emit(Opcode::Iadd);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  return P.closeLoop();
+}
+
+/// Twelve register values at once, four more than the pool holds, with
+/// a guard over the ten deepest, a variable shift and a division among
+/// the ops that fold them back into sum.
+Module deepExpression(int32_t N) {
+  LoopProgram P(N, 2);
+  MethodBuilder &B = P.B;
+  const Opcode Mix[] = {Opcode::Iadd, Opcode::Imul, Opcode::Ixor};
+  auto PushTerm = [&](int32_t K) {
+    B.iload(0);
+    B.iconst(K + 1);
+    B.emit(Mix[K % 3]);
+  };
+  for (int32_t K = 0; K < 10; ++K)
+    PushTerm(K);
+  Label Hot = B.newLabel(), Join = B.newLabel();
+  B.iload(0);
+  B.iconst(15);
+  B.emit(Opcode::Iand);
+  B.branch(Opcode::IfNe, Hot);
+  B.iconst(7);
+  B.emit(Opcode::Iadd);
+  B.branch(Opcode::Goto, Join);
+  B.bind(Hot);
+  B.iconst(9);
+  B.emit(Opcode::Ixor);
+  B.bind(Join);
+  PushTerm(10);
+  PushTerm(11);
+  const Opcode Fold[] = {Opcode::Iadd, Opcode::Isub, Opcode::Ixor,
+                         Opcode::Imul, Opcode::Ior,  Opcode::Iand};
+  for (int32_t K = 0; K < 11; ++K) {
+    if (K == 4) {
+      B.iload(0);
+      B.iconst(7);
+      B.emit(Opcode::Iand);
+      B.emit(Opcode::Ishl);
+    }
+    if (K == 8) {
+      B.iconst(7);
+      B.emit(Opcode::Idiv);
+    }
+    B.emit(Fold[K % 6]);
+  }
+  B.iload(1);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  return P.closeLoop();
+}
+
+/// sum += a[i] + 2i over an array of Len elements, with no other exit:
+/// the load at i == Len traps with sum and 2i beneath its operands.
+Module trappingLoadUnderStack(int32_t Len) {
+  LoopProgram P(1 << 30, 3);
+  MethodBuilder &B = P.B;
+  // a is created on the first iteration, as a local of main.
+  Label Have = B.newLabel();
+  B.iload(0);
+  B.branch(Opcode::IfNe, Have);
+  B.iconst(Len);
+  B.emit(Opcode::NewArray);
+  B.istore(2);
+  B.bind(Have);
+  B.iload(1);
+  B.iload(0);
+  B.iconst(2);
+  B.emit(Opcode::Imul);
+  B.iload(2);
+  B.iload(0);
+  B.emit(Opcode::Iaload);
+  B.emit(Opcode::Iadd);
+  B.emit(Opcode::Iadd);
+  B.istore(1);
+  return P.closeLoop();
+}
+
+/// main: for i in [0, 20) print rec(3i, i), where rec(n, acc) =
+/// n <= 0 ? acc : n + rec(n - 1, acc + 3n) over 40 locals. Both
+/// arguments are computed into registers, with a read of n pending
+/// beneath them; the locals arena grows near depth 25, so some calls
+/// take the slow path with their arguments still in registers.
+Module registerArgsOnTheSlowPath() {
+  Assembler Asm;
+  uint32_t Rec = Asm.declareMethod("rec", 2, 40, true);
+  {
+    MethodBuilder B = Asm.beginMethod(Rec);
+    Label Deeper = B.newLabel();
+    B.iload(0);
+    B.branch(Opcode::IfGt, Deeper);
+    B.iload(1);
+    B.iret();
+    B.bind(Deeper);
+    B.iload(0);
+    B.iload(0);
+    B.iconst(1);
+    B.emit(Opcode::Isub);
+    B.iload(1);
+    B.iload(0);
+    B.iconst(3);
+    B.emit(Opcode::Imul);
+    B.emit(Opcode::Iadd);
+    B.invokestatic(Rec);
+    B.emit(Opcode::Iadd);
+    B.iret();
+    B.finish();
+  }
+  uint32_t Main = Asm.declareMethod("main", 0, 1, false);
+  {
+    MethodBuilder B = Asm.beginMethod(Main);
+    Label Loop = B.newLabel(), Done = B.newLabel();
+    B.iconst(0);
+    B.istore(0);
+    B.bind(Loop);
+    B.iload(0);
+    B.iconst(20);
+    B.branch(Opcode::IfIcmpGe, Done);
+    B.iload(0);
+    B.iconst(3);
+    B.emit(Opcode::Imul);
+    B.iload(0);
+    B.invokestatic(Rec);
+    B.emit(Opcode::Iprint);
+    B.iinc(0, 1);
+    B.branch(Opcode::Goto, Loop);
+    B.bind(Done);
+    B.halt();
+    B.finish();
+  }
+  Asm.setEntry(Main);
+  return Asm.build();
+}
+
+} // namespace
+
+TEST(BackendTest, OperandsHeldAcrossAGuardReachItsSideExit) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  SessionRecord S = expectTiersAgree(stackAcrossGuard(20000));
+  EXPECT_GT(S.Stats.TraceDispatches, S.Stats.TracesCompleted);
+}
+
+TEST(BackendTest, PendingLocalReadsSurviveWritesToTheLocal) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  expectTiersAgree(pendingReadsAcrossWrites(20000));
+}
+
+TEST(BackendTest, DupAndSwapOfRegisterValues) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  expectTiersAgree(dupSwapRegisters(20000));
+}
+
+TEST(BackendTest, ExpressionDeeperThanTheRegisterPool) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  SessionRecord S = expectTiersAgree(deepExpression(20000));
+  EXPECT_GT(S.Stats.TraceDispatches, S.Stats.TracesCompleted);
+}
+
+TEST(BackendTest, HeapTrapWithValuesBeneathItsOperands) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  SessionRecord S = expectTiersAgree(trappingLoadUnderStack(5000));
+  EXPECT_EQ(S.Run.Status, RunStatus::Trapped);
+  EXPECT_EQ(S.Run.Trap, TrapKind::ArrayBounds);
+}
+
+TEST(BackendTest, RegisterArgumentsTakeTheCallSlowPath) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  SessionRecord S = expectNativeMatchesStepped(registerArgsOnTheSlowPath());
+  EXPECT_EQ(S.Run.Status, RunStatus::Finished);
+  EXPECT_GT(S.Stats.JitFrameOpsHelper, 0u);
 }
